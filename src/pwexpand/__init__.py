@@ -17,7 +17,6 @@ from .analysis import (
 from .errors import ConfigError, ToolError
 from .expr import eval_with_derivative, evaluate, format_expression, parse
 from .grid import GridFunction, VariationReport, osc_profile, osc_q, project, variation
-from .kernels import NUMBA_ENABLED, warmup_jit
 from .lorenz import (
     LorenzConfig,
     ReturnMapData,
@@ -60,7 +59,6 @@ __all__ = [
     "LYConstants",
     "LYVerification",
     "LorenzConfig",
-    "NUMBA_ENABLED",
     "PiecewiseMap",
     "ReturnMapData",
     "SpectralReport",
@@ -102,5 +100,4 @@ __all__ = [
     "ulam_matrix",
     "validate",
     "variation",
-    "warmup_jit",
 ]

@@ -19,7 +19,7 @@ from . import expr
 from .errors import ConfigError, ToolError
 from .grid import GridFunction, project, variation
 from .maps import PiecewiseMap
-from .transfer import apply_fp, ulam_matrix, _power_iteration
+from .transfer import apply_fp, power_iterate, ulam_matrix
 
 #: correlation values below this are treated as exact zeros
 NOISE_FLOOR = 1e-14
@@ -205,22 +205,15 @@ def _unique_invariant_density(pmap: PiecewiseMap, n: int) -> GridFunction:
     simple."""
     op = ulam_matrix(pmap, n)
     mat_t = op.matrix.transpose().tocsr()
-    h0, converged, residual = _power_iteration(mat_t, n, 1e-13, 20000)
+    h0, converged, residual, _ = power_iterate(mat_t, np.ones(n), 1e-13, 20000)
     if not converged and residual > 1e-9:
         raise AmbiguousMeasureError(
             f"power iteration stalled (residual {residual:g}); the invariant "
             "density may not be unique — inspect spectrum()")
     rng = np.random.default_rng(1234)
     for _ in range(2):
-        h = 0.5 + rng.random(n)
-        h = h / np.mean(h)
-        for _ in range(20000):
-            h2 = mat_t @ h
-            h2 = h2 / float(np.mean(h2))
-            step = float(np.mean(np.abs(h2 - h)))
-            h = h2
-            if step < 1e-13:
-                break
+        start = 0.5 + rng.random(n)
+        h, _, _, _ = power_iterate(mat_t, start / np.mean(start), 1e-13, 20000)
         if float(np.mean(np.abs(h - h0))) > 1e-6:
             raise AmbiguousMeasureError(
                 "different starting densities reach different fixed points; "

@@ -41,9 +41,17 @@ def _lq(text: str) -> float:
     return float(text)
 
 
-def _warn_no_plot(path):
-    print(f"warning: matplotlib unavailable, skipped plot {path}",
-          file=sys.stderr)
+def _plot(args, draw, data) -> None:
+    """Draw `data` to an SVG next to args.out unless --no-plot was given."""
+    if args.no_plot:
+        return
+    out = args.out
+    svg = (out[: -len(".csv")] if out.endswith(".csv") else out) + ".svg"
+    if draw(data, svg):
+        print(f"plot -> {svg}")
+    else:
+        print(f"warning: matplotlib unavailable, skipped plot {svg}",
+              file=sys.stderr)
 
 
 def cmd_check_slope(args) -> int:
@@ -92,12 +100,7 @@ def cmd_density(args) -> int:
     h = transfer.invariant_density(op, tol=args.tol, max_iters=args.max_iters)
     serialize.write_text_atomic(args.out, serialize.grid_function_csv(h))
     print(f"invariant density on {args.bins} bins -> {args.out}")
-    if not args.no_plot:
-        svg = _svg_name(args.out)
-        if plotting.density_plot(h, svg):
-            print(f"plot -> {svg}")
-        else:
-            _warn_no_plot(svg)
+    _plot(args, plotting.density_plot, h)
     return 0
 
 
@@ -108,12 +111,7 @@ def cmd_spectrum(args) -> int:
     serialize.write_text_atomic(args.out, serialize.spectral_csv(report))
     print(f"unit multiplicity {report.unit_multiplicity}, spectral gap "
           f"{serialize.fmt(report.spectral_gap)} -> {args.out}")
-    if not args.no_plot:
-        svg = _svg_name(args.out)
-        if plotting.spectrum_plot(report, svg):
-            print(f"plot -> {svg}")
-        else:
-            _warn_no_plot(svg)
+    _plot(args, plotting.spectrum_plot, report)
     return 0
 
 
@@ -140,12 +138,7 @@ def cmd_correlate(args) -> int:
     else:
         print(f"fitted rate {serialize.fmt(series.fitted_rate)} "
               f"(R^2 = {serialize.fmt(series.fit_quality)}) -> {args.out}")
-    if not args.no_plot:
-        svg = _svg_name(args.out)
-        if plotting.correlation_plot(series, svg):
-            print(f"plot -> {svg}")
-        else:
-            _warn_no_plot(svg)
+    _plot(args, plotting.correlation_plot, series)
     return 0
 
 
@@ -189,10 +182,6 @@ def cmd_lorenz(args) -> int:
     print("pass the fitted config to the other subcommands explicitly if "
           "its validation report is acceptable")
     return 0
-
-
-def _svg_name(out: str) -> str:
-    return (out[: -len(".csv")] if out.endswith(".csv") else out) + ".svg"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -26,6 +26,13 @@ RADIUS_RATIO = 1.2
 DEFAULT_A = 0.125
 
 
+def _lq_norm(values: np.ndarray, lq: float) -> float:
+    """L^q norm on [0,1] in mean-power form; lq=inf gives the sup norm."""
+    if math.isinf(lq):
+        return float(np.max(np.abs(values)))
+    return float(np.mean(np.abs(values) ** lq) ** (1.0 / lq))
+
+
 @dataclass(frozen=True, eq=False)
 class GridFunction:
     n: int
@@ -57,9 +64,7 @@ class GridFunction:
 
     def norm_lq(self, lq: float) -> float:
         """L^q norm on [0,1] in mean-power form; lq=inf gives the sup norm."""
-        if math.isinf(lq):
-            return float(np.max(np.abs(self.values)))
-        return float(np.mean(np.abs(self.values) ** lq) ** (1.0 / lq))
+        return _lq_norm(self.values, lq)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,14 +146,9 @@ def variation(f: GridFunction, lq: float, p: float, A: float = DEFAULT_A,
     radii = radius_grid(f.n, A, radii_count)
     best = -1.0
     best_r = radii[0]
-    inf_q = math.isinf(lq)
     for r in radii:
         prof = _osc_values(f.values, window_half_width(r, f.n))
-        if inf_q:
-            nrm = float(np.max(prof))
-        else:
-            nrm = float(np.mean(prof ** lq) ** (1.0 / lq))
-        ratio = nrm / r ** (1.0 / p)
+        ratio = _lq_norm(prof, lq) / r ** (1.0 / p)
         if ratio > best:
             best = ratio
             best_r = float(r)

@@ -1,84 +1,40 @@
-"""Numerical hot loops, JIT-compiled when numba is available.
+"""Numerical hot loops: the sliding-window min/max behind every oscillation
+profile, and the classical RK4 integrator of the Lorenz system.
 
-Each kernel is written once as a plain function and wrapped with
-``numba.njit`` at import time.  Setting the environment variable
-``PWEXPAND_DISABLE_NUMBA=1`` (or any non-empty value other than ``0``)
-forces the pure numpy/scipy path; the same happens automatically when
-numba is not installed.  ``NUMBA_ENABLED`` records which path is live.
-
-The two paths are exercised against each other in the test suite and the
-benchmark script under ``benchmarks/``.
+``sliding_minmax`` runs on scipy's C filters.  ``lorenz_rk4`` is plain
+Python; each step performs a fixed IEEE operation sequence, so a given
+input always yields the same trajectory bit for bit.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
-_flag = os.environ.get("PWEXPAND_DISABLE_NUMBA", "0").strip()
-_disabled = _flag not in ("", "0")
-
-try:
-    if _disabled:
-        raise ImportError
-    from numba import njit as _njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
+#: kept for run provenance; there is no jitted path
+NUMBA_ENABLED = False
 
 
-def _sliding_minmax_impl(values, half):
-    """Running min and max over windows [k-half, k+half] clipped to the ends.
-
-    Monotone-deque algorithm: each index enters and leaves each deque at
-    most once, so the whole sweep is O(n) regardless of window size.
-    """
-    n = values.shape[0]
-    lo = np.empty(n)
-    hi = np.empty(n)
-    # deques stored as index ring buffers
-    qmin = np.empty(n, dtype=np.int64)
-    qmax = np.empty(n, dtype=np.int64)
-    min_head = min_tail = 0
-    max_head = max_tail = 0
-    right = 0
-    for k in range(n):
-        stop = k + half + 1
-        if stop > n:
-            stop = n
-        while right < stop:
-            v = values[right]
-            while min_tail > min_head and values[qmin[min_tail - 1]] >= v:
-                min_tail -= 1
-            qmin[min_tail] = right
-            min_tail += 1
-            while max_tail > max_head and values[qmax[max_tail - 1]] <= v:
-                max_tail -= 1
-            qmax[max_tail] = right
-            max_tail += 1
-            right += 1
-        left = k - half
-        if left < 0:
-            left = 0
-        while qmin[min_head] < left:
-            min_head += 1
-        while qmax[max_head] < left:
-            max_head += 1
-        lo[k] = values[qmin[min_head]]
-        hi[k] = values[qmax[max_head]]
+def sliding_minmax(values: np.ndarray, half: int):
+    """Running min and max over windows [k-half, k+half] clipped to the ends."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    size = 2 * int(half) + 1
+    # mode='nearest' replicates edge samples, which leaves the min/max of
+    # the truncated window unchanged — identical to explicit clipping.
+    lo = minimum_filter1d(values, size=size, mode="nearest")
+    hi = maximum_filter1d(values, size=size, mode="nearest")
     return lo, hi
 
 
-def _lorenz_rk4_impl(state, sigma, rho, beta, dt, nsteps, out):
+def lorenz_rk4(state, sigma, rho, beta, dt, nsteps):
     """Integrate the Lorenz system with classical RK4, storing every step.
 
-    ``out`` has shape (nsteps + 1, 3); row 0 is the initial state.
+    Returns an array of shape (nsteps + 1, 3); row 0 is the initial state.
     """
-    x = state[0]
-    y = state[1]
-    z = state[2]
+    sigma, rho, beta, dt = float(sigma), float(rho), float(beta), float(dt)
+    nsteps = int(nsteps)
+    out = np.empty((nsteps + 1, 3))
+    x, y, z = (float(v) for v in np.asarray(state, dtype=np.float64))
     out[0, 0] = x
     out[0, 1] = y
     out[0, 2] = z
@@ -115,44 +71,3 @@ def _lorenz_rk4_impl(state, sigma, rho, beta, dt, nsteps, out):
         out[i + 1, 1] = y
         out[i + 1, 2] = z
     return out
-
-
-if NUMBA_ENABLED:
-    _sliding_minmax_jit = _njit(cache=True)(_sliding_minmax_impl)
-    _lorenz_rk4_jit = _njit(cache=True)(_lorenz_rk4_impl)
-
-    def sliding_minmax(values: np.ndarray, half: int):
-        return _sliding_minmax_jit(np.ascontiguousarray(values, dtype=np.float64),
-                                   int(half))
-
-    def lorenz_rk4(state, sigma, rho, beta, dt, nsteps):
-        out = np.empty((nsteps + 1, 3))
-        return _lorenz_rk4_jit(np.asarray(state, dtype=np.float64),
-                               float(sigma), float(rho), float(beta),
-                               float(dt), int(nsteps), out)
-
-    def warmup_jit() -> None:
-        """Trigger JIT compilation so timed runs don't pay the compile cost."""
-        sliding_minmax(np.zeros(4), 1)
-        lorenz_rk4(np.array([1.0, 1.0, 1.0]), 10.0, 28.0, 8.0 / 3.0, 0.01, 2)
-
-else:
-    from scipy.ndimage import maximum_filter1d, minimum_filter1d
-
-    def sliding_minmax(values: np.ndarray, half: int):
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        size = 2 * int(half) + 1
-        # mode='nearest' replicates edge samples, which leaves the min/max of
-        # the truncated window unchanged — identical to explicit clipping.
-        lo = minimum_filter1d(values, size=size, mode="nearest")
-        hi = maximum_filter1d(values, size=size, mode="nearest")
-        return lo, hi
-
-    def lorenz_rk4(state, sigma, rho, beta, dt, nsteps):
-        out = np.empty((nsteps + 1, 3))
-        return _lorenz_rk4_impl(np.asarray(state, dtype=np.float64),
-                                float(sigma), float(rho), float(beta),
-                                float(dt), int(nsteps), out)
-
-    def warmup_jit() -> None:
-        """No-op on the pure numpy/scipy path."""

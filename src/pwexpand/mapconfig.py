@@ -51,7 +51,7 @@ def map_from_config(doc) -> PiecewiseMap:
         if item.get("holder_constant") is not None:
             spec["holder_constant"] = item["holder_constant"]
         specs.append(spec)
-    return make_map(specs, epsilon=float(doc["epsilon"]))
+    return make_map(specs, epsilon=doc["epsilon"])
 
 
 def map_to_config(pmap: PiecewiseMap) -> dict:

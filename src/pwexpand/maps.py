@@ -121,6 +121,17 @@ def _snap(x: float, targets=(0.0, 1.0), tol: float = _EDGE_TOL) -> float:
     return x
 
 
+def _config_number(value, where: str) -> float:
+    """float(value) for a config field, or ConfigError naming the field."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return x
+
+
 def make_map(branch_specs, epsilon: float, construction_samples: int = 512) -> PiecewiseMap:
     """Build a PiecewiseMap from branch specs.
 
@@ -130,14 +141,15 @@ def make_map(branch_specs, epsilon: float, construction_samples: int = 512) -> P
     """
     if not branch_specs:
         raise ConfigError("map needs at least one branch")
+    epsilon = _config_number(epsilon, "epsilon")
     if not (0.0 < epsilon <= 1.0):
         raise ConfigError(f"epsilon must lie in (0,1], got {epsilon}")
 
     # tile [0,1]: snap adjacent endpoints together and the extremes to 0, 1
     edges = [0.0]
     for k, spec in enumerate(branch_specs):
-        lo = float(spec["lo"])
-        hi = float(spec["hi"])
+        lo = _config_number(spec["lo"], f"branch {k} 'lo'")
+        hi = _config_number(spec["hi"], f"branch {k} 'hi'")
         if abs(lo - edges[-1]) > _EDGE_TOL:
             raise ConfigError(
                 f"branch {k} starts at {lo}, expected {edges[-1]} (branches must tile [0,1])")
@@ -168,13 +180,15 @@ def make_map(branch_specs, epsilon: float, construction_samples: int = 512) -> P
         sign = 1 if np.median(ders) >= 0 else -1
         sampled_min = float(np.min(np.abs(ders)))
         declared = spec.get("min_slope")
-        min_slope = float(declared) if declared is not None else 0.999 * sampled_min
+        if declared is not None:
+            declared = _config_number(declared, f"branch {k} 'min_slope'")
+        min_slope = declared if declared is not None else 0.999 * sampled_min
 
         decl_holder = spec.get("holder_constant")
         if decl_holder is not None:
-            holder = float(decl_holder)
-        else:
-            holder = _holder_from_samples(tree, lo, hi, epsilon, 256)
+            decl_holder = _config_number(decl_holder, f"branch {k} 'holder_constant'")
+        holder = (decl_holder if decl_holder is not None
+                  else _holder_from_samples(tree, lo, hi, epsilon, 256))
 
         a, b = _snap(float(v_lo)), _snap(float(v_hi))
         image = Interval(min(a, b), max(a, b))
@@ -182,8 +196,7 @@ def make_map(branch_specs, epsilon: float, construction_samples: int = 512) -> P
             domain=Interval(lo, hi), formula=formula, expression=tree,
             monotone_sign=sign, min_slope=min_slope, holder_constant=holder,
             image=image,
-            declared_min_slope=None if declared is None else float(declared),
-            declared_holder=None if decl_holder is None else float(decl_holder)))
+            declared_min_slope=declared, declared_holder=decl_holder))
 
     branches = tuple(branches)
     return PiecewiseMap(

@@ -3,10 +3,11 @@ missing, since every figure duplicates data already in a CSV)."""
 
 from __future__ import annotations
 
-import os
-import tempfile
+import io
 
 import numpy as np
+
+from .serialize import write_text_atomic
 
 try:
     import matplotlib
@@ -20,21 +21,12 @@ except ImportError:
 
 
 def _save_atomic(fig, path) -> None:
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".svg")
-    os.close(fd)
+    buf = io.StringIO()
     try:
-        fig.savefig(tmp, format="svg")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+        fig.savefig(buf, format="svg")
     finally:
         plt.close(fig)
+    write_text_atomic(path, buf.getvalue())
 
 
 def density_plot(h, path) -> bool:

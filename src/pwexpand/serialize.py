@@ -7,12 +7,13 @@ it is byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import os
-import tempfile
+import secrets
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ToolError
 from .grid import GridFunction
 
 
@@ -21,19 +22,26 @@ def fmt(x) -> str:
 
 
 def write_text_atomic(path, text: str) -> None:
-    """Write via a temp file in the destination directory, then rename."""
+    """Write via a temp file in the destination directory, then rename.
+
+    The temp file is created with mode 0o666 and the kernel applies the
+    umask, so the result gets the same mode as a plain ``open(path, "w")``.
+    """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    created = False
     try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        created = True
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as err:
+        if created:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(err, OSError):
+            raise ToolError(f"cannot write {path}: {err.strerror or err}") from err
         raise
 
 
@@ -55,15 +63,6 @@ def read_grid_function_csv(text: str) -> GridFunction:
             raise ConfigError(f"malformed CSV row: {ln!r}")
         values.append(float(parts[2]))
     return GridFunction.of(np.array(values))
-
-
-def ulam_csv(op) -> str:
-    coo = op.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = ["row,col,value"]
-    for i in order:
-        lines.append(f"{coo.row[i]},{coo.col[i]},{fmt(coo.data[i])}")
-    return "\n".join(lines) + "\n"
 
 
 def spectral_csv(report) -> str:

@@ -10,6 +10,7 @@ not to Monte-Carlo error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,29 +153,45 @@ def ulam_matrix(pmap: PiecewiseMap, n: int) -> UlamOperator:
     return UlamOperator(n=n, matrix=mat)
 
 
-def _power_iteration(mat_t, n: int, tol: float, max_iters: int):
-    """Fixed point of the density action h -> P^T h, started uniform."""
-    h = np.ones(n)
-    residual = np.inf
-    for _ in range(max_iters):
+def power_iterate(mat_t, h0: np.ndarray, tol: float, max_iters: int,
+                  average: bool = False):
+    """Iterate h -> P^T h, renormalized to mean 1, from h0 until one step
+    moves h by less than `tol` in L¹; returns (h, converged, residual,
+    iterations) with residual that last step.
+
+    With ``average=True`` it runs exactly `max_iters` steps and returns
+    their Cesàro mean, which converges even when the iterates cycle
+    between ergodic components; residual is then the L¹ defect of the mean.
+    """
+    h, residual = h0, np.inf
+    acc = np.zeros_like(h0) if average else None
+    for steps in range(max_iters):
         h2 = mat_t @ h
         mean = float(np.mean(h2))
         if mean <= 0:
-            break
+            return h, False, residual, steps
         h2 = h2 / mean
-        residual = float(np.mean(np.abs(h2 - h)))
+        if average:
+            acc += h2
+        else:
+            residual = float(np.mean(np.abs(h2 - h)))
+            if residual < tol:
+                return h2, True, residual, steps + 1
         h = h2
-        if residual < tol:
-            return h, True, residual
-    return h, False, residual
+    if average:
+        h = acc / float(max_iters)
+        residual = float(np.mean(np.abs(mat_t @ h - h)))
+    return h, residual < tol, residual, max_iters
 
 
 def invariant_density(op: UlamOperator, tol: float = 1e-12,
                       max_iters: int = 5000) -> GridFunction:
     """Invariant density of the Ulam operator by power iteration from the
     uniform density, in the L¹ metric."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol must be a positive finite number, got {tol}")
     mat_t = op.matrix.transpose().tocsr()
-    h, converged, residual = _power_iteration(mat_t, op.n, tol, max_iters)
+    h, converged, residual, _ = power_iterate(mat_t, np.ones(op.n), tol, max_iters)
     if not converged:
         raise ConvergenceError(
             f"power iteration stalled at L1 residual {residual:g} after "
@@ -199,15 +216,9 @@ def spectrum(op: UlamOperator, k: int) -> SpectralReport:
     n = op.n
     if n <= DENSE_EIG_LIMIT:
         try:
-            eigvals = np.linalg.eigvals(op.matrix.toarray().T)
+            vals = np.linalg.eigvals(op.matrix.toarray().T)
         except np.linalg.LinAlgError as err:
             raise SpectralError(f"dense eigensolve failed: {err}") from err
-        moduli = np.abs(eigvals)
-        order = np.argsort(-moduli, kind="stable")
-        eigvals = eigvals[order]
-        moduli = moduli[order]
-        unit_mult = int(np.sum(np.abs(moduli - 1.0) < _UNIT_TOL))
-        top = eigvals[: min(k, n)]
     else:
         from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
@@ -216,12 +227,11 @@ def spectrum(op: UlamOperator, k: int) -> SpectralReport:
                         which="LM", return_eigenvectors=False)
         except ArpackNoConvergence as err:
             raise SpectralError(f"iterative eigensolve failed: {err}") from err
-        moduli = np.abs(vals)
-        order = np.argsort(-moduli, kind="stable")
-        eigvals = vals[order]
-        moduli = moduli[order]
-        unit_mult = int(np.sum(np.abs(moduli - 1.0) < _UNIT_TOL))
-        top = eigvals
+    moduli = np.abs(vals)
+    order = np.argsort(-moduli, kind="stable")
+    eigvals = vals[order]
+    moduli = moduli[order]
+    unit_mult = int(np.sum(np.abs(moduli - 1.0) < _UNIT_TOL))
     if abs(moduli[0] - 1.0) > _UNIT_TOL:
         raise SpectralError(
             f"leading eigenvalue {eigvals[0]!r} is not on the unit circle")
@@ -230,25 +240,19 @@ def spectrum(op: UlamOperator, k: int) -> SpectralReport:
 
     mat_t = op.matrix.transpose().tocsr()
     if unit_mult == 1:
-        h, converged, residual = _power_iteration(mat_t, n, 1e-13, 20000)
+        h, converged, residual, _ = power_iterate(mat_t, np.ones(n), 1e-13, 20000)
         if not converged and residual > 1e-8:
             raise ConvergenceError(
                 f"invariant density did not converge (residual {residual:g}) "
                 "despite a simple unit eigenvalue", residual)
     else:
-        # multiple ergodic components: average the iterates (the running
-        # mean converges even when the iterates themselves cycle)
-        h = np.ones(n)
-        acc = np.zeros(n)
-        for _ in range(2000):
-            h = mat_t @ h
-            h = h / float(np.mean(h))
-            acc += h
-        h = acc / 2000.0
+        # multiple ergodic components: the density is a mixture, so report
+        # the mean of the iterates whatever its defect
+        h, _, _, _ = power_iterate(mat_t, np.ones(n), 1e-8, 2000, average=True)
     h = np.maximum(h, 0.0)
     h = h / np.mean(h)
     return SpectralReport(
-        eigenvalues=top,
+        eigenvalues=eigvals[:k],
         unit_multiplicity=unit_mult,
         spectral_gap=gap,
         invariant_density=GridFunction(n=n, values=h))

@@ -22,12 +22,6 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile the jitted kernels up front so timed tests see steady state
-    pwexpand.warmup_jit()
-
-
 @pytest.fixture(scope="session")
 def tripling():
     return pwexpand.make_map(

@@ -3,7 +3,7 @@
 Each test prints (and banks for the terminal summary) a single line
 ``criterion N: PASS/FAIL — detail`` and then asserts, so a red test and
 a FAIL line always travel together.  Runtime budgets are part of the
-criteria; the kernels are pre-warmed by the session fixture.
+criteria.
 """
 
 import time

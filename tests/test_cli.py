@@ -245,3 +245,109 @@ def test_no_temp_files_left_behind(tmp_path):
                  "0.125", "--n", "3", "--grid", "81",
                  "--out", str(tmp_path / "i.csv")]) == 0
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_output_file_mode_follows_umask(tmp_path, umask, mode):
+    out = tmp_path / "d.csv"
+    old = os.umask(umask)
+    try:
+        assert main(["density", MARKOV, "--bins", "64", "--no-plot",
+                     "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == mode
+
+
+def test_missing_output_directory_exits_one(tmp_path, capsys):
+    out = tmp_path / "missing_dir" / "x.csv"
+    assert main(["density", MARKOV, "--bins", "64", "--no-plot",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert err.count("\n") == 1
+
+
+def test_failed_write_removes_its_temp_file(tmp_path):
+    target = tmp_path / "a_directory"
+    target.mkdir()
+    with pytest.raises(pwexpand.ToolError, match="cannot write"):
+        serialize.write_text_atomic(target, "x\n")
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_non_finite_tolerance_exits_one(tmp_path, capsys):
+    assert main(["density", MARKOV, "--bins", "50", "--tol", "nan",
+                 "--no-plot", "--out", str(tmp_path / "d.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tol must be a positive finite number")
+    assert err.count("\n") == 1
+
+
+class _StubFigure:
+    def savefig(self, fh, format):
+        assert format == "svg"
+        fh.write("<svg/>\n")
+
+
+class _StubPyplot:
+    def __init__(self):
+        self.closed = []
+
+    def close(self, fig):
+        self.closed.append(fig)
+
+
+def test_save_atomic_writes_through_write_text_atomic(tmp_path, monkeypatch):
+    stub = _StubPyplot()
+    monkeypatch.setattr(plotting, "plt", stub, raising=False)
+    fig = _StubFigure()
+    out = tmp_path / "p.svg"
+    old = os.umask(0o022)
+    try:
+        plotting._save_atomic(fig, out)
+    finally:
+        os.umask(old)
+    assert out.read_text() == "<svg/>\n"
+    assert out.stat().st_mode & 0o777 == 0o644
+    assert stub.closed == [fig]
+    assert list(tmp_path.iterdir()) == [out]
+
+
+_BAD_VALUES = ["abc", "", [1], {"a": 1}]
+
+
+def _markov_doc():
+    return json.loads(Path(MARKOV).read_text())
+
+
+@pytest.mark.parametrize("field, value", [
+    *[(f, v) for f in ("epsilon", "lo", "hi") for v in _BAD_VALUES + [None]],
+    # null is valid for these two: it asks for a sampled estimate
+    *[(f, v) for f in ("min_slope", "holder_constant") for v in _BAD_VALUES],
+])
+def test_non_numeric_config_field_exits_one(tmp_path, capsys, field, value):
+    doc = _markov_doc()
+    if field == "epsilon":
+        doc["epsilon"] = value
+        where = "epsilon"
+    else:
+        doc["branches"][1][field] = value
+        where = f"branch 1 {field!r}"
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["check-slope", str(cfg), "--p", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {where} must be a finite number, got {value!r}\n"
+
+
+def test_numeric_strings_in_config_stay_accepted(tmp_path, capsys):
+    doc = _markov_doc()
+    doc["epsilon"] = "1.0"
+    doc["branches"][0].update(lo="0", min_slope="1.5", holder_constant="0")
+    cfg = tmp_path / "strings.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["check-slope", str(cfg), "--p", "1"]) == 0
+    assert main(["check-slope", MARKOV, "--p", "1"]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second

@@ -1,0 +1,53 @@
+"""Regression guard for bad map configs: replacing any one field of a valid
+config with a value of the wrong kind must end in exit code 0 or 1 with a
+message, never in an exception escaping the CLI."""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from pwexpand.cli import main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+_DOCS = {p.name: json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))}
+
+_BRANCH_KEYS = ("lo", "hi", "formula", "min_slope", "holder_constant")
+
+_VALUES = st.one_of(
+    st.text(max_size=8),
+    st.none(),
+    st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308,
+                     10 ** 400, -(10 ** 400), 0, -1, 0.5, 2.0]),
+    st.floats(),
+    st.integers(),
+    st.lists(st.one_of(st.integers(), st.text(max_size=3)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def _mutated_docs(draw):
+    doc = json.loads(json.dumps(_DOCS[draw(st.sampled_from(sorted(_DOCS)))]))
+    value = draw(_VALUES)
+    where = draw(st.sampled_from(("v", "epsilon", "branches", "branch")))
+    if where == "branch":
+        k = draw(st.integers(0, len(doc["branches"]) - 1))
+        doc["branches"][k][draw(st.sampled_from(_BRANCH_KEYS))] = value
+    else:
+        doc[where] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_mutated_docs())
+def test_bad_config_field_never_escapes(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "map.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["check-slope", str(cfg), "--p", "1"]) in (0, 1)
+        assert main(["density", str(cfg), "--bins", "16", "--no-plot",
+                     "--out", str(Path(tmp) / "d.csv")]) in (0, 1)

@@ -1,8 +1,7 @@
-"""Kernel tests: the jitted path, the scipy path, and the plain-Python
-reference implementation must all agree."""
+"""Kernel tests: sliding min/max against brute force, RK4 against a pinned
+endpoint and its order of convergence."""
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from pwexpand import kernels
 
@@ -29,28 +28,6 @@ def test_sliding_minmax_matches_brute_force():
             assert np.array_equal(hi, bhi), (n, half)
 
 
-def test_sliding_minmax_matches_pure_reference():
-    # _sliding_minmax_impl is the uncompiled source of the jitted kernel;
-    # whichever path is live must reproduce it bit for bit
-    rng = np.random.default_rng(1)
-    values = rng.normal(size=301)
-    for half in (0, 3, 17, 150, 400):
-        lo, hi = kernels.sliding_minmax(values, half)
-        rlo, rhi = kernels._sliding_minmax_impl(values, half)
-        assert np.array_equal(lo, rlo)
-        assert np.array_equal(hi, rhi)
-
-
-def test_sliding_minmax_matches_scipy_filters():
-    rng = np.random.default_rng(2)
-    values = rng.normal(size=200)
-    for half in (1, 4, 33):
-        lo, hi = kernels.sliding_minmax(values, half)
-        size = 2 * half + 1
-        assert np.array_equal(lo, minimum_filter1d(values, size=size, mode="nearest"))
-        assert np.array_equal(hi, maximum_filter1d(values, size=size, mode="nearest"))
-
-
 def test_sliding_minmax_half_zero_is_identity():
     values = np.array([3.0, -1.0, 2.0])
     lo, hi = kernels.sliding_minmax(values, 0)
@@ -66,15 +43,14 @@ def test_sliding_minmax_with_ties():
     assert np.array_equal(hi, bhi)
 
 
-def test_lorenz_rk4_matches_pure_reference():
-    # the jitted kernel performs the identical IEEE operation sequence, so
-    # the two paths must agree bitwise, not just approximately
+def test_lorenz_rk4_pinned_endpoint():
+    # the exact endpoint of this integration; any change to the operation
+    # sequence of a step moves its last bits
     got = kernels.lorenz_rk4([1.0, 1.0, 1.0], 10.0, 28.0, 8.0 / 3.0, 0.001, 5000)
-    ref = np.empty((5001, 3))
-    kernels._lorenz_rk4_impl(np.array([1.0, 1.0, 1.0]), 10.0, 28.0, 8.0 / 3.0,
-                             0.001, 5000, ref)
     assert got.shape == (5001, 3)
-    assert np.array_equal(got, ref)
+    expect = [float.fromhex(h) for h in (
+        "-0x1.a0c6788cb39bdp+2", "-0x1.be56b78cbb012p+2", "0x1.7ec93c1aa221cp+4")]
+    assert got[-1].tolist() == expect
 
 
 def test_lorenz_rk4_initial_row_and_determinism():
