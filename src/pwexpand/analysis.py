@@ -18,7 +18,7 @@ import numpy as np
 from . import expr
 from .errors import ConfigError, ToolError
 from .grid import GridFunction, project, variation
-from .maps import PiecewiseMap
+from .maps import PiecewiseMap, check_slope_condition
 from .transfer import apply_fp, power_iterate, ulam_matrix
 
 #: correlation values below this are treated as exact zeros
@@ -90,8 +90,10 @@ def ly_constants(pmap: PiecewiseMap, p: float, t: float = 1.0,
     (supplied by the caller, typically from estimate_equicontinuity_L —
     an empirical, non-rigorous stand-in).
     """
-    if p < 1:
+    if not p >= 1:
         raise ConfigError(f"p must be at least 1, got {p}")
+    if L is not None and not math.isfinite(L):
+        raise ConfigError(f"L must be a finite number, got {L}")
     if not (1.0 <= t <= p):
         raise ConfigError(f"t must lie in [1, p], got t={t}, p={p}")
     if not (0.0 < A <= 1.0):
@@ -130,8 +132,8 @@ def shrink_A_until_admissible(pmap: PiecewiseMap, p: float) -> LYConstants:
     """Halve A from 1/8 until alpha < 1 (possible exactly when the slope
     condition holds, since A → 0 sends alpha to the slope-condition value)."""
     s = pmap.min_slope_global
-    slope_value = 1.0 / s ** (1.0 / p) + 1.0 / s
-    if slope_value >= 1.0:
+    slope_value, holds = check_slope_condition(pmap, p)
+    if not holds:
         raise InadmissibleError(
             f"slope condition fails: 1/s^(1/p) + 1/s = {slope_value:.6g} >= 1 "
             f"at s={s:.6g}, p={p}; no radius cap can give alpha < 1")
@@ -170,6 +172,8 @@ def _random_step(rng, n: int, max_jumps: int = 8) -> np.ndarray:
 def random_test_functions(n: int, count: int, seed: int):
     """Seeded stream of grid test functions, alternating trigonometric
     polynomials (degree <= 8) and step functions (<= 8 jumps)."""
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     out = []
     for i in range(count):
@@ -234,6 +238,30 @@ def _fit_series(kind: str, C: np.ndarray) -> CorrelationSeries:
                              fitted_rate=rate, fit_quality=quality)
 
 
+def _correlation(kind: str, pmap: PiecewiseMap, f, g, N_max: int,
+                 n: int) -> CorrelationSeries:
+    """C(N) = |m(P_w^N f · g · w) − m(f·w)·μ(g)| for N = 0..N_max, with
+    P_w u = P(u·w)/w and the weight w = 1 ("lebesgue") or w = h
+    ("invariant").  Multiplying or dividing by 1.0 is exact, so the
+    Lebesgue series is the plain P^N f series bit for bit."""
+    f, g = (expr.parse(e) if isinstance(e, str) else e for e in (f, g))
+    h = _unique_invariant_density(pmap, n).values
+    if kind == "invariant" and np.any(h <= H_FLOOR):
+        raise DensityDegenerateError(
+            f"invariant density is below {H_FLOOR:g} on {np.sum(h <= H_FLOOR)}"
+            f" of {n} cells; the normalized operator is not defined there")
+    w = h if kind == "invariant" else np.ones(n)
+    fv, gv = project(f, n).values, project(g, n).values
+    mu_f, mu_g = float(np.mean(fv * w)), float(np.mean(gv * h))
+    C = np.empty(N_max + 1)
+    cur = fv
+    for N in range(N_max + 1):
+        C[N] = abs(float(np.mean(cur * gv * w)) - mu_f * mu_g)
+        if N < N_max:
+            cur = apply_fp(pmap, GridFunction(n=n, values=cur * w)).values / w
+    return _fit_series(kind, C)
+
+
 def correlation_lebesgue(pmap: PiecewiseMap, f, g, N_max: int,
                          n: int) -> CorrelationSeries:
     """C_m(N) = |∫ P^N f · g dm − m(f)·μ(g)| for N = 0..N_max.
@@ -241,50 +269,14 @@ def correlation_lebesgue(pmap: PiecewiseMap, f, g, N_max: int,
     `f` and `g` are expressions (or strings); the integrals live on an
     n-cell grid and μ is the unique invariant measure h·dm.
     """
-    if isinstance(f, str):
-        f = expr.parse(f)
-    if isinstance(g, str):
-        g = expr.parse(g)
-    h = _unique_invariant_density(pmap, n)
-    fg_ = project(f, n)
-    gg_ = project(g, n)
-    mean_f = fg_.integral()
-    mu_g = float(np.mean(gg_.values * h.values))
-    C = np.empty(N_max + 1)
-    cur = fg_
-    for N in range(N_max + 1):
-        C[N] = abs(float(np.mean(cur.values * gg_.values)) - mean_f * mu_g)
-        if N < N_max:
-            cur = apply_fp(pmap, cur)
-    return _fit_series("lebesgue", C)
+    return _correlation("lebesgue", pmap, f, g, N_max, n)
 
 
 def correlation_invariant(pmap: PiecewiseMap, f, g, N_max: int,
                           n: int) -> CorrelationSeries:
     """C_μ(N) via the normalized operator f ↦ P(f·h)/h, which fixes the
     constants and represents conditional expectation with respect to μ."""
-    if isinstance(f, str):
-        f = expr.parse(f)
-    if isinstance(g, str):
-        g = expr.parse(g)
-    h = _unique_invariant_density(pmap, n)
-    if np.any(h.values <= H_FLOOR):
-        count = int(np.sum(h.values <= H_FLOOR))
-        raise DensityDegenerateError(
-            f"invariant density is below {H_FLOOR:g} on {count} of {n} cells; "
-            "the normalized operator is not defined there")
-    fg_ = project(f, n)
-    gg_ = project(g, n)
-    mu_f = float(np.mean(fg_.values * h.values))
-    mu_g = float(np.mean(gg_.values * h.values))
-    C = np.empty(N_max + 1)
-    cur = fg_.values
-    for N in range(N_max + 1):
-        C[N] = abs(float(np.mean(cur * gg_.values * h.values)) - mu_f * mu_g)
-        if N < N_max:
-            pushed = apply_fp(pmap, GridFunction(n=n, values=cur * h.values))
-            cur = pushed.values / h.values
-    return _fit_series("invariant", C)
+    return _correlation("invariant", pmap, f, g, N_max, n)
 
 
 def fit_decay_rate(series: CorrelationSeries):

@@ -179,8 +179,11 @@ def cmd_lorenz(args) -> int:
           f"residual RMS: {', '.join(f'{r:.3g}' for r in diag.residual_rms)}")
     print(f"Hölder exponent estimate {diag.holder_exponent:.3g} "
           f"({diag.caveat})")
+    report = validate(fitted)
+    verdict = "accepted" if report.accepted else report.violation_summary()
+    print(f"fitted map validation: {verdict}")
     print("pass the fitted config to the other subcommands explicitly if "
-          "its validation report is acceptable")
+          "its validation is accepted")
     return 0
 
 

@@ -114,7 +114,7 @@ def osc_profile(f: GridFunction, r: float) -> GridFunction:
 
 def osc_q(f: GridFunction, r: float, lq: float) -> float:
     """L^lq norm of the oscillation profile at radius r."""
-    if not math.isinf(lq) and lq < 1:
+    if not lq >= 1:
         raise ConfigError(f"lq must be >= 1 or inf, got {lq}")
     return osc_profile(f, r).norm_lq(lq)
 
@@ -138,9 +138,9 @@ def variation(f: GridFunction, lq: float, p: float, A: float = DEFAULT_A,
         raise ConfigError(f"A must lie in (0,1], got {A}")
     if radii_count is not None and radii_count < 4:
         raise ConfigError(f"radii_count must be at least 4, got {radii_count}")
-    if p < 1:
+    if not p >= 1:
         raise ConfigError(f"p must be at least 1, got {p}")
-    if not math.isinf(lq) and lq < 1:
+    if not lq >= 1:
         raise ConfigError(f"lq must be >= 1 or inf, got {lq}")
 
     radii = radius_grid(f.n, A, radii_count)

@@ -50,10 +50,10 @@ class LorenzConfig:
         if not (0.0 < self.dt <= 0.01):
             raise ConfigError(
                 f"dt must lie in (0, 0.01], got {self.dt}")
-        if self.t_max <= self.transient:
+        if not max(self.transient, 0.0) < self.t_max < np.inf:
             raise ConfigError(
-                f"t_max ({self.t_max}) must exceed the transient "
-                f"({self.transient})")
+                f"t_max ({self.t_max}) must be finite, positive and exceed "
+                f"the transient ({self.transient})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,10 +93,15 @@ def integrate(config: LorenzConfig) -> Trajectory:
 
     Deterministic: identical configs give bitwise-identical output.
     """
-    nsteps = int(round(config.t_max / config.dt))
+    steps = config.t_max / config.dt
     state = np.array([config.x0, config.y0, config.z0])
-    out = kernels.lorenz_rk4(state, config.sigma, config.rho,
-                             config.beta_param, config.dt, nsteps)
+    try:
+        nsteps = round(steps)
+        out = kernels.lorenz_rk4(state, config.sigma, config.rho,
+                                 config.beta_param, config.dt, nsteps)
+    except (OverflowError, ValueError, MemoryError) as err:
+        raise IntegrationError(
+            f"cannot store {steps:g} steps of dt = {config.dt:g}: {err}") from err
     if not np.all(np.isfinite(out)):
         first = int(np.argmax(~np.isfinite(out).all(axis=1)))
         raise IntegrationError(

@@ -46,9 +46,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
-
 
 @dataclass(frozen=True)
 class Branch:
@@ -71,9 +68,6 @@ class Branch:
 
     def __call__(self, x):
         return expr.evaluate(self.expression, x)
-
-    def derivative(self, x):
-        return expr.eval_with_derivative(self.expression, x)[1]
 
 
 @dataclass(frozen=True)
@@ -293,7 +287,7 @@ def check_slope_condition(pmap: PiecewiseMap, p: float):
     Returns (value, holds) where holds means the strict inequality < 1;
     this is what makes the contraction coefficient alpha beatable.
     """
-    if p < 1:
+    if not p >= 1:
         raise ConfigError(f"p must be at least 1, got {p}")
     s = pmap.min_slope_global
     if s <= 1.0:

@@ -17,8 +17,48 @@ from .errors import ConfigError, ToolError
 from .grid import GridFunction
 
 
+#: rows formatted per step of `_table`; bounds its transient lists
+_CHUNK = 4096
+
+
 def fmt(x) -> str:
     return f"{float(x):.17g}"
+
+
+def _cell(x) -> str:
+    """One cell: None is empty, a bool true/false, an integer decimal and
+    any other number `fmt`."""
+    if x is None:
+        return ""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    return str(x) if isinstance(x, (int, np.integer)) else fmt(x)
+
+
+def _table(header: str, *columns, comments=()) -> str:
+    """CSV text: a "# " line per comment, the header, then one row per
+    entry of the array columns, or one row if all are scalars.  A scalar
+    or None column repeats its `_cell`; array cells follow the same policy
+    by dtype.  Rows go through one template, _CHUNK rows at a time."""
+    fields, arrays = [], []
+    for col in columns:
+        a = np.asarray(col)
+        if a.ndim == 0:
+            fields.append(_cell(a[()]).replace("%", "%%"))
+            continue
+        kind = a.dtype.kind
+        fields.append("%d" if kind in "iu" else "%s" if kind == "b" else "%.17g")
+        arrays.append(np.where(a, "true", "false") if kind == "b" else a)
+    template = ",".join(fields) + "\n"
+    rows = min((len(a) for a in arrays), default=1)
+    out = [f"# {c}\n" for c in comments] + [header + "\n"]
+    for start in range(0, rows, _CHUNK):
+        m = min(_CHUNK, rows - start)
+        cells = [None] * (m * len(arrays))
+        for j, a in enumerate(arrays):
+            cells[j::len(arrays)] = a[start:start + m].tolist()
+        out.append(template * m % tuple(cells))
+    return "".join(out)
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -34,7 +74,9 @@ def write_text_atomic(path, text: str) -> None:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         created = True
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            # by slices: one write would hold a second, encoded copy of text
+            for start in range(0, len(text), 1 << 20):
+                fh.write(text[start:start + (1 << 20)])
         os.replace(tmp, path)
     except BaseException as err:
         if created:
@@ -46,10 +88,8 @@ def write_text_atomic(path, text: str) -> None:
 
 
 def grid_function_csv(f: GridFunction) -> str:
-    lines = ["cell_index,midpoint,value"]
-    for k, v in enumerate(f.values):
-        lines.append(f"{k},{fmt((k + 0.5) / f.n)},{fmt(v)}")
-    return "\n".join(lines) + "\n"
+    return _table("cell_index,midpoint,value", np.arange(f.n), f.midpoints(),
+                  f.values)
 
 
 def read_grid_function_csv(text: str) -> GridFunction:
@@ -66,86 +106,52 @@ def read_grid_function_csv(text: str) -> GridFunction:
 
 
 def spectral_csv(report) -> str:
-    lines = ["re,im,modulus"]
-    for lam in report.eigenvalues:
-        lam = complex(lam)
-        lines.append(f"{fmt(lam.real)},{fmt(lam.imag)},{fmt(abs(lam))}")
-    return "\n".join(lines) + "\n"
-
-
-def _opt(x) -> str:
-    return "" if x is None else fmt(x)
+    lam = np.asarray(report.eigenvalues, dtype=complex)
+    # np.hypot rounds as Python's abs(complex) does; np.abs does not
+    return _table("re,im,modulus", lam.real, lam.imag, np.hypot(lam.real, lam.imag))
 
 
 def ly_constants_csv(c) -> str:
-    header = "p,t,A,B,D,alpha,beta,K,C,slope_condition_value,admissible"
-    row = ",".join([
-        fmt(c.p), fmt(c.t), fmt(c.A), fmt(c.B), fmt(c.D),
-        fmt(c.alpha), fmt(c.beta), _opt(c.K), _opt(c.C),
-        fmt(c.slope_condition_value), str(c.admissible).lower(),
-    ])
-    return header + "\n" + row + "\n"
+    return _table("p,t,A,B,D,alpha,beta,K,C,slope_condition_value,admissible",
+                  c.p, c.t, c.A, c.B, c.D, c.alpha, c.beta, c.K, c.C,
+                  c.slope_condition_value, c.admissible)
 
 
 def ly_verification_csv(v) -> str:
-    lines = [
-        f"# p={fmt(v.p)} A={fmt(v.A)} alpha={fmt(v.alpha)} beta={fmt(v.beta)}"
-        f" grid={v.n} seed={v.seed} violations={v.violations}",
-        "trial,margin,slack,violation",
-    ]
-    for i, (margin, slack) in enumerate(zip(v.margins, v.slacks)):
-        bad = "true" if margin < -slack else "false"
-        lines.append(f"{i},{fmt(margin)},{fmt(slack)},{bad}")
-    return "\n".join(lines) + "\n"
+    head = (f"p={fmt(v.p)} A={fmt(v.A)} alpha={fmt(v.alpha)} beta={fmt(v.beta)}"
+            f" grid={v.n} seed={v.seed} violations={v.violations}")
+    return _table("trial,margin,slack,violation", np.arange(len(v.margins)),
+                  v.margins, v.slacks, v.margins < -v.slacks, comments=(head,))
 
 
 def variation_csv(rep) -> str:
-    header = "lq_exponent,p,A,variation,lq_norm,bv_norm,argmax_radius"
-    row = ",".join([
-        fmt(rep.lq_exponent), fmt(rep.p), fmt(rep.A), fmt(rep.variation),
-        fmt(rep.lq_norm), fmt(rep.bv_norm), fmt(rep.argmax_radius),
-    ])
-    return header + "\n" + row + "\n"
+    return _table("lq_exponent,p,A,variation,lq_norm,bv_norm,argmax_radius",
+                  rep.lq_exponent, rep.p, rep.A, rep.variation, rep.lq_norm,
+                  rep.bv_norm, rep.argmax_radius)
 
 
 def correlation_csv(series) -> str:
-    lines = [f"# kind={series.kind}"]
-    if series.fitted_rate is not None:
-        lines.append(f"# fitted_rate={fmt(series.fitted_rate)}"
-                     f" fit_quality={fmt(series.fit_quality)}")
+    if series.fitted_rate is None:
+        fit = "fitted_rate=none (series at or below the noise floor)"
     else:
-        lines.append("# fitted_rate=none (series at or below the noise floor)")
-    lines.append("N,C")
-    for N, C in zip(series.N_values, series.C_values):
-        lines.append(f"{int(N)},{fmt(C)}")
-    return "\n".join(lines) + "\n"
+        fit = (f"fitted_rate={fmt(series.fitted_rate)}"
+               f" fit_quality={fmt(series.fit_quality)}")
+    return _table("N,C", series.N_values, series.C_values,
+                  comments=(f"kind={series.kind}", fit))
 
 
 def iterate_series_csv(series) -> str:
-    lines = [
-        f"# C={_opt(series.C)} bound={_opt(series.bound)}"
-        f" l1_initial={fmt(series.l1_initial)}"
-        f" n0={'none' if series.n0 is None else series.n0}",
-        "n,bv_norm,bound,within_bound",
-    ]
-    for i, norm in enumerate(series.norms):
-        if series.flags is None:
-            lines.append(f"{i},{fmt(norm)},,")
-        else:
-            lines.append(f"{i},{fmt(norm)},{fmt(series.bound)},"
-                         f"{str(bool(series.flags[i])).lower()}")
-    return "\n".join(lines) + "\n"
+    head = (f"C={_cell(series.C)} bound={_cell(series.bound)}"
+            f" l1_initial={fmt(series.l1_initial)}"
+            f" n0={'none' if series.n0 is None else series.n0}")
+    return _table("n,bv_norm,bound,within_bound", np.arange(len(series.norms)),
+                  series.norms, None if series.flags is None else series.bound,
+                  series.flags, comments=(head,))
 
 
 def trajectory_csv(traj) -> str:
-    lines = ["t,x,y,z"]
-    for t, (x, y, z) in zip(traj.t, traj.xyz):
-        lines.append(f"{fmt(t)},{fmt(x)},{fmt(y)},{fmt(z)}")
-    return "\n".join(lines) + "\n"
+    return _table("t,x,y,z", traj.t, *np.asarray(traj.xyz).T)
 
 
 def return_map_csv(data) -> str:
-    lines = ["z_k,z_next"]
-    for a, b in data.pairs:
-        lines.append(f"{fmt(a)},{fmt(b)}")
-    return "\n".join(lines) + "\n"
+    return _table("z_k,z_next", *np.asarray(data.pairs).T)

@@ -19,6 +19,7 @@ from pwexpand import plotting, serialize
 from pwexpand.cli import main
 from pwexpand.grid import project, variation
 from pwexpand.mapconfig import load_map
+from pwexpand.maps import validate
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -202,6 +203,12 @@ def test_lorenz_pipeline_writes_all_three_files(tmp_path, capsys):
     assert rmap.read_text().splitlines()[0] == "z_k,z_next"
     fitted = load_map(fit)
     assert fitted.branch_count == 2
+    # the verdict printed is the one `validate` gives the file written; at
+    # this size both fitted branch images leave [0,1]
+    report = validate(fitted)
+    assert not report.accepted
+    assert (f"fitted map validation: {report.violation_summary()}"
+            in captured.splitlines())
 
 
 def test_missing_config_exits_one(tmp_path, capsys):
@@ -282,6 +289,35 @@ def test_non_finite_tolerance_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: tol must be a positive finite number")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lorenz", "--t-max", "inf"], "t_max (inf) must be finite"),
+    (["lorenz", "--t-max", "nan"], "t_max (nan) must be finite"),
+    (["lorenz", "--dt", "1e-300"], "cannot store 2e+303 steps"),
+    (["var", "--f", "x", "--q", "nan", "--p", "1", "--A", "0.125",
+      "--grid", "64"], "lq must be >= 1 or inf, got nan"),
+    (["var", "--f", "x", "--q=-inf", "--p", "1", "--A", "0.125",
+      "--grid", "64"], "lq must be >= 1 or inf, got -inf"),
+    (["var", "--f", "x", "--q", "1", "--p", "nan", "--A", "0.125",
+      "--grid", "64"], "p must be at least 1, got nan"),
+    (["check-slope", TRIPLING, "--p", "nan"], "p must be at least 1, got nan"),
+    (["ly", TRIPLING, "--p", "2", "--L", "nan", "--t", "1.5"],
+     "L must be a finite number, got nan"),
+    (["ly", TRIPLING, "--p", "0", "--auto-A"], "p must be at least 1, got 0"),
+    (["ly-verify", TRIPLING, "--p", "1", "--A", "0.125", "--seed=-1"],
+     "seed must be a non-negative integer, got -1"),
+])
+def test_bad_numeric_argument_exits_one(tmp_path, capsys, argv, message):
+    out = str(tmp_path / "out.csv")
+    outputs = (["--out-trajectory", out, "--out-map", out, "--out-fit", out]
+               if argv[0] == "lorenz" else
+               [] if argv[0] == "check-slope" else ["--out", out])
+    assert main(argv + outputs) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
 
 
 class _StubFigure:
