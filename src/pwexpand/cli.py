@@ -111,6 +111,13 @@ def cmd_spectrum(args) -> int:
     serialize.write_text_atomic(args.out, serialize.spectral_csv(report))
     print(f"unit multiplicity {report.unit_multiplicity}, spectral gap "
           f"{serialize.fmt(report.spectral_gap)} -> {args.out}")
+    # Ulam eigenvalues inside the essential radius bound 1/s_min depend on
+    # the discretization and are not resolved eigenvalues of the operator;
+    # a modulus within 1e-8 of the bound (rounding noise) counts as inside
+    r_ess = 1.0 / pmap.min_slope_global
+    outside = sum(1 for lam in report.eigenvalues if abs(lam) > r_ess + 1e-8)
+    print(f"1/s_min = {serialize.fmt(r_ess)}; {outside} of "
+          f"{len(report.eigenvalues)} reported eigenvalues lie outside it")
     _plot(args, plotting.spectrum_plot, report)
     return 0
 

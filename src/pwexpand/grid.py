@@ -27,10 +27,19 @@ DEFAULT_A = 0.125
 
 
 def _lq_norm(values: np.ndarray, lq: float) -> float:
-    """L^q norm on [0,1] in mean-power form; lq=inf gives the sup norm."""
+    """L^q norm on [0,1] in mean-power form; lq=inf gives the sup norm.
+
+    When |v|^q overflows, or underflows to 0 for nonzero data, the norm is
+    taken as max|v| * mean((|v|/max|v|)^q)^(1/q) instead."""
+    mags = np.abs(values)
     if math.isinf(lq):
-        return float(np.max(np.abs(values)))
-    return float(np.mean(np.abs(values) ** lq) ** (1.0 / lq))
+        return float(np.max(mags))
+    with np.errstate(over="ignore"):
+        norm = float(np.mean(mags ** lq) ** (1.0 / lq))
+    if not math.isfinite(norm) or (norm == 0.0 and np.any(mags)):
+        top = np.max(mags)
+        norm = float(top * np.mean((mags / top) ** lq) ** (1.0 / lq))
+    return norm
 
 
 @dataclass(frozen=True, eq=False)

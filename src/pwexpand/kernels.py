@@ -1,15 +1,16 @@
 """Numerical hot loops: the sliding-window min/max behind every oscillation
 profile, and the classical RK4 integrator of the Lorenz system.
 
-``sliding_minmax`` runs on scipy's C filters.  ``lorenz_rk4`` is plain
-Python; each step performs a fixed IEEE operation sequence, so a given
-input always yields the same trajectory bit for bit.
+``sliding_minmax`` runs on scipy's C filters, imported on its first call
+so that an invocation that computes no oscillation profile does not load
+``scipy.ndimage``.  ``lorenz_rk4`` is plain Python; each step performs a
+fixed IEEE operation sequence, so a given input always yields the same
+trajectory bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 #: kept for run provenance; there is no jitted path
 NUMBA_ENABLED = False
@@ -17,6 +18,8 @@ NUMBA_ENABLED = False
 
 def sliding_minmax(values: np.ndarray, half: int):
     """Running min and max over windows [k-half, k+half] clipped to the ends."""
+    from scipy.ndimage import maximum_filter1d, minimum_filter1d
+
     values = np.ascontiguousarray(values, dtype=np.float64)
     size = 2 * int(half) + 1
     # mode='nearest' replicates edge samples, which leaves the min/max of

@@ -6,6 +6,9 @@ The pointwise action at a cell midpoint x sums f(y)/|τ'(y)| over the
 branch preimages y of x.  The Ulam matrix is assembled from exact interval
 preimages of the bin edges, so its rows are stochastic to rounding error,
 not to Monte-Carlo error.
+
+``scipy.sparse`` is imported inside `ulam_matrix` and ``scipy.sparse.linalg``
+inside `spectrum`, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import expr
 from .errors import ConfigError, ToolError
@@ -106,6 +108,8 @@ def apply_fp_power(pmap: PiecewiseMap, f: GridFunction, n_times: int) -> GridFun
 def ulam_matrix(pmap: PiecewiseMap, n: int) -> UlamOperator:
     """Row-stochastic Ulam discretization on n uniform bins, assembled
     from exact branch preimages of the bin edges."""
+    import scipy.sparse as sp
+
     if n < 2:
         raise ConfigError(f"need at least 2 bins, got {n}")
     edges = np.arange(n + 1) / n
@@ -124,24 +128,25 @@ def ulam_matrix(pmap: PiecewiseMap, n: int) -> UlamOperator:
         # telescope exactly
         xs = np.where(ys == img.lo, lo_x, xs)
         xs = np.where(ys == img.hi, hi_x, xs)
-        for j in range(n):
-            if br.monotone_sign > 0:
-                xa, xb = xs[j], xs[j + 1]
-            else:
-                xa, xb = xs[j + 1], xs[j]
-            if xb <= xa:
-                continue
-            ia = min(max(int(np.floor(xa * n)), 0), n - 1)
-            ib = min(max(int(np.floor(xb * n)), 0), n - 1)
-            for i in range(ia, ib + 1):
-                lo = max(xa, i / n)
-                hi = min(xb, (i + 1) / n)
-                w = (hi - lo) * n
-                if w > 0.0:
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(w)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+        # preimage [xa, xb] of target bin j, then the source bins ia..ib it
+        # meets, expanded to one (i, j) entry per pair in (j, i) order
+        xa, xb = (xs[:-1], xs[1:]) if br.monotone_sign > 0 else (xs[1:], xs[:-1])
+        j = np.nonzero(xb > xa)[0]
+        xa, xb = xa[j], xb[j]
+        ia = np.clip(np.floor(xa * n), 0, n - 1).astype(np.int64)
+        ib = np.clip(np.floor(xb * n), 0, n - 1).astype(np.int64)
+        counts = ib - ia + 1
+        first = np.repeat(np.cumsum(counts) - counts, counts)
+        i = np.repeat(ia, counts) + (np.arange(first.size) - first)
+        lo = np.maximum(np.repeat(xa, counts), i / n)
+        hi = np.minimum(np.repeat(xb, counts), (i + 1) / n)
+        w = (hi - lo) * n
+        keep = w > 0.0
+        rows.append(i[keep])
+        cols.append(np.repeat(j, counts)[keep])
+        vals.append(w[keep])
+    mat = sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                         np.concatenate(cols))), shape=(n, n)).tocsr()
     mat.sum_duplicates()
     row_sums = np.asarray(mat.sum(axis=1)).ravel()
     worst = float(np.max(np.abs(row_sums - 1.0)))

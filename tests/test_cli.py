@@ -46,6 +46,28 @@ def test_console_script_runs():
     assert out.stdout == "0.66666666666666663 < 1: admissible\n"
 
 
+def test_scipy_is_imported_only_where_it_is_called():
+    # importing the CLI loads neither scipy module; the first oscillation
+    # profile loads scipy.ndimage and the first Ulam matrix scipy.sparse
+    script = (
+        "import sys\n"
+        "import pwexpand.cli\n"
+        "def loaded():\n"
+        "    return [m in sys.modules for m in ('scipy.ndimage', 'scipy.sparse')]\n"
+        "print(loaded())\n"
+        "from pwexpand import grid, transfer\n"
+        "from pwexpand.mapconfig import load_map\n"
+        "grid.variation(grid.GridFunction.of([0.0, 1.0, 0.0, 1.0]), 1.0, 1.0, 0.5)\n"
+        f"transfer.ulam_matrix(load_map({DOUBLING!r}), 4)\n"
+        "print(loaded())\n")
+    src = Path(pwexpand.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[False, False]\n[True, True]\n"
+
+
 def test_check_slope_verdicts(capsys):
     assert main(["check-slope", TRIPLING, "--p", "1"]) == 0
     assert capsys.readouterr().out == "0.66666666666666663 < 1: admissible\n"
@@ -125,6 +147,20 @@ def test_spectrum_reports_ergodic_components(tmp_path, capsys):
     assert len(lines) == 7
     assert float(lines[1].split(",")[2]) == pytest.approx(1.0, abs=1e-8)
     assert float(lines[2].split(",")[2]) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_spectrum_counts_eigenvalues_outside_the_essential_radius(
+        tmp_path, capsys):
+    # the 64-bin doubling Ulam matrix has spectrum {1} and rounding noise;
+    # the 301-bin tent matrix has seven moduli 1/2 + O(1e-13) after the
+    # unit eigenvalue.  Either way only 1 lies outside 1/s_min = 1/2
+    out = tmp_path / "spec.csv"
+    for cfg, bins in ((DOUBLING, "64"), (str(CONFIGS / "tent.json"), "301")):
+        assert main(["spectrum", cfg, "--bins", bins, "--top", "8",
+                     "--no-plot", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == ("1/s_min = 0.5; 1 of 8 reported eigenvalues lie "
+                            "outside it")
 
 
 def test_var_matches_the_library_exactly(tmp_path):

@@ -195,6 +195,21 @@ def test_variation_radius_grid():
     assert len(rep.radii) == 5
 
 
+def test_variation_finite_and_monotone_at_huge_q():
+    # at q = 1e308, |osc|^q overflows (osc reaches 2) and |f|^q underflows
+    # (|f| < 1); the rescaled form keeps both finite, and L^q norms on a
+    # probability space are nondecreasing in q, so q = 1e308 lies between
+    # q = 400 and the sup norm
+    f = project(parse("sin(2*pi*x)"), 256)
+    reps = [variation(f, q, 2.0, 0.125)
+            for q in (1.0, 2.0, 400.0, 1e308, math.inf)]
+    var = [r.variation for r in reps]
+    lq = [r.lq_norm for r in reps]
+    assert all(math.isfinite(v) for v in var + lq)
+    assert var == sorted(var)
+    assert lq == sorted(lq)
+
+
 def test_variation_guards():
     f = GridFunction.of([0.0, 1.0])
     with pytest.raises(ConfigError):

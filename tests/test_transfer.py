@@ -5,13 +5,20 @@ Linear full-branch maps with dyadic/triadic breakpoints are grid-exact,
 so several oracles here hold to rounding error rather than O(1/n).
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import pwexpand
 from pwexpand import transfer
 from pwexpand.errors import ConfigError
 from pwexpand.grid import GridFunction, project
+from pwexpand.mapconfig import load_map
+from pwexpand.maps import invert_branch_array
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------- apply_fp
@@ -124,6 +131,55 @@ def test_ulam_row_support_is_a_few_intervals(markov, nonlinear):
 def test_ulam_rejects_tiny_grid(tripling):
     with pytest.raises(ConfigError):
         transfer.ulam_matrix(tripling, 1)
+
+
+def _reference_ulam_csr(pmap, n):
+    """Ulam matrix assembled bin by bin: for each target bin j, the
+    preimage [xa, xb] of j under each branch, then the overlap of that
+    preimage with every source bin i it meets."""
+    rows, cols, vals = [], [], []
+    for br in pmap.branches:
+        increasing = br.monotone_sign > 0
+        lo_x = br.domain.lo if increasing else br.domain.hi
+        hi_x = br.domain.hi if increasing else br.domain.lo
+        ys = np.clip(np.arange(n + 1) / n, br.image.lo, br.image.hi)
+        xs = invert_branch_array(br, ys)
+        xs = np.where(ys == br.image.lo, lo_x, xs)
+        xs = np.where(ys == br.image.hi, hi_x, xs)
+        for j in range(n):
+            xa, xb = (xs[j], xs[j + 1]) if increasing else (xs[j + 1], xs[j])
+            if xb <= xa:
+                continue
+            ia = min(max(int(np.floor(xa * n)), 0), n - 1)
+            ib = min(max(int(np.floor(xb * n)), 0), n - 1)
+            for i in range(ia, ib + 1):
+                w = (min(xb, (i + 1) / n) - max(xa, i / n)) * n
+                if w > 0.0:
+                    rows.append(i)
+                    cols.append(j)
+                    vals.append(w)
+    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    mat.sum_duplicates()
+    return mat
+
+
+# tent has a decreasing branch; at n = 301 and 1000 a markov bin straddles
+# the branch boundary 2/3, so one row gets entries from both branches
+ULAM_MAPS = [str(ROOT / "configs" / f"{name}.json")
+             for name in ("doubling", "markov", "tent", "tripling")]
+ULAM_MAPS.append(str(ROOT / "pipebench" / "maps" / "nonlinear.json"))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 301, 1000, 4500])
+@pytest.mark.parametrize("path", ULAM_MAPS, ids=lambda p: Path(p).stem)
+def test_ulam_matrix_bytes_match_bin_by_bin_assembly(path, n):
+    pmap = load_map(path)
+    got = transfer.ulam_matrix(pmap, n).matrix
+    want = _reference_ulam_csr(pmap, n)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 # ------------------------------------------------------- invariant_density
