@@ -41,7 +41,6 @@ from .transfer import (
     SpectralReport,
     UlamOperator,
     apply_fp,
-    apply_fp_power,
     invariant_density,
     iterate_norm_series,
     spectrum,
@@ -66,7 +65,6 @@ __all__ = [
     "UlamOperator",
     "VariationReport",
     "apply_fp",
-    "apply_fp_power",
     "apply_map",
     "branch_inverse",
     "build_return_map",

@@ -153,11 +153,16 @@ def variation(f: GridFunction, lq: float, p: float, A: float = DEFAULT_A,
         raise ConfigError(f"lq must be >= 1 or inf, got {lq}")
 
     radii = radius_grid(f.n, A, radii_count)
+    halves = [window_half_width(r, f.n) for r in radii]
+    # the smallest radii share half-widths (half = 1 for r*n in (1, 2]), so
+    # one sweep over the distinct ones computes each profile norm once
+    steps = sorted(set(halves))
+    osc_norm = {h: _lq_norm(hi - lo, lq) for h, (lo, hi) in
+                zip(steps, kernels.sliding_minmax_sweep(f.values, steps))}
     best = -1.0
     best_r = radii[0]
-    for r in radii:
-        prof = _osc_values(f.values, window_half_width(r, f.n))
-        ratio = _lq_norm(prof, lq) / r ** (1.0 / p)
+    for r, h in zip(radii, halves):
+        ratio = osc_norm[h] / r ** (1.0 / p)
         if ratio > best:
             best = ratio
             best_r = float(r)

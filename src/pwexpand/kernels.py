@@ -1,11 +1,12 @@
 """Numerical hot loops: the sliding-window min/max behind every oscillation
 profile, and the classical RK4 integrator of the Lorenz system.
 
-``sliding_minmax`` runs on scipy's C filters, imported on its first call
-so that an invocation that computes no oscillation profile does not load
-``scipy.ndimage``.  ``lorenz_rk4`` is plain Python; each step performs a
-fixed IEEE operation sequence, so a given input always yields the same
-trajectory bit for bit.
+``sliding_minmax_sweep`` computes the running min and max for a whole
+nondecreasing sequence of half-widths from one doubling (sparse) table in
+numpy, and ``sliding_minmax`` is its one-element case; no scipy module is
+loaded for an oscillation profile.  ``lorenz_rk4`` is plain Python; each
+step performs a fixed IEEE operation sequence, so a given input always
+yields the same trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -16,17 +17,47 @@ import numpy as np
 NUMBA_ENABLED = False
 
 
+def sliding_minmax_sweep(values: np.ndarray, halves):
+    """Yield (lo, hi), the running min and max over the windows [k-h, k+h]
+    clipped to the ends, for each h of the nondecreasing sequence halves.
+
+    Level j of the table holds the min and max over 2^j consecutive cells
+    of the edge-padded array; a window of width w with 2^j <= w < 2^(j+1)
+    is the union of two overlapping level-j blocks.  Min and max do not
+    round, so the result is exact.  The levels only grow with h, so the
+    whole sweep builds each level once.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    halves = [int(h) for h in halves]
+    if not halves:
+        return
+    if halves[0] < 0:
+        raise ValueError(f"half-widths must be nonnegative, got {halves[0]}")
+    for a, b in zip(halves, halves[1:]):
+        if b < a:
+            raise ValueError(f"half-widths must be nondecreasing, got {b} after {a}")
+    n = values.size
+    # a half-width of n-1 already reaches every cell from every cell
+    pad = min(halves[-1], max(n - 1, 0))
+    # edge padding leaves the min/max of a truncated window unchanged
+    lo = hi = np.pad(values, pad, mode="edge")
+    span = 1
+    for h in halves:
+        h = min(h, pad)
+        width = 2 * h + 1
+        while 2 * span <= width:
+            lo = np.minimum(lo[:-span], lo[span:])
+            hi = np.maximum(hi[:-span], hi[span:])
+            span *= 2
+        a = pad - h
+        b = a + width - span
+        yield (np.minimum(lo[a:a + n], lo[b:b + n]),
+               np.maximum(hi[a:a + n], hi[b:b + n]))
+
+
 def sliding_minmax(values: np.ndarray, half: int):
     """Running min and max over windows [k-half, k+half] clipped to the ends."""
-    from scipy.ndimage import maximum_filter1d, minimum_filter1d
-
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    size = 2 * int(half) + 1
-    # mode='nearest' replicates edge samples, which leaves the min/max of
-    # the truncated window unchanged — identical to explicit clipping.
-    lo = minimum_filter1d(values, size=size, mode="nearest")
-    hi = maximum_filter1d(values, size=size, mode="nearest")
-    return lo, hi
+    return next(sliding_minmax_sweep(values, [half]))
 
 
 def lorenz_rk4(state, sigma, rho, beta, dt, nsteps):

@@ -171,7 +171,9 @@ def make_map(branch_specs, epsilon: float, construction_samples: int = 512) -> P
         if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(ders))):
             raise ConfigError(f"branch {k} ({formula!r}) is non-finite on its domain")
 
-        sign = 1 if np.median(ders) >= 0 else -1
+        # the sign of at least half the samples; np.median would give the
+        # same, but its first call imports numpy.ma (~14 ms of a map load)
+        sign = 1 if 2 * np.count_nonzero(ders >= 0) >= ders.size else -1
         sampled_min = float(np.min(np.abs(ders)))
         declared = spec.get("min_slope")
         if declared is not None:

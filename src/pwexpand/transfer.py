@@ -99,12 +99,6 @@ def apply_fp(pmap: PiecewiseMap, f: GridFunction) -> GridFunction:
     return GridFunction(n=f.n, values=out)
 
 
-def apply_fp_power(pmap: PiecewiseMap, f: GridFunction, n_times: int) -> GridFunction:
-    for _ in range(n_times):
-        f = apply_fp(pmap, f)
-    return f
-
-
 def ulam_matrix(pmap: PiecewiseMap, n: int) -> UlamOperator:
     """Row-stochastic Ulam discretization on n uniform bins, assembled
     from exact branch preimages of the bin edges."""

@@ -47,8 +47,8 @@ def test_console_script_runs():
 
 
 def test_scipy_is_imported_only_where_it_is_called():
-    # importing the CLI loads neither scipy module; the first oscillation
-    # profile loads scipy.ndimage and the first Ulam matrix scipy.sparse
+    # importing the CLI loads neither scipy module; an oscillation profile
+    # loads none either, and the first Ulam matrix loads scipy.sparse
     script = (
         "import sys\n"
         "import pwexpand.cli\n"
@@ -58,6 +58,7 @@ def test_scipy_is_imported_only_where_it_is_called():
         "from pwexpand import grid, transfer\n"
         "from pwexpand.mapconfig import load_map\n"
         "grid.variation(grid.GridFunction.of([0.0, 1.0, 0.0, 1.0]), 1.0, 1.0, 0.5)\n"
+        "print(loaded())\n"
         f"transfer.ulam_matrix(load_map({DOUBLING!r}), 4)\n"
         "print(loaded())\n")
     src = Path(pwexpand.__file__).resolve().parent.parent
@@ -65,7 +66,32 @@ def test_scipy_is_imported_only_where_it_is_called():
     out = subprocess.run([sys.executable, "-c", script],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "[False, False]\n[True, True]\n"
+    assert out.stdout == "[False, False]\n[False, False]\n[False, True]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["var", "--f", "sin(2*pi*x)", "--q", "2.5", "--p", "2", "--A", "0.125",
+     "--grid", "256", "--out", "var.csv"],
+    ["ly-verify", MARKOV, "--p", "1", "--A", "0.125", "--trials", "3",
+     "--grid", "256", "--out", "ly_verify.csv"],
+    ["iterates", TRIPLING, "--f", "x", "--p", "1", "--A", "0.125", "--n", "3",
+     "--grid", "81", "--out", "iterates.csv"],
+    ["ly", TRIPLING, "--p", "1", "--A", "0.125", "--auto-L", "--out", "ly.csv"],
+], ids=["var", "ly-verify", "iterates", "ly-auto-L"])
+def test_variation_subcommands_load_no_scipy(argv, tmp_path):
+    # a fresh interpreter, so no earlier test has loaded scipy already
+    script = (
+        "import sys\n"
+        "from pwexpand.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = Path(pwexpand.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path,
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / argv[-1]).exists()
 
 
 def test_check_slope_verdicts(capsys):

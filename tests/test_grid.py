@@ -195,6 +195,30 @@ def test_variation_radius_grid():
     assert len(rep.radii) == 5
 
 
+@pytest.mark.parametrize("radii_count", [None, 9])
+def test_variation_matches_per_radius_brute_force(radii_count):
+    # the sweep over shared half-widths must give, float for float, the
+    # max over radii of the brute-force profile norm over r^(1/p)
+    n = 500
+    f = project(parse("sin(7*x) + 0.3*cos(40*x^2)"), n)
+    profiles = {}
+    for p in (1.0, 2.0):
+        for lq in (1.0, 2.5, math.inf):
+            radii = radius_grid(n, 0.2, radii_count)
+            ratios = []
+            for r in radii:
+                half = window_half_width(r, n)
+                if half not in profiles:
+                    profiles[half] = GridFunction.of(brute_osc(f.values, half))
+                ratios.append(profiles[half].norm_lq(lq) / r ** (1.0 / p))
+            k = int(np.argmax(ratios))
+            rep = variation(f, lq, p, A=0.2, radii_count=radii_count)
+            assert np.array_equal(rep.radii, radii)
+            assert rep.variation == ratios[k], (p, lq)
+            assert rep.argmax_radius == float(radii[k]), (p, lq)
+            assert rep.bv_norm == ratios[k] + f.norm_lq(lq)
+
+
 def test_variation_finite_and_monotone_at_huge_q():
     # at q = 1e308, |osc|^q overflows (osc reaches 2) and |f|^q underflows
     # (|f| < 1); the rescaled form keeps both finite, and L^q norms on a

@@ -2,6 +2,7 @@
 endpoint and its order of convergence."""
 
 import numpy as np
+import pytest
 
 from pwexpand import kernels
 
@@ -41,6 +42,35 @@ def test_sliding_minmax_with_ties():
     blo, bhi = brute_minmax(values, 2)
     assert np.array_equal(lo, blo)
     assert np.array_equal(hi, bhi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 257, 4097])
+def test_sliding_minmax_sweep_matches_brute_force(n):
+    # values drawn from a few levels with both signed zeros, so windows
+    # hold ties and -0.0/0.0 pairs; 0, repeats, n-1, n and 2n+5 cover the
+    # identity, a level reused without growing, and windows past the ends;
+    # 31, 32, 33 put window widths on both sides of a power of two
+    rng = np.random.default_rng(n)
+    values = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], size=n)
+    spread = rng.random(n) < 0.3
+    values[spread] = rng.normal(size=int(spread.sum()))
+    halves = sorted([0, 0, 1, 2, 3, 31, 32, 32, 33, n // 3, n // 2, n - 1, n,
+                     2 * n + 5, 2 * n + 5])
+    got = list(kernels.sliding_minmax_sweep(values, halves))
+    assert len(got) == len(halves)
+    for half, (lo, hi) in zip(halves, got):
+        blo, bhi = brute_minmax(values, half)
+        assert np.array_equal(lo, blo), (n, half)
+        assert np.array_equal(hi, bhi), (n, half)
+
+
+def test_sliding_minmax_sweep_rejects_bad_halves():
+    values = np.arange(8.0)
+    with pytest.raises(ValueError, match="nondecreasing"):
+        list(kernels.sliding_minmax_sweep(values, [1, 3, 2]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        list(kernels.sliding_minmax_sweep(values, [-1, 2]))
+    assert list(kernels.sliding_minmax_sweep(values, [])) == []
 
 
 def test_lorenz_rk4_pinned_endpoint():

@@ -1,8 +1,14 @@
 """Map construction, validation, Hölder estimation, branch inversion."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pwexpand
 from pwexpand import maps
 from pwexpand.errors import ConfigError
 from pwexpand.maps import (OutOfImageError, ValidationError, apply_map,
@@ -22,6 +28,29 @@ def test_make_map_tripling_fields(tripling):
     for br in tripling.branches:
         assert br.monotone_sign == 1
         assert br.image.lo == 0.0 and br.image.hi == 1.0
+
+
+def test_load_map_signs_without_numpy_ma():
+    # a fresh interpreter, so no earlier test has imported numpy.ma; the
+    # branch signs are those of the shipped maps (tent falls on [1/2, 1])
+    root = Path(__file__).resolve().parent.parent
+    expect = {"configs/doubling.json": [1, 1],
+              "configs/tripling.json": [1, 1, 1],
+              "configs/tent.json": [1, -1],
+              "configs/markov.json": [1, 1],
+              "pipebench/maps/nonlinear.json": [1, 1]}
+    script = (
+        "import sys\n"
+        "from pwexpand.mapconfig import load_map\n"
+        "for path in sys.argv[1:]:\n"
+        "    print([br.monotone_sign for br in load_map(path).branches])\n"
+        "print('numpy.ma' in sys.modules)\n")
+    src = Path(pwexpand.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", script, *expect], cwd=root,
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [str(v) for v in expect.values()] + ["False"]
 
 
 def test_make_map_snaps_image_endpoints(nonlinear):

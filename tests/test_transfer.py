@@ -64,7 +64,7 @@ def test_apply_fp_composes_like_the_composed_map(doubling):
         epsilon=1.0)
     n = 1024
     f = project(pwexpand.parse("sin(2*pi*x) + x"), n)
-    twice = transfer.apply_fp_power(doubling, f, 2)
+    twice = transfer.apply_fp(doubling, transfer.apply_fp(doubling, f))
     once = transfer.apply_fp(quadrupling, f)
     assert np.max(np.abs(twice.values - once.values)) <= 1e-10
 
