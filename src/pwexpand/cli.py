@@ -118,6 +118,11 @@ def cmd_spectrum(args) -> int:
     outside = sum(1 for lam in report.eigenvalues if abs(lam) > r_ess + 1e-8)
     print(f"1/s_min = {serialize.fmt(r_ess)}; {outside} of "
           f"{len(report.eigenvalues)} reported eigenvalues lie outside it")
+    if report.solver == "dense":
+        print("eigensolver: dense")
+    else:
+        print(f"eigensolver: {report.solver}; ARPACK converged "
+              f"{report.converged} of {len(report.eigenvalues)}")
     _plot(args, plotting.spectrum_plot, report)
     return 0
 

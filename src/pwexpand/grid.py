@@ -26,16 +26,19 @@ RADIUS_RATIO = 1.2
 DEFAULT_A = 0.125
 
 
-def _lq_norm(values: np.ndarray, lq: float) -> float:
+def _lq_norm(values: np.ndarray, lq: float, nonnegative: bool = False) -> float:
     """L^q norm on [0,1] in mean-power form; lq=inf gives the sup norm.
+    `nonnegative` values are used as they are, without |v|, and lq=1 is
+    the plain mean.
 
     When |v|^q overflows, or underflows to 0 for nonzero data, the norm is
     taken as max|v| * mean((|v|/max|v|)^q)^(1/q) instead."""
-    mags = np.abs(values)
+    mags = values if nonnegative else np.abs(values)
     if math.isinf(lq):
         return float(np.max(mags))
     with np.errstate(over="ignore"):
-        norm = float(np.mean(mags ** lq) ** (1.0 / lq))
+        norm = float(np.mean(mags) if lq == 1
+                     else np.mean(mags ** lq) ** (1.0 / lq))
     if not math.isfinite(norm) or (norm == 0.0 and np.any(mags)):
         top = np.max(mags)
         norm = float(top * np.mean((mags / top) ** lq) ** (1.0 / lq))
@@ -157,8 +160,9 @@ def variation(f: GridFunction, lq: float, p: float, A: float = DEFAULT_A,
     # the smallest radii share half-widths (half = 1 for r*n in (1, 2]), so
     # one sweep over the distinct ones computes each profile norm once
     steps = sorted(set(halves))
-    osc_norm = {h: _lq_norm(hi - lo, lq) for h, (lo, hi) in
-                zip(steps, kernels.sliding_minmax_sweep(f.values, steps))}
+    sweep = zip(steps, kernels.sliding_minmax_sweep(f.values, steps))
+    osc_norm = {h: _lq_norm(hi - lo, lq, nonnegative=True)
+                for h, (lo, hi) in sweep}
     best = -1.0
     best_r = radii[0]
     for r, h in zip(radii, halves):

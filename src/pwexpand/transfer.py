@@ -7,6 +7,19 @@ branch preimages y of x.  The Ulam matrix is assembled from exact interval
 preimages of the bin edges, so its rows are stochastic to rounding error,
 not to Monte-Carlo error.
 
+Eigensolve policy of `spectrum`.  Up to ``DENSE_EIG_LIMIT`` (4096) bins
+the whole Ulam spectrum comes from a dense ``eigvals``.  Above it, one
+ARPACK call (implicitly restarted Arnoldi, default ``ncv``) looks for the
+top k from a fixed random start vector with at most ``_ARPACK_MAXITER``
+restarts; a constant start is Pᵀ's fixed vector for the doubly stochastic
+maps and breaks down at once.  ARPACK cannot separate the wanted values
+from a cluster of tied moduli wider than its ``ncv`` (the tent matrix has
+about n/8 eigenvalues on |λ| = 1/2), so when it converges fewer than k an
+unrestarted Arnoldi basis takes over.  That basis grows by max(64, m/4)
+vectors per step, keeps the earlier ones, and stops once every top-k Ritz
+residual |h_{m+1,m} y_m| is at most ``_RITZ_TOL``; at ``KRYLOV_MAX_DIM``
+vectors it raises `SpectralError`.
+
 ``scipy.sparse`` is imported inside `ulam_matrix` and ``scipy.sparse.linalg``
 inside `spectrum`, so importing this module loads no scipy.
 """
@@ -52,6 +65,8 @@ class SpectralReport:
     unit_multiplicity: int
     spectral_gap: float
     invariant_density: GridFunction
+    solver: str = "dense"  # "dense", "arpack" or "krylov m=<basis size>"
+    converged: int = 0     # eigenvalues ARPACK converged; 0 on the dense path
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,15 +216,90 @@ def invariant_density(op: UlamOperator, tol: float = 1e-12,
     return GridFunction(n=op.n, values=h)
 
 
-# dense eigensolve cutoff; above this only the top-k via ARPACK
+# dense eigensolve cutoff; above this only the top-k, iteratively
 DENSE_EIG_LIMIT = 4096
+# ARPACK restarts before the Krylov fallback takes over
+_ARPACK_MAXITER = 1000
+# largest Krylov basis the fallback builds, in vectors of length n
+KRYLOV_MAX_DIM = 1024
+# Ritz residual |h_{m+1,m} y_m| below which a Ritz pair counts as converged;
+# a new basis vector shorter than this is a breakdown
+_RITZ_TOL = 1e-12
 
 _UNIT_TOL = 1e-8
 
 
+def _orthogonalize(blocks, w):
+    """Two passes of classical Gram–Schmidt of w against the basis rows in
+    `blocks`, in place; returns the summed coefficients."""
+    coef = 0.0
+    for _ in range(2):
+        c = np.concatenate([b @ w for b in blocks])
+        start = 0
+        for b in blocks:
+            w -= c[start:start + len(b)] @ b
+            start += len(b)
+        coef = coef + c
+    return coef
+
+
+def _krylov_top(mat_t, k: int, rng: np.random.Generator):
+    """Top-k eigenvalues of `mat_t` from an unrestarted Arnoldi basis that
+    grows by max(64, m/4) vectors per step until every top-k Ritz residual
+    |h_{m+1,m} y_m| is at most _RITZ_TOL; returns (values, basis size m).
+
+    A breakdown means the basis spans an invariant subspace.  That
+    subspace holds one eigenvector per eigenvalue at most, so a repeated
+    top eigenvalue (two ergodic components) would be reported once: a
+    random vector orthogonal to the basis continues it, until the basis
+    spans all of R^n."""
+    n = mat_t.shape[0]
+    blocks = []              # basis vectors as rows, one array per step
+    hess = np.zeros((1, 0))  # (m+1) x m upper Hessenberg
+    v = rng.random(n)
+    v /= np.linalg.norm(v)
+    m, worst = 0, np.inf
+    while True:
+        if m >= KRYLOV_MAX_DIM:
+            raise SpectralError(
+                f"iterative eigensolve failed: the Krylov basis reached its "
+                f"cap of {KRYLOV_MAX_DIM} vectors before the top {k} Ritz "
+                f"values converged (largest residual {worst:.3g})")
+        size = min(m + max(64, m // 4), KRYLOV_MAX_DIM)
+        block = np.empty((size - m, n))
+        blocks.append(block)
+        grown = np.zeros((size + 1, size))
+        grown[:m + 1, :m] = hess
+        hess = grown
+        for row in range(len(block)):
+            block[row] = v
+            basis = blocks[:-1] + [block[:row + 1]]
+            w = mat_t @ v
+            hess[:m + 1, m] = _orthogonalize(basis, w)
+            beta = float(np.linalg.norm(w))
+            m += 1
+            if beta > _RITZ_TOL:
+                hess[m, m - 1] = beta
+                v = w / beta
+            elif m == n:
+                break
+            else:
+                v = rng.random(n)
+                _orthogonalize(basis, v)
+                v /= np.linalg.norm(v)
+        if m < k:
+            continue
+        theta, vecs = np.linalg.eig(hess[:m, :m])
+        top = np.argsort(-np.abs(theta), kind="stable")[:k]
+        worst = float(np.max(np.abs(hess[m, m - 1] * vecs[m - 1, top])))
+        if worst <= _RITZ_TOL:
+            return theta[top], m
+
+
 def spectrum(op: UlamOperator, k: int) -> SpectralReport:
     """Top-k eigenvalues by modulus, unit-circle multiplicity, spectral
-    gap, and the invariant density."""
+    gap, and the invariant density; the module docstring says which
+    eigensolver runs."""
     if k < 2:
         raise ConfigError(f"need k >= 2 eigenvalues, got {k}")
     n = op.n
@@ -218,14 +308,23 @@ def spectrum(op: UlamOperator, k: int) -> SpectralReport:
             vals = np.linalg.eigvals(op.matrix.toarray().T)
         except np.linalg.LinAlgError as err:
             raise SpectralError(f"dense eigensolve failed: {err}") from err
+        solver, arpack_converged = "dense", 0
+        # built once the dense arrays are freed, so it adds nothing to
+        # the peak memory of the dense solve
+        mat_t = op.matrix.transpose().tocsr()
     else:
         from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
+        mat_t = op.matrix.transpose().tocsr()
+        rng = np.random.default_rng(0)
         try:
-            vals = eigs(op.matrix.transpose().tocsc(), k=min(k, n - 2),
-                        which="LM", return_eigenvectors=False)
+            vals = eigs(mat_t, k=min(k, n - 2), which="LM", v0=rng.random(n),
+                        maxiter=_ARPACK_MAXITER, return_eigenvectors=False)
+            solver, arpack_converged = "arpack", len(vals)
         except ArpackNoConvergence as err:
-            raise SpectralError(f"iterative eigensolve failed: {err}") from err
+            arpack_converged = len(err.eigenvalues)
+            vals, m = _krylov_top(mat_t, k, rng)
+            solver = f"krylov m={m}"
     moduli = np.abs(vals)
     order = np.argsort(-moduli, kind="stable")
     eigvals = vals[order]
@@ -237,7 +336,6 @@ def spectrum(op: UlamOperator, k: int) -> SpectralReport:
     below = moduli[moduli < moduli[0] - _UNIT_TOL]
     gap = float(1.0 - below[0]) if below.size else 0.0
 
-    mat_t = op.matrix.transpose().tocsr()
     if unit_mult == 1:
         h, converged, residual, _ = power_iterate(mat_t, np.ones(n), 1e-13, 20000)
         if not converged and residual > 1e-8:
@@ -254,7 +352,9 @@ def spectrum(op: UlamOperator, k: int) -> SpectralReport:
         eigenvalues=eigvals[:k],
         unit_multiplicity=unit_mult,
         spectral_gap=gap,
-        invariant_density=GridFunction(n=n, values=h))
+        invariant_density=GridFunction(n=n, values=h),
+        solver=solver,
+        converged=arpack_converged)
 
 
 def iterate_norm_series(pmap: PiecewiseMap, f: GridFunction, p: float,

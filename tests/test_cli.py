@@ -8,6 +8,7 @@ fresh interpreter, the way the wrapper that pip generates for it does.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import pwexpand
-from pwexpand import plotting, serialize
+from pwexpand import plotting, serialize, transfer
 from pwexpand.cli import main
 from pwexpand.grid import project, variation
 from pwexpand.mapconfig import load_map
@@ -187,6 +188,36 @@ def test_spectrum_counts_eigenvalues_outside_the_essential_radius(
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == ("1/s_min = 0.5; 1 of 8 reported eigenvalues lie "
                             "outside it")
+
+
+def test_spectrum_prints_its_eigensolver(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "spec.csv"
+    tent = str(CONFIGS / "tent.json")
+    assert main(["spectrum", tent, "--bins", "301", "--top", "8",
+                 "--no-plot", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[2] == "eigensolver: dense"
+    # the same matrix through the iterative path: ARPACK cannot split the
+    # tied moduli 1/2, so the Krylov basis reports them
+    monkeypatch.setattr(transfer, "DENSE_EIG_LIMIT", 100)
+    assert main(["spectrum", tent, "--bins", "301", "--top", "8",
+                 "--no-plot", "--out", str(out)]) == 0
+    line = capsys.readouterr().out.splitlines()[2]
+    assert re.fullmatch(r"eigensolver: krylov m=\d+; ARPACK converged [0-7] "
+                        r"of 8", line)
+    assert len(out.read_text().splitlines()) == 9
+
+
+def test_spectrum_krylov_cap_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(transfer, "KRYLOV_MAX_DIM", 16)
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", str(CONFIGS / "tent.json"), "--bins", "4500",
+                 "--top", "8", "--no-plot", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: iterative eigensolve failed: the "
+                                   "Krylov basis reached its cap of 16")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert not out.exists()
 
 
 def test_var_matches_the_library_exactly(tmp_path):

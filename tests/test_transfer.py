@@ -236,6 +236,7 @@ def test_spectrum_tripling_has_a_large_gap(tripling):
     # the exact-arithmetic matrix at n = 3^4 is "averaging + nilpotent":
     # everything below the unit eigenvalue is numerically ~0
     rep = transfer.spectrum(transfer.ulam_matrix(tripling, 81), 4)
+    assert (rep.solver, rep.converged) == ("dense", 0)
     assert rep.unit_multiplicity == 1
     assert abs(rep.eigenvalues[1]) <= 0.05
     assert rep.spectral_gap >= 0.95
@@ -264,6 +265,56 @@ def test_spectrum_iterative_path_above_dense_limit(markov):
     assert abs(abs(rep.eigenvalues[0]) - 1.0) <= 1e-8
     assert rep.unit_multiplicity == 1
     assert 0.3 <= rep.spectral_gap <= 0.45
+
+
+def test_spectrum_iterative_path_is_deterministic():
+    pmap = load_map(ROOT / "pipebench" / "maps" / "nonlinear.json")
+    op = transfer.ulam_matrix(pmap, transfer.DENSE_EIG_LIMIT + 404)
+    first = transfer.spectrum(op, 8)
+    second = transfer.spectrum(op, 8)
+    assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+    assert (first.solver, first.converged) == (second.solver, second.converged)
+
+
+def test_spectrum_tied_moduli_match_the_dense_oracle(monkeypatch):
+    # the tent Ulam matrix has about n/8 eigenvalues exactly on |λ| = 1/2,
+    # more than ARPACK's default ncv can separate, so the top 8 come from
+    # the growing Krylov basis; the oracle is LAPACK on the dense matrix
+    tent = load_map(ROOT / "configs" / "tent.json")
+    op = transfer.ulam_matrix(tent, 900)
+    oracle = np.sort(np.abs(np.linalg.eigvals(op.matrix.toarray())))[::-1][:8]
+    assert abs(oracle[0] - 1.0) <= 1e-8
+    assert np.all(np.abs(oracle[1:] - 0.5) <= 1e-8)
+    monkeypatch.setattr(transfer, "DENSE_EIG_LIMIT", 100)
+    rep = transfer.spectrum(op, 8)
+    assert rep.solver.startswith("krylov m=")
+    assert rep.converged < 8
+    assert len(rep.eigenvalues) == 8
+    assert np.max(np.abs(np.abs(rep.eigenvalues) - oracle)) <= 1e-8
+    assert rep.unit_multiplicity == 1
+
+
+def test_krylov_basis_matches_the_dense_spectrum(markov):
+    # the growing Arnoldi basis alone against LAPACK on the dense matrix;
+    # markov at 900 bins leads with 1, 0.618 and a cluster at 0.594
+    op = transfer.ulam_matrix(markov, 900)
+    dense = np.linalg.eigvals(op.matrix.toarray())
+    dense = dense[np.argsort(-np.abs(dense), kind="stable")]
+    vals, m = transfer._krylov_top(op.matrix.transpose().tocsr(), 5,
+                                   np.random.default_rng(0))
+    assert len(vals) == 5 and m < transfer.KRYLOV_MAX_DIM
+    moduli = np.sort(np.abs(vals))[::-1]
+    assert np.max(np.abs(moduli - np.abs(dense[:5]))) <= 1e-10
+    assert max(np.min(np.abs(dense - lam)) for lam in vals) <= 1e-10
+
+
+def test_krylov_basis_finds_a_repeated_unit_eigenvalue(block_map):
+    # two ergodic components: the Krylov space of one start vector holds
+    # one unit eigenvector, so the basis must go on past its breakdowns
+    op = transfer.ulam_matrix(block_map, 64)
+    vals, _ = transfer._krylov_top(op.matrix.transpose().tocsr(), 6,
+                                   np.random.default_rng(0))
+    assert np.sum(np.abs(np.abs(vals) - 1.0) <= 1e-8) == 2
 
 
 def test_spectrum_rejects_k_below_two(tripling):
