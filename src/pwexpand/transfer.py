@@ -1,11 +1,12 @@
 """Transfer (Frobenius–Perron) operator: pointwise action on grid
 functions, exact Ulam discretization, invariant densities, and leading
-spectrum.
+eigenvalues.
 
 The pointwise action at a cell midpoint x sums f(y)/|τ'(y)| over the
 branch preimages y of x.  The Ulam matrix is assembled from exact interval
 preimages of the bin edges, so its rows are stochastic to rounding error,
-not to Monte-Carlo error.
+not to Monte-Carlo error.  `spectrum` returns eigenvalues only; the
+density comes from `invariant_density`.
 
 Eigensolve policy of `spectrum`.  Up to ``DENSE_EIG_LIMIT`` (4096) bins
 the whole Ulam spectrum comes from a dense ``eigvals``.  Above it, one
@@ -15,13 +16,14 @@ restarts; a constant start is Pᵀ's fixed vector for the doubly stochastic
 maps and breaks down at once.  ARPACK cannot separate the wanted values
 from a cluster of tied moduli wider than its ``ncv`` (the tent matrix has
 about n/8 eigenvalues on |λ| = 1/2), so when it converges fewer than k an
-unrestarted Arnoldi basis takes over.  That basis grows by max(64, m/4)
-vectors per step, keeps the earlier ones, and stops once every top-k Ritz
-residual |h_{m+1,m} y_m| is at most ``_RITZ_TOL``; at ``KRYLOV_MAX_DIM``
-vectors it raises `SpectralError`.
+unrestarted Arnoldi basis takes over: one array of ``KRYLOV_MAX_DIM`` + 1
+rows, reserved up front and written a row at a time.  It grows by
+max(64, m/4) vectors per step and stops once every top-k Ritz residual
+|h_{m+1,m} y_m| is at most ``_RITZ_TOL``; at ``KRYLOV_MAX_DIM`` vectors,
+or when k exceeds that cap, `spectrum` raises `SpectralError`.
 
 ``scipy.sparse`` is imported inside `ulam_matrix` and ``scipy.sparse.linalg``
-inside `spectrum`, so importing this module loads no scipy.
+inside `spectrum`'s iterative branch, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ class SpectralReport:
     eigenvalues: np.ndarray  # complex, sorted by decreasing modulus
     unit_multiplicity: int
     spectral_gap: float
-    invariant_density: GridFunction
     solver: str = "dense"  # "dense", "arpack" or "krylov m=<basis size>"
     converged: int = 0     # eigenvalues ARPACK converged; 0 on the dense path
 
@@ -167,35 +168,22 @@ def ulam_matrix(pmap: PiecewiseMap, n: int) -> UlamOperator:
     return UlamOperator(n=n, matrix=mat)
 
 
-def power_iterate(mat_t, h0: np.ndarray, tol: float, max_iters: int,
-                  average: bool = False):
+def power_iterate(mat_t, h0: np.ndarray, tol: float, max_iters: int):
     """Iterate h -> P^T h, renormalized to mean 1, from h0 until one step
     moves h by less than `tol` in L¹; returns (h, converged, residual,
-    iterations) with residual that last step.
-
-    With ``average=True`` it runs exactly `max_iters` steps and returns
-    their Cesàro mean, which converges even when the iterates cycle
-    between ergodic components; residual is then the L¹ defect of the mean.
-    """
+    iterations) with residual that last step."""
     h, residual = h0, np.inf
-    acc = np.zeros_like(h0) if average else None
     for steps in range(max_iters):
         h2 = mat_t @ h
         mean = float(np.mean(h2))
         if mean <= 0:
             return h, False, residual, steps
         h2 = h2 / mean
-        if average:
-            acc += h2
-        else:
-            residual = float(np.mean(np.abs(h2 - h)))
-            if residual < tol:
-                return h2, True, residual, steps + 1
+        residual = float(np.mean(np.abs(h2 - h)))
+        if residual < tol:
+            return h2, True, residual, steps + 1
         h = h2
-    if average:
-        h = acc / float(max_iters)
-        residual = float(np.mean(np.abs(mat_t @ h - h)))
-    return h, residual < tol, residual, max_iters
+    return h, False, residual, max_iters
 
 
 def invariant_density(op: UlamOperator, tol: float = 1e-12,
@@ -229,20 +217,6 @@ _RITZ_TOL = 1e-12
 _UNIT_TOL = 1e-8
 
 
-def _orthogonalize(blocks, w):
-    """Two passes of classical Gram–Schmidt of w against the basis rows in
-    `blocks`, in place; returns the summed coefficients."""
-    coef = 0.0
-    for _ in range(2):
-        c = np.concatenate([b @ w for b in blocks])
-        start = 0
-        for b in blocks:
-            w -= c[start:start + len(b)] @ b
-            start += len(b)
-        coef = coef + c
-    return coef
-
-
 def _krylov_top(mat_t, k: int, rng: np.random.Generator):
     """Top-k eigenvalues of `mat_t` from an unrestarted Arnoldi basis that
     grows by max(64, m/4) vectors per step until every top-k Ritz residual
@@ -254,39 +228,43 @@ def _krylov_top(mat_t, k: int, rng: np.random.Generator):
     random vector orthogonal to the basis continues it, until the basis
     spans all of R^n."""
     n = mat_t.shape[0]
-    blocks = []              # basis vectors as rows, one array per step
-    hess = np.zeros((1, 0))  # (m+1) x m upper Hessenberg
+    cap = min(KRYLOV_MAX_DIM, n)
+    try:
+        # basis vectors as rows; a page is used only once its row is written
+        basis = np.empty((cap + 1, n))
+    except MemoryError as err:
+        raise SpectralError(
+            f"iterative eigensolve failed: no memory for a Krylov basis of "
+            f"{cap + 1} vectors of length {n}") from err
+    hess = np.zeros((cap + 1, cap))  # upper Hessenberg, top-left (m+1) x m
     v = rng.random(n)
-    v /= np.linalg.norm(v)
+    basis[0] = v / np.linalg.norm(v)
     m, worst = 0, np.inf
     while True:
-        if m >= KRYLOV_MAX_DIM:
+        if m >= cap:
             raise SpectralError(
                 f"iterative eigensolve failed: the Krylov basis reached its "
-                f"cap of {KRYLOV_MAX_DIM} vectors before the top {k} Ritz "
+                f"cap of {cap} vectors before the top {k} Ritz "
                 f"values converged (largest residual {worst:.3g})")
-        size = min(m + max(64, m // 4), KRYLOV_MAX_DIM)
-        block = np.empty((size - m, n))
-        blocks.append(block)
-        grown = np.zeros((size + 1, size))
-        grown[:m + 1, :m] = hess
-        hess = grown
-        for row in range(len(block)):
-            block[row] = v
-            basis = blocks[:-1] + [block[:row + 1]]
-            w = mat_t @ v
-            hess[:m + 1, m] = _orthogonalize(basis, w)
+        size = min(m + max(64, m // 4), cap)
+        while m < size:
+            w = mat_t @ basis[m]
+            for _ in range(2):  # classical Gram–Schmidt, twice
+                c = basis[:m + 1] @ w
+                w -= c @ basis[:m + 1]
+                hess[:m + 1, m] += c
             beta = float(np.linalg.norm(w))
             m += 1
             if beta > _RITZ_TOL:
                 hess[m, m - 1] = beta
-                v = w / beta
+                basis[m] = w / beta
             elif m == n:
                 break
             else:
                 v = rng.random(n)
-                _orthogonalize(basis, v)
-                v /= np.linalg.norm(v)
+                for _ in range(2):
+                    v -= (basis[:m] @ v) @ basis[:m]
+                basis[m] = v / np.linalg.norm(v)
         if m < k:
             continue
         theta, vecs = np.linalg.eig(hess[:m, :m])
@@ -297,9 +275,9 @@ def _krylov_top(mat_t, k: int, rng: np.random.Generator):
 
 
 def spectrum(op: UlamOperator, k: int) -> SpectralReport:
-    """Top-k eigenvalues by modulus, unit-circle multiplicity, spectral
-    gap, and the invariant density; the module docstring says which
-    eigensolver runs."""
+    """Top-k eigenvalues by modulus, unit-circle multiplicity and spectral
+    gap; the module docstring says which eigensolver runs.  The invariant
+    density comes from `invariant_density`."""
     if k < 2:
         raise ConfigError(f"need k >= 2 eigenvalues, got {k}")
     n = op.n
@@ -309,10 +287,13 @@ def spectrum(op: UlamOperator, k: int) -> SpectralReport:
         except np.linalg.LinAlgError as err:
             raise SpectralError(f"dense eigensolve failed: {err}") from err
         solver, arpack_converged = "dense", 0
-        # built once the dense arrays are freed, so it adds nothing to
-        # the peak memory of the dense solve
-        mat_t = op.matrix.transpose().tocsr()
     else:
+        if k > KRYLOV_MAX_DIM:
+            raise SpectralError(
+                f"cannot compute the top {k} eigenvalues on {n} bins: above "
+                f"DENSE_EIG_LIMIT = {DENSE_EIG_LIMIT} bins the iterative "
+                f"eigensolve returns at most KRYLOV_MAX_DIM = "
+                f"{KRYLOV_MAX_DIM}")
         from scipy.sparse.linalg import ArpackNoConvergence, eigs
 
         mat_t = op.matrix.transpose().tocsr()
@@ -335,24 +316,10 @@ def spectrum(op: UlamOperator, k: int) -> SpectralReport:
             f"leading eigenvalue {eigvals[0]!r} is not on the unit circle")
     below = moduli[moduli < moduli[0] - _UNIT_TOL]
     gap = float(1.0 - below[0]) if below.size else 0.0
-
-    if unit_mult == 1:
-        h, converged, residual, _ = power_iterate(mat_t, np.ones(n), 1e-13, 20000)
-        if not converged and residual > 1e-8:
-            raise ConvergenceError(
-                f"invariant density did not converge (residual {residual:g}) "
-                "despite a simple unit eigenvalue", residual)
-    else:
-        # multiple ergodic components: the density is a mixture, so report
-        # the mean of the iterates whatever its defect
-        h, _, _, _ = power_iterate(mat_t, np.ones(n), 1e-8, 2000, average=True)
-    h = np.maximum(h, 0.0)
-    h = h / np.mean(h)
     return SpectralReport(
         eigenvalues=eigvals[:k],
         unit_multiplicity=unit_mult,
         spectral_gap=gap,
-        invariant_density=GridFunction(n=n, values=h),
         solver=solver,
         converged=arpack_converged)
 

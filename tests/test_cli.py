@@ -48,26 +48,31 @@ def test_console_script_runs():
 
 
 def test_scipy_is_imported_only_where_it_is_called():
-    # importing the CLI loads neither scipy module; an oscillation profile
-    # loads none either, and the first Ulam matrix loads scipy.sparse
+    # importing the CLI loads none of these scipy modules; an oscillation
+    # profile loads none either, the first Ulam matrix loads scipy.sparse,
+    # and a dense spectrum still leaves scipy.sparse.linalg unloaded
     script = (
         "import sys\n"
         "import pwexpand.cli\n"
         "def loaded():\n"
-        "    return [m in sys.modules for m in ('scipy.ndimage', 'scipy.sparse')]\n"
+        "    return [m in sys.modules for m in\n"
+        "            ('scipy.ndimage', 'scipy.sparse', 'scipy.sparse.linalg')]\n"
         "print(loaded())\n"
         "from pwexpand import grid, transfer\n"
         "from pwexpand.mapconfig import load_map\n"
         "grid.variation(grid.GridFunction.of([0.0, 1.0, 0.0, 1.0]), 1.0, 1.0, 0.5)\n"
         "print(loaded())\n"
-        f"transfer.ulam_matrix(load_map({DOUBLING!r}), 4)\n"
+        f"op = transfer.ulam_matrix(load_map({DOUBLING!r}), 4)\n"
+        "print(loaded())\n"
+        "transfer.spectrum(op, 2)\n"
         "print(loaded())\n")
     src = Path(pwexpand.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", script],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "[False, False]\n[False, False]\n[False, True]\n"
+    assert out.stdout == ("[False, False, False]\n[False, False, False]\n"
+                          "[False, True, False]\n[False, True, False]\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -217,6 +222,23 @@ def test_spectrum_krylov_cap_exits_one(tmp_path, capsys, monkeypatch):
                                    "Krylov basis reached its cap of 16")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_spectrum_top_above_the_krylov_cap_exits_one(tmp_path, capsys):
+    # above the dense limit no solver returns more than KRYLOV_MAX_DIM
+    # values, so asking for more fails before any eigensolve
+    out = tmp_path / "spec.csv"
+    bins = str(transfer.DENSE_EIG_LIMIT + 2)
+    top = str(transfer.KRYLOV_MAX_DIM + 1)
+    assert main(["spectrum", MARKOV, "--bins", bins, "--top", top,
+                 "--no-plot", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: cannot compute the top {top} eigenvalues on {bins} bins: "
+        f"above DENSE_EIG_LIMIT = {transfer.DENSE_EIG_LIMIT} bins the "
+        f"iterative eigensolve returns at most KRYLOV_MAX_DIM = "
+        f"{transfer.KRYLOV_MAX_DIM}\n")
     assert not out.exists()
 
 

@@ -228,8 +228,34 @@ def test_spectrum_markov_three_bins(markov):
     assert abs(rest[1] - 1 / 3) <= 1e-12
     assert rep.unit_multiplicity == 1
     assert abs(rep.spectral_gap - 2 / 3) <= 1e-12
-    expect_h = np.array([9 / 8, 9 / 8, 3 / 4])
-    assert np.max(np.abs(rep.invariant_density.values - expect_h)) <= 1e-10
+    h = transfer.invariant_density(transfer.ulam_matrix(markov, 3))
+    assert np.max(np.abs(h.values - [9 / 8, 9 / 8, 3 / 4])) <= 1e-10
+
+
+def test_markov_galerkin_matrix_has_eigenvalues_one_and_minus_a_third(markov):
+    # P maps the indicator of a branch domain to 1/slope times the indicator
+    # of its image; both images are unions of the domains A = [0, 2/3) and
+    # B = [2/3, 1), so P preserves span{1_A, 1_B} and acts there by G
+    doms = [br.domain for br in markov.branches]
+    g = np.zeros((2, 2))
+    for b, br in enumerate(markov.branches):
+        for a, dom in enumerate(doms):
+            if br.image.lo <= dom.lo and dom.hi <= br.image.hi:
+                g[a, b] = 1.0 / br.min_slope
+    assert np.array_equal(g, [[2 / 3, 1 / 2], [2 / 3, 0.0]])
+    vals = np.sort(np.linalg.eigvals(g).real)
+    assert np.max(np.abs(vals - [-1 / 3, 1.0])) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [300, 4500])
+def test_ulam_matrix_acts_exactly_on_the_markov_partition(markov, n):
+    # n is a multiple of 3, so 2/3 is a cell edge and the Ulam matrix
+    # restricted to span{1_A, 1_B} is the Galerkin matrix G above
+    op = transfer.ulam_matrix(markov, n)
+    ind_a = (np.arange(n) < 2 * n // 3).astype(float)
+    ind_b = 1.0 - ind_a
+    assert np.max(np.abs(op.matrix.T @ ind_a - (2 / 3) * (ind_a + ind_b))) <= 1e-11
+    assert np.max(np.abs(op.matrix.T @ ind_b - 0.5 * ind_a)) <= 1e-11
 
 
 def test_spectrum_tripling_has_a_large_gap(tripling):
@@ -251,20 +277,31 @@ def test_spectrum_matches_dense_eigvals(doubling):
 
 
 def test_spectrum_block_map_double_unit_eigenvalue(block_map):
-    # two ergodic components -> unit eigenvalue of multiplicity 2; the
-    # averaged density is still the (bistochastic) uniform one
+    # two ergodic components -> unit eigenvalue of multiplicity 2
     rep = transfer.spectrum(transfer.ulam_matrix(block_map, 64), 6)
     assert rep.unit_multiplicity == 2
     assert rep.spectral_gap >= 0.9
-    assert np.max(np.abs(rep.invariant_density.values - 1.0)) <= 1e-12
 
 
 def test_spectrum_iterative_path_above_dense_limit(markov):
+    from scipy.sparse.linalg import splu
+
     n = transfer.DENSE_EIG_LIMIT + 404
-    rep = transfer.spectrum(transfer.ulam_matrix(markov, n), 5)
-    assert abs(abs(rep.eigenvalues[0]) - 1.0) <= 1e-8
+    op = transfer.ulam_matrix(markov, n)
+    rep = transfer.spectrum(op, 5)
+    assert rep.solver != "dense"
+    assert abs(rep.eigenvalues[0] - 1.0) <= 1e-8
     assert rep.unit_multiplicity == 1
-    assert 0.3 <= rep.spectral_gap <= 0.45
+    assert rep.spectral_gap == 1.0 - abs(rep.eigenvalues[1])
+    # each λ is an eigenvalue of Pᵀ: one solve (Pᵀ - λI) x = b by sparse LU
+    # blows x up along the eigenvector, so |(Pᵀ - λI) x| / |x| is tiny
+    mat_t = sp.csc_matrix(op.matrix.T, dtype=complex)
+    b = np.random.default_rng(5).random(n)
+    for lam in rep.eigenvalues:
+        shifted = mat_t - lam * sp.identity(n, dtype=complex, format="csc")
+        x = splu(shifted).solve(b.astype(complex))
+        resid = np.linalg.norm(shifted @ x) / np.linalg.norm(x)
+        assert resid <= 1e-10, (lam, resid)
 
 
 def test_spectrum_iterative_path_is_deterministic():
@@ -315,6 +352,19 @@ def test_krylov_basis_finds_a_repeated_unit_eigenvalue(block_map):
     vals, _ = transfer._krylov_top(op.matrix.transpose().tocsr(), 6,
                                    np.random.default_rng(0))
     assert np.sum(np.abs(np.abs(vals) - 1.0) <= 1e-8) == 2
+
+
+def test_krylov_basis_without_memory_is_a_spectral_error(markov, monkeypatch):
+    # the basis is reserved in one allocation; when that fails (8 GiB at
+    # n = 2^20 on an 8 GB machine) the caller gets a SpectralError
+    mat_t = transfer.ulam_matrix(markov, 30).matrix.transpose().tocsr()
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "empty", no_memory)
+    with pytest.raises(transfer.SpectralError, match="Krylov basis of 31 "):
+        transfer._krylov_top(mat_t, 4, np.random.default_rng(0))
 
 
 def test_spectrum_rejects_k_below_two(tripling):
