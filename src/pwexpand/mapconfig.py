@@ -13,7 +13,9 @@ Schema (version 1)::
     }
 
 `min_slope` and `holder_constant` are optional; when absent they are
-estimated by sampling at construction time.
+estimated by sampling at construction time.  This module checks the
+document (`v`, `epsilon`, a non-empty `branches` list); `make_map` checks
+each branch.
 """
 
 from __future__ import annotations
@@ -38,20 +40,7 @@ def map_from_config(doc) -> PiecewiseMap:
     branches = doc.get("branches")
     if not isinstance(branches, list) or not branches:
         raise ConfigError("map config needs a non-empty 'branches' list")
-    specs = []
-    for k, item in enumerate(branches):
-        if not isinstance(item, dict):
-            raise ConfigError(f"branch {k} must be an object")
-        for key in ("lo", "hi", "formula"):
-            if key not in item:
-                raise ConfigError(f"branch {k} is missing {key!r}")
-        spec = {"lo": item["lo"], "hi": item["hi"], "formula": item["formula"]}
-        if item.get("min_slope") is not None:
-            spec["min_slope"] = item["min_slope"]
-        if item.get("holder_constant") is not None:
-            spec["holder_constant"] = item["holder_constant"]
-        specs.append(spec)
-    return make_map(specs, epsilon=doc["epsilon"])
+    return make_map(branches, epsilon=doc["epsilon"])
 
 
 def map_to_config(pmap: PiecewiseMap) -> dict:

@@ -2,9 +2,10 @@
 
 A map is a finite list of monotone branches tiling [0,1], each given by a
 closed-form expression with Hölder-continuous derivative bounded away from
-1 in modulus.  Construction is lenient (anything that evaluates is
-accepted); `validate` is the gate that checks expansion, monotonicity and
-image containment and must pass before the map is used elsewhere.
+1 in modulus.  `make_map` checks the branch specs and samples each
+branch's derivative once; it accepts anything that evaluates.  `validate`
+judges those samples (expansion, monotonicity) and the images, and must
+pass before the map is used elsewhere.
 """
 
 from __future__ import annotations
@@ -23,9 +24,12 @@ INVERSE_TOL = 1e-12
 #: geometric snap tolerance for breakpoints and images
 _EDGE_TOL = 1e-9
 
+#: points at which make_map samples τ' on each branch
+BRANCH_SAMPLES = 512
+
 
 class ValidationError(ToolError):
-    """Expression evaluation failed while validating a branch."""
+    """A map failed `validate`; the report's violations are the message."""
 
 
 class OutOfImageError(ToolError):
@@ -52,14 +56,19 @@ class Branch:
     """One monotone piece of the map.
 
     `formula` is the source text, `expression` its parsed form.
-    `min_slope` is the effective s_i: the declared value when the config
-    supplies one, otherwise 0.999 times the sampled minimum of |τ'|.
+    `sampled_min_slope` is the minimum of |τ'| over the BRANCH_SAMPLES
+    points, and `sign_consistent` says whether τ' has the sign
+    `monotone_sign` at every one of them.  `min_slope` is the effective
+    s_i: the declared value when the config supplies one, otherwise 0.999
+    times `sampled_min_slope`.
     """
 
     domain: Interval
     formula: str
     expression: object
     monotone_sign: int
+    sampled_min_slope: float
+    sign_consistent: bool
     min_slope: float
     holder_constant: float
     image: Interval
@@ -89,9 +98,7 @@ class BranchReport:
     index: int
     formula: str
     observed_min_slope: float
-    declared_min_slope: float
     sign_consistent: bool
-    observed_image: tuple
     violations: tuple
 
 
@@ -126,12 +133,13 @@ def _config_number(value, where: str) -> float:
     return x
 
 
-def make_map(branch_specs, epsilon: float, construction_samples: int = 512) -> PiecewiseMap:
+def make_map(branch_specs, epsilon: float) -> PiecewiseMap:
     """Build a PiecewiseMap from branch specs.
 
     Each spec is a dict with keys ``lo``, ``hi``, ``formula`` and optional
     ``min_slope`` and ``holder_constant``.  Branches must tile [0,1] in
-    order.  No expansion/monotonicity check happens here — see `validate`.
+    order.  A malformed spec raises ConfigError; the expansion and
+    monotonicity of the samples are judged by `validate`.
     """
     if not branch_specs:
         raise ConfigError("map needs at least one branch")
@@ -142,6 +150,11 @@ def make_map(branch_specs, epsilon: float, construction_samples: int = 512) -> P
     # tile [0,1]: snap adjacent endpoints together and the extremes to 0, 1
     edges = [0.0]
     for k, spec in enumerate(branch_specs):
+        if not isinstance(spec, dict):
+            raise ConfigError(f"branch {k} must be an object")
+        for key in ("lo", "hi", "formula"):
+            if key not in spec:
+                raise ConfigError(f"branch {k} is missing {key!r}")
         lo = _config_number(spec["lo"], f"branch {k} 'lo'")
         hi = _config_number(spec["hi"], f"branch {k} 'hi'")
         if abs(lo - edges[-1]) > _EDGE_TOL:
@@ -161,11 +174,19 @@ def make_map(branch_specs, epsilon: float, construction_samples: int = 512) -> P
             tree = expr.parse(formula)
         except expr.ParseError as err:
             raise ConfigError(f"branch {k} formula {formula!r}: {err}") from err
-        xs = np.linspace(lo, hi, construction_samples)
+        decl_holder = spec.get("holder_constant")
+        if decl_holder is not None:
+            decl_holder = _config_number(decl_holder, f"branch {k} 'holder_constant'")
+            if decl_holder < 0.0:
+                raise ConfigError(
+                    f"branch {k} 'holder_constant' must be at least 0, got {decl_holder}")
+        xs = np.linspace(lo, hi, BRANCH_SAMPLES)
         try:
             vals, ders = expr.eval_with_derivative(tree, xs)
             v_lo = expr.evaluate(tree, lo)
             v_hi = expr.evaluate(tree, hi)
+            holder = (decl_holder if decl_holder is not None
+                      else _holder_from_samples(tree, lo, hi, epsilon, 256))
         except expr.EvalError as err:
             raise ConfigError(f"branch {k} ({formula!r}) fails to evaluate: {err}") from err
         if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(ders))):
@@ -180,18 +201,13 @@ def make_map(branch_specs, epsilon: float, construction_samples: int = 512) -> P
             declared = _config_number(declared, f"branch {k} 'min_slope'")
         min_slope = declared if declared is not None else 0.999 * sampled_min
 
-        decl_holder = spec.get("holder_constant")
-        if decl_holder is not None:
-            decl_holder = _config_number(decl_holder, f"branch {k} 'holder_constant'")
-        holder = (decl_holder if decl_holder is not None
-                  else _holder_from_samples(tree, lo, hi, epsilon, 256))
-
         a, b = _snap(float(v_lo)), _snap(float(v_hi))
         image = Interval(min(a, b), max(a, b))
         branches.append(Branch(
             domain=Interval(lo, hi), formula=formula, expression=tree,
-            monotone_sign=sign, min_slope=min_slope, holder_constant=holder,
-            image=image,
+            monotone_sign=sign, sampled_min_slope=sampled_min,
+            sign_consistent=bool(np.all(np.sign(ders) == sign)),
+            min_slope=min_slope, holder_constant=holder, image=image,
             declared_min_slope=declared, declared_holder=decl_holder))
 
     branches = tuple(branches)
@@ -206,29 +222,20 @@ def make_map(branch_specs, epsilon: float, construction_samples: int = 512) -> P
     )
 
 
-def validate(pmap: PiecewiseMap, samples_per_branch: int = 512) -> ValidationReport:
-    """Check every branch against the class conditions: |τ'| ≥ s_i > 1,
-    consistent monotonicity, image inside [0,1]."""
-    if samples_per_branch < 2:
-        raise ConfigError("samples_per_branch must be at least 2")
+def validate(pmap: PiecewiseMap) -> ValidationReport:
+    """Judge every branch's samples against the class conditions:
+    |τ'| ≥ s_i > 1, consistent monotonicity, image inside [0,1]."""
     reports = []
     for k, br in enumerate(pmap.branches):
-        xs = np.linspace(br.domain.lo, br.domain.hi, samples_per_branch)
-        try:
-            _, ders = expr.eval_with_derivative(br.expression, xs)
-        except expr.EvalError as err:
-            raise ValidationError(
-                f"branch {k} ({br.formula!r}) failed to evaluate: {err}") from err
         violations = []
-        observed_min = float(np.min(np.abs(ders)))
+        observed_min = br.sampled_min_slope
         if observed_min <= 1.0:
             violations.append(
                 f"slope {observed_min:.6g} is not greater than 1")
         elif observed_min < br.min_slope - _EDGE_TOL:
             violations.append(
                 f"observed min slope {observed_min:.6g} below declared {br.min_slope:.6g}")
-        signs_ok = bool(np.all(np.sign(ders) == br.monotone_sign))
-        if not signs_ok:
+        if not br.sign_consistent:
             violations.append("derivative changes sign on the branch")
         if br.image.lo < -_EDGE_TOL or br.image.hi > 1.0 + _EDGE_TOL:
             violations.append(
@@ -236,9 +243,7 @@ def validate(pmap: PiecewiseMap, samples_per_branch: int = 512) -> ValidationRep
         reports.append(BranchReport(
             index=k, formula=br.formula,
             observed_min_slope=observed_min,
-            declared_min_slope=br.min_slope,
-            sign_consistent=signs_ok,
-            observed_image=(br.image.lo, br.image.hi),
+            sign_consistent=br.sign_consistent,
             violations=tuple(violations)))
     accepted = all(not r.violations for r in reports)
     return ValidationReport(accepted=accepted, branch_reports=tuple(reports))

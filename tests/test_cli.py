@@ -348,6 +348,33 @@ def test_contracting_map_fails_validation(tmp_path, capsys):
     assert "failed validation" in capsys.readouterr().err
 
 
+def test_negative_declared_holder_constant_exits_one(tmp_path, capsys):
+    # a negative M would shrink beta and let alpha pass as admissible
+    doc = json.loads((ROOT / "pipebench" / "maps" / "nonlinear.json").read_text())
+    for branch in doc["branches"]:
+        branch.update(min_slope=1.37, holder_constant=-50)
+    cfg = tmp_path / "negative.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "ly.csv"
+    assert main(["ly", str(cfg), "--p", "1", "--A", "0.01",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: branch 0 'holder_constant' must be at least 0, got -50.0\n")
+    assert not out.exists()
+
+
+def test_holder_sampler_failure_names_the_branch(tmp_path, capsys):
+    # the pole at 1/2 misses the derivative samples but not the dyadic
+    # grid of the Hölder sampler
+    cfg = tmp_path / "pole.json"
+    cfg.write_text(json.dumps({
+        "v": 1, "epsilon": 1.0,
+        "branches": [{"lo": 0.0, "hi": 1.0, "formula": "1/(x - 0.5)"}]}))
+    assert main(["check-slope", str(cfg), "--p", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: branch 0 ('1/(x - 0.5)') fails to evaluate")
+
+
 def test_expression_error_exits_one(tmp_path, capsys):
     assert main(["var", "--f", "2*", "--q", "1", "--p", "1", "--A", "0.25",
                  "--grid", "64", "--out", str(tmp_path / "v.csv")]) == 1

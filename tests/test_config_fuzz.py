@@ -1,6 +1,7 @@
 """Regression guard for bad map configs: replacing any one field of a valid
-config with a value of the wrong kind must end in exit code 0 or 1 with a
-message, never in an exception escaping the CLI."""
+config with a value of the wrong kind, deleting a branch key, or replacing
+a whole branch must end in exit code 0 or 1 with a message, never in an
+exception escaping the CLI."""
 
 import json
 import math
@@ -36,7 +37,14 @@ def _mutated_docs(draw):
     where = draw(st.sampled_from(("v", "epsilon", "branches", "branch")))
     if where == "branch":
         k = draw(st.integers(0, len(doc["branches"]) - 1))
-        doc["branches"][k][draw(st.sampled_from(_BRANCH_KEYS))] = value
+        key = draw(st.sampled_from(_BRANCH_KEYS))
+        change = draw(st.sampled_from(("set", "delete", "replace")))
+        if change == "set":
+            doc["branches"][k][key] = value
+        elif change == "delete":
+            doc["branches"][k].pop(key, None)
+        else:
+            doc["branches"][k] = value
     else:
         doc[where] = value
     return doc

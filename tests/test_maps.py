@@ -1,6 +1,8 @@
 """Map construction, validation, Hölder estimation, branch inversion."""
 
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,12 +11,17 @@ import numpy as np
 import pytest
 
 import pwexpand
-from pwexpand import maps
+from pwexpand import expr, maps
 from pwexpand.errors import ConfigError
-from pwexpand.maps import (OutOfImageError, ValidationError, apply_map,
-                           branch_inverse, check_slope_condition,
-                           estimate_holder_constant, invert_branch_array,
-                           make_map, validate)
+from pwexpand.mapconfig import (dump_map_config, load_map, map_from_config,
+                                map_to_config)
+from pwexpand.maps import (OutOfImageError, apply_map, branch_inverse,
+                           check_slope_condition, estimate_holder_constant,
+                           invert_branch_array, make_map, validate)
+
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = ["configs/doubling.json", "configs/tripling.json", "configs/tent.json",
+           "configs/markov.json", "pipebench/maps/nonlinear.json"]
 
 
 # ------------------------------------------------------------ construction
@@ -33,12 +40,7 @@ def test_make_map_tripling_fields(tripling):
 def test_load_map_signs_without_numpy_ma():
     # a fresh interpreter, so no earlier test has imported numpy.ma; the
     # branch signs are those of the shipped maps (tent falls on [1/2, 1])
-    root = Path(__file__).resolve().parent.parent
-    expect = {"configs/doubling.json": [1, 1],
-              "configs/tripling.json": [1, 1, 1],
-              "configs/tent.json": [1, -1],
-              "configs/markov.json": [1, 1],
-              "pipebench/maps/nonlinear.json": [1, 1]}
+    expect = dict(zip(SHIPPED, ([1, 1], [1, 1, 1], [1, -1], [1, 1], [1, 1])))
     script = (
         "import sys\n"
         "from pwexpand.mapconfig import load_map\n"
@@ -47,7 +49,7 @@ def test_load_map_signs_without_numpy_ma():
         "print('numpy.ma' in sys.modules)\n")
     src = Path(pwexpand.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", script, *expect], cwd=root,
+    out = subprocess.run([sys.executable, "-c", script, *expect], cwd=ROOT,
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [str(v) for v in expect.values()] + ["False"]
@@ -84,9 +86,27 @@ def test_make_map_rejections():
                   {"lo": 0.0, "hi": 1.0, "formula": "x + 0"}], epsilon=1.0)
     with pytest.raises(ConfigError):  # unparseable formula
         make_map([{"lo": 0.0, "hi": 1.0, "formula": "2*"}], epsilon=1.0)
-    with pytest.raises(ConfigError):  # non-finite on the domain
-        make_map([{"lo": 0.0, "hi": 1.0, "formula": "1/(x - 0.5)"}],
-                 epsilon=1.0, construction_samples=513)
+    with pytest.raises(ConfigError, match="non-finite"):  # tau'(0) = inf
+        make_map([{"lo": 0.0, "hi": 1.0, "formula": "sqrt(x)"}], epsilon=1.0)
+    # the pole falls between the derivative samples but on the Hölder
+    # sampler's dyadic grid
+    with pytest.raises(ConfigError, match=r"branch 0 .* fails to evaluate"):
+        make_map([{"lo": 0.0, "hi": 1.0, "formula": "1/(x - 0.5)"}], epsilon=1.0)
+
+
+@pytest.mark.parametrize("branch, message", [
+    (3, "branch 1 must be an object"),
+    ([0.5, 1.0, "2*x - 1"], "branch 1 must be an object"),
+    ({"hi": 1.0, "formula": "2*x - 1"}, "branch 1 is missing 'lo'"),
+    ({"lo": 0.5, "formula": "2*x - 1"}, "branch 1 is missing 'hi'"),
+    ({"lo": 0.5, "hi": 1.0}, "branch 1 is missing 'formula'"),
+    ({"lo": 0.5, "hi": 1.0, "formula": "2*x - 1", "holder_constant": -50},
+     "branch 1 'holder_constant' must be at least 0, got -50.0"),
+])
+def test_make_map_rejects_malformed_branch(branch, message):
+    first = {"lo": 0.0, "hi": 0.5, "formula": "2*x"}
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        make_map([first, branch], epsilon=1.0)
 
 
 def test_min_slope_safety_factor():
@@ -101,7 +121,7 @@ def test_min_slope_safety_factor():
 # -------------------------------------------------------------- validation
 
 def test_validate_tripling_accepted(tripling):
-    report = validate(tripling, samples_per_branch=512)
+    report = validate(tripling)
     assert report.accepted
     assert report.violation_summary() == "no violations"
     for rep in report.branch_reports:
@@ -150,19 +170,52 @@ def test_validate_rejects_image_escape():
     assert "leaves [0,1]" in report.violation_summary()
 
 
-def test_validate_eval_failure_names_branch():
-    # pole at x = 0.25 falls strictly between construction samples but on a
-    # validation sample -> the error must identify the offending branch
-    m = make_map([{"lo": 0.0, "hi": 1.0, "formula": "1/(x - 0.25)",
-                   "min_slope": 1.5, "holder_constant": 0.0}],
-                 epsilon=1.0, construction_samples=3)
-    with pytest.raises(ValidationError, match="branch 0"):
-        validate(m, samples_per_branch=5)
+def test_pole_between_samples_is_rejected_by_its_image():
+    # with both constants declared nothing evaluates at x = 1/2, so the
+    # sampled slope misses the pole; the image [-2, 2] still fails
+    m = make_map([{"lo": 0.0, "hi": 1.0, "formula": "1/(x - 0.5)",
+                   "min_slope": 1.5, "holder_constant": 0.0}], epsilon=1.0)
+    assert m.branches[0].sampled_min_slope == pytest.approx(4.0)
+    assert validate(m).violation_summary() == (
+        "branch 0 ('1/(x - 0.5)'): image [-2, 2] leaves [0,1]")
 
 
-def test_validate_sample_count_guard(tripling):
-    with pytest.raises(ConfigError):
-        validate(tripling, samples_per_branch=1)
+def test_validate_evaluates_no_expression(monkeypatch):
+    # validate judges what make_map sampled; it evaluates nothing itself
+    m = make_map([{"lo": 0.0, "hi": 0.5, "formula": "2*x + 0.1*sin(2*pi*x)"},
+                  {"lo": 0.5, "hi": 1.0, "formula": "3*x - 1.5",
+                   "min_slope": 3.5}], epsilon=1.0)
+    before = validate(m)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate evaluated an expression")
+
+    monkeypatch.setattr(expr, "eval_with_derivative", refuse)
+    monkeypatch.setattr(expr, "evaluate", refuse)
+    assert validate(m) == before
+    assert "below declared" in before.violation_summary()
+
+
+# ------------------------------------------------------- config round trip
+
+@pytest.mark.parametrize("source", SHIPPED + ["sampled"])
+def test_config_round_trip_keeps_the_map(source):
+    if source == "sampled":  # both constants estimated, at epsilon = 1/2
+        m = make_map([{"lo": 0.0, "hi": 0.5, "formula": "2*x + 0.1*sin(2*pi*x)"},
+                      {"lo": 0.5, "hi": 1.0, "formula": "2 - 2*x"}], epsilon=0.5)
+    else:
+        m = load_map(ROOT / source)
+    back = map_from_config(map_to_config(m))
+    assert back.breakpoints == m.breakpoints
+    assert back.holder_exponent == m.holder_exponent
+    for b0, b1 in zip(m.branches, back.branches, strict=True):
+        assert b1.formula == b0.formula
+        assert b1.min_slope == b0.min_slope
+        assert b1.holder_constant == b0.holder_constant
+        assert b1.image == b0.image
+        assert b1.monotone_sign == b0.monotone_sign
+    text = dump_map_config(back)
+    assert dump_map_config(map_from_config(json.loads(text))) == text
 
 
 # ----------------------------------------------------- Hölder estimation
