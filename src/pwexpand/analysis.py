@@ -208,8 +208,8 @@ def _unique_invariant_density(pmap: PiecewiseMap, n: int) -> GridFunction:
     fixed point; disagreement or stalling means the unit eigenvalue is not
     simple."""
     op = ulam_matrix(pmap, n)
-    mat_t = op.matrix.transpose().tocsr()
-    h0, converged, residual, _ = power_iterate(mat_t, np.ones(n), 1e-13, 20000)
+    h0, converged, residual, _ = power_iterate(
+        op.apply_t, np.ones(n), 1e-13, 20000)
     if not converged and residual > 1e-9:
         raise AmbiguousMeasureError(
             f"power iteration stalled (residual {residual:g}); the invariant "
@@ -217,7 +217,8 @@ def _unique_invariant_density(pmap: PiecewiseMap, n: int) -> GridFunction:
     rng = np.random.default_rng(1234)
     for _ in range(2):
         start = 0.5 + rng.random(n)
-        h, _, _, _ = power_iterate(mat_t, start / np.mean(start), 1e-13, 20000)
+        h, _, _, _ = power_iterate(
+            op.apply_t, start / np.mean(start), 1e-13, 20000)
         if float(np.mean(np.abs(h - h0))) > 1e-6:
             raise AmbiguousMeasureError(
                 "different starting densities reach different fixed points; "

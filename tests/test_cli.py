@@ -48,9 +48,9 @@ def test_console_script_runs():
 
 
 def test_scipy_is_imported_only_where_it_is_called():
-    # importing the CLI loads none of these scipy modules; an oscillation
-    # profile loads none either, the first Ulam matrix loads scipy.sparse,
-    # and a dense spectrum still leaves scipy.sparse.linalg unloaded
+    # importing the CLI, an oscillation profile, an Ulam matrix, its
+    # density and a dense spectrum load none of these scipy modules; an
+    # iterative spectrum loads scipy.sparse and scipy.sparse.linalg
     script = (
         "import sys\n"
         "import pwexpand.cli\n"
@@ -62,17 +62,21 @@ def test_scipy_is_imported_only_where_it_is_called():
         "from pwexpand.mapconfig import load_map\n"
         "grid.variation(grid.GridFunction.of([0.0, 1.0, 0.0, 1.0]), 1.0, 1.0, 0.5)\n"
         "print(loaded())\n"
-        f"op = transfer.ulam_matrix(load_map({DOUBLING!r}), 4)\n"
+        f"pmap = load_map({MARKOV!r})\n"
+        "op = transfer.ulam_matrix(pmap, 300)\n"
+        "transfer.invariant_density(op)\n"
         "print(loaded())\n"
         "transfer.spectrum(op, 2)\n"
+        "print(loaded())\n"
+        "transfer.spectrum(transfer.ulam_matrix(pmap, transfer.DENSE_EIG_LIMIT + 1), 2)\n"
         "print(loaded())\n")
     src = Path(pwexpand.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", script],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == ("[False, False, False]\n[False, False, False]\n"
-                          "[False, True, False]\n[False, True, False]\n")
+    assert out.stdout == ("[False, False, False]\n" * 4
+                          + "[False, True, True]\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -83,7 +87,14 @@ def test_scipy_is_imported_only_where_it_is_called():
     ["iterates", TRIPLING, "--f", "x", "--p", "1", "--A", "0.125", "--n", "3",
      "--grid", "81", "--out", "iterates.csv"],
     ["ly", TRIPLING, "--p", "1", "--A", "0.125", "--auto-L", "--out", "ly.csv"],
-], ids=["var", "ly-verify", "iterates", "ly-auto-L"])
+    # these build an Ulam matrix; 300 bins is a dense spectrum
+    ["density", MARKOV, "--bins", "300", "--no-plot", "--out", "density.csv"],
+    ["correlate", TRIPLING, "--f", "x", "--g", "x", "--N", "4", "--grid", "243",
+     "--wrt", "invariant", "--no-plot", "--out", "correlation.csv"],
+    ["spectrum", MARKOV, "--bins", "300", "--top", "2", "--no-plot",
+     "--out", "spectrum.csv"],
+], ids=["var", "ly-verify", "iterates", "ly-auto-L", "density",
+        "correlate-invariant", "spectrum-dense"])
 def test_variation_subcommands_load_no_scipy(argv, tmp_path):
     # a fresh interpreter, so no earlier test has loaded scipy already
     script = (
@@ -346,6 +357,29 @@ def test_contracting_map_fails_validation(tmp_path, capsys):
         "branches": [{"lo": 0.0, "hi": 1.0, "formula": "0.5*x"}]}))
     assert main(["check-slope", str(cfg), "--p", "1"]) == 1
     assert "failed validation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--bins", "64", "--out", "spectrum.csv"],
+    ["density", "--bins", "64", "--out", "density.csv"],
+], ids=["spectrum", "density"])
+def test_declared_slope_not_above_one_exits_one(argv, tmp_path, capsys):
+    # the sampled slopes are 2, so only the declared s_i = -3 is wrong;
+    # accepted, it would give 1/s_min = -1/3
+    doc = json.loads(Path(DOUBLING).read_text())
+    for branch in doc["branches"]:
+        branch["min_slope"] = -3
+    cfg = tmp_path / "negative.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / argv[-1]
+    assert main([argv[0], str(cfg), *argv[1:-1], str(out), "--no-plot"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: map {cfg} failed validation: "
+        "branch 0 ('2*x'): declared min slope -3 is not greater than 1; "
+        "branch 1 ('2*x - 1'): declared min slope -3 is not greater than 1\n")
+    assert not out.exists()
 
 
 def test_negative_declared_holder_constant_exits_one(tmp_path, capsys):

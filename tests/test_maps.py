@@ -151,6 +151,17 @@ def test_validate_rejects_slope_below_declared():
     assert "below declared" in report.violation_summary()
 
 
+@pytest.mark.parametrize("declared", [1.0, 0.5, -3.0])
+def test_validate_rejects_declared_slope_not_above_one(declared):
+    # the samples (slope 2) pass; the declared s_i would be used as 1/s_min
+    m = make_map([{"lo": 0.0, "hi": 0.5, "formula": "2*x", "min_slope": declared},
+                  {"lo": 0.5, "hi": 1.0, "formula": "2*x - 1"}], epsilon=1.0)
+    report = validate(m)
+    assert not report.accepted
+    assert report.violation_summary() == (
+        f"branch 0 ('2*x'): declared min slope {declared:.6g} is not greater than 1")
+
+
 def test_validate_rejects_sign_change():
     # tent-like single branch with an interior critical point
     m = make_map([{"lo": 0.0, "hi": 1.0,

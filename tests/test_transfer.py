@@ -182,6 +182,20 @@ def test_ulam_matrix_bytes_match_bin_by_bin_assembly(path, n):
         assert a.tobytes() == b.tobytes(), name
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 301, 1000, 4500])
+@pytest.mark.parametrize("path", ULAM_MAPS, ids=lambda p: Path(p).stem)
+def test_ulam_transpose_actions_match_the_reference_csr(path, n):
+    # apply_t (power iteration) and dense_t (dense spectrum) against the
+    # CSR matvec and toarray of the bin-by-bin reference, bit for bit
+    pmap = load_map(path)
+    op = transfer.ulam_matrix(pmap, n)
+    want = _reference_ulam_csr(pmap, n)
+    h = np.random.default_rng(n).random(n)
+    assert op.apply_t(h).tobytes() == (want.transpose().tocsr() @ h).tobytes()
+    if n <= transfer.DENSE_EIG_LIMIT:
+        assert op.dense_t().tobytes() == want.toarray().T.tobytes()
+
+
 # ------------------------------------------------------- invariant_density
 
 def test_invariant_density_tripling_uniform(tripling):
