@@ -109,20 +109,20 @@ def cmd_spectrum(args) -> int:
     op = transfer.ulam_matrix(pmap, args.bins)
     report = transfer.spectrum(op, args.top)
     serialize.write_text_atomic(args.out, serialize.spectral_csv(report))
-    print(f"unit multiplicity {report.unit_multiplicity}, spectral gap "
-          f"{serialize.fmt(report.spectral_gap)} -> {args.out}")
+    gap = serialize.fmt(report.spectral_gap)
+    if report.gap_is_bound:
+        gap = (f">= {gap} (bound: no eigenvalue inside the unit circle is "
+               "resolved)")
+    print(f"unit multiplicity {report.unit_multiplicity}, spectral gap {gap} "
+          f"-> {args.out}")
     # Ulam eigenvalues inside the essential radius bound 1/s_min depend on
-    # the discretization and are not resolved eigenvalues of the operator;
-    # a modulus within 1e-8 of the bound (rounding noise) counts as inside
-    r_ess = 1.0 / pmap.min_slope_global
-    outside = sum(1 for lam in report.eigenvalues if abs(lam) > r_ess + 1e-8)
-    print(f"1/s_min = {serialize.fmt(r_ess)}; {outside} of "
-          f"{len(report.eigenvalues)} reported eigenvalues lie outside it")
-    if report.solver == "dense":
-        print("eigensolver: dense")
-    else:
-        print(f"eigensolver: {report.solver}; ARPACK converged "
-              f"{report.converged} of {len(report.eigenvalues)}")
+    # the discretization and are not resolved eigenvalues of the operator
+    resolved = int(report.resolved.sum())
+    rest = len(report.eigenvalues) - resolved
+    print(f"r_ess = 1/s_min = {serialize.fmt(report.r_ess)}; {resolved} of "
+          f"{len(report.eigenvalues)} eigenvalues resolved (|lambda| > "
+          f"r_ess + 1e-8), {rest} not separated from the essential spectrum")
+    print(f"eigensolver: {report.solver}")
     _plot(args, plotting.spectrum_plot, report)
     return 0
 

@@ -223,9 +223,9 @@ def make_map(branch_specs, epsilon: float) -> PiecewiseMap:
 
 
 def validate(pmap: PiecewiseMap) -> ValidationReport:
-    """Judge every branch's samples and declared slope against the class
-    conditions: |τ'| ≥ s_i > 1, consistent monotonicity, image inside
-    [0,1]."""
+    """Judge every branch's samples and its stored s_i (declared, or 0.999
+    times the sampled minimum) against the class conditions: |τ'| ≥ s_i > 1,
+    consistent monotonicity, image inside [0,1]."""
     reports = []
     for k, br in enumerate(pmap.branches):
         violations = []
@@ -233,9 +233,11 @@ def validate(pmap: PiecewiseMap) -> ValidationReport:
         if observed_min <= 1.0:
             violations.append(
                 f"slope {observed_min:.6g} is not greater than 1")
-        elif br.declared_min_slope is not None and br.declared_min_slope <= 1.0:
+        elif br.min_slope <= 1.0:
+            kind = ("declared" if br.declared_min_slope is not None
+                    else "effective (0.999 x sampled)")
             violations.append(
-                f"declared min slope {br.declared_min_slope:.6g} is not greater than 1")
+                f"{kind} min slope {br.min_slope:.6g} is not greater than 1")
         elif observed_min < br.min_slope - _EDGE_TOL:
             violations.append(
                 f"observed min slope {observed_min:.6g} below declared {br.min_slope:.6g}")

@@ -52,7 +52,8 @@ def spectrum_plot(report, path) -> bool:
     ax.set_xlabel("Re")
     ax.set_ylabel("Im")
     ax.set_aspect("equal")
-    ax.set_title(f"leading eigenvalues (gap {report.spectral_gap:.4g})")
+    rel = "≥ " if report.gap_is_bound else ""
+    ax.set_title(f"leading eigenvalues (gap {rel}{report.spectral_gap:.4g})")
     _save_atomic(fig, path)
     return True
 

@@ -107,8 +107,14 @@ def read_grid_function_csv(text: str) -> GridFunction:
 
 def spectral_csv(report) -> str:
     lam = np.asarray(report.eigenvalues, dtype=complex)
+    # the resolved values (|λ| > r_ess + 1e-8) are the first rows
+    head = (f"r_ess={fmt(report.r_ess)}"
+            f" resolved_rows={int(np.sum(report.resolved))}"
+            f" spectral_gap={fmt(report.spectral_gap)}"
+            f" gap={'bound' if report.gap_is_bound else 'measured'}")
     # np.hypot rounds as Python's abs(complex) does; np.abs does not
-    return _table("re,im,modulus", lam.real, lam.imag, np.hypot(lam.real, lam.imag))
+    return _table("re,im,modulus", lam.real, lam.imag,
+                  np.hypot(lam.real, lam.imag), comments=(head,))
 
 
 def ly_constants_csv(c) -> str:

@@ -8,28 +8,25 @@ preimages of the bin edges, so its rows are stochastic to rounding error,
 not to Monte-Carlo error.  `spectrum` returns eigenvalues only; the
 density comes from `invariant_density`.
 
-Eigensolve policy of `spectrum`.  Up to ``DENSE_EIG_LIMIT`` (4096) bins
-the whole Ulam spectrum comes from a dense ``eigvals``.  Above it, one
-ARPACK call (implicitly restarted Arnoldi, default ``ncv``) looks for the
-top k from a fixed random start vector with at most ``_ARPACK_MAXITER``
-restarts; a constant start is Pᵀ's fixed vector for the doubly stochastic
-maps and breaks down at once.  ARPACK cannot separate the wanted values
-from a cluster of tied moduli wider than its ``ncv`` (the tent matrix has
-about n/8 eigenvalues on |λ| = 1/2), so when it converges fewer than k an
-unrestarted Arnoldi basis takes over: one array of ``KRYLOV_MAX_DIM`` + 1
-rows, reserved up front and written a row at a time.  It grows by
-max(64, m/4) vectors per step and stops once every top-k Ritz residual
-|h_{m+1,m} y_m| is at most ``_RITZ_TOL``; at ``KRYLOV_MAX_DIM`` vectors,
-or when k exceeds that cap, `spectrum` raises `SpectralError`.
+Eigensolve policy of `spectrum`.  P is quasi-compact with essential
+spectral radius at most r_ess = 1/s_min (stored on `UlamOperator`), and
+Ulam eigenvalues inside r_ess move with n (Keller–Liverani), so a value is
+resolved when it has converged and |λ| > r_ess + 1e-8.  Up to
+``DENSE_EIG_LIMIT`` (4096) bins a dense ``eigvals`` gives the whole Ulam
+spectrum.  Above it, `_krylov_top` builds an unrestarted Arnoldi basis on
+``apply_t`` from a fixed random start vector (a constant start is Pᵀ's
+fixed vector for the doubly stochastic maps and breaks down at once).  It
+grows by max(64, m/4) vectors per step and stops once every top-k Ritz
+value outside r_ess + 1e-8 has residual |h_{m+1,m} y_m| ≤ ``_RITZ_TOL``;
+the Ritz values inside are returned unresolved.  At ``KRYLOV_MAX_DIM``
+vectors, or when k exceeds that cap, `spectrum` raises `SpectralError`.
 
 `ulam_matrix` returns the Ulam matrix as numpy (row, col, value) triplets.
-`UlamOperator.apply_t` applies Pᵀ with one ``np.bincount``, which is all
-`invariant_density` needs, and the dense eigensolve scatters the triplets
-into an n × n array, so neither loads scipy.  ``scipy.sparse`` and
-``scipy.sparse.linalg`` are imported only by `spectrum`'s iterative branch,
-whose ARPACK and Krylov matvecs run on a scipy CSR Pᵀ (2–3× faster per call
-than the bincount, over thousands of calls), and by `UlamOperator.matrix`,
-a CSR view for callers that want one.
+`UlamOperator.apply_t` applies Pᵀ with one ``np.bincount``, and the dense
+eigensolve scatters the triplets into an n × n array, so neither
+`invariant_density` nor `spectrum` loads scipy.  ``scipy.sparse`` is
+imported only by `UlamOperator.matrix`, a CSR view for callers that want
+one.
 """
 
 from __future__ import annotations
@@ -65,12 +62,14 @@ class SpectralError(ToolError):
 @dataclass(frozen=True, eq=False)
 class UlamOperator:
     """Ulam matrix P on n bins as triplets sorted by (row, col), one per
-    nonzero entry: P[i, j] = m(B_i ∩ τ⁻¹B_j)/m(B_i)."""
+    nonzero entry: P[i, j] = m(B_i ∩ τ⁻¹B_j)/m(B_i), and the essential
+    spectral radius bound r_ess = 1/s_min of the map's operator."""
 
     n: int
     rows: np.ndarray  # int64, source bin i
     cols: np.ndarray  # int64, target bin j
     vals: np.ndarray  # float64
+    r_ess: float
 
     def apply_t(self, h: np.ndarray) -> np.ndarray:
         """Pᵀh.  Each entry adds its terms to 0.0 in ascending row order,
@@ -98,10 +97,12 @@ class UlamOperator:
 @dataclass(frozen=True, eq=False)
 class SpectralReport:
     eigenvalues: np.ndarray  # complex, sorted by decreasing modulus
+    resolved: np.ndarray     # bool per eigenvalue: converged, |λ| > r_ess + 1e-8
     unit_multiplicity: int
-    spectral_gap: float
-    solver: str = "dense"  # "dense", "arpack" or "krylov m=<basis size>"
-    converged: int = 0     # eigenvalues ARPACK converged; 0 on the dense path
+    spectral_gap: float      # 1 - largest resolved modulus below 1, or a bound
+    gap_is_bound: bool       # no such modulus: spectral_gap is the lower bound
+    r_ess: float
+    solver: str = "dense"    # "dense" or "krylov m=<basis size>"
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,12 +203,16 @@ def ulam_matrix(pmap: PiecewiseMap, n: int) -> UlamOperator:
     row_sums = np.zeros(n)
     row_sums[rows[starts]] = np.add.reduceat(vals, starts)
     worst = float(np.max(np.abs(row_sums - 1.0)))
-    if worst > 1e-12:
+    # a row telescopes to the bin width ((i+1)/n - i/n)·n, on which the
+    # rounded edges alone put up to ~n·eps (1.2e-12 at n = 10⁴)
+    if worst > max(1e-12, 4 * n * np.finfo(float).eps):
         bad = int(np.argmax(np.abs(row_sums - 1.0)))
         raise AssemblyError(
-            f"row {bad} sums to {row_sums[bad]!r} (off by {worst:g}); "
+            f"row {bad} sums to {float(row_sums[bad])!r} (off by {worst:g}); "
             "branch images may not cover the bin")
-    return UlamOperator(n=n, rows=rows, cols=cols, vals=vals)
+    s = pmap.min_slope_global
+    return UlamOperator(n=n, rows=rows, cols=cols, vals=vals,
+                        r_ess=1.0 / s if s > 0 else math.inf)
 
 
 def power_iterate(apply_t, h0: np.ndarray, tol: float, max_iters: int):
@@ -248,28 +253,31 @@ def invariant_density(op: UlamOperator, tol: float = 1e-12,
 
 # dense eigensolve cutoff; above this only the top-k, iteratively
 DENSE_EIG_LIMIT = 4096
-# ARPACK restarts before the Krylov fallback takes over
-_ARPACK_MAXITER = 1000
-# largest Krylov basis the fallback builds, in vectors of length n
+# largest Krylov basis the iterative eigensolve builds, in vectors of length n
 KRYLOV_MAX_DIM = 1024
 # Ritz residual |h_{m+1,m} y_m| below which a Ritz pair counts as converged;
 # a new basis vector shorter than this is a breakdown
 _RITZ_TOL = 1e-12
 
 _UNIT_TOL = 1e-8
+# a modulus within this of r_ess (rounding noise) counts as inside it
+_ESS_MARGIN = 1e-8
 
 
-def _krylov_top(mat_t, k: int, rng: np.random.Generator):
-    """Top-k eigenvalues of `mat_t` from an unrestarted Arnoldi basis that
-    grows by max(64, m/4) vectors per step until every top-k Ritz residual
-    |h_{m+1,m} y_m| is at most _RITZ_TOL; returns (values, basis size m).
+def _krylov_top(op: UlamOperator, k: int, r_ess: float,
+                rng: np.random.Generator):
+    """Top-k eigenvalues of Pᵀ from an unrestarted Arnoldi basis on
+    `op.apply_t` that grows by max(64, m/4) vectors per step until every
+    top-k Ritz value of modulus above r_ess + 1e-8 has residual
+    |h_{m+1,m} y_m| at most _RITZ_TOL; returns (values, basis size m).
+    With r_ess = 0 every top-k value converges.
 
     A breakdown means the basis spans an invariant subspace.  That
     subspace holds one eigenvector per eigenvalue at most, so a repeated
     top eigenvalue (two ergodic components) would be reported once: a
     random vector orthogonal to the basis continues it, until the basis
     spans all of R^n."""
-    n = mat_t.shape[0]
+    n = op.n
     cap = min(KRYLOV_MAX_DIM, n)
     try:
         # basis vectors as rows; a page is used only once its row is written
@@ -286,11 +294,11 @@ def _krylov_top(mat_t, k: int, rng: np.random.Generator):
         if m >= cap:
             raise SpectralError(
                 f"iterative eigensolve failed: the Krylov basis reached its "
-                f"cap of {cap} vectors before the top {k} Ritz "
-                f"values converged (largest residual {worst:.3g})")
+                f"cap of {cap} vectors before the top {k} Ritz values outside "
+                f"r_ess = {r_ess:.6g} converged (largest residual {worst:.3g})")
         size = min(m + max(64, m // 4), cap)
         while m < size:
-            w = mat_t @ basis[m]
+            w = op.apply_t(basis[m])
             for _ in range(2):  # classical Gram–Schmidt, twice
                 c = basis[:m + 1] @ w
                 w -= c @ basis[:m + 1]
@@ -311,15 +319,18 @@ def _krylov_top(mat_t, k: int, rng: np.random.Generator):
             continue
         theta, vecs = np.linalg.eig(hess[:m, :m])
         top = np.argsort(-np.abs(theta), kind="stable")[:k]
-        worst = float(np.max(np.abs(hess[m, m - 1] * vecs[m - 1, top])))
+        outside = top[np.abs(theta[top]) > r_ess + _ESS_MARGIN]
+        worst = float(np.max(np.abs(hess[m, m - 1] * vecs[m - 1, outside]),
+                             initial=0.0))
         if worst <= _RITZ_TOL:
             return theta[top], m
 
 
 def spectrum(op: UlamOperator, k: int) -> SpectralReport:
-    """Top-k eigenvalues by modulus, unit-circle multiplicity and spectral
-    gap; the module docstring says which eigensolver runs.  The invariant
-    density comes from `invariant_density`."""
+    """Top-k eigenvalues by modulus with their resolved flags, unit-circle
+    multiplicity and spectral gap; the module docstring says which
+    eigensolver runs and what counts as resolved.  The invariant density
+    comes from `invariant_density`."""
     if k < 2:
         raise ConfigError(f"need k >= 2 eigenvalues, got {k}")
     n = op.n
@@ -328,7 +339,7 @@ def spectrum(op: UlamOperator, k: int) -> SpectralReport:
             vals = np.linalg.eigvals(op.dense_t())
         except np.linalg.LinAlgError as err:
             raise SpectralError(f"dense eigensolve failed: {err}") from err
-        solver, arpack_converged = "dense", 0
+        solver = "dense"
     else:
         if k > KRYLOV_MAX_DIM:
             raise SpectralError(
@@ -336,18 +347,8 @@ def spectrum(op: UlamOperator, k: int) -> SpectralReport:
                 f"DENSE_EIG_LIMIT = {DENSE_EIG_LIMIT} bins the iterative "
                 f"eigensolve returns at most KRYLOV_MAX_DIM = "
                 f"{KRYLOV_MAX_DIM}")
-        from scipy.sparse.linalg import ArpackNoConvergence, eigs
-
-        mat_t = op.matrix.transpose().tocsr()
-        rng = np.random.default_rng(0)
-        try:
-            vals = eigs(mat_t, k=min(k, n - 2), which="LM", v0=rng.random(n),
-                        maxiter=_ARPACK_MAXITER, return_eigenvectors=False)
-            solver, arpack_converged = "arpack", len(vals)
-        except ArpackNoConvergence as err:
-            arpack_converged = len(err.eigenvalues)
-            vals, m = _krylov_top(mat_t, k, rng)
-            solver = f"krylov m={m}"
+        vals, m = _krylov_top(op, k, op.r_ess, np.random.default_rng(0))
+        solver = f"krylov m={m}"
     moduli = np.abs(vals)
     order = np.argsort(-moduli, kind="stable")
     eigvals = vals[order]
@@ -356,14 +357,24 @@ def spectrum(op: UlamOperator, k: int) -> SpectralReport:
     if abs(moduli[0] - 1.0) > _UNIT_TOL:
         raise SpectralError(
             f"leading eigenvalue {eigvals[0]!r} is not on the unit circle")
-    below = moduli[moduli < moduli[0] - _UNIT_TOL]
-    gap = float(1.0 - below[0]) if below.size else 0.0
+    # every computed value outside r_ess has converged (dense: all of them)
+    resolved = moduli > op.r_ess + _ESS_MARGIN
+    below = moduli[resolved & (moduli < moduli[0] - _UNIT_TOL)]
+    # with none, a lower bound: 1 - r_ess, or 0 when every computed value
+    # is on the unit circle and what lies past the last of them is unknown
+    gap_is_bound = below.size == 0
+    if not gap_is_bound:
+        gap = float(1.0 - below[0])
+    else:
+        gap = 0.0 if resolved.all() else max(0.0, 1.0 - op.r_ess)
     return SpectralReport(
         eigenvalues=eigvals[:k],
+        resolved=resolved[:k],
         unit_multiplicity=unit_mult,
         spectral_gap=gap,
-        solver=solver,
-        converged=arpack_converged)
+        gap_is_bound=gap_is_bound,
+        r_ess=op.r_ess,
+        solver=solver)
 
 
 def iterate_norm_series(pmap: PiecewiseMap, f: GridFunction, p: float,

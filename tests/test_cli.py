@@ -49,8 +49,8 @@ def test_console_script_runs():
 
 def test_scipy_is_imported_only_where_it_is_called():
     # importing the CLI, an oscillation profile, an Ulam matrix, its
-    # density and a dense spectrum load none of these scipy modules; an
-    # iterative spectrum loads scipy.sparse and scipy.sparse.linalg
+    # density and a spectrum on either side of DENSE_EIG_LIMIT load none of
+    # these scipy modules; only the CSR view UlamOperator.matrix does
     script = (
         "import sys\n"
         "import pwexpand.cli\n"
@@ -69,14 +69,16 @@ def test_scipy_is_imported_only_where_it_is_called():
         "transfer.spectrum(op, 2)\n"
         "print(loaded())\n"
         "transfer.spectrum(transfer.ulam_matrix(pmap, transfer.DENSE_EIG_LIMIT + 1), 2)\n"
+        "print(loaded())\n"
+        "op.matrix\n"
         "print(loaded())\n")
     src = Path(pwexpand.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", script],
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == ("[False, False, False]\n" * 4
-                          + "[False, True, True]\n")
+    assert out.stdout == ("[False, False, False]\n" * 5
+                          + "[False, True, False]\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -186,24 +188,35 @@ def test_spectrum_reports_ergodic_components(tmp_path, capsys):
                  "--no-plot", "--out", str(out)]) == 0
     assert "unit multiplicity 2" in capsys.readouterr().out
     lines = out.read_text().splitlines()
-    assert lines[0] == "re,im,modulus"
-    assert len(lines) == 7
-    assert float(lines[1].split(",")[2]) == pytest.approx(1.0, abs=1e-8)
+    # undeclared slopes: s_i = 0.999 * 2
+    r_ess = 1.0 / (0.999 * 2.0)
+    assert lines[0] == (f"# r_ess={serialize.fmt(r_ess)} resolved_rows=2 "
+                        f"spectral_gap={serialize.fmt(1.0 - r_ess)} gap=bound")
+    assert lines[1] == "re,im,modulus"
+    assert len(lines) == 8
     assert float(lines[2].split(",")[2]) == pytest.approx(1.0, abs=1e-8)
+    assert float(lines[3].split(",")[2]) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_spectrum_counts_eigenvalues_outside_the_essential_radius(
         tmp_path, capsys):
     # the 64-bin doubling Ulam matrix has spectrum {1} and rounding noise;
     # the 301-bin tent matrix has seven moduli 1/2 + O(1e-13) after the
-    # unit eigenvalue.  Either way only 1 lies outside 1/s_min = 1/2
+    # unit eigenvalue.  Either way only 1 lies outside 1/s_min = 1/2, and
+    # the gap is the bound 1 - 1/2
     out = tmp_path / "spec.csv"
     for cfg, bins in ((DOUBLING, "64"), (str(CONFIGS / "tent.json"), "301")):
         assert main(["spectrum", cfg, "--bins", bins, "--top", "8",
                      "--no-plot", "--out", str(out)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[1] == ("1/s_min = 0.5; 1 of 8 reported eigenvalues lie "
-                            "outside it")
+        assert lines[0] == (
+            f"unit multiplicity 1, spectral gap >= 0.5 (bound: no eigenvalue "
+            f"inside the unit circle is resolved) -> {out}")
+        assert lines[1] == (
+            "r_ess = 1/s_min = 0.5; 1 of 8 eigenvalues resolved (|lambda| > "
+            "r_ess + 1e-8), 7 not separated from the essential spectrum")
+        assert out.read_text().splitlines()[0] == (
+            "# r_ess=0.5 resolved_rows=1 spectral_gap=0.5 gap=bound")
 
 
 def test_spectrum_prints_its_eigensolver(tmp_path, capsys, monkeypatch):
@@ -212,15 +225,13 @@ def test_spectrum_prints_its_eigensolver(tmp_path, capsys, monkeypatch):
     assert main(["spectrum", tent, "--bins", "301", "--top", "8",
                  "--no-plot", "--out", str(out)]) == 0
     assert capsys.readouterr().out.splitlines()[2] == "eigensolver: dense"
-    # the same matrix through the iterative path: ARPACK cannot split the
-    # tied moduli 1/2, so the Krylov basis reports them
+    # the same matrix through the iterative path, which names its basis size
     monkeypatch.setattr(transfer, "DENSE_EIG_LIMIT", 100)
     assert main(["spectrum", tent, "--bins", "301", "--top", "8",
                  "--no-plot", "--out", str(out)]) == 0
     line = capsys.readouterr().out.splitlines()[2]
-    assert re.fullmatch(r"eigensolver: krylov m=\d+; ARPACK converged [0-7] "
-                        r"of 8", line)
-    assert len(out.read_text().splitlines()) == 9
+    assert re.fullmatch(r"eigensolver: krylov m=\d+", line)
+    assert len(out.read_text().splitlines()) == 10
 
 
 def test_spectrum_krylov_cap_exits_one(tmp_path, capsys, monkeypatch):
@@ -379,6 +390,28 @@ def test_declared_slope_not_above_one_exits_one(argv, tmp_path, capsys):
         f"error: map {cfg} failed validation: "
         "branch 0 ('2*x'): declared min slope -3 is not greater than 1; "
         "branch 1 ('2*x - 1'): declared min slope -3 is not greater than 1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--bins", "64", "--no-plot", "--out", "spectrum.csv"],
+    ["check-slope", "--p", "1"],
+], ids=["spectrum", "check-slope"])
+def test_effective_slope_not_above_one_exits_one(argv, tmp_path, capsys):
+    # sampled slope 1.0005, so the effective s_i = 0.999 * 1.0005 <= 1 and
+    # r_ess > 1: no eigenvalue could be resolved
+    cfg = tmp_path / "flat.json"
+    cfg.write_text(json.dumps({
+        "v": 1, "epsilon": 1.0,
+        "branches": [{"lo": 0.0, "hi": 0.5, "formula": "1.0005*x"},
+                     {"lo": 0.5, "hi": 1.0, "formula": "1.0005*x - 0.0005"}]}))
+    out = tmp_path / "spectrum.csv"
+    argv = [str(out) if a == out.name else a for a in argv]
+    assert main([argv[0], str(cfg), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: map {cfg} failed validation: "
+                                   "branch 0 ('1.0005*x'): effective")
     assert not out.exists()
 
 

@@ -162,6 +162,21 @@ def test_validate_rejects_declared_slope_not_above_one(declared):
         f"branch 0 ('2*x'): declared min slope {declared:.6g} is not greater than 1")
 
 
+def test_validate_rejects_effective_slope_not_above_one():
+    # the sampled slope 1.0005 passes, but the stored s_i = 0.999 * 1.0005
+    # is what 1/s_min and every constant use
+    m = make_map([{"lo": 0.0, "hi": 0.5, "formula": "1.0005*x"},
+                  {"lo": 0.5, "hi": 1.0, "formula": "1.0005*x - 0.0005"}],
+                 epsilon=1.0)
+    assert m.branches[0].sampled_min_slope == pytest.approx(1.0005)
+    report = validate(m)
+    assert not report.accepted
+    assert report.violation_summary() == "; ".join(
+        f"branch {k} ('{f}'): effective (0.999 x sampled) min slope "
+        f"{0.999 * 1.0005:.6g} is not greater than 1"
+        for k, f in enumerate(("1.0005*x", "1.0005*x - 0.0005")))
+
+
 def test_validate_rejects_sign_change():
     # tent-like single branch with an interior critical point
     m = make_map([{"lo": 0.0, "hi": 1.0,

@@ -46,7 +46,11 @@ def oracle_grid_function(f):
 
 
 def oracle_spectral(report):
-    lines = ["re,im,modulus"]
+    lines = [f"# r_ess={fmt(report.r_ess)} "
+             f"resolved_rows={sum(map(bool, report.resolved))} "
+             f"spectral_gap={fmt(report.spectral_gap)} "
+             f"gap={'bound' if report.gap_is_bound else 'measured'}",
+             "re,im,modulus"]
     for lam in report.eigenvalues:
         lam = complex(lam)
         lines.append(f"{fmt(lam.real)},{fmt(lam.imag)},{fmt(abs(lam))}")
@@ -135,21 +139,26 @@ def _abs_mismatches():
     return bad[:300]
 
 
+def _spectral_report(lam, resolved_rows, gap_is_bound):
+    return SimpleNamespace(
+        eigenvalues=lam, resolved=np.arange(len(lam)) < resolved_rows,
+        r_ess=1.0 / 3.0, spectral_gap=0.1, gap_is_bound=gap_is_bound)
+
+
 @pytest.mark.parametrize("n", ROWS)
 def test_spectral_csv(n):
     lam = _values(n, 3) + 1j * _values(n, 4)[::-1]
     k = min(64, n // 2)
     lam[n - k:] = _abs_mismatches()[:k]
-    report = SimpleNamespace(eigenvalues=lam)
+    report = _spectral_report(lam, n // 3, gap_is_bound=n == 0)
     assert serialize.spectral_csv(report) == oracle_spectral(report)
 
 
 def test_spectral_csv_modulus_is_pythons_abs():
-    lam = _abs_mismatches()
-    text = serialize.spectral_csv(SimpleNamespace(eigenvalues=lam))
-    assert text == oracle_spectral(SimpleNamespace(eigenvalues=lam))
+    report = _spectral_report(_abs_mismatches(), 1, gap_is_bound=False)
+    assert serialize.spectral_csv(report) == oracle_spectral(report)
     # real eigenvalues (a float array) are written with a zero imaginary part
-    real = SimpleNamespace(eigenvalues=np.array([1.0, -1.0 / 3.0]))
+    real = _spectral_report(np.array([1.0, -1.0 / 3.0]), 1, gap_is_bound=True)
     assert serialize.spectral_csv(real) == oracle_spectral(real)
 
 

@@ -117,6 +117,26 @@ def test_ulam_rows_stochastic(tripling, doubling, tent, markov, nonlinear,
             assert dense.max() <= 1.0 + 1e-15
 
 
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_ulam_row_sum_check_allows_bin_width_rounding(tripling, n):
+    # the rounded edges i/n put up to ~n·eps on a bin width ((i+1)/n - i/n)·n
+    # (1.2e-12 at n = 10⁴); the tripling density is 1
+    h = transfer.invariant_density(transfer.ulam_matrix(tripling, n))
+    assert np.max(np.abs(h.values - 1.0)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_ulam_row_sum_check_rejects_a_corrupted_row(n):
+    # an image that overshoots 1 by 5e-9 loses that mass from the bin below
+    # 1/2: off by 2.5e-9·n, far above the rounding allowance
+    pmap = pwexpand.make_map(
+        [{"lo": 0.0, "hi": 0.5, "formula": "2.00000001*x"},
+         {"lo": 0.5, "hi": 1.0, "formula": "2*x - 1"}], epsilon=1.0)
+    with pytest.raises(transfer.AssemblyError,
+                       match=rf"^row {n // 2 - 1} sums to 0\.999"):
+        transfer.ulam_matrix(pmap, n)
+
+
 def test_ulam_row_support_is_a_few_intervals(markov, nonlinear):
     # a bin maps onto at most branch_count intervals, so each row's
     # nonzero columns form at most branch_count (+2 for edge cells) runs
@@ -241,7 +261,10 @@ def test_spectrum_markov_three_bins(markov):
     assert abs(rest[0] + 1 / 3) <= 1e-12
     assert abs(rest[1] - 1 / 3) <= 1e-12
     assert rep.unit_multiplicity == 1
-    assert abs(rep.spectral_gap - 2 / 3) <= 1e-12
+    # ±1/3 lie inside r_ess = 2/3: exact, but not separated from the
+    # essential spectrum, so the gap is the bound 1 - r_ess
+    assert rep.resolved.tolist() == [True, False, False]
+    assert rep.gap_is_bound and abs(rep.spectral_gap - 1 / 3) <= 1e-12
     h = transfer.invariant_density(transfer.ulam_matrix(markov, 3))
     assert np.max(np.abs(h.values - [9 / 8, 9 / 8, 3 / 4])) <= 1e-10
 
@@ -276,10 +299,12 @@ def test_spectrum_tripling_has_a_large_gap(tripling):
     # the exact-arithmetic matrix at n = 3^4 is "averaging + nilpotent":
     # everything below the unit eigenvalue is numerically ~0
     rep = transfer.spectrum(transfer.ulam_matrix(tripling, 81), 4)
-    assert (rep.solver, rep.converged) == ("dense", 0)
+    assert rep.solver == "dense"
     assert rep.unit_multiplicity == 1
     assert abs(rep.eigenvalues[1]) <= 0.05
-    assert rep.spectral_gap >= 0.95
+    # so nothing but 1 lies outside r_ess = 1/3: the gap is the bound 2/3
+    assert rep.resolved.tolist() == [True, False, False, False]
+    assert rep.gap_is_bound and rep.spectral_gap == 1.0 - 1.0 / 3.0
 
 
 def test_spectrum_matches_dense_eigvals(doubling):
@@ -294,7 +319,10 @@ def test_spectrum_block_map_double_unit_eigenvalue(block_map):
     # two ergodic components -> unit eigenvalue of multiplicity 2
     rep = transfer.spectrum(transfer.ulam_matrix(block_map, 64), 6)
     assert rep.unit_multiplicity == 2
-    assert rep.spectral_gap >= 0.9
+    # each block is a doubling map: the rest is ~0, inside r_ess = 1/2
+    assert np.max(np.abs(rep.eigenvalues[2:])) <= 0.1
+    assert rep.resolved.tolist() == [True, True] + [False] * 4
+    assert rep.gap_is_bound and rep.spectral_gap == 0.5
 
 
 def test_spectrum_iterative_path_above_dense_limit(markov):
@@ -303,15 +331,20 @@ def test_spectrum_iterative_path_above_dense_limit(markov):
     n = transfer.DENSE_EIG_LIMIT + 404
     op = transfer.ulam_matrix(markov, n)
     rep = transfer.spectrum(op, 5)
-    assert rep.solver != "dense"
+    assert rep.solver.startswith("krylov m=")
     assert abs(rep.eigenvalues[0] - 1.0) <= 1e-8
     assert rep.unit_multiplicity == 1
-    assert rep.spectral_gap == 1.0 - abs(rep.eigenvalues[1])
-    # each λ is an eigenvalue of Pᵀ: one solve (Pᵀ - λI) x = b by sparse LU
-    # blows x up along the eigenvector, so |(Pᵀ - λI) x| / |x| is tiny
+    # markov |λ₂| ≈ 0.594 lies inside r_ess = 2/3, so only 1 is resolved
+    assert rep.r_ess == 1.0 / 1.5
+    assert rep.resolved.tolist() == [True] + [False] * 4
+    assert np.all(np.abs(rep.eigenvalues[1:]) <= rep.r_ess + 1e-8)
+    assert rep.gap_is_bound and rep.spectral_gap == 1.0 - rep.r_ess
+    # each resolved λ is an eigenvalue of Pᵀ: one solve (Pᵀ - λI) x = b by
+    # sparse LU blows x up along the eigenvector, so |(Pᵀ - λI) x| / |x|
+    # is tiny
     mat_t = sp.csc_matrix(op.matrix.T, dtype=complex)
     b = np.random.default_rng(5).random(n)
-    for lam in rep.eigenvalues:
+    for lam in rep.eigenvalues[rep.resolved]:
         shifted = mat_t - lam * sp.identity(n, dtype=complex, format="csc")
         x = splu(shifted).solve(b.astype(complex))
         resid = np.linalg.norm(shifted @ x) / np.linalg.norm(x)
@@ -324,13 +357,65 @@ def test_spectrum_iterative_path_is_deterministic():
     first = transfer.spectrum(op, 8)
     second = transfer.spectrum(op, 8)
     assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
-    assert (first.solver, first.converged) == (second.solver, second.converged)
+    assert first.resolved.tobytes() == second.resolved.tobytes()
+    assert first.solver == second.solver
+
+
+def _leaky_swap():
+    """Slope 10 from [0, 1/20] onto [0, 1/2], two slope-20/9 branches from
+    [1/20, 1/2] onto [1/2, 1], and the mirror image on the right half.
+    On span{1_L, 1_R} (L = [0, 1/2), R = [1/2, 1]) P acts by
+    [[1/10, 9/10], [9/10, 1/10]], so with 1/2 a bin edge the Ulam matrix
+    has the eigenvalues 1 and 1/10 - 9/10 = -4/5, outside r_ess = 9/20."""
+    branches = [(0.0, 1 / 20, "10*x", 10.0),
+                (1 / 20, 11 / 40, "1/2 + 20*(x - 1/20)/9", 20 / 9),
+                (11 / 40, 1 / 2, "1/2 + 20*(x - 11/40)/9", 20 / 9),
+                (1 / 2, 29 / 40, "20*(x - 1/2)/9", 20 / 9),
+                (29 / 40, 19 / 20, "20*(x - 29/40)/9", 20 / 9),
+                (19 / 20, 1.0, "10*x - 9", 10.0)]
+    return pwexpand.make_map(
+        [{"lo": lo, "hi": hi, "formula": f, "min_slope": s,
+          "holder_constant": 0.0} for lo, hi, f, s in branches],
+        epsilon=1.0)
+
+
+@pytest.mark.parametrize("n", [2000, 8000], ids=["dense", "iterative"])
+def test_spectrum_resolves_the_leaky_swap_eigenvalue(n):
+    op = transfer.ulam_matrix(_leaky_swap(), n)
+    rep = transfer.spectrum(op, 8)
+    assert (rep.solver == "dense") == (n <= transfer.DENSE_EIG_LIMIT)
+    assert abs(op.r_ess - 9 / 20) <= 1e-15
+    assert np.max(np.abs(rep.eigenvalues[:2] - [1.0, -0.8])) <= 1e-10
+    assert rep.resolved.tolist() == [True, True] + [False] * 6
+    assert np.all(np.abs(rep.eigenvalues[2:]) <= op.r_ess + 1e-8)
+    assert not rep.gap_is_bound
+    assert abs(rep.spectral_gap - 0.2) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["tent", "doubling"])
+@pytest.mark.parametrize("n", [1024, 8192], ids=["dense", "iterative"])
+def test_spectrum_resolves_only_one_on_dyadic_bins(name, n, request):
+    # on n = 2^k bins both maps send bins onto unions of bins, and
+    # (Pᵀ)^k h = mean(h) exactly: the spectrum is {1, 0}, and the other
+    # reported values are noise far inside r_ess = 1/2
+    pmap = request.getfixturevalue(name)
+    op = transfer.ulam_matrix(pmap, n)
+    h = np.random.default_rng(3).random(n)
+    g = h.copy()
+    for _ in range(n.bit_length() - 1):
+        g = op.matrix.T @ g
+    assert np.max(np.abs(g - h.mean())) <= 1e-12
+    rep = transfer.spectrum(op, 8)
+    assert abs(rep.eigenvalues[0] - 1.0) <= 1e-8
+    assert rep.resolved.tolist() == [True] + [False] * 7
+    assert np.all(np.abs(rep.eigenvalues[1:]) <= 0.5)
+    assert rep.gap_is_bound and rep.spectral_gap == 0.5
 
 
 def test_spectrum_tied_moduli_match_the_dense_oracle(monkeypatch):
-    # the tent Ulam matrix has about n/8 eigenvalues exactly on |λ| = 1/2,
-    # more than ARPACK's default ncv can separate, so the top 8 come from
-    # the growing Krylov basis; the oracle is LAPACK on the dense matrix
+    # the tent Ulam matrix has about n/8 eigenvalues exactly on |λ| = 1/2 =
+    # r_ess; the oracle is LAPACK on the dense matrix.  Through the
+    # iterative path 1 is resolved and the rest are flagged
     tent = load_map(ROOT / "configs" / "tent.json")
     op = transfer.ulam_matrix(tent, 900)
     oracle = np.sort(np.abs(np.linalg.eigvals(op.matrix.toarray())))[::-1][:8]
@@ -339,20 +424,21 @@ def test_spectrum_tied_moduli_match_the_dense_oracle(monkeypatch):
     monkeypatch.setattr(transfer, "DENSE_EIG_LIMIT", 100)
     rep = transfer.spectrum(op, 8)
     assert rep.solver.startswith("krylov m=")
-    assert rep.converged < 8
     assert len(rep.eigenvalues) == 8
-    assert np.max(np.abs(np.abs(rep.eigenvalues) - oracle)) <= 1e-8
+    assert abs(abs(rep.eigenvalues[0]) - oracle[0]) <= 1e-10
+    assert rep.resolved.tolist() == [True] + [False] * 7
+    assert np.all(np.abs(rep.eigenvalues[1:]) <= 0.5 + 1e-8)
     assert rep.unit_multiplicity == 1
 
 
 def test_krylov_basis_matches_the_dense_spectrum(markov):
-    # the growing Arnoldi basis alone against LAPACK on the dense matrix;
-    # markov at 900 bins leads with 1, 0.618 and a cluster at 0.594
+    # the growing Arnoldi basis alone, converged in full (r_ess = 0),
+    # against LAPACK on the dense matrix; markov at 900 bins leads with 1,
+    # 0.618 and a cluster at 0.594
     op = transfer.ulam_matrix(markov, 900)
     dense = np.linalg.eigvals(op.matrix.toarray())
     dense = dense[np.argsort(-np.abs(dense), kind="stable")]
-    vals, m = transfer._krylov_top(op.matrix.transpose().tocsr(), 5,
-                                   np.random.default_rng(0))
+    vals, m = transfer._krylov_top(op, 5, 0.0, np.random.default_rng(0))
     assert len(vals) == 5 and m < transfer.KRYLOV_MAX_DIM
     moduli = np.sort(np.abs(vals))[::-1]
     assert np.max(np.abs(moduli - np.abs(dense[:5]))) <= 1e-10
@@ -363,22 +449,21 @@ def test_krylov_basis_finds_a_repeated_unit_eigenvalue(block_map):
     # two ergodic components: the Krylov space of one start vector holds
     # one unit eigenvector, so the basis must go on past its breakdowns
     op = transfer.ulam_matrix(block_map, 64)
-    vals, _ = transfer._krylov_top(op.matrix.transpose().tocsr(), 6,
-                                   np.random.default_rng(0))
+    vals, _ = transfer._krylov_top(op, 6, 0.0, np.random.default_rng(0))
     assert np.sum(np.abs(np.abs(vals) - 1.0) <= 1e-8) == 2
 
 
 def test_krylov_basis_without_memory_is_a_spectral_error(markov, monkeypatch):
     # the basis is reserved in one allocation; when that fails (8 GiB at
     # n = 2^20 on an 8 GB machine) the caller gets a SpectralError
-    mat_t = transfer.ulam_matrix(markov, 30).matrix.transpose().tocsr()
+    op = transfer.ulam_matrix(markov, 30)
 
     def no_memory(*args, **kwargs):
         raise MemoryError
 
     monkeypatch.setattr(np, "empty", no_memory)
     with pytest.raises(transfer.SpectralError, match="Krylov basis of 31 "):
-        transfer._krylov_top(mat_t, 4, np.random.default_rng(0))
+        transfer._krylov_top(op, 4, 0.0, np.random.default_rng(0))
 
 
 def test_spectrum_rejects_k_below_two(tripling):
