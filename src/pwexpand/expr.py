@@ -10,8 +10,11 @@ Grammar (full reference in docs/expr-grammar.md)::
 
 ``^`` is right-associative and binds tighter than unary minus, so
 ``-x^2`` parses as ``-(x^2)``.  Functions: sin, cos, exp, log, sqrt, abs.
-First derivatives come from dual-number propagation, never finite
-differences; ``abs`` has derivative 0 at the kink by convention.
+One recursive walk computes the value and, by the chain rule, the first
+derivative in the same pass (never finite differences); each domain rule
+is checked in one place.  ``abs`` has derivative 0 at the kink by
+convention, and ``sqrt`` and ``x^p`` (0 < p < 1) have derivative ``inf``
+at 0.  A power that overflows on plain floats is an evaluation error.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToolError
-
-FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
 
 
 class ParseError(ToolError):
@@ -44,158 +45,55 @@ def _check(ok, message: str) -> None:
         raise EvalError(message)
 
 
-def _check_pow_domain(base, expo) -> None:
-    expo_is_integer = np.all(np.equal(expo, np.floor(expo)))
-    if not expo_is_integer:
-        _check(np.all(np.greater_equal(base, 0.0)),
-               "negative base with non-integer exponent")
-    _check(not np.any(np.logical_and(np.equal(base, 0.0), np.less(expo, 0.0))),
-           "zero base with negative exponent")
+def _pow(a, b):
+    """``a ** b``.  Where two Python floats raise, 0.0 ** b (b < 0) is IEEE's
+    inf, and an overflow is an evaluation error."""
+    try:
+        return a ** b
+    except ZeroDivisionError:  # only the slope of x^p at 0, 0 < p < 1, gets here
+        return math.inf
+    except OverflowError:
+        raise EvalError("power overflows") from None
 
 
-class Dual:
-    """Dual number (value, first derivative) for forward-mode differentiation.
-
-    ``val`` and ``dot`` may be floats or same-shape arrays.
-    """
-
-    __slots__ = ("val", "dot")
-
-    def __init__(self, val, dot):
-        self.val = val
-        self.dot = dot
-
-    def __add__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.val + o.val, self.dot + o.dot)
-        return Dual(self.val + o, self.dot)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.val - o.val, self.dot - o.dot)
-        return Dual(self.val - o, self.dot)
-
-    def __rsub__(self, o):
-        return Dual(o - self.val, -self.dot)
-
-    def __mul__(self, o):
-        if isinstance(o, Dual):
-            return Dual(self.val * o.val, self.dot * o.val + self.val * o.dot)
-        return Dual(self.val * o, self.dot * o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        if isinstance(o, Dual):
-            _check(np.all(np.not_equal(o.val, 0.0)), "division by zero")
-            return Dual(self.val / o.val,
-                        (self.dot * o.val - self.val * o.dot) / (o.val * o.val))
-        _check(np.all(np.not_equal(o, 0.0)), "division by zero")
-        return Dual(self.val / o, self.dot / o)
-
-    def __rtruediv__(self, o):
-        _check(np.all(np.not_equal(self.val, 0.0)), "division by zero")
-        return Dual(o / self.val, -o * self.dot / (self.val * self.val))
-
-    def __neg__(self):
-        return Dual(-self.val, -self.dot)
-
-    def __pow__(self, o):
-        if isinstance(o, Dual):
-            if np.all(np.equal(o.dot, 0.0)):
-                return self._pow_const(o.val)
-            _check(np.all(np.greater(self.val, 0.0)),
-                   "varying exponent needs a positive base")
-            val = self.val ** o.val
-            dot = val * (o.dot * np.log(self.val) + o.val * self.dot / self.val)
-            return Dual(val, dot)
-        return self._pow_const(o)
-
-    def __rpow__(self, base):
-        if np.all(np.equal(self.dot, 0.0)):
-            _check_pow_domain(base, self.val)
-            return Dual(base ** self.val, np.zeros_like(np.asarray(self.dot, dtype=float)))
-        _check(np.all(np.greater(base, 0.0)),
-               "varying exponent needs a positive base")
-        val = base ** self.val
-        return Dual(val, val * np.log(base) * self.dot)
-
-    def _pow_const(self, p):
-        _check_pow_domain(self.val, p)
-        if np.all(np.equal(p, 0.0)):
-            one = np.ones_like(np.asarray(self.val, dtype=float))
-            return Dual(one + 0.0 if np.ndim(self.val) else 1.0,
-                        np.zeros_like(np.asarray(self.val, dtype=float)) if np.ndim(self.val) else 0.0)
-        val = self.val ** p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dot = p * self.val ** (p - 1.0) * self.dot
-        return Dual(val, dot)
+def _d_sqrt(a, root, d):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return d / (2.0 * root)
 
 
-def _apply_func(name: str, v):
-    if isinstance(v, Dual):
-        a, d = v.val, v.dot
-        if name == "sin":
-            return Dual(np.sin(a), np.cos(a) * d)
-        if name == "cos":
-            return Dual(np.cos(a), -np.sin(a) * d)
-        if name == "exp":
-            e = np.exp(a)
-            return Dual(e, e * d)
-        if name == "log":
-            _check(np.all(np.greater(a, 0.0)), "log of non-positive argument")
-            return Dual(np.log(a), d / a)
-        if name == "sqrt":
-            _check(np.all(np.greater_equal(a, 0.0)), "sqrt of negative argument")
-            root = np.sqrt(a)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dot = d / (2.0 * root)
-            return Dual(root, dot)
-        # abs: derivative 0 at the kink (sign(0) = 0)
-        return Dual(np.abs(a), np.sign(a) * d)
-    if name == "sin":
-        return np.sin(v)
-    if name == "cos":
-        return np.cos(v)
-    if name == "exp":
-        return np.exp(v)
-    if name == "log":
-        _check(np.all(np.greater(v, 0.0)), "log of non-positive argument")
-        return np.log(v)
-    if name == "sqrt":
-        _check(np.all(np.greater_equal(v, 0.0)), "sqrt of negative argument")
-        return np.sqrt(v)
-    return np.abs(v)
+# name -> (function, chain rule (arg, value, arg') -> value',
+#          domain check (test against 0, message) or None)
+_FUNCS = {
+    "sin": (np.sin, lambda a, v, d: np.cos(a) * d, None),
+    "cos": (np.cos, lambda a, v, d: -np.sin(a) * d, None),
+    "exp": (np.exp, lambda a, v, d: v * d, None),
+    "log": (np.log, lambda a, v, d: d / a,
+            (np.greater, "log of non-positive argument")),
+    "sqrt": (np.sqrt, _d_sqrt, (np.greater_equal, "sqrt of negative argument")),
+    # abs: derivative 0 at the kink (sign(0) = 0)
+    "abs": (np.abs, lambda a, v, d: np.sign(a) * d, None),
+}
+FUNCTIONS = tuple(_FUNCS)
 
 
 @dataclass(frozen=True)
 class Num:
     value: float
 
-    def _eval(self, x):
-        return self.value
-
 
 @dataclass(frozen=True)
 class Var:
-    def _eval(self, x):
-        return x
+    pass
 
 
 @dataclass(frozen=True)
 class Pi:
-    def _eval(self, x):
-        return math.pi
+    pass
 
 
 @dataclass(frozen=True)
 class Neg:
     arg: object
-
-    def _eval(self, x):
-        return -self.arg._eval(x)
 
 
 @dataclass(frozen=True)
@@ -204,36 +102,79 @@ class BinOp:
     left: object
     right: object
 
-    def _eval(self, x):
-        a = self.left._eval(x)
-        b = self.right._eval(x)
-        op = self.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if not isinstance(a, Dual) and not isinstance(b, Dual):
-                _check(np.all(np.not_equal(b, 0.0)), "division by zero")
-            return a / b
-        # '^'
-        if not isinstance(a, Dual) and not isinstance(b, Dual):
-            _check_pow_domain(a, b)
-        return a ** b
-
 
 @dataclass(frozen=True)
 class Call:
     func: str
     arg: object
 
-    def _eval(self, x):
-        return _apply_func(self.func, self.arg._eval(x))
+
+def _walk(e, x, dx):
+    """``(value, derivative)`` of ``e`` at ``x``, where ``dx`` is the
+    derivative of ``x`` itself; a derivative of None means the node does
+    not depend on x, so ``dx=None`` evaluates the value alone."""
+    kind = type(e)
+    if kind is Num:
+        return e.value, None
+    if kind is Var:
+        return x, dx
+    if kind is Pi:
+        return math.pi, None
+    if kind is Neg:
+        a, da = _walk(e.arg, x, dx)
+        return -a, None if da is None else -da
+    if kind is Call:
+        a, da = _walk(e.arg, x, dx)
+        func, chain, domain = _FUNCS[e.func]
+        if domain is not None:
+            _check(np.all(domain[0](a, 0.0)), domain[1])
+        v = func(a)
+        return v, None if da is None else chain(a, v, da)
+    a, da = _walk(e.left, x, dx)
+    b, db = _walk(e.right, x, dx)
+    op = e.op
+    if op in "+*" and da is None and db is not None:
+        a, da, b, db = b, db, a, da  # x-dependent first: with two NaNs, order picks the payload
+    if op == "+":
+        return a + b, da if db is None else da + db
+    if op == "-":
+        if da is None:
+            return a - b, None if db is None else -db
+        return a - b, da if db is None else da - db
+    if op == "*":
+        if da is None:
+            return a * b, None
+        return a * b, da * b if db is None else da * b + a * db
+    if op == "/":
+        _check(np.all(np.not_equal(b, 0.0)), "division by zero")
+        if db is None:
+            return a / b, None if da is None else da / b
+        if da is None:
+            return a / b, -a * db / (b * b)
+        return a / b, (da * b - a * db) / (b * b)
+    return _power(a, da, b, db)
 
 
-Expression = (Num, Var, Pi, Neg, BinOp, Call)
+def _power(a, da, b, db):
+    """``a^b`` and its derivative; the power's domain rules live here."""
+    if db is not None and not np.all(np.equal(db, 0.0)):
+        _check(np.all(np.greater(a, 0.0)), "varying exponent needs a positive base")
+        v = _pow(a, b)
+        if da is None:
+            return v, v * np.log(a) * db
+        return v, v * (db * np.log(a) + b * da / a)
+    # a constant exponent, or one whose derivative vanishes everywhere
+    if not np.all(np.equal(b, np.floor(b))):
+        _check(np.all(np.greater_equal(a, 0.0)), "negative base with non-integer exponent")
+    _check(not np.any(np.logical_and(np.equal(a, 0.0), np.less(b, 0.0))),
+           "zero base with negative exponent")
+    if da is None:
+        return _pow(a, b), None if db is None else np.zeros(np.shape(db))
+    if np.all(np.equal(b, 0.0)):  # x^0 is 1 with slope 0, even at x = 0
+        return np.ones(np.shape(a)) if np.ndim(a) else 1.0, np.zeros(np.shape(a))
+    v = _pow(a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return v, b * _pow(a, b - 1.0) * da
 
 
 _NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
@@ -352,32 +293,28 @@ def parse(text: str):
     return _Parser(text).parse()
 
 
-def evaluate(e, x):
-    """Evaluate ``e`` at ``x`` (float or ndarray, IEEE double precision)."""
-    v = e._eval(x)
+def _fill(v, x):
+    """``v`` broadcast to the shape of an array ``x`` if it came out constant."""
     if isinstance(x, np.ndarray) and np.ndim(v) == 0:
         return np.full(x.shape, float(v))
     return v
 
 
+def evaluate(e, x):
+    """Evaluate ``e`` at ``x`` (float or ndarray, IEEE double precision)."""
+    return _fill(_walk(e, x, None)[0], x)
+
+
 def eval_with_derivative(e, x):
-    """Return ``(value, derivative)`` of ``e`` at ``x`` via dual numbers."""
-    if isinstance(x, np.ndarray):
-        seed = Dual(x.astype(float, copy=False), np.ones(x.shape))
-    else:
-        seed = Dual(float(x), 1.0)
-    out = e._eval(seed)
-    if not isinstance(out, Dual):
-        if isinstance(x, np.ndarray):
-            return np.full(x.shape, float(out)), np.zeros(x.shape)
-        return float(out), 0.0
-    val, dot = out.val, out.dot
-    if isinstance(x, np.ndarray):
-        if np.ndim(val) == 0:
-            val = np.full(x.shape, float(val))
-        if np.ndim(dot) == 0:
-            dot = np.full(x.shape, float(dot))
-    return val, dot
+    """Return ``(value, derivative)`` of ``e`` at ``x`` by the chain rule."""
+    if not isinstance(x, np.ndarray):
+        # a NumPy seed keeps the slope arithmetic IEEE on scalars too: a
+        # quotient whose b*b underflows gives inf, not ZeroDivisionError
+        val, der = _walk(e, float(x), np.float64(1.0))
+        return float(val), 0.0 if der is None else float(der)
+    x = x.astype(float, copy=False)
+    val, der = _walk(e, x, np.ones(x.shape))
+    return _fill(val, x), _fill(0.0 if der is None else der, x)
 
 
 # precedence levels for the printer: + - (1), * / (2), unary - (3), ^ (4), atoms (5)

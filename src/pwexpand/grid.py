@@ -131,31 +131,27 @@ def osc_q(f: GridFunction, r: float, lq: float) -> float:
     return osc_profile(f, r).norm_lq(lq)
 
 
-def radius_grid(n: int, A: float, radii_count=None) -> np.ndarray:
-    """Geometric radii from one cell width up to A (ratio about 1.2 unless
-    an explicit count is requested)."""
+def radius_grid(n: int, A: float) -> np.ndarray:
+    """Geometric radii from one cell width up to A, ratio about 1.2."""
     r_min = 1.0 / n
     if A <= r_min:
         return np.array([A])
-    if radii_count is None:
-        radii_count = max(4, int(math.ceil(math.log(A * n) / math.log(RADIUS_RATIO))) + 1)
-    return np.geomspace(r_min, A, radii_count)
+    count = max(4, int(math.ceil(math.log(A * n) / math.log(RADIUS_RATIO))) + 1)
+    return np.geomspace(r_min, A, count)
 
 
-def variation(f: GridFunction, lq: float, p: float, A: float = DEFAULT_A,
-              radii_count=None) -> VariationReport:
+def variation(f: GridFunction, lq: float, p: float,
+              A: float = DEFAULT_A) -> VariationReport:
     """Generalized variation: sup over 0 < r <= A of osc_q(f,r)/r^(1/p),
     approximated by a max over a geometric radius grid."""
     if not (0.0 < A <= 1.0):
         raise ConfigError(f"A must lie in (0,1], got {A}")
-    if radii_count is not None and radii_count < 4:
-        raise ConfigError(f"radii_count must be at least 4, got {radii_count}")
     if not p >= 1:
         raise ConfigError(f"p must be at least 1, got {p}")
     if not lq >= 1:
         raise ConfigError(f"lq must be >= 1 or inf, got {lq}")
 
-    radii = radius_grid(f.n, A, radii_count)
+    radii = radius_grid(f.n, A)
     halves = [window_half_width(r, f.n) for r in radii]
     # the smallest radii share half-widths (half = 1 for r*n in (1, 2]), so
     # one sweep over the distinct ones computes each profile norm once

@@ -1,7 +1,8 @@
-"""Regression guard for bad numeric CLI arguments: replacing any one
-numeric option of a working invocation with a non-finite, extreme,
-non-positive or non-numeric value must end in exit code 0, 1 or 2
-(argparse's usage error) with no traceback.
+"""Regression guard for bad CLI arguments: replacing any one numeric
+option of a working invocation with a non-finite, extreme, non-positive
+or non-numeric value, or any one formula option with a hostile formula,
+must end in exit code 0, 1 or 2 (argparse's usage error) with no
+traceback.
 
 Every base invocation is small, and the values are a fixed list: moderate
 large values (say, a hundred thousand bins) would start long computations
@@ -52,6 +53,16 @@ BAD_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "-1e308", "abc", "")
 
 CASES = [(base, opts, name) for base, opts in INVOCATIONS for name in opts]
 
+# formulas that overflow, leave their domain or have an infinite slope
+HOSTILE_FORMULAS = ("10^400", "2^2^2^2^2", "x^0.5", "1/(x-x)", "log(x-2)",
+                    "sqrt(-1)", "(-8)^(1/3)", "exp(1000)", "1e400*x")
+
+# every formula option of a base invocation, paired with every hostile formula
+FORMULA_CASES = [(base, opts, name, formula)
+                 for base, opts in INVOCATIONS
+                 for name in ("--f", "--g") if name in base
+                 for formula in HOSTILE_FORMULAS]
+
 
 def _run(argv, workdir):
     """Exit code and stderr of main(argv) run inside workdir."""
@@ -88,3 +99,15 @@ def test_bad_numeric_argument_never_escapes(case, value):
         rc, err = _run(_argv(base, opts, name, value), tmp)
     assert rc in (0, 1, 2), (name, value, rc, err)
     assert "Traceback" not in err, (name, value, err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(FORMULA_CASES))
+def test_hostile_formula_never_escapes(case):
+    base, opts, name, formula = case
+    argv = list(base)
+    argv[argv.index(name) + 1] = formula
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, err = _run(_argv(argv, opts, None, None), tmp)
+    assert rc in (0, 1, 2), (name, formula, rc, err)
+    assert "Traceback" not in err, (name, formula, err)

@@ -1,7 +1,7 @@
 """Regression guard for bad map configs: replacing any one field of a valid
 config with a value of the wrong kind, deleting a branch key, or replacing
-a whole branch must end in exit code 0 or 1 with a message, never in an
-exception escaping the CLI."""
+a whole branch, or giving a branch a hostile formula, must end in exit
+code 0 or 1 with a message, never in an exception escaping the CLI."""
 
 import json
 import math
@@ -11,6 +11,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from pwexpand.cli import main
+from test_cli_fuzz import HOSTILE_FORMULAS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 _DOCS = {p.name: json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))}
@@ -50,12 +51,25 @@ def _mutated_docs(draw):
     return doc
 
 
-@settings(max_examples=300, deadline=None)
-@given(doc=_mutated_docs())
-def test_bad_config_field_never_escapes(doc):
+def _check_exits_cleanly(doc):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "map.json"
         cfg.write_text(json.dumps(doc))
         assert main(["check-slope", str(cfg), "--p", "1"]) in (0, 1)
         assert main(["density", str(cfg), "--bins", "16", "--no-plot",
                      "--out", str(Path(tmp) / "d.csv")]) in (0, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_mutated_docs())
+def test_bad_config_field_never_escapes(doc):
+    _check_exits_cleanly(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(_DOCS)), branch=st.integers(0, 1),
+       formula=st.sampled_from(HOSTILE_FORMULAS))
+def test_hostile_branch_formula_never_escapes(name, branch, formula):
+    doc = json.loads(json.dumps(_DOCS[name]))
+    doc["branches"][branch]["formula"] = formula
+    _check_exits_cleanly(doc)

@@ -1,5 +1,6 @@
-"""Parser / evaluator / dual-number derivative tests."""
+"""Parser / evaluator / chain-rule derivative tests."""
 
+import cmath
 import math
 
 import numpy as np
@@ -136,7 +137,7 @@ def test_derivative_chain_and_quotient():
 
 
 def test_derivative_vs_central_differences():
-    """100 random polynomials, 10 points each: dual-number derivative
+    """100 random polynomials, 10 points each: the chain-rule derivative
     agrees with central differences (h = 1e-6) to 1e-6 relative error."""
     rng = np.random.default_rng(42)
     h = 1e-6
@@ -223,3 +224,88 @@ def test_parse_total_on_grammar():
     for _ in range(500):
         text = _grammar_string(rng, int(rng.integers(0, 6)))
         parse(text)  # must not raise
+
+
+# ------------------------------------------- complex-step derivative oracle
+
+_EPS = 2.0 ** -52
+_STEP = 1e-20
+
+
+def _python_namespace(lib, nudge):
+    """Names for Python's own eval of an expression text over ``lib``
+    (math or cmath); ``nudge`` moves every function result by about one
+    ulp of max(1, |result|)."""
+    def wrap(f):
+        return (lambda z: f(z) * (1.0 + _EPS) + _EPS) if nudge else f
+    names = {name: wrap(getattr(lib, name))
+             for name in ("sin", "cos", "exp", "log", "sqrt")}
+    return {"__builtins__": {}, "pi": math.pi, **names}
+
+
+_ORACLES = {nudge: (_python_namespace(math, nudge), _python_namespace(cmath, nudge))
+            for nudge in (False, True)}
+
+
+def _python_oracle(code, x, nudge=False):
+    """Value (real eval) and complex-step derivative Im f(x + ih)/h."""
+    real, cplx = _ORACLES[nudge]
+    value = float(eval(code, real, {"x": x}))
+    step = complex(eval(code, cplx, {"x": complex(x, _STEP)}))
+    return value, step.imag / _STEP
+
+
+def _agree(v, d, ov, od):
+    return (abs(v - ov) <= 1e-14 * abs(ov)
+            and abs(d - od) <= 1e-10 * max(abs(od), abs(ov)))
+
+
+def _oracle_text(rng):
+    """A grammar string, a quarter of the time raised to a second one so
+    that the exponent can vary with x."""
+    text = _grammar_string(rng, int(rng.integers(1, 6)))
+    if rng.random() < 0.25:
+        text = f"({text})^({_grammar_string(rng, int(rng.integers(1, 4)))})"
+    return text
+
+
+def test_derivative_matches_complex_step_oracle():
+    """2000 grammar expressions without abs (not analytic), some with an
+    x-dependent exponent.  Wherever pwexpand is finite, value and
+    derivative agree with Python's own eval of the same text (``^`` ->
+    ``**``): the value with math to 1e-14 relative, the derivative with
+    the complex step Im f(x + ih)/h (h = 1e-20, cmath) to 1e-10 relative
+    to max(|f'|, |f|), since a slope that cancels leaves rounding noise
+    of the size of f.  Points where the oracle itself is ill-conditioned,
+    i.e. one-ulp nudges of its library results already break that
+    agreement (sin near a multiple of pi, say), are skipped; they must
+    stay rare."""
+    rng = np.random.default_rng(1)
+    checked = skipped = expressions = 0
+    while expressions < 2000:
+        text = _oracle_text(rng)
+        if "abs" in text:
+            continue
+        e = parse(text)
+        code = compile(text.replace("^", "**"), "<formula>", "eval")
+        used = False
+        for x in (0.3, 0.7, 1.3, -0.4):
+            try:
+                v, d = eval_with_derivative(e, x)
+            except EvalError:
+                continue
+            if not (math.isfinite(v) and math.isfinite(d)):
+                continue
+            ov, od = _python_oracle(code, x)
+            try:
+                nudged = _python_oracle(code, x, nudge=True)
+            except (ArithmeticError, ValueError, TypeError):
+                nudged = None  # a nudge left the domain or the reals
+            if nudged is None or not _agree(*nudged, ov, od):
+                skipped += 1
+                continue
+            assert _agree(v, d, ov, od), (text, x, v, ov, d, od)
+            checked += 1
+            used = True
+        expressions += used
+    assert skipped <= 0.05 * (checked + skipped), (skipped, checked)

@@ -187,16 +187,11 @@ def test_variation_radius_grid():
     ratios = radii[1:] / radii[:-1]
     assert np.allclose(ratios, ratios[0], rtol=1e-12)  # geometric spacing
     assert 1.1 < ratios[0] < 1.3
-
-    explicit = radius_grid(1024, 0.125, radii_count=7)
-    assert len(explicit) == 7
-    rep = variation(GridFunction.of(np.arange(16.0)), 1.0, 1.0,
-                    A=0.5, radii_count=5)
-    assert len(rep.radii) == 5
+    rep = variation(GridFunction.of(np.arange(16.0)), 1.0, 1.0, A=0.5)
+    assert np.array_equal(rep.radii, radius_grid(16, 0.5))
 
 
-@pytest.mark.parametrize("radii_count", [None, 9])
-def test_variation_matches_per_radius_brute_force(radii_count):
+def test_variation_matches_per_radius_brute_force():
     # the sweep over shared half-widths must give, float for float, the
     # max over radii of the brute-force profile norm over r^(1/p)
     n = 500
@@ -204,7 +199,7 @@ def test_variation_matches_per_radius_brute_force(radii_count):
     profiles = {}
     for p in (1.0, 2.0):
         for lq in (1.0, 2.5, math.inf):
-            radii = radius_grid(n, 0.2, radii_count)
+            radii = radius_grid(n, 0.2)
             ratios = []
             for r in radii:
                 half = window_half_width(r, n)
@@ -212,7 +207,7 @@ def test_variation_matches_per_radius_brute_force(radii_count):
                     profiles[half] = GridFunction.of(brute_osc(f.values, half))
                 ratios.append(profiles[half].norm_lq(lq) / r ** (1.0 / p))
             k = int(np.argmax(ratios))
-            rep = variation(f, lq, p, A=0.2, radii_count=radii_count)
+            rep = variation(f, lq, p, A=0.2)
             assert np.array_equal(rep.radii, radii)
             assert rep.variation == ratios[k], (p, lq)
             assert rep.argmax_radius == float(radii[k]), (p, lq)
@@ -242,8 +237,6 @@ def test_variation_guards():
         variation(f, 1.0, 0.5, A=0.25)
     with pytest.raises(ConfigError):
         variation(f, 0.5, 1.0, A=0.25)
-    with pytest.raises(ConfigError):
-        variation(f, 1.0, 1.0, A=0.25, radii_count=3)
 
 
 # ----------------------------------------- discrete oscillation inequalities
