@@ -19,7 +19,8 @@ from . import expr
 from .errors import ConfigError, ToolError
 from .grid import GridFunction, project, variation
 from .maps import PiecewiseMap, check_slope_condition
-from .transfer import apply_fp, power_iterate, ulam_matrix
+from .transfer import (apply_fp, invariant_density, power_iterate,
+                       ulam_matrix)
 
 #: correlation values below this are treated as exact zeros
 NOISE_FLOOR = 1e-14
@@ -203,28 +204,21 @@ def ly_verify(pmap: PiecewiseMap, p: float, A: float, trials: int, n: int,
 
 
 def _unique_invariant_density(pmap: PiecewiseMap, n: int) -> GridFunction:
-    """Invariant density with a uniqueness probe: power iteration from the
-    uniform start and from random starts must all converge to the same
-    fixed point; disagreement or stalling means the unit eigenvalue is not
-    simple."""
+    """`invariant_density` from the uniform start, with a uniqueness probe:
+    power iteration from two random starts must reach the same fixed
+    point; disagreement means the unit eigenvalue is not simple."""
     op = ulam_matrix(pmap, n)
-    h0, converged, residual, _ = power_iterate(
-        op.apply_t, np.ones(n), 1e-13, 20000)
-    if not converged and residual > 1e-9:
-        raise AmbiguousMeasureError(
-            f"power iteration stalled (residual {residual:g}); the invariant "
-            "density may not be unique — inspect spectrum()")
+    h = invariant_density(op, 1e-13, 20000)
     rng = np.random.default_rng(1234)
     for _ in range(2):
         start = 0.5 + rng.random(n)
-        h, _, _, _ = power_iterate(
+        h1, _, _, _ = power_iterate(
             op.apply_t, start / np.mean(start), 1e-13, 20000)
-        if float(np.mean(np.abs(h - h0))) > 1e-6:
+        if float(np.mean(np.abs(h1 - h.values))) > 1e-6:
             raise AmbiguousMeasureError(
                 "different starting densities reach different fixed points; "
                 "the invariant measure is not unique — inspect spectrum()")
-    h0 = np.maximum(h0, 0.0)
-    return GridFunction(n=n, values=h0 / np.mean(h0))
+    return h
 
 
 def _fit_series(kind: str, C: np.ndarray) -> CorrelationSeries:

@@ -15,6 +15,8 @@ derivative in the same pass (never finite differences); each domain rule
 is checked in one place.  ``abs`` has derivative 0 at the kink by
 convention, and ``sqrt`` and ``x^p`` (0 < p < 1) have derivative ``inf``
 at 0.  A power that overflows on plain floats is an evaluation error.
+The walk runs with numpy's floating-point warnings off: an overflow or a
+0/0 gives inf or nan, and ``GridFunction`` and ``make_map`` reject it.
 """
 
 from __future__ import annotations
@@ -56,11 +58,6 @@ def _pow(a, b):
         raise EvalError("power overflows") from None
 
 
-def _d_sqrt(a, root, d):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return d / (2.0 * root)
-
-
 # name -> (function, chain rule (arg, value, arg') -> value',
 #          domain check (test against 0, message) or None)
 _FUNCS = {
@@ -69,7 +66,8 @@ _FUNCS = {
     "exp": (np.exp, lambda a, v, d: v * d, None),
     "log": (np.log, lambda a, v, d: d / a,
             (np.greater, "log of non-positive argument")),
-    "sqrt": (np.sqrt, _d_sqrt, (np.greater_equal, "sqrt of negative argument")),
+    "sqrt": (np.sqrt, lambda a, v, d: d / (2.0 * v),
+             (np.greater_equal, "sqrt of negative argument")),
     # abs: derivative 0 at the kink (sign(0) = 0)
     "abs": (np.abs, lambda a, v, d: np.sign(a) * d, None),
 }
@@ -172,9 +170,7 @@ def _power(a, da, b, db):
         return _pow(a, b), None if db is None else np.zeros(np.shape(db))
     if np.all(np.equal(b, 0.0)):  # x^0 is 1 with slope 0, even at x = 0
         return np.ones(np.shape(a)) if np.ndim(a) else 1.0, np.zeros(np.shape(a))
-    v = _pow(a, b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return v, b * _pow(a, b - 1.0) * da
+    return _pow(a, b), b * _pow(a, b - 1.0) * da
 
 
 _NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
@@ -302,18 +298,21 @@ def _fill(v, x):
 
 def evaluate(e, x):
     """Evaluate ``e`` at ``x`` (float or ndarray, IEEE double precision)."""
-    return _fill(_walk(e, x, None)[0], x)
+    with np.errstate(all="ignore"):
+        return _fill(_walk(e, x, None)[0], x)
 
 
 def eval_with_derivative(e, x):
     """Return ``(value, derivative)`` of ``e`` at ``x`` by the chain rule."""
-    if not isinstance(x, np.ndarray):
-        # a NumPy seed keeps the slope arithmetic IEEE on scalars too: a
-        # quotient whose b*b underflows gives inf, not ZeroDivisionError
-        val, der = _walk(e, float(x), np.float64(1.0))
+    scalar = not isinstance(x, np.ndarray)
+    # a NumPy seed keeps the slope arithmetic IEEE on scalars too: a
+    # quotient whose b*b underflows gives inf, not ZeroDivisionError
+    x, dx = ((float(x), np.float64(1.0)) if scalar
+             else (x.astype(float, copy=False), np.ones(x.shape)))
+    with np.errstate(all="ignore"):
+        val, der = _walk(e, x, dx)
+    if scalar:
         return float(val), 0.0 if der is None else float(der)
-    x = x.astype(float, copy=False)
-    val, der = _walk(e, x, np.ones(x.shape))
     return _fill(val, x), _fill(0.0 if der is None else der, x)
 
 

@@ -110,18 +110,12 @@ def window_half_width(r: float, n: int) -> int:
     return max(int(math.ceil(r * n)) - 1, 0)
 
 
-def _osc_values(values: np.ndarray, half: int) -> np.ndarray:
-    if half <= 0:
-        return np.zeros_like(values)
-    lo, hi = kernels.sliding_minmax(values, half)
-    return hi - lo
-
-
 def osc_profile(f: GridFunction, r: float) -> GridFunction:
     """Oscillation (sup - inf) of f over the radius-r window at each cell."""
     if not (0.0 < r <= 1.0):
         raise ConfigError(f"radius must lie in (0,1], got {r}")
-    return GridFunction(n=f.n, values=_osc_values(f.values, window_half_width(r, f.n)))
+    lo, hi = kernels.sliding_minmax(f.values, window_half_width(r, f.n))
+    return GridFunction(n=f.n, values=hi - lo)
 
 
 def osc_q(f: GridFunction, r: float, lq: float) -> float:

@@ -3,7 +3,12 @@ functions, exact Ulam discretization, invariant densities, and leading
 eigenvalues.
 
 The pointwise action at a cell midpoint x sums f(y)/|τ'(y)| over the
-branch preimages y of x.  The Ulam matrix is assembled from exact interval
+branch preimages y of x.  Its stencil is three arrays (source cell, target
+cell, weight) concatenated in branch order, and `apply_fp` is one
+``np.bincount`` over them.  The bincount adds each target cell's terms to
+0.0 in array order, which is branch order, and a target cell occurs at
+most once per branch, so the sums are those of a per-branch scatter loop
+bit for bit.  The Ulam matrix is assembled from exact interval
 preimages of the bin edges, so its rows are stochastic to rounding error,
 not to Monte-Carlo error.  `spectrum` returns eigenvalues only; the
 density comes from `invariant_density`.
@@ -116,38 +121,33 @@ class IterateSeries:
 
 
 def _fp_stencil(pmap: PiecewiseMap, n: int):
-    """Per-branch (target cells, source cells, weights) for the pointwise
-    FP action on an n-cell grid; cached on the map."""
+    """(source cells, target cells, weights 1/|τ'(y)|) of the pointwise FP
+    action on an n-cell grid, concatenated in branch order; cached on the
+    map.  Not an `UlamOperator`: the pairs are unsorted, and one (source,
+    target) pair can occur in two branches (tent at odd n)."""
     key = ("fp", n)
     cached = pmap._cache.get(key)
     if cached is not None:
         return cached
     mids = (np.arange(n) + 0.5) / n
-    stencil = []
+    src, cells, weights = [], [], []
     for br in pmap.branches:
-        img = br.image
-        mask = (mids >= img.lo) & (mids <= img.hi)
-        cells = np.nonzero(mask)[0]
-        if cells.size == 0:
-            stencil.append((cells, cells, np.empty(0)))
-            continue
-        ys = np.clip(mids[cells], img.lo, img.hi)
-        xs = invert_branch_array(br, ys)
+        target = np.nonzero((mids >= br.image.lo) & (mids <= br.image.hi))[0]
+        xs = invert_branch_array(br, mids[target])
         _, ders = expr.eval_with_derivative(br.expression, xs)
-        weights = 1.0 / np.abs(ders)
-        src = np.clip(np.floor(xs * n).astype(int), 0, n - 1)
-        stencil.append((cells, src, weights))
+        src.append(np.clip(np.floor(xs * n).astype(int), 0, n - 1))
+        cells.append(target)
+        weights.append(1.0 / np.abs(ders))
+    stencil = tuple(np.concatenate(a) for a in (src, cells, weights))
     pmap._cache[key] = stencil
     return stencil
 
 
 def apply_fp(pmap: PiecewiseMap, f: GridFunction) -> GridFunction:
     """One application of the transfer operator to a grid function."""
-    out = np.zeros(f.n)
-    for cells, src, weights in _fp_stencil(pmap, f.n):
-        if cells.size:
-            out[cells] += f.values[src] * weights
-    return GridFunction(n=f.n, values=out)
+    src, cells, weights = _fp_stencil(pmap, f.n)
+    return GridFunction(n=f.n, values=np.bincount(
+        cells, weights=f.values[src] * weights, minlength=f.n))
 
 
 def ulam_matrix(pmap: PiecewiseMap, n: int) -> UlamOperator:

@@ -1,9 +1,11 @@
 """CLI surface: argument handling, exit codes, stdout messages, and the
 CSV files each subcommand leaves behind.
 
-Everything runs in-process through main(argv) except one subprocess test,
-which runs the console-script entry point declared in pyproject.toml in a
-fresh interpreter, the way the wrapper that pip generates for it does.
+Everything runs in-process through main(argv) except the tests that need
+a fresh interpreter: the console-script entry point declared in
+pyproject.toml, run the way the wrapper that pip generates for it does,
+the scipy import checks, and a formula whose numpy warnings would reach a
+user's stderr.
 """
 
 import json
@@ -299,6 +301,24 @@ def test_correlate_rates_agree_across_measures(tmp_path, capsys):
     assert rates["lebesgue"] == pytest.approx(rates["invariant"], abs=1e-6)
 
 
+def test_correlate_on_a_stalled_density_exits_one(tmp_path, capsys):
+    # [0, 1/3] and [1/3, 1] swap blocks, so the Ulam matrix has the
+    # eigenvalue -1 and power iteration from the uniform start oscillates
+    cfg = tmp_path / "swap.json"
+    cfg.write_text(json.dumps({"v": 1, "epsilon": 1.0, "branches": [
+        {"lo": 0.0, "hi": 1 / 3, "formula": "2*x + 1/3"},
+        {"lo": 1 / 3, "hi": 5 / 9, "formula": "1.5*x - 0.5"},
+        {"lo": 5 / 9, "hi": 7 / 9, "formula": "1.5*x - 5/6"},
+        {"lo": 7 / 9, "hi": 1.0, "formula": "1.5*x - 7/6"}]}))
+    assert main(["correlate", str(cfg), "--f", "x", "--g", "x", "--N", "5",
+                 "--grid", "63", "--no-plot",
+                 "--out", str(tmp_path / "c.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "power iteration stalled" in err
+    assert not (tmp_path / "c.csv").exists()
+
+
 def test_iterates_reports_when_the_bound_kicks_in(tmp_path, capsys):
     out = tmp_path / "iter.csv"
     assert main(["iterates", TRIPLING, "--f", "sin(2*pi*x)", "--p", "1",
@@ -446,6 +466,19 @@ def test_expression_error_exits_one(tmp_path, capsys):
     assert main(["var", "--f", "2*", "--q", "1", "--p", "1", "--A", "0.25",
                  "--grid", "64", "--out", str(tmp_path / "v.csv")]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_overflowing_formula_prints_one_error_line(tmp_path):
+    # a fresh interpreter, so numpy's warnings reach stderr as they would
+    # for a user rather than through pytest's warning filters
+    src = Path(pwexpand.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-m", "pwexpand.cli", "var", "--f", "exp(1000*x)",
+         "--q", "1", "--p", "1", "--A", "0.1", "--grid", "64"],
+        cwd=tmp_path, capture_output=True, text=True, env=env)
+    assert out.returncode == 1
+    assert out.stderr == "error: grid values must be finite\n"
 
 
 def test_unknown_subcommand_exits_two():

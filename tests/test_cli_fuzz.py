@@ -2,7 +2,7 @@
 option of a working invocation with a non-finite, extreme, non-positive
 or non-numeric value, or any one formula option with a hostile formula,
 must end in exit code 0, 1 or 2 (argparse's usage error) with no
-traceback.
+traceback, and a hostile formula's exit 1 in exactly one `error: ` line.
 
 Every base invocation is small, and the values are a fixed list: moderate
 large values (say, a hundred thousand bins) would start long computations
@@ -55,7 +55,8 @@ CASES = [(base, opts, name) for base, opts in INVOCATIONS for name in opts]
 
 # formulas that overflow, leave their domain or have an infinite slope
 HOSTILE_FORMULAS = ("10^400", "2^2^2^2^2", "x^0.5", "1/(x-x)", "log(x-2)",
-                    "sqrt(-1)", "(-8)^(1/3)", "exp(1000)", "1e400*x")
+                    "sqrt(-1)", "(-8)^(1/3)", "exp(1000)", "1e400*x",
+                    "exp(1000*x)")
 
 # every formula option of a base invocation, paired with every hostile formula
 FORMULA_CASES = [(base, opts, name, formula)
@@ -111,3 +112,6 @@ def test_hostile_formula_never_escapes(case):
         rc, err = _run(_argv(argv, opts, None, None), tmp)
     assert rc in (0, 1, 2), (name, formula, rc, err)
     assert "Traceback" not in err, (name, formula, err)
+    if rc == 1:
+        assert err.count("\n") == 1 and err.startswith("error: "), (
+            name, formula, err)

@@ -69,6 +69,94 @@ def test_apply_fp_composes_like_the_composed_map(doubling):
     assert np.max(np.abs(twice.values - once.values)) <= 1e-10
 
 
+def _bisect(tau, a, b, ys):
+    """x in [a, b] with tau(x) = ys, by bisection; tau is monotone on
+    [a, b] and takes every y between tau(a) and tau(b)."""
+    up = tau(b) > tau(a)
+    lo, hi = np.full(ys.shape, a), np.full(ys.shape, b)
+    for _ in range(64):
+        mid = (lo + hi) / 2.0
+        left = (tau(mid) < ys) == up  # the root lies to the right of mid
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    return (lo + hi) / 2.0
+
+
+# (domain, closed-form branch, closed-form |slope|); every branch of both
+# maps is onto [0, 1]
+_CLOSED_FORM = {
+    "nonlinear": [
+        ((0.0, 0.5), lambda x: 2 * x + 0.1 * np.sin(2 * np.pi * x),
+         lambda x: 2 + 0.2 * np.pi * np.cos(2 * np.pi * x)),
+        ((0.5, 1.0), lambda x: 2 * x - 1 + 0.1 * np.sin(2 * np.pi * x),
+         lambda x: 2 + 0.2 * np.pi * np.cos(2 * np.pi * x)),
+    ],
+    "tent": [
+        ((0.0, 0.5), lambda x: 2 * x, lambda x: np.full(x.shape, 2.0)),
+        ((0.5, 1.0), lambda x: 2 - 2 * x, lambda x: np.full(x.shape, 2.0)),
+    ],
+}
+
+
+@pytest.mark.parametrize("n", [1023, 1024])
+@pytest.mark.parametrize("name", ["nonlinear", "tent"])
+def test_apply_fp_matches_an_independent_pointwise_operator(name, n):
+    # sum over preimages y of each midpoint of f(cell of y) / |tau'(y)|,
+    # with bisection preimages and closed-form slopes
+    path = (ROOT / "pipebench" / "maps" / "nonlinear.json" if name == "nonlinear"
+            else ROOT / "configs" / "tent.json")
+    f = np.random.default_rng(11).normal(size=n)
+    mids = (np.arange(n) + 0.5) / n
+    expect = np.zeros(n)
+    for (a, b), tau, slope in _CLOSED_FORM[name]:
+        xs = _bisect(tau, a, b, mids)
+        expect += f[np.minimum((xs * n).astype(int), n - 1)] / slope(xs)
+    out = transfer.apply_fp(load_map(str(path)), GridFunction(n=n, values=f))
+    assert np.max(np.abs(out.values - expect)) <= 1e-12
+
+
+def _scatter_apply_fp(pmap, f):
+    """The pointwise action as a per-branch scatter loop: each branch adds
+    its terms to the cells whose midpoints lie in its image."""
+    n = f.n
+    mids = (np.arange(n) + 0.5) / n
+    out = np.zeros(n)
+    for br in pmap.branches:
+        cells = np.nonzero((mids >= br.image.lo) & (mids <= br.image.hi))[0]
+        if cells.size == 0:
+            continue
+        xs = invert_branch_array(br, mids[cells])
+        _, ders = pwexpand.eval_with_derivative(br.expression, xs)
+        src = np.clip(np.floor(xs * n).astype(int), 0, n - 1)
+        out[cells] += f.values[src] * (1.0 / np.abs(ders))
+    return out
+
+
+def _with_a_tiny_branch():
+    # the first branch's image [0.3, 0.302] holds no midpoint at n = 7 or 16
+    return pwexpand.make_map(
+        [{"lo": 0.0, "hi": 0.001, "formula": "2*x + 0.3"},
+         {"lo": 0.001, "hi": 0.5, "formula": "2*(x - 0.001)"},
+         {"lo": 0.5, "hi": 1.0, "formula": "2*x - 1"}],
+        epsilon=1.0)
+
+
+@pytest.mark.parametrize("name, ns", [
+    ("tent", [7, 1023, 1024]), ("markov", [7, 1000, 4096]),
+    ("nonlinear", [7, 1023, 4096]), ("tripling", [7, 729, 1000]),
+    ("tiny", [7, 16])])
+def test_apply_fp_bytes_match_the_per_branch_scatter(name, ns, request):
+    pmap = _with_a_tiny_branch() if name == "tiny" else request.getfixturevalue(name)
+    rng = np.random.default_rng(3)
+    for n in ns:
+        if name == "tiny":
+            mids = (np.arange(n) + 0.5) / n
+            img = pmap.branches[0].image
+            assert not np.any((mids >= img.lo) & (mids <= img.hi))
+        f = GridFunction(n=n, values=rng.normal(size=n))
+        out = transfer.apply_fp(pmap, f)
+        assert out.values.tobytes() == _scatter_apply_fp(pmap, f).tobytes()
+
+
 # ------------------------------------------------------------- ulam_matrix
 
 def test_ulam_doubling_two_bins(doubling):
