@@ -208,12 +208,11 @@ def _unique_invariant_density(pmap: PiecewiseMap, n: int) -> GridFunction:
     power iteration from two random starts must reach the same fixed
     point; disagreement means the unit eigenvalue is not simple."""
     op = ulam_matrix(pmap, n)
-    h = invariant_density(op, 1e-13, 20000)
+    h = invariant_density(op)
     rng = np.random.default_rng(1234)
     for _ in range(2):
         start = 0.5 + rng.random(n)
-        h1, _, _, _ = power_iterate(
-            op.apply_t, start / np.mean(start), 1e-13, 20000)
+        h1, _, _, _ = power_iterate(op.apply_t, start / np.mean(start))
         if float(np.mean(np.abs(h1 - h.values))) > 1e-6:
             raise AmbiguousMeasureError(
                 "different starting densities reach different fixed points; "

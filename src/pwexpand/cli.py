@@ -68,7 +68,7 @@ def cmd_ly(args) -> int:
     L = args.L
     if args.auto_L:
         L = analysis.estimate_equicontinuity_L(pmap, p=args.p, t=args.t,
-                                               A=args.A if args.A else 0.125)
+                                               A=args.A)
         print(f"estimated L = {serialize.fmt(L)} (empirical, non-rigorous)")
     if args.auto_A:
         if args.t != 1.0:
@@ -97,7 +97,7 @@ def cmd_ly_verify(args) -> int:
 def cmd_density(args) -> int:
     pmap = _load_validated(args.map)
     op = transfer.ulam_matrix(pmap, args.bins)
-    h = transfer.invariant_density(op, tol=args.tol, max_iters=args.max_iters)
+    h = transfer.invariant_density(op)
     serialize.write_text_atomic(args.out, serialize.grid_function_csv(h))
     print(f"invariant density on {args.bins} bins -> {args.out}")
     _plot(args, plotting.density_plot, h)
@@ -238,9 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("density", help="invariant density via Ulam + power iteration")
     q.add_argument("map")
     q.add_argument("--bins", type=_positive_int, required=True)
-    q.add_argument("--tol", type=float, default=1e-12)
-    q.add_argument("--max-iters", type=_positive_int, default=5000,
-                   dest="max_iters")
     q.add_argument("--out", default="density.csv")
     q.add_argument("--no-plot", action="store_true", dest="no_plot")
     q.set_defaults(func=cmd_density)

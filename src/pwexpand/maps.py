@@ -314,14 +314,18 @@ def invert_branch_array(branch: Branch, ys, tol: float = INVERSE_TOL,
     """Vectorized bisection-safeguarded Newton inversion of one branch.
 
     Every y must already lie inside the branch image (clip first); use
-    `branch_inverse` for the checked scalar form.
+    `branch_inverse` for the checked scalar form.  An image end gets its
+    domain end exactly, without iterating: Newton overshoots the bracket
+    there and bisection creeps toward it one bit per step.
     """
     ys = np.asarray(ys, dtype=float)
-    sign = float(branch.monotone_sign)
-    lo, hi = branch.domain.lo, branch.domain.hi
-    # arrange the bracket so the branch increases from a to b
-    a = np.full(ys.shape, lo if sign > 0 else hi)
-    b = np.full(ys.shape, hi if sign > 0 else lo)
+    img = branch.image
+    # the domain ends mapping to img.lo and img.hi; the branch rises a -> b
+    end_a, end_b = (branch.domain.lo, branch.domain.hi)[::branch.monotone_sign]
+    out = np.where(ys == img.lo, end_a, end_b)
+    inner = (ys != img.lo) & (ys != img.hi)
+    ys = ys[inner]
+    a, b = np.full(ys.shape, end_a), np.full(ys.shape, end_b)
     x = 0.5 * (a + b)
     res = None
     for _ in range(max_iter):
@@ -329,7 +333,8 @@ def invert_branch_array(branch: Branch, ys, tol: float = INVERSE_TOL,
         res = val - ys
         done = np.abs(res) <= tol
         if bool(np.all(done)):
-            return x
+            out[inner] = x
+            return out
         # the bracket is arranged so tau(a) <= y <= tau(b); a negative
         # residual means x still sits on the a-side whatever the sign
         below = res < 0.0

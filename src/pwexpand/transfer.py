@@ -158,19 +158,13 @@ def ulam_matrix(pmap: PiecewiseMap, n: int) -> UlamOperator:
     edges = np.arange(n + 1) / n
     rows, cols, vals = [], [], []
     for br in pmap.branches:
-        img = br.image
-        lo_x = br.domain.lo if br.monotone_sign > 0 else br.domain.hi
-        hi_x = br.domain.hi if br.monotone_sign > 0 else br.domain.lo
-        ys = np.clip(edges, img.lo, img.hi)
+        # clipped edges invert to exact domain ends, so row sums telescope
+        ys = np.clip(edges, br.image.lo, br.image.hi)
         try:
             xs = invert_branch_array(br, ys)
         except ToolError as err:
             raise AssemblyError(
                 f"edge inversion failed on branch {br.formula!r}: {err}") from err
-        # pin clipped edges to the exact domain endpoints so that row sums
-        # telescope exactly
-        xs = np.where(ys == img.lo, lo_x, xs)
-        xs = np.where(ys == img.hi, hi_x, xs)
         # preimage [xa, xb] of target bin j, then the source bins ia..ib it
         # meets, expanded to one (i, j) entry per pair in (j, i) order
         xa, xb = (xs[:-1], xs[1:]) if br.monotone_sign > 0 else (xs[1:], xs[:-1])
@@ -215,36 +209,38 @@ def ulam_matrix(pmap: PiecewiseMap, n: int) -> UlamOperator:
                         r_ess=1.0 / s if s > 0 else math.inf)
 
 
-def power_iterate(apply_t, h0: np.ndarray, tol: float, max_iters: int):
+# the one stopping rule of every density solve, applied by power_iterate
+DENSITY_TOL = 1e-13
+DENSITY_MAX_ITERS = 20000
+
+
+def power_iterate(apply_t, h0: np.ndarray):
     """Iterate h -> apply_t(h) = P^T h, renormalized to mean 1, from h0
-    until one step moves h by less than `tol` in L¹; returns (h, converged,
-    residual, iterations) with residual that last step."""
+    until one step moves h by less than DENSITY_TOL in L¹, at most
+    DENSITY_MAX_ITERS times; returns (h, converged, residual, iterations)
+    with residual that last step."""
     h, residual = h0, np.inf
-    for steps in range(max_iters):
+    for steps in range(DENSITY_MAX_ITERS):
         h2 = apply_t(h)
         mean = float(np.mean(h2))
         if mean <= 0:
             return h, False, residual, steps
         h2 = h2 / mean
         residual = float(np.mean(np.abs(h2 - h)))
-        if residual < tol:
+        if residual < DENSITY_TOL:
             return h2, True, residual, steps + 1
         h = h2
-    return h, False, residual, max_iters
+    return h, False, residual, DENSITY_MAX_ITERS
 
 
-def invariant_density(op: UlamOperator, tol: float = 1e-12,
-                      max_iters: int = 5000) -> GridFunction:
+def invariant_density(op: UlamOperator) -> GridFunction:
     """Invariant density of the Ulam operator by power iteration from the
     uniform density, in the L¹ metric."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConfigError(f"tol must be a positive finite number, got {tol}")
-    h, converged, residual, _ = power_iterate(
-        op.apply_t, np.ones(op.n), tol, max_iters)
+    h, converged, residual, steps = power_iterate(op.apply_t, np.ones(op.n))
     if not converged:
         raise ConvergenceError(
             f"power iteration stalled at L1 residual {residual:g} after "
-            f"{max_iters} iterations; the unit eigenvalue may not be simple "
+            f"{steps} iterations; the unit eigenvalue may not be simple "
             "(inspect the spectrum)", residual)
     h = np.maximum(h, 0.0)
     h = h / np.mean(h)
@@ -331,9 +327,10 @@ def spectrum(op: UlamOperator, k: int) -> SpectralReport:
     multiplicity and spectral gap; the module docstring says which
     eigensolver runs and what counts as resolved.  The invariant density
     comes from `invariant_density`."""
-    if k < 2:
-        raise ConfigError(f"need k >= 2 eigenvalues, got {k}")
     n = op.n
+    if not 2 <= k <= n:
+        raise ConfigError(f"need 2 <= k <= {n} eigenvalues (an Ulam matrix on "
+                          f"{n} bins has {n}), got {k}")
     if n <= DENSE_EIG_LIMIT:
         try:
             vals = np.linalg.eigvals(op.dense_t())

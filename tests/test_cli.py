@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import pwexpand
-from pwexpand import plotting, serialize, transfer
+from pwexpand import analysis, plotting, serialize, transfer
 from pwexpand.cli import main
 from pwexpand.grid import project, variation
 from pwexpand.mapconfig import load_map
@@ -175,6 +175,24 @@ def test_density_csv_round_trips_byte_identically(tmp_path):
         serialize.read_grid_function_csv(text)) == text
 
 
+def test_density_bytes_equal_correlates_density(tmp_path):
+    # density and correlate's density share one stopping rule
+    out = tmp_path / "density.csv"
+    assert main(["density", MARKOV, "--bins", "300", "--no-plot",
+                 "--out", str(out)]) == 0
+    got = serialize.read_grid_function_csv(out.read_text()).values
+    want = analysis._unique_invariant_density(load_map(MARKOV), 300).values
+    assert got.tobytes() == want.tobytes()
+
+
+def test_density_has_no_tolerance_options(tmp_path):
+    for opt in ("--tol", "--max-iters"):
+        with pytest.raises(SystemExit) as exc:
+            main(["density", MARKOV, "--bins", "30", opt, "1e-12",
+                  "--no-plot", "--out", str(tmp_path / "d.csv")])
+        assert exc.value.code == 2
+
+
 def test_spectrum_reports_ergodic_components(tmp_path, capsys):
     cfg = tmp_path / "blocks.json"
     cfg.write_text(json.dumps({
@@ -263,6 +281,33 @@ def test_spectrum_top_above_the_krylov_cap_exits_one(tmp_path, capsys):
         f"above DENSE_EIG_LIMIT = {transfer.DENSE_EIG_LIMIT} bins the "
         f"iterative eigensolve returns at most KRYLOV_MAX_DIM = "
         f"{transfer.KRYLOV_MAX_DIM}\n")
+    assert not out.exists()
+
+
+def test_spectrum_top_above_the_bins_exits_one(tmp_path, capsys):
+    # an Ulam matrix on n bins has n eigenvalues and the CSV holds exactly
+    # --top rows, so --top above --bins fails; --top = --bins does not
+    out = tmp_path / "spec.csv"
+    argv = ["spectrum", MARKOV, "--bins", "3", "--no-plot", "--out", str(out)]
+    assert main(argv + ["--top", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: need 2 <= k <= 3 eigenvalues (an Ulam "
+                            "matrix on 3 bins has 3), got 8\n")
+    assert captured.out == ""
+    assert not out.exists()
+    assert main(argv + ["--top", "3"]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[1] == "re,im,modulus" and len(lines) == 2 + 3
+
+
+def test_ly_auto_L_with_A_zero_exits_before_estimating(tmp_path, capsys):
+    out = tmp_path / "ly.csv"
+    assert main(["ly", TRIPLING, "--p", "1", "--A", "0", "--auto-L",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
     assert not out.exists()
 
 
@@ -523,14 +568,6 @@ def test_failed_write_removes_its_temp_file(tmp_path):
     with pytest.raises(pwexpand.ToolError, match="cannot write"):
         serialize.write_text_atomic(target, "x\n")
     assert list(tmp_path.iterdir()) == [target]
-
-
-def test_non_finite_tolerance_exits_one(tmp_path, capsys):
-    assert main(["density", MARKOV, "--bins", "50", "--tol", "nan",
-                 "--no-plot", "--out", str(tmp_path / "d.csv")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: tol must be a positive finite number")
-    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -32,7 +32,7 @@ INVOCATIONS = (
      {"--p": "1", "--A": "0.125", "--trials": "2", "--grid": "64",
       "--seed": "0"}),
     (["density", MARKOV, "--no-plot", "--out", "d.csv"],
-     {"--bins": "16", "--tol": "1e-12", "--max-iters": "50"}),
+     {"--bins": "16"}),
     (["spectrum", MARKOV, "--no-plot", "--out", "s.csv"],
      {"--bins": "16", "--top": "4"}),
     (["var", "--f", "sin(2*pi*x)", "--out", "v.csv"],

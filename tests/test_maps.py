@@ -358,6 +358,33 @@ def test_inverse_contraction(nonlinear, markov):
             assert np.all(lhs <= rhs + 1e-10)
 
 
+def test_image_ends_invert_to_the_exact_domain_ends(tent, markov, nonlinear):
+    for pmap in (tent, markov, nonlinear):
+        for br in pmap.branches:
+            ends = [br.domain.lo, br.domain.hi][::br.monotone_sign]
+            ys = [br.image.lo, br.image.hi]
+            assert invert_branch_array(br, ys).tolist() == ends
+            assert [branch_inverse(br, y) for y in ys] == ends
+
+
+def test_bin_edge_inversion_iterates_only_the_interior(monkeypatch):
+    # Newton overshoots the bracket at an image end and bisection then
+    # creeps toward it one bit per step, 28 evaluations on branch 0 if the
+    # ends iterated; the interior points alone need 8
+    pmap = load_map(str(ROOT / "pipebench" / "maps" / "nonlinear.json"))
+    real = expr.eval_with_derivative
+    sizes = []
+    monkeypatch.setattr(expr, "eval_with_derivative",
+                        lambda tree, x: sizes.append(x.size) or real(tree, x))
+    n = 1 << 16
+    for br in pmap.branches:
+        sizes.clear()
+        invert_branch_array(br, np.clip(np.arange(n + 1) / n, br.image.lo,
+                                        br.image.hi))
+        assert 0 < len(sizes) <= 8
+        assert set(sizes) == {n - 1}
+
+
 def test_branch_inverse_decreasing_branch(tent):
     br = tent.branches[1]  # 2 - 2*x on [1/2, 1], decreasing
     assert br.monotone_sign == -1

@@ -12,11 +12,11 @@ import pytest
 import scipy.sparse as sp
 
 import pwexpand
-from pwexpand import transfer
+from pwexpand import expr, transfer
 from pwexpand.errors import ConfigError
 from pwexpand.grid import GridFunction, project
 from pwexpand.mapconfig import load_map
-from pwexpand.maps import invert_branch_array
+from pwexpand.maps import INVERSE_TOL, invert_branch_array
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -241,17 +241,40 @@ def test_ulam_rejects_tiny_grid(tripling):
         transfer.ulam_matrix(tripling, 1)
 
 
+def _newton_every_edge(br, ys, lo_x, hi_x):
+    """Safeguarded Newton on every y until all residuals are within
+    INVERSE_TOL, iterating the image ends too, which `invert_branch_array`
+    answers without iterating."""
+    a, b = np.full(ys.shape, lo_x), np.full(ys.shape, hi_x)
+    x = 0.5 * (a + b)
+    for _ in range(200):
+        val, der = expr.eval_with_derivative(br.expression, x)
+        res = val - ys
+        done = np.abs(res) <= INVERSE_TOL
+        if done.all():
+            return x
+        a, b = np.where(res < 0.0, x, a), np.where(res < 0.0, b, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = x - res / der
+        bad = (~np.isfinite(xn) | (xn < np.minimum(a, b))
+               | (xn > np.maximum(a, b)))
+        x = np.where(done, x, np.where(bad, 0.5 * (a + b), xn))
+    raise AssertionError(f"no preimages on branch {br.formula!r}")
+
+
 def _reference_ulam_csr(pmap, n):
-    """Ulam matrix assembled bin by bin: for each target bin j, the
-    preimage [xa, xb] of j under each branch, then the overlap of that
-    preimage with every source bin i it meets."""
+    """Ulam matrix assembled bin by bin: the bin edges clipped to each
+    branch image, inverted by Newton on every edge and the image ends
+    pinned to the domain ends; then for each target bin j, the preimage
+    [xa, xb] of j under each branch, and the overlap of that preimage with
+    every source bin i it meets."""
     rows, cols, vals = [], [], []
     for br in pmap.branches:
         increasing = br.monotone_sign > 0
         lo_x = br.domain.lo if increasing else br.domain.hi
         hi_x = br.domain.hi if increasing else br.domain.lo
         ys = np.clip(np.arange(n + 1) / n, br.image.lo, br.image.hi)
-        xs = invert_branch_array(br, ys)
+        xs = _newton_every_edge(br, ys, lo_x, hi_x)
         xs = np.where(ys == br.image.lo, lo_x, xs)
         xs = np.where(ys == br.image.hi, hi_x, xs)
         for j in range(n):
@@ -332,11 +355,19 @@ def test_invariant_density_absorbing_support(absorbing):
     assert np.max(h.values[64:]) <= 1e-8
 
 
-def test_invariant_density_convergence_error_carries_residual(markov):
-    op = transfer.ulam_matrix(markov, 300)
+def test_invariant_density_convergence_error_carries_residual():
+    # [0, 1/3] and [1/3, 1] swap blocks, so the Ulam matrix has the
+    # eigenvalue -1 and power iteration from the uniform start never
+    # converges (the map of test_correlate_on_a_stalled_density_exits_one)
+    swap = pwexpand.make_map([
+        {"lo": 0.0, "hi": 1 / 3, "formula": "2*x + 1/3"},
+        {"lo": 1 / 3, "hi": 5 / 9, "formula": "1.5*x - 0.5"},
+        {"lo": 5 / 9, "hi": 7 / 9, "formula": "1.5*x - 5/6"},
+        {"lo": 7 / 9, "hi": 1.0, "formula": "1.5*x - 7/6"}], epsilon=1.0)
     with pytest.raises(transfer.ConvergenceError) as exc:
-        transfer.invariant_density(op, tol=1e-13, max_iters=2)
-    assert exc.value.residual > 0.0
+        transfer.invariant_density(transfer.ulam_matrix(swap, 63))
+    assert exc.value.residual > transfer.DENSITY_TOL
+    assert f"after {transfer.DENSITY_MAX_ITERS} iterations" in str(exc.value)
 
 
 # ---------------------------------------------------------------- spectrum
@@ -557,6 +588,19 @@ def test_krylov_basis_without_memory_is_a_spectral_error(markov, monkeypatch):
 def test_spectrum_rejects_k_below_two(tripling):
     with pytest.raises(ConfigError):
         transfer.spectrum(transfer.ulam_matrix(tripling, 9), 1)
+
+
+def test_spectrum_rejects_k_above_n_before_solving(markov, monkeypatch):
+    # three bins have three eigenvalues: k = 3 returns them all, and k = 4
+    # fails before the eigensolve runs
+    op = transfer.ulam_matrix(markov, 3)
+    assert transfer.spectrum(op, 3).eigenvalues.size == 3
+
+    def no_solve(a):
+        raise AssertionError("eigensolve ran")
+    monkeypatch.setattr(np.linalg, "eigvals", no_solve)
+    with pytest.raises(ConfigError, match="got 4"):
+        transfer.spectrum(op, 4)
 
 
 # ------------------------------------------------------ iterate_norm_series
