@@ -175,8 +175,7 @@ def cmd_lorenz(args) -> int:
         x0=args.x0, y0=args.y0, z0=args.z0,
         dt=args.dt, t_max=args.t_max, transient=args.transient)
     traj = lorenz.integrate(config)
-    serialize.write_text_atomic(args.out_trajectory,
-                                serialize.trajectory_csv(traj))
+    serialize.write_trajectory_csv(args.out_trajectory, traj)
     print(f"trajectory ({len(traj.t)} samples) -> {args.out_trajectory}")
     maxima = lorenz.extract_z_maxima(traj)
     data = lorenz.build_return_map(maxima)

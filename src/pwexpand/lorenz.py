@@ -118,13 +118,14 @@ def extract_z_maxima(traj: Trajectory) -> np.ndarray:
     z = traj.z
     if len(z) < 3:
         raise InsufficientDataError(f"need at least 3 samples, got {len(z)}")
-    left, mid, right = z[:-2], z[1:-1], z[2:]
-    is_max = (left < mid) & (mid >= right)
+    k = np.flatnonzero((z[:-2] < z[1:-1]) & (z[1:-1] >= z[2:])) + 1
+    # the refinement only at the maxima: full-length float temporaries
+    # would cost five times the size of z
+    left, mid, right = z[k - 1], z[k], z[k + 1]
     S = right - left
     Q = left - 2.0 * mid + right
     with np.errstate(divide="ignore", invalid="ignore"):
-        refined = np.where(Q < 0.0, mid - S * S / (8.0 * Q), mid)
-    maxima = refined[is_max]
+        maxima = np.where(Q < 0.0, mid - S * S / (8.0 * Q), mid)
     if len(maxima) < 2:
         raise InsufficientDataError(
             f"found {len(maxima)} z-maxima; need at least 2 for a return map")

@@ -17,7 +17,7 @@ from .errors import ConfigError, ToolError
 from .grid import GridFunction
 
 
-#: rows formatted per step of `_table`; bounds its transient lists
+#: rows formatted per piece of `_rows`; bounds its transient lists
 _CHUNK = 4096
 
 
@@ -35,11 +35,12 @@ def _cell(x) -> str:
     return str(x) if isinstance(x, (int, np.integer)) else fmt(x)
 
 
-def _table(header: str, *columns, comments=()) -> str:
-    """CSV text: a "# " line per comment, the header, then one row per
-    entry of the array columns, or one row if all are scalars.  A scalar
-    or None column repeats its `_cell`; array cells follow the same policy
-    by dtype.  Rows go through one template, _CHUNK rows at a time."""
+def _rows(header: str, *columns, comments=()):
+    """Yield CSV text in pieces: the "# " comment lines and the header,
+    then _CHUNK rows at a time, one row per entry of the array columns, or
+    one row if all are scalars.  A scalar or None column repeats its
+    `_cell`; array cells follow the same policy by dtype.  Rows go through
+    one template."""
     fields, arrays = [], []
     for col in columns:
         a = np.asarray(col)
@@ -51,18 +52,24 @@ def _table(header: str, *columns, comments=()) -> str:
         arrays.append(np.where(a, "true", "false") if kind == "b" else a)
     template = ",".join(fields) + "\n"
     rows = min((len(a) for a in arrays), default=1)
-    out = [f"# {c}\n" for c in comments] + [header + "\n"]
+    yield "".join(f"# {c}\n" for c in comments) + header + "\n"
     for start in range(0, rows, _CHUNK):
         m = min(_CHUNK, rows - start)
         cells = [None] * (m * len(arrays))
         for j, a in enumerate(arrays):
             cells[j::len(arrays)] = a[start:start + m].tolist()
-        out.append(template * m % tuple(cells))
-    return "".join(out)
+        yield template * m % tuple(cells)
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write via a temp file in the destination directory, then rename.
+def _table(header: str, *columns, comments=()) -> str:
+    """The whole CSV text of `_rows` as one string."""
+    return "".join(_rows(header, *columns, comments=comments))
+
+
+def _write_atomic(path, chunks) -> None:
+    """Write the strings of `chunks` via a temp file in the destination
+    directory, then rename; if writing or `chunks` fails, the temp file is
+    removed and the target is left as it was.
 
     The temp file is created with mode 0o666 and the kernel applies the
     umask, so the result gets the same mode as a plain ``open(path, "w")``.
@@ -74,9 +81,8 @@ def write_text_atomic(path, text: str) -> None:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         created = True
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            # by slices: one write would hold a second, encoded copy of text
-            for start in range(0, len(text), 1 << 20):
-                fh.write(text[start:start + (1 << 20)])
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException as err:
         if created:
@@ -85,6 +91,13 @@ def write_text_atomic(path, text: str) -> None:
         if isinstance(err, OSError):
             raise ToolError(f"cannot write {path}: {err.strerror or err}") from err
         raise
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write text atomically (see `_write_atomic`)."""
+    # by 1 MiB slices: one write would hold a second, encoded copy of text
+    _write_atomic(path, (text[i:i + (1 << 20)]
+                         for i in range(0, len(text), 1 << 20)))
 
 
 def grid_function_csv(f: GridFunction) -> str:
@@ -155,8 +168,18 @@ def iterate_series_csv(series) -> str:
                   series.flags, comments=(head,))
 
 
+def _trajectory_rows(traj):
+    return _rows("t,x,y,z", traj.t, *np.asarray(traj.xyz).T)
+
+
 def trajectory_csv(traj) -> str:
-    return _table("t,x,y,z", traj.t, *np.asarray(traj.xyz).T)
+    return "".join(_trajectory_rows(traj))
+
+
+def write_trajectory_csv(path, traj) -> None:
+    """Write `trajectory_csv(traj)` atomically, _CHUNK rows at a time, so
+    the whole text is never held in memory."""
+    _write_atomic(path, _trajectory_rows(traj))
 
 
 def return_map_csv(data) -> str:

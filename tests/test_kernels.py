@@ -1,5 +1,6 @@
 """Kernel tests: sliding min/max against brute force, RK4 against a pinned
-endpoint and its order of convergence."""
+endpoint, a reference loop with numpy item stores and its order of
+convergence."""
 
 import numpy as np
 import pytest
@@ -81,6 +82,51 @@ def test_lorenz_rk4_pinned_endpoint():
     expect = [float.fromhex(h) for h in (
         "-0x1.a0c6788cb39bdp+2", "-0x1.be56b78cbb012p+2", "0x1.7ec93c1aa221cp+4")]
     assert got[-1].tolist() == expect
+
+
+def _rk4_item_stores(state, sigma, rho, beta, dt, nsteps):
+    """The RK4 step of `kernels.lorenz_rk4`, stored by numpy item assignment."""
+    out = np.empty((nsteps + 1, 3))
+    x, y, z = (float(v) for v in state)
+    out[0] = x, y, z
+    for i in range(nsteps):
+        k1x = sigma * (y - x)
+        k1y = x * (rho - z) - y
+        k1z = x * y - beta * z
+        x2 = x + 0.5 * dt * k1x
+        y2 = y + 0.5 * dt * k1y
+        z2 = z + 0.5 * dt * k1z
+        k2x = sigma * (y2 - x2)
+        k2y = x2 * (rho - z2) - y2
+        k2z = x2 * y2 - beta * z2
+        x3 = x + 0.5 * dt * k2x
+        y3 = y + 0.5 * dt * k2y
+        z3 = z + 0.5 * dt * k2z
+        k3x = sigma * (y3 - x3)
+        k3y = x3 * (rho - z3) - y3
+        k3z = x3 * y3 - beta * z3
+        x4 = x + dt * k3x
+        y4 = y + dt * k3y
+        z4 = z + dt * k3z
+        k4x = sigma * (y4 - x4)
+        k4y = x4 * (rho - z4) - y4
+        k4z = x4 * y4 - beta * z4
+        x += dt * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
+        y += dt * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
+        z += dt * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
+        out[i + 1, 0] = x
+        out[i + 1, 1] = y
+        out[i + 1, 2] = z
+    return out
+
+
+@pytest.mark.parametrize("state, nsteps", [
+    ([1.0, 1.0, 1.0], 20_000), ([0.5, -0.25, 9.0], 1), ([-3.0, 2.0, 30.0], 0)])
+def test_lorenz_rk4_matches_item_store_loop(state, nsteps):
+    args = (10.0, 28.0, 8.0 / 3.0, 0.001, nsteps)
+    got = kernels.lorenz_rk4(state, *args)
+    expect = _rk4_item_stores(state, *args)
+    assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
 
 
 def test_lorenz_rk4_initial_row_and_determinism():

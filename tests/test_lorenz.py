@@ -62,6 +62,51 @@ def test_maxima_of_a_sine_are_all_one():
     assert np.max(np.abs(m - 1.0)) <= 1e-6
 
 
+def _full_length_maxima(z):
+    """The refinement on every interior sample, then the maxima picked."""
+    left, mid, right = z[:-2], z[1:-1], z[2:]
+    is_max = (left < mid) & (mid >= right)
+    S = right - left
+    Q = left - 2.0 * mid + right
+    with np.errstate(divide="ignore", invalid="ignore"):
+        refined = np.where(Q < 0.0, mid - S * S / (8.0 * Q), mid)
+    return refined[is_max]
+
+
+# two maxima at (1 - 2^-53, 1, 1), where Q = (1 - 2^-53) - 2 + 1 rounds to 0
+ROUNDING_TIE = np.array([0.0, 1.0 - 2.0 ** -53, 1.0, 1.0] * 2 + [0.0])
+
+
+def _walks():
+    rng = np.random.default_rng(7)
+    for n in (3, 4, 50, 10_001):
+        yield np.cumsum(rng.normal(size=n))
+        # integer steps: plateaus and flat-topped maxima
+        yield np.cumsum(rng.integers(-1, 2, size=n)).astype(float)
+    yield np.sin(np.arange(0.0, 100.0 + 1e-12, 0.01))
+    yield np.array([0.0, 2.0, 2.0, 2.0, 1.0, 3.0, 3.0, 0.0, 3.0])
+    yield ROUNDING_TIE
+
+
+@pytest.mark.parametrize("z", list(_walks()), ids=lambda z: f"n{len(z)}")
+def test_maxima_match_the_full_length_refinement(z):
+    traj = lorenz.Trajectory(t=np.arange(len(z)),
+                             xyz=np.column_stack([z, z, z]))
+    expect = _full_length_maxima(z)
+    if len(expect) < 2:
+        with pytest.raises(lorenz.InsufficientDataError):
+            lorenz.extract_z_maxima(traj)
+        return
+    got = lorenz.extract_z_maxima(traj)
+    assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+
+
+def test_maxima_rounding_tie_takes_the_middle_sample():
+    z = ROUNDING_TIE
+    traj = lorenz.Trajectory(t=np.arange(len(z)), xyz=np.column_stack([z, z, z]))
+    assert lorenz.extract_z_maxima(traj).tolist() == [1.0, 1.0]
+
+
 def test_maxima_of_a_monotone_signal_raise():
     t = np.arange(0.0, 5.0, 0.01)
     traj = lorenz.Trajectory(t=t, xyz=np.column_stack([t, t, t]))

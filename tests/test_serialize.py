@@ -8,6 +8,7 @@ chunks plus one row.
 """
 
 import functools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -208,11 +209,20 @@ def test_iterate_series_csv(n, bounded):
     assert serialize.iterate_series_csv(s) == oracle_iterate_series(s)
 
 
-@pytest.mark.parametrize("n", ROWS)
-def test_trajectory_csv(n):
-    traj = SimpleNamespace(t=np.arange(n) * 0.001,
+def _trajectory(n):
+    return SimpleNamespace(t=np.arange(n) * 0.001,
                            xyz=_values(3 * n, 10).reshape(n, 3))
-    assert serialize.trajectory_csv(traj) == oracle_trajectory(traj)
+
+
+@pytest.mark.parametrize("n", ROWS)
+def test_trajectory_csv(n, tmp_path):
+    traj = _trajectory(n)
+    expect = oracle_trajectory(traj)
+    assert serialize.trajectory_csv(traj) == expect
+    target = tmp_path / "traj.csv"
+    serialize.write_trajectory_csv(target, traj)
+    assert target.read_bytes() == expect.encode("utf-8")
+    assert list(tmp_path.iterdir()) == [target]
 
 
 @pytest.mark.parametrize("n", ROWS)
@@ -228,3 +238,28 @@ def test_write_text_atomic_writes_text_longer_than_one_slice(tmp_path):
     serialize.write_text_atomic(target, text)
     assert target.read_text(encoding="utf-8") == text
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_failing_chunks_leave_no_file(tmp_path):
+    def chunks():
+        yield "t,x,y,z\n"
+        raise RuntimeError("formatting failed")
+
+    target = tmp_path / "traj.csv"
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        serialize._write_atomic(target, chunks())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_trajectory_csv_holds_one_chunk_at_a_time(tmp_path):
+    traj = _trajectory(250_000)
+    target = tmp_path / "traj.csv"
+    tracemalloc.start()
+    try:
+        serialize.write_trajectory_csv(target, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the text is ~22 MB (a str of it ~40 MB with the join); one 4096-row
+    # chunk with its cells and encoded copy is ~1.5 MB
+    assert peak < 2e6 < target.stat().st_size / 10, peak
