@@ -33,7 +33,6 @@ from .maps import (
     apply_map,
     branch_inverse,
     check_slope_condition,
-    estimate_holder_constant,
     make_map,
     validate,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "correlation_lebesgue",
     "dump_map_config",
     "estimate_equicontinuity_L",
-    "estimate_holder_constant",
     "eval_with_derivative",
     "evaluate",
     "extract_z_maxima",

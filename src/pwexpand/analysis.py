@@ -28,6 +28,14 @@ NOISE_FLOOR = 1e-14
 #: invariant densities must stay above this for the normalized operator
 H_FLOOR = 1e-8
 
+#: highest degree of a random trigonometric test function, and most jumps
+#: of a random step function
+_MAX_DEGREE = _MAX_JUMPS = 8
+
+#: estimate_equicontinuity_L's sample: test functions, iterates of each,
+#: grid size and seed
+_L_TRIALS, _L_ITERATES, _L_GRID, _L_SEED = 12, 20, 1024, 7
+
 
 class InadmissibleError(ToolError):
     """No radius cap A can make the contraction coefficient < 1."""
@@ -91,8 +99,8 @@ def ly_constants(pmap: PiecewiseMap, p: float, t: float = 1.0,
     (supplied by the caller, typically from estimate_equicontinuity_L —
     an empirical, non-rigorous stand-in).
     """
-    if not p >= 1:
-        raise ConfigError(f"p must be at least 1, got {p}")
+    # the slope condition, which also requires p >= 1 and s > 1
+    slope_value, _ = check_slope_condition(pmap, p)
     if L is not None and not math.isfinite(L):
         raise ConfigError(f"L must be a finite number, got {L}")
     if not (1.0 <= t <= p):
@@ -100,10 +108,8 @@ def ly_constants(pmap: PiecewiseMap, p: float, t: float = 1.0,
     if not (0.0 < A <= 1.0):
         raise ConfigError(f"A must lie in (0,1], got {A}")
     s = pmap.min_slope_global
-    if s <= 1.0:
-        raise ConfigError(f"minimum slope {s} is not greater than 1")
     M = pmap.holder_max
-    q = pmap.branch_count
+    q = len(pmap.branches)
     B = A
     D = M * A ** (1.0 / p) / s ** (1.0 + 1.0 / p)
     if t == 1.0:
@@ -125,7 +131,7 @@ def ly_constants(pmap: PiecewiseMap, p: float, t: float = 1.0,
     C = 1.0 + K / (1.0 - alpha) if (admissible and K is not None) else None
     return LYConstants(
         p=p, t=t, A=A, B=B, D=D, alpha=alpha, beta=beta, K=K, C=C,
-        slope_condition_value=1.0 / s ** (1.0 / p) + 1.0 / s,
+        slope_condition_value=slope_value,
         admissible=admissible)
 
 
@@ -149,17 +155,17 @@ def shrink_A_until_admissible(pmap: PiecewiseMap, p: float) -> LYConstants:
         f"M={pmap.holder_max:.6g}, p={p})")
 
 
-def _random_trig(rng, n: int, max_degree: int = 8) -> np.ndarray:
+def _random_trig(rng, n: int) -> np.ndarray:
     x = (np.arange(n) + 0.5) / n
     out = np.full(n, rng.normal())
-    for k in range(1, max_degree + 1):
+    for k in range(1, _MAX_DEGREE + 1):
         a, b = rng.normal(size=2) / k
         out += a * np.cos(2.0 * math.pi * k * x) + b * np.sin(2.0 * math.pi * k * x)
     return out
 
 
-def _random_step(rng, n: int, max_jumps: int = 8) -> np.ndarray:
-    jumps = rng.integers(1, max_jumps + 1)
+def _random_step(rng, n: int) -> np.ndarray:
+    jumps = rng.integers(1, _MAX_JUMPS + 1)
     edges = np.sort(rng.integers(1, n, size=jumps))
     levels = rng.normal(size=jumps + 1)
     out = np.empty(n)
@@ -172,7 +178,8 @@ def _random_step(rng, n: int, max_jumps: int = 8) -> np.ndarray:
 
 def random_test_functions(n: int, count: int, seed: int):
     """Seeded stream of grid test functions, alternating trigonometric
-    polynomials (degree <= 8) and step functions (<= 8 jumps)."""
+    polynomials (degree <= _MAX_DEGREE) and step functions (<= _MAX_JUMPS
+    jumps)."""
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
@@ -304,18 +311,18 @@ def fit_decay_rate(series: CorrelationSeries):
 
 
 def estimate_equicontinuity_L(pmap: PiecewiseMap, p: float, t: float,
-                              A: float, trials: int = 12, n_iter: int = 20,
-                              n: int = 1024, seed: int = 7) -> float:
+                              A: float) -> float:
     """Empirical stand-in for the uniform bound sup_n ||P^n f||_t / ||f||_t
-    over the test-function suite.  NOT rigorous: a sampled maximum, clearly
-    a lower bound of the true constant; use for exploration only."""
+    over _L_TRIALS test functions on a _L_GRID-cell grid, each iterated
+    _L_ITERATES times.  NOT rigorous: a sampled maximum, clearly a lower
+    bound of the true constant; use for exploration only."""
     best = 1.0
-    for f in random_test_functions(n, trials, seed):
+    for f in random_test_functions(_L_GRID, _L_TRIALS, _L_SEED):
         denom = variation(f, t, p, A).bv_norm
         if denom <= 0:
             continue
         g = f
-        for _ in range(n_iter):
+        for _ in range(_L_ITERATES):
             g = apply_fp(pmap, g)
             ratio = variation(g, t, p, A).bv_norm / denom
             if ratio > best:

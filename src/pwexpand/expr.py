@@ -10,6 +10,7 @@ Grammar (full reference in docs/expr-grammar.md)::
 
 ``^`` is right-associative and binds tighter than unary minus, so
 ``-x^2`` parses as ``-(x^2)``.  Functions: sin, cos, exp, log, sqrt, abs.
+An expression nests at most MAX_DEPTH levels.
 One recursive walk computes the value and, by the chain rule, the first
 derivative in the same pass (never finite differences); each domain rule
 is checked in one place.  ``abs`` has derivative 0 at the kink by
@@ -205,10 +206,19 @@ def _tokenize(text: str):
     return tokens
 
 
+#: deepest nesting `parse` accepts; each binary operator, unary minus,
+#: exponent, function call and pair of parentheses adds a level, so
+#: neither the recursive parser nor `_walk` can exhaust Python's stack
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each rule returns ``(tree, nesting depth)``."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.open = 0  # operands `_nested` is in; never above their depth
 
     def _peek(self):
         return self.tokens[self.i]
@@ -218,65 +228,82 @@ class _Parser:
         self.i += 1
         return tok
 
+    def _level(self, depth: int, pos: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
+        return depth
+
+    def _nested(self, rule, pos):
+        """The tree read by `rule` one level down, checked on the way in."""
+        self.open = self._level(self.open + 1, pos)
+        e, depth = rule()
+        self.open -= 1
+        return e, self._level(depth + 1, pos)
+
     def parse(self):
-        e = self.expr()
+        e, _ = self.expr()
         kind, text, pos = self._peek()
         if kind != "end":
             raise ParseError(f"unexpected {text!r}", pos)
         return e
 
+    def _chain(self, ops, operand):
+        """A left-associative chain of `operand`s joined by `ops`."""
+        e, depth = operand()
+        while self._peek()[0] in ops:
+            op, _, pos = self._next()
+            right, d = operand()
+            e, depth = BinOp(op, e, right), self._level(max(depth, d) + 1, pos)
+        return e, depth
+
     def expr(self):
-        e = self.term()
-        while self._peek()[0] in ("+", "-"):
-            op = self._next()[0]
-            e = BinOp(op, e, self.term())
-        return e
+        return self._chain(("+", "-"), self.term)
 
     def term(self):
-        e = self.factor()
-        while self._peek()[0] in ("*", "/"):
-            op = self._next()[0]
-            e = BinOp(op, e, self.factor())
-        return e
+        return self._chain(("*", "/"), self.factor)
 
     def factor(self):
-        if self._peek()[0] == "-":
+        kind, _, pos = self._peek()
+        if kind == "-":
             self._next()
-            return Neg(self.factor())
+            arg, depth = self._nested(self.factor, pos)
+            return Neg(arg), depth
         return self.power()
 
     def power(self):
-        base = self.atom()
-        if self._peek()[0] == "^":
+        base, depth = self.atom()
+        kind, _, pos = self._peek()
+        if kind == "^":
             self._next()
-            return BinOp("^", base, self.factor())
-        return base
+            exponent, d = self._nested(self.factor, pos)
+            return BinOp("^", base, exponent), self._level(max(depth + 1, d), pos)
+        return base, depth
 
     def atom(self):
         kind, text, pos = self._next()
         if kind == "num":
-            return Num(float(text))
+            return Num(float(text)), 1
         if kind == "name":
             if text == "x":
-                return Var()
+                return Var(), 1
             if text == "pi":
-                return Pi()
+                return Pi(), 1
             if text in FUNCTIONS:
                 kind2, text2, pos2 = self._next()
                 if kind2 != "(":
                     raise ParseError(f"expected '(' after {text!r}", pos2)
-                arg = self.expr()
+                arg, depth = self._nested(self.expr, pos)
                 kind3, _, pos3 = self._next()
                 if kind3 != ")":
                     raise ParseError("unbalanced parentheses", pos3)
-                return Call(text, arg)
+                return Call(text, arg), depth
             raise ParseError(f"unknown identifier {text!r}", pos)
         if kind == "(":
-            e = self.expr()
+            e, depth = self._nested(self.expr, pos)
             kind2, _, pos2 = self._next()
             if kind2 != ")":
                 raise ParseError("unbalanced parentheses", pos2)
-            return e
+            return e, depth
         if kind == "end":
             raise ParseError("empty operand", pos)
         raise ParseError(f"unexpected {text!r}", pos)

@@ -78,12 +78,10 @@ class ReturnMapData:
 
 @dataclass(frozen=True, eq=False)
 class FitDiagnostics:
-    branch_domains: tuple
     point_counts: tuple
     residual_rms: tuple
     min_abs_slope_central: tuple  # min |fit'| over the central 80%
-    holder_estimates: tuple
-    holder_exponent: float
+    holder_exponent: float        # the smaller of the two branch estimates
     caveat: str = ("Hölder exponent is estimated from second differences of "
                    "scattered data; treat it as indicative, not as a verdict.")
 
@@ -106,7 +104,10 @@ def integrate(config: LorenzConfig) -> Trajectory:
         first = int(np.argmax(~np.isfinite(out).all(axis=1)))
         raise IntegrationError(
             f"state became non-finite at t = {first * config.dt:g}")
-    t = np.arange(nsteps + 1) * config.dt
+    # scaled in place, so no second t-sized array exists; step counts
+    # below 2**53 are exact doubles, so t[k] is still k * dt
+    t = np.arange(nsteps + 1, dtype=float)
+    t *= config.dt
     keep = int(np.searchsorted(t, config.transient - 1e-12))
     return Trajectory(t=t[keep:], xyz=out[keep:])
 
@@ -230,10 +231,8 @@ def fit_piecewise(data: ReturnMapData, degree: int):
     epsilon = min(holders)
     pmap = make_map(specs, epsilon=epsilon)
     diagnostics = FitDiagnostics(
-        branch_domains=tuple(domains),
         point_counts=tuple(counts),
         residual_rms=tuple(rms_list),
         min_abs_slope_central=tuple(slopes),
-        holder_estimates=tuple(holders),
         holder_exponent=epsilon)
     return pmap, diagnostics

@@ -68,8 +68,12 @@ def load_map(path) -> PiecewiseMap:
             doc = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read map config {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"map config {path} is not UTF-8 text: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"map config {path} is not valid JSON: {err}") from err
+    except RecursionError as err:
+        raise ConfigError(f"map config {path} nests too deeply to read") from err
     return map_from_config(doc)
 
 

@@ -18,14 +18,23 @@ import numpy as np
 from . import expr
 from .errors import ConfigError, ToolError
 
-#: default tolerance for branch inversion
+#: residual |τ_i(x) - y| at which branch inversion stops, and the slack
+#: `branch_inverse` allows outside the image
 INVERSE_TOL = 1e-12
+
+#: Newton/bisection steps before branch inversion gives up
+_INVERSE_MAX_ITER = 200
 
 #: geometric snap tolerance for breakpoints and images
 _EDGE_TOL = 1e-9
 
 #: points at which make_map samples τ' on each branch
 BRANCH_SAMPLES = 512
+
+#: sample pairs (dyadic grid points, and seeded draws) behind an estimated
+#: Hölder constant
+_HOLDER_PAIRS = 256
+_HOLDER_SEED = 0
 
 
 class ValidationError(ToolError):
@@ -73,7 +82,6 @@ class Branch:
     holder_constant: float
     image: Interval
     declared_min_slope: float | None = None
-    declared_holder: float | None = None
 
     def __call__(self, x):
         return expr.evaluate(self.expression, x)
@@ -84,40 +92,38 @@ class PiecewiseMap:
     breakpoints: tuple
     branches: tuple
     holder_exponent: float
-    # derived quantities, filled in by make_map
-    branch_count: int
-    p: float
-    min_slope_global: float
-    holder_max: float
     # scratch for transfer-operator stencils, keyed by grid size
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
+    @property
+    def min_slope_global(self) -> float:
+        """s = min_i s_i, the slope every constant uses."""
+        return min(b.min_slope for b in self.branches)
 
-@dataclass(frozen=True)
-class BranchReport:
-    index: int
-    formula: str
-    observed_min_slope: float
-    sign_consistent: bool
-    violations: tuple
+    @property
+    def holder_max(self) -> float:
+        """M = max_i M_i."""
+        return max(b.holder_constant for b in self.branches)
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    accepted: bool
-    branch_reports: tuple
+    """Every violation, as ``branch k ('formula'): what fails``."""
+
+    violations: tuple
+
+    @property
+    def accepted(self) -> bool:
+        return not self.violations
 
     def violation_summary(self) -> str:
-        lines = []
-        for rep in self.branch_reports:
-            for v in rep.violations:
-                lines.append(f"branch {rep.index} ({rep.formula!r}): {v}")
-        return "; ".join(lines) if lines else "no violations"
+        return "; ".join(self.violations) if self.violations else "no violations"
 
 
-def _snap(x: float, targets=(0.0, 1.0), tol: float = _EDGE_TOL) -> float:
-    for t in targets:
-        if abs(x - t) <= tol:
+def _snap(x: float) -> float:
+    """0 or 1 when x lies within _EDGE_TOL of it, else x."""
+    for t in (0.0, 1.0):
+        if abs(x - t) <= _EDGE_TOL:
             return t
     return x
 
@@ -186,7 +192,7 @@ def make_map(branch_specs, epsilon: float) -> PiecewiseMap:
             v_lo = expr.evaluate(tree, lo)
             v_hi = expr.evaluate(tree, hi)
             holder = (decl_holder if decl_holder is not None
-                      else _holder_from_samples(tree, lo, hi, epsilon, 256))
+                      else _holder_from_samples(tree, lo, hi, epsilon))
         except expr.EvalError as err:
             raise ConfigError(f"branch {k} ({formula!r}) fails to evaluate: {err}") from err
         if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(ders))):
@@ -208,70 +214,49 @@ def make_map(branch_specs, epsilon: float) -> PiecewiseMap:
             monotone_sign=sign, sampled_min_slope=sampled_min,
             sign_consistent=bool(np.all(np.sign(ders) == sign)),
             min_slope=min_slope, holder_constant=holder, image=image,
-            declared_min_slope=declared, declared_holder=decl_holder))
-
-    branches = tuple(branches)
-    return PiecewiseMap(
-        breakpoints=tuple(edges),
-        branches=branches,
-        holder_exponent=float(epsilon),
-        branch_count=len(branches),
-        p=1.0 / float(epsilon),
-        min_slope_global=min(b.min_slope for b in branches),
-        holder_max=max(b.holder_constant for b in branches),
-    )
+            declared_min_slope=declared))
+    return PiecewiseMap(breakpoints=tuple(edges), branches=tuple(branches),
+                        holder_exponent=float(epsilon))
 
 
 def validate(pmap: PiecewiseMap) -> ValidationReport:
     """Judge every branch's samples and its stored s_i (declared, or 0.999
     times the sampled minimum) against the class conditions: |τ'| ≥ s_i > 1,
     consistent monotonicity, image inside [0,1]."""
-    reports = []
+    violations = []
     for k, br in enumerate(pmap.branches):
-        violations = []
+        where = f"branch {k} ({br.formula!r})"
         observed_min = br.sampled_min_slope
         if observed_min <= 1.0:
             violations.append(
-                f"slope {observed_min:.6g} is not greater than 1")
+                f"{where}: slope {observed_min:.6g} is not greater than 1")
         elif br.min_slope <= 1.0:
             kind = ("declared" if br.declared_min_slope is not None
                     else "effective (0.999 x sampled)")
             violations.append(
-                f"{kind} min slope {br.min_slope:.6g} is not greater than 1")
+                f"{where}: {kind} min slope {br.min_slope:.6g} is not greater than 1")
         elif observed_min < br.min_slope - _EDGE_TOL:
             violations.append(
-                f"observed min slope {observed_min:.6g} below declared {br.min_slope:.6g}")
+                f"{where}: observed min slope {observed_min:.6g} below declared "
+                f"{br.min_slope:.6g}")
         if not br.sign_consistent:
-            violations.append("derivative changes sign on the branch")
+            violations.append(f"{where}: derivative changes sign on the branch")
         if br.image.lo < -_EDGE_TOL or br.image.hi > 1.0 + _EDGE_TOL:
             violations.append(
-                f"image [{br.image.lo:.6g}, {br.image.hi:.6g}] leaves [0,1]")
-        reports.append(BranchReport(
-            index=k, formula=br.formula,
-            observed_min_slope=observed_min,
-            sign_consistent=br.sign_consistent,
-            violations=tuple(violations)))
-    accepted = all(not r.violations for r in reports)
-    return ValidationReport(accepted=accepted, branch_reports=tuple(reports))
+                f"{where}: image [{br.image.lo:.6g}, {br.image.hi:.6g}] leaves [0,1]")
+    return ValidationReport(violations=tuple(violations))
 
 
-def _holder_from_samples(tree, lo: float, hi: float, epsilon: float,
-                         pairs: int, rng_seed: int = 0) -> float:
-    """Max of |τ'(x)-τ'(y)|/|x-y|^ε over nested sample pairs.
-
-    Two pools, both prefix-nested so the estimate can only grow with
-    `pairs`: adjacent pairs on a dyadic grid, and sequential draws from a
-    fixed-seed generator.
-    """
-    level = max(2, math.ceil(math.log2(max(pairs, 2))))
-    grid = np.linspace(lo, hi, 2 ** level + 1)
+def _holder_from_samples(tree, lo: float, hi: float, epsilon: float) -> float:
+    """Max of |τ'(x)-τ'(y)|/|x-y|^ε over two pools of sample pairs: the
+    adjacent pairs of a dyadic grid of _HOLDER_PAIRS cells, and
+    _HOLDER_PAIRS draws from a fixed-seed generator."""
+    grid = np.linspace(lo, hi, _HOLDER_PAIRS + 1)
     _, dg = expr.eval_with_derivative(tree, grid)
-    num = np.abs(np.diff(dg))
-    den = np.abs(np.diff(grid)) ** epsilon
-    best = float(np.max(num / den)) if len(grid) > 1 else 0.0
+    best = float(np.max(np.abs(np.diff(dg)) / np.abs(np.diff(grid)) ** epsilon))
 
-    rng = np.random.default_rng(rng_seed)
-    xy = lo + (hi - lo) * rng.random((pairs, 2))
+    rng = np.random.default_rng(_HOLDER_SEED)
+    xy = lo + (hi - lo) * rng.random((_HOLDER_PAIRS, 2))
     x, y = xy[:, 0], xy[:, 1]
     keep = x != y
     if np.any(keep):
@@ -280,18 +265,6 @@ def _holder_from_samples(tree, lo: float, hi: float, epsilon: float,
         ratios = np.abs(dx - dy) / np.abs(x[keep] - y[keep]) ** epsilon
         best = max(best, float(np.max(ratios)))
     return best
-
-
-def estimate_holder_constant(pmap: PiecewiseMap, pairs_per_branch: int):
-    """Per-branch estimates of the derivative's Hölder constant M_i."""
-    if pairs_per_branch < 10:
-        raise ConfigError("pairs_per_branch must be at least 10")
-    out = []
-    for br in pmap.branches:
-        out.append(_holder_from_samples(
-            br.expression, br.domain.lo, br.domain.hi,
-            pmap.holder_exponent, pairs_per_branch))
-    return out
 
 
 def check_slope_condition(pmap: PiecewiseMap, p: float):
@@ -309,8 +282,7 @@ def check_slope_condition(pmap: PiecewiseMap, p: float):
     return value, bool(value < 1.0)
 
 
-def invert_branch_array(branch: Branch, ys, tol: float = INVERSE_TOL,
-                        max_iter: int = 200) -> np.ndarray:
+def invert_branch_array(branch: Branch, ys) -> np.ndarray:
     """Vectorized bisection-safeguarded Newton inversion of one branch.
 
     Every y must already lie inside the branch image (clip first); use
@@ -328,10 +300,10 @@ def invert_branch_array(branch: Branch, ys, tol: float = INVERSE_TOL,
     a, b = np.full(ys.shape, end_a), np.full(ys.shape, end_b)
     x = 0.5 * (a + b)
     res = None
-    for _ in range(max_iter):
+    for _ in range(_INVERSE_MAX_ITER):
         val, der = expr.eval_with_derivative(branch.expression, x)
         res = val - ys
-        done = np.abs(res) <= tol
+        done = np.abs(res) <= INVERSE_TOL
         if bool(np.all(done)):
             out[inner] = x
             return out
@@ -349,18 +321,19 @@ def invert_branch_array(branch: Branch, ys, tol: float = INVERSE_TOL,
         x = np.where(done, x, xn)
     worst = float(np.max(np.abs(res)))
     raise RootFindError(
-        f"branch inversion did not reach tol={tol} in {max_iter} iterations "
-        f"(worst residual {worst:g}) for branch {branch.formula!r}")
+        f"branch inversion did not reach tol={INVERSE_TOL} in "
+        f"{_INVERSE_MAX_ITER} iterations (worst residual {worst:g}) for "
+        f"branch {branch.formula!r}")
 
 
-def branch_inverse(branch: Branch, y: float, tol: float = INVERSE_TOL) -> float:
+def branch_inverse(branch: Branch, y: float) -> float:
     """Solve τ_i(x) = y on the branch domain."""
     img = branch.image
-    if y < img.lo - tol or y > img.hi + tol:
+    if y < img.lo - INVERSE_TOL or y > img.hi + INVERSE_TOL:
         raise OutOfImageError(
             f"y={y!r} is outside the branch image [{img.lo}, {img.hi}]")
     y_in = min(max(y, img.lo), img.hi)
-    return float(invert_branch_array(branch, np.array([y_in]), tol)[0])
+    return float(invert_branch_array(branch, np.array([y_in]))[0])
 
 
 def apply_map(pmap: PiecewiseMap, xs):

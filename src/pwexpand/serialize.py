@@ -13,7 +13,7 @@ import secrets
 
 import numpy as np
 
-from .errors import ConfigError, ToolError
+from .errors import ToolError
 from .grid import GridFunction
 
 
@@ -103,19 +103,6 @@ def write_text_atomic(path, text: str) -> None:
 def grid_function_csv(f: GridFunction) -> str:
     return _table("cell_index,midpoint,value", np.arange(f.n), f.midpoints(),
                   f.values)
-
-
-def read_grid_function_csv(text: str) -> GridFunction:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "cell_index,midpoint,value":
-        raise ConfigError("not a grid-function CSV (bad header)")
-    values = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise ConfigError(f"malformed CSV row: {ln!r}")
-        values.append(float(parts[2]))
-    return GridFunction.of(np.array(values))
 
 
 def spectral_csv(report) -> str:

@@ -239,10 +239,8 @@ def test_fit_prefers_the_later_run_on_ties():
 # -------------------------------------------------- estimate_equicontinuity_L
 
 def test_equicontinuity_estimate_is_deterministic(tripling):
-    a = analysis.estimate_equicontinuity_L(tripling, p=2.0, t=2.0, A=0.01,
-                                           trials=4, n_iter=5, n=256)
-    b = analysis.estimate_equicontinuity_L(tripling, p=2.0, t=2.0, A=0.01,
-                                           trials=4, n_iter=5, n=256)
+    a = analysis.estimate_equicontinuity_L(tripling, p=2.0, t=2.0, A=0.01)
+    b = analysis.estimate_equicontinuity_L(tripling, p=2.0, t=2.0, A=0.01)
     assert a == b
     assert math.isfinite(a)
     assert a >= 1.0

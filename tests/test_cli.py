@@ -15,12 +15,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pwexpand
 from pwexpand import analysis, plotting, serialize, transfer
 from pwexpand.cli import main
-from pwexpand.grid import project, variation
+from pwexpand.grid import GridFunction, project, variation
 from pwexpand.mapconfig import load_map
 from pwexpand.maps import validate
 
@@ -29,6 +30,13 @@ CONFIGS = ROOT / "configs"
 TRIPLING = str(CONFIGS / "tripling.json")
 DOUBLING = str(CONFIGS / "doubling.json")
 MARKOV = str(CONFIGS / "markov.json")
+
+
+def _grid_csv_values(text):
+    """The value column of a grid-function CSV, read without pwexpand."""
+    lines = text.splitlines()
+    assert lines[0] == "cell_index,midpoint,value"
+    return np.array([float(line.split(",")[2]) for line in lines[1:]])
 
 
 def test_console_script_runs():
@@ -172,7 +180,7 @@ def test_density_csv_round_trips_byte_identically(tmp_path):
                  "--out", str(out)]) == 0
     text = out.read_text()
     assert serialize.grid_function_csv(
-        serialize.read_grid_function_csv(text)) == text
+        GridFunction.of(_grid_csv_values(text))) == text
 
 
 def test_density_bytes_equal_correlates_density(tmp_path):
@@ -180,7 +188,7 @@ def test_density_bytes_equal_correlates_density(tmp_path):
     out = tmp_path / "density.csv"
     assert main(["density", MARKOV, "--bins", "300", "--no-plot",
                  "--out", str(out)]) == 0
-    got = serialize.read_grid_function_csv(out.read_text()).values
+    got = _grid_csv_values(out.read_text())
     want = analysis._unique_invariant_density(load_map(MARKOV), 300).values
     assert got.tobytes() == want.tobytes()
 
@@ -404,7 +412,7 @@ def test_lorenz_pipeline_writes_all_three_files(tmp_path, capsys):
     assert traj.read_text().splitlines()[0] == "t,x,y,z"
     assert rmap.read_text().splitlines()[0] == "z_k,z_next"
     fitted = load_map(fit)
-    assert fitted.branch_count == 2
+    assert len(fitted.branches) == 2
     # the verdict printed is the one `validate` gives the file written; at
     # this size both fitted branch images leave [0,1]
     report = validate(fitted)
@@ -424,6 +432,46 @@ def test_malformed_json_exits_one(tmp_path, capsys):
     bad.write_text("{oops")
     assert main(["check-slope", str(bad), "--p", "1"]) == 1
     assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe\x00{", "is not UTF-8 text"),
+    (b"[" * 200000, "nests too deeply to read"),
+], ids=["not-utf8", "deep-json"])
+def test_unreadable_config_exits_one(tmp_path, capsys, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    out = tmp_path / "d.csv"
+    assert main(["density", str(bad), "--bins", "16", "--no-plot",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: map config {bad} {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+_VAR = ["var", "--q", "1", "--p", "2", "--A", "0.125", "--grid", "64",
+        "--out", "v.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    _VAR + ["--f", "+".join(["x"] * 3001)],
+    _VAR + ["--f=" + "-" * 3000 + "x"],
+    ["correlate", TRIPLING, "--f", "x" + "*1" * 3000, "--g", "x", "--N", "4",
+     "--grid", "27", "--no-plot", "--out", "c.csv"],
+    ["check-slope", "deep.json", "--p", "1"],
+], ids=["var-sum", "var-minus", "correlate-product", "check-slope-parens"])
+def test_too_deep_formula_exits_one(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text(json.dumps({
+        "v": 1, "epsilon": 1.0,
+        "branches": [{"lo": 0.0, "hi": 1.0,
+                      "formula": "(" * 3000 + "x" + ")" * 3000}]}))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nests deeper than 100 levels" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json"]
 
 
 def test_contracting_map_fails_validation(tmp_path, capsys):

@@ -53,10 +53,13 @@ BAD_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e308", "-1e308", "abc", "")
 
 CASES = [(base, opts, name) for base, opts in INVOCATIONS for name in opts]
 
-# formulas that overflow, leave their domain or have an infinite slope
+# formulas that overflow, leave their domain, have an infinite slope, or
+# nest deeper than a recursive parser or evaluator could follow
+DEEP_FORMULAS = ("(" * 3000 + "x" + ")" * 3000, "+".join(["x"] * 3001),
+                 "-" * 3000 + "x", "x" + "*1" * 3000)
 HOSTILE_FORMULAS = ("10^400", "2^2^2^2^2", "x^0.5", "1/(x-x)", "log(x-2)",
                     "sqrt(-1)", "(-8)^(1/3)", "exp(1000)", "1e400*x",
-                    "exp(1000*x)")
+                    "exp(1000*x)") + DEEP_FORMULAS
 
 # every formula option of a base invocation, paired with every hostile formula
 FORMULA_CASES = [(base, opts, name, formula)

@@ -51,6 +51,29 @@ def test_parse_unknown_identifier():
         parse("tan(x)")
 
 
+# strings of k nesting levels, one per construct that adds a level
+_NESTINGS = {
+    "parentheses": lambda k: "(" * (k - 1) + "x" + ")" * (k - 1),
+    "unary-minus": lambda k: "-" * (k - 1) + "x",
+    "sum": lambda k: "+".join(["x"] * k),
+    "product": lambda k: "x" + "*1" * (k - 1),
+    "power": lambda k: "x" + "^x" * (k - 1),
+    "call": lambda k: "sin(" * (k - 1) + "x" + ")" * (k - 1),
+}
+
+
+@pytest.mark.parametrize("build", _NESTINGS.values(), ids=_NESTINGS.keys())
+def test_parse_nesting_bound(build):
+    # MAX_DEPTH levels parse and evaluate; one more is a ParseError, also
+    # far beyond the bound, where a recursive parser or walk would fail
+    assert expr.MAX_DEPTH == 100
+    val, der = eval_with_derivative(parse(build(100)), np.array([0.5]))
+    assert np.isfinite(val).all() and np.isfinite(der).all()
+    for k in (101, 5000):
+        with pytest.raises(ParseError, match="nests deeper than 100 levels"):
+            parse(build(k))
+
+
 def test_scientific_notation():
     assert evaluate(parse("2.5e-3"), 0.0) == 2.5e-3
     assert evaluate(parse("1e2 + x"), 1.0) == 101.0

@@ -40,6 +40,17 @@ def test_integrate_is_bitwise_deterministic():
     assert a.t[0] >= 1.0 - 1e-12
 
 
+@pytest.mark.parametrize("dt, t_max", [(0.01, 60.0), (0.003, 51.7),
+                                       (0.001, 77.777)])
+def test_integrate_times_are_step_counts_times_dt(dt, t_max):
+    # bit for bit the integer arange times dt
+    traj = lorenz.integrate(lorenz.LorenzConfig(dt=dt, t_max=t_max))
+    t = np.arange(round(t_max / dt) + 1) * dt
+    want = t[np.searchsorted(t, 50.0 - 1e-12):]
+    assert traj.t.tobytes() == want.tobytes()
+    assert len(traj.t) == len(traj.xyz)
+
+
 def test_integrate_below_onset_gives_no_oscillations():
     # rho = 0.5: the origin attracts and z decays monotonically, so the
     # maxima extractor has nothing to work with
@@ -151,7 +162,7 @@ def test_fit_recovers_a_tent_from_noisy_samples():
     ys = ys + 1e-6 * rng.normal(size=500)
     data = _synthetic_return_data(xs, ys)
     pmap, diag = lorenz.fit_piecewise(data, 1)
-    assert pmap.branch_count == 2
+    assert len(pmap.branches) == 2
     assert diag.min_abs_slope_central[0] == pytest.approx(2.0, abs=1e-4)
     assert diag.min_abs_slope_central[1] == pytest.approx(2.0, abs=1e-4)
     assert max(diag.residual_rms) < 1e-4

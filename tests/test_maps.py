@@ -15,8 +15,8 @@ from pwexpand import expr, maps
 from pwexpand.errors import ConfigError
 from pwexpand.mapconfig import (dump_map_config, load_map, map_from_config,
                                 map_to_config)
-from pwexpand.maps import (OutOfImageError, apply_map, branch_inverse,
-                           check_slope_condition, estimate_holder_constant,
+from pwexpand.maps import (INVERSE_TOL, OutOfImageError, apply_map,
+                           branch_inverse, check_slope_condition,
                            invert_branch_array, make_map, validate)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,10 +27,10 @@ SHIPPED = ["configs/doubling.json", "configs/tripling.json", "configs/tent.json"
 # ------------------------------------------------------------ construction
 
 def test_make_map_tripling_fields(tripling):
-    assert tripling.branch_count == 3
+    assert len(tripling.branches) == 3
     assert tripling.min_slope_global == 3.0
     assert tripling.holder_max == 0.0
-    assert tripling.p == 1.0
+    assert tripling.holder_exponent == 1.0
     assert tripling.breakpoints == (0.0, 1 / 3, 2 / 3, 1.0)
     for br in tripling.branches:
         assert br.monotone_sign == 1
@@ -123,17 +123,18 @@ def test_min_slope_safety_factor():
 def test_validate_tripling_accepted(tripling):
     report = validate(tripling)
     assert report.accepted
+    assert report.violations == ()
     assert report.violation_summary() == "no violations"
-    for rep in report.branch_reports:
-        assert rep.observed_min_slope == pytest.approx(3.0, abs=1e-12)
-        assert rep.sign_consistent
+    for br in tripling.branches:
+        assert br.sampled_min_slope == pytest.approx(3.0, abs=1e-12)
+        assert br.sign_consistent
 
 
 def test_validate_markov_accepted(markov):
     report = validate(markov)
     assert report.accepted
-    assert report.branch_reports[0].observed_min_slope == pytest.approx(1.5)
-    assert report.branch_reports[1].observed_min_slope == pytest.approx(2.0)
+    assert markov.branches[0].sampled_min_slope == pytest.approx(1.5)
+    assert markov.branches[1].sampled_min_slope == pytest.approx(2.0)
 
 
 def test_validate_rejects_contraction():
@@ -185,7 +186,7 @@ def test_validate_rejects_sign_change():
     assert not report.accepted
     summary = report.violation_summary()
     assert "sign" in summary or "not greater than 1" in summary
-    assert not report.branch_reports[0].sign_consistent
+    assert not m.branches[0].sign_consistent
 
 
 def test_validate_rejects_image_escape():
@@ -244,36 +245,30 @@ def test_config_round_trip_keeps_the_map(source):
     assert dump_map_config(map_from_config(json.loads(text))) == text
 
 
-# ----------------------------------------------------- Hölder estimation
+# ------------------------------------------ Hölder estimation by make_map
 
 def test_holder_linear_branch_is_zero():
     m = make_map([{"lo": 0.0, "hi": 0.5, "formula": "2*x"},
                   {"lo": 0.5, "hi": 1.0, "formula": "2*x - 1"}], epsilon=1.0)
-    assert estimate_holder_constant(m, 100) == [0.0, 0.0]
+    assert [br.holder_constant for br in m.branches] == [0.0, 0.0]
+    assert m.holder_max == 0.0
 
 
 def test_holder_quadratic_reaches_lipschitz_constant():
     # tau' = 1 + 2x has Lipschitz constant exactly 2
     m = make_map([{"lo": 0.0, "hi": 1.0, "formula": "x + x^2"}], epsilon=1.0)
-    ests = [estimate_holder_constant(m, pairs)[0]
-            for pairs in (10, 100, 1000)]
-    assert ests[0] <= ests[1] <= ests[2] + 1e-15  # nested sampling
-    assert ests[2] == pytest.approx(2.0, rel=1e-6)
-    assert ests[2] <= 2.0 + 1e-12
+    est = m.branches[0].holder_constant
+    assert est == pytest.approx(2.0, rel=1e-6)
+    assert est <= 2.0 + 1e-12
 
 
 def test_holder_sqrt_derivative_half_exponent():
     # tau' = 2 + sqrt(x): |tau'(x)-tau'(y)| <= |x-y|^(1/2), tight as x,y -> 0
     m = make_map([{"lo": 0.0, "hi": 1.0,
                    "formula": "2*x + (2/3)*x^1.5"}], epsilon=0.5)
-    est = estimate_holder_constant(m, 2000)[0]
+    est = m.branches[0].holder_constant
     assert est == pytest.approx(1.0, abs=1e-9)
     assert est <= 1.0 + 1e-12
-
-
-def test_holder_pair_count_guard(tripling):
-    with pytest.raises(ConfigError):
-        estimate_holder_constant(tripling, 9)
 
 
 # ------------------------------------------------------- slope condition
@@ -335,13 +330,12 @@ def test_branch_inverse_examples(doubling, markov, tripling):
 
 def test_branch_inverse_round_trip(markov, nonlinear):
     rng = np.random.default_rng(5)
-    tol = 1e-12
     for pmap in (markov, nonlinear):
         for br in pmap.branches:
             ys = br.image.lo + br.image.width * rng.random(200)
-            xs = invert_branch_array(br, ys, tol=tol)
+            xs = invert_branch_array(br, ys)
             back = np.array([br(float(x)) for x in xs])
-            assert np.all(np.abs(back - ys) <= 2 * tol)
+            assert np.all(np.abs(back - ys) <= 2 * INVERSE_TOL)
             assert np.all(xs >= br.domain.lo - 1e-15)
             assert np.all(xs <= br.domain.hi + 1e-15)
 

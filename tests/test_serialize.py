@@ -127,7 +127,9 @@ def test_grid_function_csv(n):
     f = GridFunction.of(_values(n, 1))
     text = serialize.grid_function_csv(f)
     assert text == oracle_grid_function(f)
-    assert serialize.grid_function_csv(serialize.read_grid_function_csv(text)) == text
+    # 17 significant digits: the values read back are the same doubles
+    back = np.array([float(row.split(",")[2]) for row in text.splitlines()[1:]])
+    assert back.tobytes() == f.values.tobytes()
 
 
 @functools.cache

@@ -226,14 +226,14 @@ def test_ulam_row_sum_check_rejects_a_corrupted_row(n):
 
 
 def test_ulam_row_support_is_a_few_intervals(markov, nonlinear):
-    # a bin maps onto at most branch_count intervals, so each row's
-    # nonzero columns form at most branch_count (+2 for edge cells) runs
+    # a bin maps onto at most one interval per branch, so each row's
+    # nonzero columns form at most that many runs (+2 for edge cells)
     for pmap in (markov, nonlinear):
         dense = transfer.ulam_matrix(pmap, 64).matrix.toarray()
         for row in dense:
             nz = row > 0
             runs = int(np.sum(nz[1:] & ~nz[:-1])) + int(nz[0])
-            assert runs <= pmap.branch_count + 2
+            assert runs <= len(pmap.branches) + 2
 
 
 def test_ulam_rejects_tiny_grid(tripling):
