@@ -58,14 +58,26 @@ class LYConstants:
     p: float
     t: float
     A: float
-    B: float
     D: float
     alpha: float
     beta: float
     K: object  # float, or None when the equicontinuity constant is missing
-    C: object  # float, or None when alpha >= 1
     slope_condition_value: float
-    admissible: bool
+
+    @property
+    def B(self) -> float:  # the constants take B = A
+        return self.A
+
+    @property
+    def admissible(self) -> bool:
+        return self.alpha < 1.0
+
+    @property
+    def C(self):
+        """1 + K/(1 - alpha), or None when alpha >= 1 or K is missing."""
+        if not self.admissible or self.K is None:
+            return None
+        return 1.0 + self.K / (1.0 - self.alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,16 +90,23 @@ class LYVerification:
     seed: int
     margins: np.ndarray  # rhs - lhs per trial
     slacks: np.ndarray   # allowed grid slack per trial
-    violations: int      # trials with margin < -slack
+
+    @property
+    def violations(self) -> int:
+        """Trials with margin < -slack."""
+        return int(np.sum(self.margins < -self.slacks))
 
 
 @dataclass(frozen=True, eq=False)
 class CorrelationSeries:
     kind: str  # "lebesgue" or "invariant"
-    N_values: np.ndarray
-    C_values: np.ndarray
+    C_values: np.ndarray  # C(N) for N = 0, 1, ...
     fitted_rate: object   # float, or None when the series sits at the floor
     fit_quality: object   # R^2 of the log-linear fit, or None
+
+    @property
+    def N_values(self) -> np.ndarray:
+        return np.arange(len(self.C_values))
 
 
 def ly_constants(pmap: PiecewiseMap, p: float, t: float = 1.0,
@@ -127,12 +146,8 @@ def ly_constants(pmap: PiecewiseMap, p: float, t: float = 1.0,
         beta = (2.0 ** (1.0 / p) * q * M * (1.0 + D) / s ** (1.0 + expo)
                 + 2.0 * q * (1.0 + D) / (s * B ** (1.0 / p)))
         K = 1.0 - alpha + beta + L if L is not None else None
-    admissible = alpha < 1.0
-    C = 1.0 + K / (1.0 - alpha) if (admissible and K is not None) else None
-    return LYConstants(
-        p=p, t=t, A=A, B=B, D=D, alpha=alpha, beta=beta, K=K, C=C,
-        slope_condition_value=slope_value,
-        admissible=admissible)
+    return LYConstants(p=p, t=t, A=A, D=D, alpha=alpha, beta=beta, K=K,
+                       slope_condition_value=slope_value)
 
 
 def shrink_A_until_admissible(pmap: PiecewiseMap, p: float) -> LYConstants:
@@ -186,7 +201,7 @@ def random_test_functions(n: int, count: int, seed: int):
     out = []
     for i in range(count):
         vals = _random_trig(rng, n) if i % 2 == 0 else _random_step(rng, n)
-        out.append(GridFunction(n=n, values=vals))
+        out.append(GridFunction(vals))
     return out
 
 
@@ -205,9 +220,8 @@ def ly_verify(pmap: PiecewiseMap, p: float, A: float, trials: int, n: int,
         rhs = alpha * var_f + beta * l1_f
         margins[i] = rhs - lhs
         slacks[i] = 10.0 / n * (1.0 + var_f)
-    violations = int(np.sum(margins < -slacks))
     return LYVerification(p=p, A=A, alpha=alpha, beta=beta, n=n, seed=seed,
-                          margins=margins, slacks=slacks, violations=violations)
+                          margins=margins, slacks=slacks)
 
 
 def _unique_invariant_density(pmap: PiecewiseMap, n: int) -> GridFunction:
@@ -225,18 +239,6 @@ def _unique_invariant_density(pmap: PiecewiseMap, n: int) -> GridFunction:
                 "different starting densities reach different fixed points; "
                 "the invariant measure is not unique — inspect spectrum()")
     return h
-
-
-def _fit_series(kind: str, C: np.ndarray) -> CorrelationSeries:
-    series = CorrelationSeries(
-        kind=kind, N_values=np.arange(len(C)), C_values=C,
-        fitted_rate=None, fit_quality=None)
-    try:
-        rate, quality = fit_decay_rate(series)
-    except NoRateError:
-        return series
-    return CorrelationSeries(kind=kind, N_values=series.N_values, C_values=C,
-                             fitted_rate=rate, fit_quality=quality)
 
 
 def _correlation(kind: str, pmap: PiecewiseMap, f, g, N_max: int,
@@ -259,8 +261,13 @@ def _correlation(kind: str, pmap: PiecewiseMap, f, g, N_max: int,
     for N in range(N_max + 1):
         C[N] = abs(float(np.mean(cur * gv * w)) - mu_f * mu_g)
         if N < N_max:
-            cur = apply_fp(pmap, GridFunction(n=n, values=cur * w)).values / w
-    return _fit_series(kind, C)
+            cur = apply_fp(pmap, GridFunction(cur * w)).values / w
+    try:
+        rate, quality = fit_decay_rate(C)
+    except NoRateError:
+        rate = quality = None
+    return CorrelationSeries(kind=kind, C_values=C, fitted_rate=rate,
+                             fit_quality=quality)
 
 
 def correlation_lebesgue(pmap: PiecewiseMap, f, g, N_max: int,
@@ -280,10 +287,11 @@ def correlation_invariant(pmap: PiecewiseMap, f, g, N_max: int,
     return _correlation("invariant", pmap, f, g, N_max, n)
 
 
-def fit_decay_rate(series: CorrelationSeries):
-    """Exponential rate from the longest contiguous run of above-floor
-    values: least-squares slope of log C(N) against N, rate = exp(slope)."""
-    C = np.asarray(series.C_values, dtype=float)
+def fit_decay_rate(C_values):
+    """Exponential rate of the series C(N), N = 0, 1, ..., from the longest
+    contiguous run of above-floor values: least-squares slope of log C(N)
+    against N, rate = exp(slope).  Returns (rate, R^2)."""
+    C = np.asarray(C_values, dtype=float)
     above = C > NOISE_FLOOR
     best_start, best_len = 0, 0
     start = None
@@ -300,7 +308,7 @@ def fit_decay_rate(series: CorrelationSeries):
             f"only {best_len} contiguous values above the {NOISE_FLOOR:g} "
             "floor; no decay rate can be fitted (the series may be exactly "
             "zero, which is a legitimate outcome)")
-    N = np.asarray(series.N_values, dtype=float)[best_start:best_start + best_len]
+    N = np.arange(best_start, best_start + best_len, dtype=float)
     y = np.log(C[best_start:best_start + best_len])
     slope, intercept = np.polyfit(N, y, 1)
     fitted = slope * N + intercept

@@ -64,20 +64,23 @@ def cmd_check_slope(args) -> int:
 
 
 def cmd_ly(args) -> int:
+    if args.auto_A and args.t != 1.0:
+        raise ToolError("--auto-A is only available for t = 1")
     pmap = _load_validated(args.map)
     L = args.L
-    if args.auto_L:
+    if args.auto_L and args.t != 1.0:  # only the t > 1 constants read L
         L = analysis.estimate_equicontinuity_L(pmap, p=args.p, t=args.t,
                                                A=args.A)
-        print(f"estimated L = {serialize.fmt(L)} (empirical, non-rigorous)")
     if args.auto_A:
-        if args.t != 1.0:
-            raise ToolError("--auto-A is only available for t = 1")
         consts = analysis.shrink_A_until_admissible(pmap, p=args.p)
     else:
         consts = analysis.ly_constants(pmap, p=args.p, t=args.t,
                                        A=args.A, L=L)
     serialize.write_text_atomic(args.out, serialize.ly_constants_csv(consts))
+    if args.t == 1.0 and (args.auto_L or args.L is not None):
+        print("L is not used at t = 1")
+    elif args.auto_L:
+        print(f"estimated L = {serialize.fmt(L)} (empirical, non-rigorous)")
     status = "admissible" if consts.admissible else "inadmissible"
     print(f"alpha = {serialize.fmt(consts.alpha)} ({status}), "
           f"beta = {serialize.fmt(consts.beta)}, A = {serialize.fmt(consts.A)}"
@@ -174,6 +177,7 @@ def cmd_lorenz(args) -> int:
         sigma=args.sigma, rho=args.rho, beta_param=args.beta,
         x0=args.x0, y0=args.y0, z0=args.z0,
         dt=args.dt, t_max=args.t_max, transient=args.transient)
+    lorenz.check_fit_degree(args.fit_degree)
     traj = lorenz.integrate(config)
     serialize.write_trajectory_csv(args.out_trajectory, traj)
     print(f"trajectory ({len(traj.t)} samples) -> {args.out_trajectory}")
@@ -188,8 +192,8 @@ def cmd_lorenz(args) -> int:
     print(f"fitted 2-branch map (degree {args.fit_degree}) -> {args.out_fit}")
     print(f"central min |slope| per branch: {slopes}; "
           f"residual RMS: {', '.join(f'{r:.3g}' for r in diag.residual_rms)}")
-    print(f"Hölder exponent estimate {diag.holder_exponent:.3g} "
-          f"({diag.caveat})")
+    print(f"Hölder exponent estimate {fitted.holder_exponent:.3g} "
+          f"({lorenz.HOLDER_CAVEAT})")
     report = validate(fitted)
     verdict = "accepted" if report.accepted else report.violation_summary()
     print(f"fitted map validation: {verdict}")
@@ -218,8 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = q.add_mutually_exclusive_group()
     group.add_argument("--A", type=float, default=0.125)
     group.add_argument("--auto-A", action="store_true", dest="auto_A")
-    q.add_argument("--L", type=float, default=None)
-    q.add_argument("--auto-L", action="store_true", dest="auto_L")
+    group = q.add_mutually_exclusive_group()
+    group.add_argument("--L", type=float, default=None)
+    group.add_argument("--auto-L", action="store_true", dest="auto_L")
     q.add_argument("--out", default="ly.csv")
     q.set_defaults(func=cmd_ly)
 

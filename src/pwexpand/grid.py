@@ -47,32 +47,26 @@ def _lq_norm(values: np.ndarray, lq: float, nonnegative: bool = False) -> float:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    n: int
-    values: np.ndarray
+    values: np.ndarray  # one per cell; n = values.size
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if self.n < 2:
-            raise ConfigError(f"grid needs at least 2 cells, got {self.n}")
-        if vals.shape != (self.n,):
+        vals = np.array(self.values, dtype=float)
+        if vals.ndim != 1:
             raise ConfigError(
-                f"expected {self.n} cell values, got shape {vals.shape}")
+                f"grid values must be a 1-D array, got shape {vals.shape}")
+        if vals.size < 2:
+            raise ConfigError(f"grid needs at least 2 cells, got {vals.size}")
         if not np.all(np.isfinite(vals)):
             raise ConfigError("grid values must be finite")
-        vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def of(cls, values) -> "GridFunction":
-        values = np.asarray(values, dtype=float)
-        return cls(n=len(values), values=values)
+    @property
+    def n(self) -> int:
+        return self.values.size
 
     def midpoints(self) -> np.ndarray:
         return (np.arange(self.n) + 0.5) / self.n
-
-    def integral(self) -> float:
-        return float(np.mean(self.values))
 
     def norm_lq(self, lq: float) -> float:
         """L^q norm on [0,1] in mean-power form; lq=inf gives the sup norm."""
@@ -87,8 +81,11 @@ class VariationReport:
     radii: np.ndarray
     variation: float
     lq_norm: float
-    bv_norm: float
     argmax_radius: float
+
+    @property
+    def bv_norm(self) -> float:
+        return self.variation + self.lq_norm
 
 
 def project(e, n: int) -> GridFunction:
@@ -101,7 +98,7 @@ def project(e, n: int) -> GridFunction:
     left = expr.evaluate(e, mids - delta)
     center = expr.evaluate(e, mids)
     right = expr.evaluate(e, mids + delta)
-    return GridFunction(n=n, values=(5.0 * left + 8.0 * center + 5.0 * right) / 18.0)
+    return GridFunction((5.0 * left + 8.0 * center + 5.0 * right) / 18.0)
 
 
 def window_half_width(r: float, n: int) -> int:
@@ -115,7 +112,7 @@ def osc_profile(f: GridFunction, r: float) -> GridFunction:
     if not (0.0 < r <= 1.0):
         raise ConfigError(f"radius must lie in (0,1], got {r}")
     lo, hi = kernels.sliding_minmax(f.values, window_half_width(r, f.n))
-    return GridFunction(n=f.n, values=hi - lo)
+    return GridFunction(hi - lo)
 
 
 def osc_q(f: GridFunction, r: float, lq: float) -> float:
@@ -160,8 +157,6 @@ def variation(f: GridFunction, lq: float, p: float,
         if ratio > best:
             best = ratio
             best_r = float(r)
-    lq_norm = f.norm_lq(lq)
     return VariationReport(
         lq_exponent=lq, p=p, A=A, radii=radii,
-        variation=best, lq_norm=lq_norm, bv_norm=best + lq_norm,
-        argmax_radius=best_r)
+        variation=best, lq_norm=f.norm_lq(lq), argmax_radius=best_r)

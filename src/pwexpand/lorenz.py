@@ -68,22 +68,41 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class ReturnMapData:
-    maxima: np.ndarray
-    pairs: np.ndarray             # (z_k, z_{k+1}) rows
-    normalized_pairs: np.ndarray  # affinely rescaled into [0,1]^2
-    cusp_estimate: float          # abscissa of the peak ordinate
-    z_min: float
-    z_max: float
+    maxima: np.ndarray  # successive z-maxima; the pairs derive from them
+
+    @property
+    def z_min(self) -> float:
+        return float(np.min(self.maxima))
+
+    @property
+    def z_max(self) -> float:
+        return float(np.max(self.maxima))
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """(z_k, z_{k+1}) rows."""
+        return np.column_stack([self.maxima[:-1], self.maxima[1:]])
+
+    @property
+    def normalized_pairs(self) -> np.ndarray:
+        """The pairs affinely rescaled into [0,1]^2."""
+        return (self.pairs - self.z_min) / (self.z_max - self.z_min)
+
+    @property
+    def cusp_estimate(self) -> float:
+        """Abscissa of the peak ordinate of the normalized pairs."""
+        normalized = self.normalized_pairs
+        return float(normalized[np.argmax(normalized[:, 1]), 0])
+
+
+HOLDER_CAVEAT = ("Hölder exponent is estimated from second differences of "
+                 "scattered data; treat it as indicative, not as a verdict.")
 
 
 @dataclass(frozen=True, eq=False)
 class FitDiagnostics:
-    point_counts: tuple
     residual_rms: tuple
     min_abs_slope_central: tuple  # min |fit'| over the central 80%
-    holder_exponent: float        # the smaller of the two branch estimates
-    caveat: str = ("Hölder exponent is estimated from second differences of "
-                   "scattered data; treat it as indicative, not as a verdict.")
 
 
 def integrate(config: LorenzConfig) -> Trajectory:
@@ -139,17 +158,11 @@ def build_return_map(maxima: np.ndarray) -> ReturnMapData:
     if len(maxima) < 3:
         raise InsufficientDataError(
             f"need at least 3 maxima, got {len(maxima)}")
-    z_min = float(np.min(maxima))
-    z_max = float(np.max(maxima))
-    if z_max - z_min < 1e-12:
-        raise DegenerateRangeError(
-            f"maxima are all {z_min:g}; cannot normalize a zero-length range")
-    pairs = np.column_stack([maxima[:-1], maxima[1:]])
-    normalized = (pairs - z_min) / (z_max - z_min)
-    cusp = float(normalized[np.argmax(normalized[:, 1]), 0])
-    return ReturnMapData(maxima=maxima, pairs=pairs,
-                         normalized_pairs=normalized,
-                         cusp_estimate=cusp, z_min=z_min, z_max=z_max)
+    data = ReturnMapData(maxima=maxima)
+    if data.z_max - data.z_min < 1e-12:
+        raise DegenerateRangeError(f"maxima are all {data.z_min:g}; cannot "
+                                   "normalize a zero-length range")
+    return data
 
 
 def _poly_formula(coeffs: np.ndarray) -> str:
@@ -191,6 +204,13 @@ def _second_difference_exponent(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(min(max(slope - 1.0, 0.05), 1.0))
 
 
+def check_fit_degree(degree: int) -> None:
+    """ConfigError unless 1 <= degree <= 6, the polynomial degrees that
+    `fit_piecewise` fits."""
+    if not (1 <= degree <= 6):
+        raise ConfigError(f"degree must lie in [1, 6], got {degree}")
+
+
 def fit_piecewise(data: ReturnMapData, degree: int):
     """Two least-squares polynomial branches split at the cusp.
 
@@ -202,14 +222,13 @@ def fit_piecewise(data: ReturnMapData, degree: int):
     if len(pts) < 100:
         raise ConfigError(
             f"need at least 100 normalized pairs to fit, got {len(pts)}")
-    if not (1 <= degree <= 6):
-        raise ConfigError(f"degree must lie in [1, 6], got {degree}")
+    check_fit_degree(degree)
     cusp = data.cusp_estimate
     xs, ys = pts[:, 0], pts[:, 1]
     masks = (xs <= cusp, xs > cusp)
     domains = ((0.0, cusp), (cusp, 1.0))
     specs = []
-    counts, rms_list, slopes, holders = [], [], [], []
+    rms_list, slopes, holders = [], [], []
     for (lo, hi), mask in zip(domains, masks):
         bx, by = xs[mask], ys[mask]
         if len(bx) < 10:
@@ -224,15 +243,11 @@ def fit_piecewise(data: ReturnMapData, degree: int):
         central = np.linspace(lo + 0.1 * width, hi - 0.1 * width, 201)
         deriv = np.polynomial.polynomial.polyval(central, dcoeffs)
         specs.append({"lo": lo, "hi": hi, "formula": _poly_formula(coeffs)})
-        counts.append(len(bx))
         rms_list.append(rms)
         slopes.append(float(np.min(np.abs(deriv))))
         holders.append(_second_difference_exponent(bx, by))
-    epsilon = min(holders)
-    pmap = make_map(specs, epsilon=epsilon)
-    diagnostics = FitDiagnostics(
-        point_counts=tuple(counts),
-        residual_rms=tuple(rms_list),
-        min_abs_slope_central=tuple(slopes),
-        holder_exponent=epsilon)
+    # the smaller of the two branch estimates; see HOLDER_CAVEAT
+    pmap = make_map(specs, epsilon=min(holders))
+    diagnostics = FitDiagnostics(residual_rms=tuple(rms_list),
+                                 min_abs_slope_central=tuple(slopes))
     return pmap, diagnostics

@@ -55,10 +55,6 @@ class Interval:
     lo: float
     hi: float
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class Branch:
@@ -68,8 +64,8 @@ class Branch:
     `sampled_min_slope` is the minimum of |τ'| over the BRANCH_SAMPLES
     points, and `sign_consistent` says whether τ' has the sign
     `monotone_sign` at every one of them.  `min_slope` is the effective
-    s_i: the declared value when the config supplies one, otherwise 0.999
-    times `sampled_min_slope`.
+    s_i: the declared value when the config supplies one
+    (`min_slope_declared`), otherwise 0.999 times `sampled_min_slope`.
     """
 
     domain: Interval
@@ -81,10 +77,7 @@ class Branch:
     min_slope: float
     holder_constant: float
     image: Interval
-    declared_min_slope: float | None = None
-
-    def __call__(self, x):
-        return expr.evaluate(self.expression, x)
+    min_slope_declared: bool
 
 
 @dataclass(frozen=True)
@@ -214,7 +207,7 @@ def make_map(branch_specs, epsilon: float) -> PiecewiseMap:
             monotone_sign=sign, sampled_min_slope=sampled_min,
             sign_consistent=bool(np.all(np.sign(ders) == sign)),
             min_slope=min_slope, holder_constant=holder, image=image,
-            declared_min_slope=declared))
+            min_slope_declared=declared is not None))
     return PiecewiseMap(breakpoints=tuple(edges), branches=tuple(branches),
                         holder_exponent=float(epsilon))
 
@@ -231,7 +224,7 @@ def validate(pmap: PiecewiseMap) -> ValidationReport:
             violations.append(
                 f"{where}: slope {observed_min:.6g} is not greater than 1")
         elif br.min_slope <= 1.0:
-            kind = ("declared" if br.declared_min_slope is not None
+            kind = ("declared" if br.min_slope_declared
                     else "effective (0.999 x sampled)")
             violations.append(
                 f"{where}: {kind} min slope {br.min_slope:.6g} is not greater than 1")

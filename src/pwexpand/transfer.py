@@ -107,17 +107,33 @@ class SpectralReport:
     spectral_gap: float      # 1 - largest resolved modulus below 1, or a bound
     gap_is_bound: bool       # no such modulus: spectral_gap is the lower bound
     r_ess: float
-    solver: str = "dense"    # "dense" or "krylov m=<basis size>"
+    solver: str              # "dense" or "krylov m=<basis size>"
 
 
 @dataclass(frozen=True, eq=False)
 class IterateSeries:
-    norms: np.ndarray
+    norms: np.ndarray  # BV norm of P^n f for n = 0..n_max
     l1_initial: float
-    C: object       # float, or None when no contraction constant exists
-    bound: object   # C * ||f||_1, or None
-    flags: object   # per-n "within bound", or None
-    n0: object      # first index from which the bound always holds, or None
+    C: object          # float, or None when no contraction constant exists
+
+    @property
+    def bound(self):
+        """C * ||f||_1, or None."""
+        return None if self.C is None else self.C * self.l1_initial
+
+    @property
+    def flags(self):
+        """Per-n "within bound" (to 1e-12), or None."""
+        return None if self.C is None else self.norms <= self.bound + 1e-12
+
+    @property
+    def n0(self):
+        """First index from which the bound always holds, or None."""
+        flags = self.flags
+        if flags is None or not flags[-1]:
+            return None
+        fails = np.flatnonzero(~flags)
+        return int(fails[-1]) + 1 if fails.size else 0
 
 
 def _fp_stencil(pmap: PiecewiseMap, n: int):
@@ -146,8 +162,8 @@ def _fp_stencil(pmap: PiecewiseMap, n: int):
 def apply_fp(pmap: PiecewiseMap, f: GridFunction) -> GridFunction:
     """One application of the transfer operator to a grid function."""
     src, cells, weights = _fp_stencil(pmap, f.n)
-    return GridFunction(n=f.n, values=np.bincount(
-        cells, weights=f.values[src] * weights, minlength=f.n))
+    return GridFunction(np.bincount(cells, weights=f.values[src] * weights,
+                                    minlength=f.n))
 
 
 def ulam_matrix(pmap: PiecewiseMap, n: int) -> UlamOperator:
@@ -244,7 +260,7 @@ def invariant_density(op: UlamOperator) -> GridFunction:
             "(inspect the spectrum)", residual)
     h = np.maximum(h, 0.0)
     h = h / np.mean(h)
-    return GridFunction(n=op.n, values=h)
+    return GridFunction(h)
 
 
 # dense eigensolve cutoff; above this only the top-k, iteratively
@@ -388,17 +404,5 @@ def iterate_norm_series(pmap: PiecewiseMap, f: GridFunction, p: float,
         if i < n_max:
             g = apply_fp(pmap, g)
     l1 = float(np.mean(np.abs(f.values)))
-    if not consts.admissible:
-        # alpha >= 1 at this A: no contraction constant, so the series is
-        # reported without a bound (the norms themselves are still useful).
-        return IterateSeries(norms=norms, l1_initial=l1, C=None,
-                             bound=None, flags=None, n0=None)
-    bound = consts.C * l1
-    flags = norms <= bound + 1e-12
-    n0 = None
-    for i in range(n_max, -1, -1):
-        if not flags[i]:
-            break
-        n0 = i
-    return IterateSeries(norms=norms, l1_initial=l1, C=consts.C,
-                         bound=bound, flags=flags, n0=n0)
+    # alpha >= 1 at this A gives C = None: the norms without a bound
+    return IterateSeries(norms=norms, l1_initial=l1, C=consts.C)

@@ -25,7 +25,7 @@ def _report(lines, num, ok, detail):
 
 
 def _indicator_half(n):
-    return GridFunction(n=n, values=np.where(np.arange(n) < n // 2, 1.0, 0.0))
+    return GridFunction(np.where(np.arange(n) < n // 2, 1.0, 0.0))
 
 
 def test_criterion_1_slope_condition_gate(acceptance_report, tripling,
@@ -199,7 +199,7 @@ def test_criterion_8_oscillation_machinery(acceptance_report, tripling,
         edges = np.sort(rng.integers(1, n, size=rng.integers(1, 9)))
         values = np.repeat(rng.normal(size=len(edges) + 1),
                            np.diff(np.concatenate([[0], edges, [n]])))
-        f = GridFunction(n=n, values=values)
+        f = GridFunction(values)
         for r in (1 / n, 0.02, 0.1):
             prof = osc_profile(f, r).values
             brute = _brute_osc(values, window_half_width(r, n))
@@ -227,7 +227,7 @@ def test_criterion_8_oscillation_machinery(acceptance_report, tripling,
         src = np.clip(np.floor(xs * n).astype(int), 0, n - 1)
         g = np.zeros(n)
         g[inside] = f.values[src]
-        prof_g = osc_profile(GridFunction(n=n, values=g), r).values
+        prof_g = osc_profile(GridFunction(g), r).values
         prof_f = osc_profile(f, min(r / s + 2.0 / n, 1.0)).values
         idx = np.nonzero(inside)[0]
         keep = ((idx >= window_half_width(r, n))

@@ -140,6 +140,18 @@ def test_verify_is_deterministic(tripling):
     assert np.array_equal(a.slacks, b.slacks)
 
 
+def test_verification_counts_margins_below_minus_slack():
+    # -0.3 < -0.2 is the one violation; -0.2 = -0.2 is not
+    rep = analysis.LYVerification(
+        p=1.0, A=0.125, alpha=0.5, beta=1.0, n=64, seed=0,
+        margins=np.array([0.5, -0.1, -0.3, -0.2]),
+        slacks=np.array([0.1, 0.2, 0.2, 0.2]))
+    assert rep.violations == 1
+    assert analysis.LYVerification(
+        p=1.0, A=0.125, alpha=0.5, beta=1.0, n=64, seed=0,
+        margins=np.array([-1.0, -2.0]), slacks=np.zeros(2)).violations == 2
+
+
 # -------------------------------------------------------------- correlations
 
 def test_correlation_of_resonant_mode_dies_in_one_step(tripling):
@@ -201,38 +213,30 @@ def test_invariant_correlation_rejects_vanishing_density(absorbing):
 
 # ------------------------------------------------------------ fit_decay_rate
 
-def _series(values):
-    values = np.asarray(values, dtype=float)
-    return analysis.CorrelationSeries(
-        kind="lebesgue", N_values=np.arange(len(values)), C_values=values,
-        fitted_rate=None, fit_quality=None)
-
-
 def test_fit_recovers_exact_geometric_decay():
-    rate, quality = analysis.fit_decay_rate(
-        _series(0.7 * (1 / 3) ** np.arange(12)))
+    rate, quality = analysis.fit_decay_rate(0.7 * (1 / 3) ** np.arange(12))
     assert rate == pytest.approx(1 / 3, abs=1e-12)
     assert quality == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fit_refuses_a_floored_series():
     with pytest.raises(analysis.NoRateError):
-        analysis.fit_decay_rate(_series([1e-16] * 10))
+        analysis.fit_decay_rate([1e-16] * 10)
     with pytest.raises(analysis.NoRateError):
         # three above-floor points are still too few
-        analysis.fit_decay_rate(_series([1.0, 0.5, 0.25, 1e-16, 1e-16]))
+        analysis.fit_decay_rate([1.0, 0.5, 0.25, 1e-16, 1e-16])
 
 
 def test_fit_uses_longest_above_floor_run():
     rate, _ = analysis.fit_decay_rate(
-        _series([1.0, 1e-20, 0.9, 0.45, 0.225, 0.1125, 1e-20]))
+        [1.0, 1e-20, 0.9, 0.45, 0.225, 0.1125, 1e-20])
     assert rate == pytest.approx(0.5, abs=1e-12)
 
 
 def test_fit_prefers_the_later_run_on_ties():
     head = [0.8 * 0.5 ** k for k in range(4)]
     tail = [0.8 * 0.7 ** k for k in range(4)]
-    rate, _ = analysis.fit_decay_rate(_series(head + [1e-20] + tail))
+    rate, _ = analysis.fit_decay_rate(head + [1e-20] + tail)
     assert rate == pytest.approx(0.7, abs=1e-12)
 
 

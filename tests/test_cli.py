@@ -70,7 +70,7 @@ def test_scipy_is_imported_only_where_it_is_called():
         "print(loaded())\n"
         "from pwexpand import grid, transfer\n"
         "from pwexpand.mapconfig import load_map\n"
-        "grid.variation(grid.GridFunction.of([0.0, 1.0, 0.0, 1.0]), 1.0, 1.0, 0.5)\n"
+        "grid.variation(grid.GridFunction([0.0, 1.0, 0.0, 1.0]), 1.0, 1.0, 0.5)\n"
         "print(loaded())\n"
         f"pmap = load_map({MARKOV!r})\n"
         "op = transfer.ulam_matrix(pmap, 300)\n"
@@ -98,7 +98,9 @@ def test_scipy_is_imported_only_where_it_is_called():
      "--grid", "256", "--out", "ly_verify.csv"],
     ["iterates", TRIPLING, "--f", "x", "--p", "1", "--A", "0.125", "--n", "3",
      "--grid", "81", "--out", "iterates.csv"],
-    ["ly", TRIPLING, "--p", "1", "--A", "0.125", "--auto-L", "--out", "ly.csv"],
+    # t > 1, so the L estimator runs
+    ["ly", TRIPLING, "--p", "2", "--t", "1.5", "--A", "0.125", "--auto-L",
+     "--out", "ly.csv"],
     # these build an Ulam matrix; 300 bins is a dense spectrum
     ["density", MARKOV, "--bins", "300", "--no-plot", "--out", "density.csv"],
     ["correlate", TRIPLING, "--f", "x", "--g", "x", "--N", "4", "--grid", "243",
@@ -156,6 +158,48 @@ def test_ly_auto_A_picks_the_first_admissible_cap(tmp_path, capsys):
     assert "A = 0.125" in capsys.readouterr().out
 
 
+def test_ly_rejects_L_together_with_auto_L(tmp_path):
+    out = tmp_path / "ly.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["ly", TRIPLING, "--p", "2", "--t", "1.5", "--L", "5",
+              "--auto-L", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_ly_auto_A_at_t_above_one_exits_before_estimating(
+        tmp_path, capsys, monkeypatch):
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("L was estimated")
+
+    monkeypatch.setattr(analysis, "estimate_equicontinuity_L", no_estimate)
+    out = tmp_path / "ly.csv"
+    assert main(["ly", TRIPLING, "--p", "2", "--t", "1.5", "--auto-L",
+                 "--auto-A", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --auto-A is only available for t = 1\n"
+    assert not out.exists()
+
+
+def test_ly_at_t_one_uses_no_L(tmp_path, capsys, monkeypatch):
+    # the t = 1 constants do not read L, so none is estimated, and the
+    # CSV is the one written without an L
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("L was estimated")
+
+    monkeypatch.setattr(analysis, "estimate_equicontinuity_L", no_estimate)
+    plain = tmp_path / "plain.csv"
+    assert main(["ly", TRIPLING, "--p", "1", "--out", str(plain)]) == 0
+    capsys.readouterr()
+    for extra in (["--auto-L"], ["--L", "5"]):
+        out = tmp_path / "ly.csv"
+        assert main(["ly", TRIPLING, "--p", "1", *extra, "--out", str(out)]) == 0
+        assert out.read_bytes() == plain.read_bytes()
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "L is not used at t = 1")
+
+
 def test_density_writes_values_and_plot(tmp_path, capsys):
     out = tmp_path / "density.csv"
     assert main(["density", MARKOV, "--bins", "300", "--out", str(out)]) == 0
@@ -180,7 +224,7 @@ def test_density_csv_round_trips_byte_identically(tmp_path):
                  "--out", str(out)]) == 0
     text = out.read_text()
     assert serialize.grid_function_csv(
-        GridFunction.of(_grid_csv_values(text))) == text
+        GridFunction(_grid_csv_values(text))) == text
 
 
 def test_density_bytes_equal_correlates_density(tmp_path):
@@ -419,6 +463,17 @@ def test_lorenz_pipeline_writes_all_three_files(tmp_path, capsys):
     assert not report.accepted
     assert (f"fitted map validation: {report.violation_summary()}"
             in captured.splitlines())
+
+
+def test_lorenz_bad_fit_degree_exits_before_integrating(tmp_path, capsys):
+    outs = [tmp_path / name for name in ("traj.csv", "rmap.csv", "fit.json")]
+    assert main(["lorenz", "--t-max", "300", "--fit-degree", "9",
+                 "--out-trajectory", str(outs[0]), "--out-map", str(outs[1]),
+                 "--out-fit", str(outs[2])]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: degree must lie in [1, 6], got 9\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_config_exits_one(tmp_path, capsys):

@@ -23,7 +23,7 @@ def step_function(n, rng, jumps=8):
     for edge, level in zip(list(edges) + [n], levels):
         values[start:edge] = level
         start = edge
-    return GridFunction.of(values)
+    return GridFunction(values)
 
 
 def brute_osc(values, half):
@@ -42,7 +42,7 @@ def brute_osc(values, half):
 def test_project_constant():
     f = project(parse("1"), 8)
     assert np.array_equal(f.values, np.ones(8))
-    assert f.integral() == 1.0
+    assert np.mean(f.values) == 1.0
 
 
 def test_project_linear_hits_midpoints():
@@ -63,17 +63,20 @@ def test_project_guards():
 
 
 def test_grid_function_validation():
+    with pytest.raises(ConfigError, match="at least 2 cells, got 1"):
+        GridFunction([1.0])
+    with pytest.raises(ConfigError, match="1-D array, got shape"):
+        GridFunction(np.ones((4, 4)))
+    assert GridFunction(np.arange(5.0)).n == 5
     with pytest.raises(ConfigError):
-        GridFunction.of([1.0])
-    with pytest.raises(ConfigError):
-        GridFunction.of([1.0, np.nan])
-    f = GridFunction.of([1.0, 2.0])
+        GridFunction([1.0, np.nan])
+    f = GridFunction([1.0, 2.0])
     with pytest.raises(ValueError):
         f.values[0] = 5.0  # read-only storage
 
 
 def test_norm_lq():
-    f = GridFunction.of([3.0, -4.0])
+    f = GridFunction([3.0, -4.0])
     assert f.norm_lq(1.0) == 3.5
     assert f.norm_lq(2.0) == pytest.approx(math.sqrt(12.5), rel=1e-15)
     assert f.norm_lq(math.inf) == 4.0
@@ -82,7 +85,7 @@ def test_norm_lq():
 # ------------------------------------------------------------ oscillation
 
 def test_osc_profile_constant_is_zero():
-    f = GridFunction.of(np.full(32, 2.5))
+    f = GridFunction(np.full(32, 2.5))
     prof = osc_profile(f, 0.1)
     assert np.array_equal(prof.values, np.zeros(32))
 
@@ -91,7 +94,7 @@ def test_osc_profile_indicator_band():
     # indicator of [0,1/2) on n=64 at r=1/16: half-width ceil(4)-1 = 3, so
     # exactly the cells whose window straddles the 31|32 jump light up
     values = (np.arange(64) < 32).astype(float)
-    prof = osc_profile(GridFunction.of(values), 1 / 16)
+    prof = osc_profile(GridFunction(values), 1 / 16)
     expect = np.zeros(64)
     expect[29:35] = 1.0
     assert np.array_equal(prof.values, expect)
@@ -127,7 +130,7 @@ def test_osc_profile_monotone_in_r():
 
 
 def test_osc_profile_radius_guard():
-    f = GridFunction.of([0.0, 1.0])
+    f = GridFunction([0.0, 1.0])
     with pytest.raises(ConfigError):
         osc_profile(f, 0.0)
     with pytest.raises(ConfigError):
@@ -137,12 +140,12 @@ def test_osc_profile_radius_guard():
 def test_osc_q_examples():
     n = 1024
     values = (np.arange(n) < n // 2).astype(float)
-    f = GridFunction.of(values)
+    f = GridFunction(values)
     assert osc_q(f, 0.25, 1.0) > 0
     r = 1 / 16
     assert abs(osc_q(f, r, 1.0) - 2 * r) <= 2.5 / n   # measure of the band
     assert osc_q(f, r, math.inf) == 1.0
-    assert osc_q(GridFunction.of(np.ones(16) * 7), 0.3, 2.0) == 0.0
+    assert osc_q(GridFunction(np.ones(16) * 7), 0.3, 2.0) == 0.0
 
 
 def test_osc_q_monotone_in_r():
@@ -156,14 +159,14 @@ def test_osc_q_monotone_in_r():
 # -------------------------------------------------------------- variation
 
 def test_variation_constant():
-    rep = variation(GridFunction.of(np.full(64, -1.5)), 1.0, 1.0, A=0.25)
+    rep = variation(GridFunction(np.full(64, -1.5)), 1.0, 1.0, A=0.25)
     assert rep.variation == 0.0
     assert rep.bv_norm == 1.5
 
 
 def test_variation_indicator():
     n = 1024
-    f = GridFunction.of((np.arange(n) < n // 2).astype(float))
+    f = GridFunction((np.arange(n) < n // 2).astype(float))
     rep = variation(f, 1.0, 1.0, A=0.25)
     assert rep.variation == pytest.approx(2.0, rel=0.05)
     assert rep.variation < 2.0  # the discrete ratio stays strictly below 2
@@ -187,7 +190,7 @@ def test_variation_radius_grid():
     ratios = radii[1:] / radii[:-1]
     assert np.allclose(ratios, ratios[0], rtol=1e-12)  # geometric spacing
     assert 1.1 < ratios[0] < 1.3
-    rep = variation(GridFunction.of(np.arange(16.0)), 1.0, 1.0, A=0.5)
+    rep = variation(GridFunction(np.arange(16.0)), 1.0, 1.0, A=0.5)
     assert np.array_equal(rep.radii, radius_grid(16, 0.5))
 
 
@@ -204,7 +207,7 @@ def test_variation_matches_per_radius_brute_force():
             for r in radii:
                 half = window_half_width(r, n)
                 if half not in profiles:
-                    profiles[half] = GridFunction.of(brute_osc(f.values, half))
+                    profiles[half] = GridFunction(brute_osc(f.values, half))
                 ratios.append(profiles[half].norm_lq(lq) / r ** (1.0 / p))
             k = int(np.argmax(ratios))
             rep = variation(f, lq, p, A=0.2)
@@ -230,7 +233,7 @@ def test_variation_finite_and_monotone_at_huge_q():
 
 
 def test_variation_guards():
-    f = GridFunction.of([0.0, 1.0])
+    f = GridFunction([0.0, 1.0])
     with pytest.raises(ConfigError):
         variation(f, 1.0, 1.0, A=0.0)
     with pytest.raises(ConfigError):
@@ -251,7 +254,7 @@ def pullback(f, branch, n):
     src = np.clip(np.floor(xs * n).astype(int), 0, n - 1)
     values = np.zeros(n)
     values[inside] = f.values[src]
-    return GridFunction.of(values), inside, src
+    return GridFunction(values), inside, src
 
 
 def test_osc_composition_bound(tripling, markov, doubling):

@@ -2,6 +2,8 @@
 assembly, and the two-branch cusp fit (on synthetic data with known
 answers, plus one short real trajectory)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,9 @@ from pwexpand.errors import ConfigError
 
 
 def _synthetic_return_data(xs, ys):
-    return lorenz.ReturnMapData(
-        maxima=np.zeros(3), pairs=np.zeros((2, 2)),
-        normalized_pairs=np.column_stack([xs, ys]),
-        cusp_estimate=float(xs[np.argmax(ys)]),
-        z_min=0.0, z_max=1.0)
+    """The two attributes of a ReturnMapData that fit_piecewise reads."""
+    return SimpleNamespace(normalized_pairs=np.column_stack([xs, ys]),
+                           cusp_estimate=float(xs[np.argmax(ys)]))
 
 
 # ----------------------------------------------------------------- config
@@ -135,6 +135,17 @@ def test_return_map_of_three_points():
     assert data.cusp_estimate == 0.5
 
 
+def test_return_map_data_derives_everything_from_the_maxima():
+    data = lorenz.ReturnMapData(np.array([1.0, 3.0, 2.0, 5.0, 4.0]))
+    assert np.array_equal(data.pairs, [[1, 3], [3, 2], [2, 5], [5, 4]])
+    assert (data.z_min, data.z_max) == (1.0, 5.0)
+    # (pairs - 1) / 4, exact in binary
+    assert np.array_equal(data.normalized_pairs,
+                          [[0, 0.5], [0.5, 0.25], [0.25, 1], [1, 0.75]])
+    # the largest next maximum, 5, follows the maximum 2
+    assert data.cusp_estimate == 0.25
+
+
 def test_return_map_rejects_constant_maxima():
     with pytest.raises(lorenz.DegenerateRangeError):
         lorenz.build_return_map(np.array([2.0, 2.0, 2.0]))
@@ -166,9 +177,9 @@ def test_fit_recovers_a_tent_from_noisy_samples():
     assert diag.min_abs_slope_central[0] == pytest.approx(2.0, abs=1e-4)
     assert diag.min_abs_slope_central[1] == pytest.approx(2.0, abs=1e-4)
     assert max(diag.residual_rms) < 1e-4
-    assert sum(diag.point_counts) == 500
-    assert 0.05 <= diag.holder_exponent <= 1.0
-    assert "indicative" in diag.caveat
+    assert pmap.breakpoints[1] == data.cusp_estimate
+    assert 0.05 <= pmap.holder_exponent <= 1.0
+    assert "indicative" in lorenz.HOLDER_CAVEAT
 
 
 def test_fit_reports_misfit_of_a_three_branch_cloud():

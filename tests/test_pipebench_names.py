@@ -54,6 +54,16 @@ def test_ulam_operator_has_what_the_spans_measure(tripling):
     assert op.matrix.nnz > 0
 
 
+def test_records_have_what_the_spans_measure(tripling):
+    # the ly_verify span reads rep.margins and the invariant_density span
+    # h.values; hasattr on real objects, since some of their neighbours
+    # are properties, not dataclass fields
+    rep = analysis.ly_verify(tripling, p=1.0, A=0.125, trials=2, n=64)
+    assert hasattr(rep, "margins")
+    h = transfer.invariant_density(transfer.ulam_matrix(tripling, 9))
+    assert hasattr(h, "values")
+
+
 def test_every_public_name_resolves():
     for name in pwexpand.__all__:
         assert hasattr(pwexpand, name), name

@@ -124,7 +124,7 @@ def oracle_return_map(data):
 
 @pytest.mark.parametrize("n", (2,) + ROWS[1:])
 def test_grid_function_csv(n):
-    f = GridFunction.of(_values(n, 1))
+    f = GridFunction(_values(n, 1))
     text = serialize.grid_function_csv(f)
     assert text == oracle_grid_function(f)
     # 17 significant digits: the values read back are the same doubles

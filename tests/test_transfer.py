@@ -24,7 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # ---------------------------------------------------------------- apply_fp
 
 def test_apply_fp_preserves_constant_one_exactly(tripling):
-    f = GridFunction(n=729, values=np.ones(729))
+    f = GridFunction(np.ones(729))
     out = transfer.apply_fp(tripling, f)
     # 1/3 + 1/3 + 1/3 rounds to exactly 1.0, cell by cell
     assert np.all(out.values == 1.0)
@@ -44,12 +44,12 @@ def test_apply_fp_preserves_integral(tripling, tent, nonlinear):
         for n in (256, 1024):
             f = project(f_expr, n)
             g = transfer.apply_fp(pmap, f)
-            assert abs(g.integral() - f.integral()) <= tol_scale / n
+            assert abs(np.mean(g.values) - np.mean(f.values)) <= tol_scale / n
 
 
 def test_apply_fp_positivity(markov, nonlinear):
     rng = np.random.default_rng(5)
-    f = GridFunction(n=512, values=rng.random(512))
+    f = GridFunction(rng.random(512))
     for pmap in (markov, nonlinear):
         out = transfer.apply_fp(pmap, f)
         assert np.all(out.values >= 0.0)
@@ -110,7 +110,7 @@ def test_apply_fp_matches_an_independent_pointwise_operator(name, n):
     for (a, b), tau, slope in _CLOSED_FORM[name]:
         xs = _bisect(tau, a, b, mids)
         expect += f[np.minimum((xs * n).astype(int), n - 1)] / slope(xs)
-    out = transfer.apply_fp(load_map(str(path)), GridFunction(n=n, values=f))
+    out = transfer.apply_fp(load_map(str(path)), GridFunction(f))
     assert np.max(np.abs(out.values - expect)) <= 1e-12
 
 
@@ -152,7 +152,7 @@ def test_apply_fp_bytes_match_the_per_branch_scatter(name, ns, request):
             mids = (np.arange(n) + 0.5) / n
             img = pmap.branches[0].image
             assert not np.any((mids >= img.lo) & (mids <= img.hi))
-        f = GridFunction(n=n, values=rng.normal(size=n))
+        f = GridFunction(rng.normal(size=n))
         out = transfer.apply_fp(pmap, f)
         assert out.values.tobytes() == _scatter_apply_fp(pmap, f).tobytes()
 
@@ -345,7 +345,7 @@ def test_invariant_density_markov_exact(markov):
     h = transfer.invariant_density(transfer.ulam_matrix(markov, 300))
     assert np.max(np.abs(h.values[:200] - 9 / 8)) <= 1e-10
     assert np.max(np.abs(h.values[200:] - 3 / 4)) <= 1e-10
-    assert abs(h.integral() - 1.0) <= 1e-12
+    assert abs(np.mean(h.values) - 1.0) <= 1e-12
 
 
 def test_invariant_density_absorbing_support(absorbing):
@@ -606,7 +606,7 @@ def test_spectrum_rejects_k_above_n_before_solving(markov, monkeypatch):
 # ------------------------------------------------------ iterate_norm_series
 
 def test_iterates_of_constant_stay_at_the_bound_floor(tripling):
-    f = GridFunction(n=243, values=np.ones(243))
+    f = GridFunction(np.ones(243))
     series = transfer.iterate_norm_series(tripling, f, p=1.0, A=0.125,
                                           n_max=10)
     assert np.all(series.norms == 1.0)
@@ -619,7 +619,7 @@ def test_iterates_of_constant_stay_at_the_bound_floor(tripling):
 def test_iterates_of_indicator_collapse_to_its_mean(tripling):
     # P maps the indicator of [0,1/3) to the constant 1/3 in one step
     n = 243
-    f = GridFunction(n=n, values=np.where(np.arange(n) < 81, 1.0, 0.0))
+    f = GridFunction(np.where(np.arange(n) < 81, 1.0, 0.0))
     series = transfer.iterate_norm_series(tripling, f, p=1.0, A=0.125,
                                           n_max=12)
     assert series.norms[0] > 2.0  # ~ 1/3 + var ~ 2.33
@@ -627,6 +627,20 @@ def test_iterates_of_indicator_collapse_to_its_mean(tripling):
     assert series.bound == pytest.approx(10.0 / 3.0, abs=1e-9)
     assert np.all(series.flags)
     assert series.n0 == 0
+
+
+@pytest.mark.parametrize("norms, n0", [
+    ([9.0, 8.0, 7.0], None),            # never within the bound 2
+    ([2.0, 1.0, 0.5], 0),               # within it from the start
+    ([1.0, 3.0, 2.5, 2.0, 1.5], 3),     # a late crossing, after a dip
+    ([1.0, 1.5, 2.5], None),            # leaves it at the last index
+])
+def test_iterate_series_first_index_from_which_the_bound_holds(norms, n0):
+    series = transfer.IterateSeries(norms=np.array(norms), l1_initial=0.5,
+                                    C=4.0)
+    assert series.bound == 2.0
+    assert series.flags.tolist() == [v <= 2.0 for v in norms]
+    assert series.n0 == n0
 
 
 def test_iterates_without_contraction_still_report_norms(markov):
