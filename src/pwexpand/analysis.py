@@ -109,6 +109,18 @@ class CorrelationSeries:
         return np.arange(len(self.C_values))
 
 
+def check_ly_ranges(pmap: PiecewiseMap, p: float, t: float, A: float) -> float:
+    """ConfigError unless p >= 1, s > 1, 1 <= t <= p and 0 < A <= 1, the
+    ranges `ly_constants` needs before it reads L; returns the slope
+    condition's value 1/s^(1/p) + 1/s."""
+    slope_value, _ = check_slope_condition(pmap, p)
+    if not (1.0 <= t <= p):
+        raise ConfigError(f"t must lie in [1, p], got t={t}, p={p}")
+    if not (0.0 < A <= 1.0):
+        raise ConfigError(f"A must lie in (0,1], got {A}")
+    return slope_value
+
+
 def ly_constants(pmap: PiecewiseMap, p: float, t: float = 1.0,
                  A: float = 0.125, L=None) -> LYConstants:
     """Contraction constants for the variation inequality at radius cap A.
@@ -118,14 +130,9 @@ def ly_constants(pmap: PiecewiseMap, p: float, t: float = 1.0,
     (supplied by the caller, typically from estimate_equicontinuity_L —
     an empirical, non-rigorous stand-in).
     """
-    # the slope condition, which also requires p >= 1 and s > 1
-    slope_value, _ = check_slope_condition(pmap, p)
+    slope_value = check_ly_ranges(pmap, p, t, A)
     if L is not None and not math.isfinite(L):
         raise ConfigError(f"L must be a finite number, got {L}")
-    if not (1.0 <= t <= p):
-        raise ConfigError(f"t must lie in [1, p], got t={t}, p={p}")
-    if not (0.0 < A <= 1.0):
-        raise ConfigError(f"A must lie in (0,1], got {A}")
     s = pmap.min_slope_global
     M = pmap.holder_max
     q = len(pmap.branches)

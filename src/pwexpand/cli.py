@@ -69,6 +69,8 @@ def cmd_ly(args) -> int:
     pmap = _load_validated(args.map)
     L = args.L
     if args.auto_L and args.t != 1.0:  # only the t > 1 constants read L
+        # the estimate takes a while; an out-of-range t or A fails first
+        analysis.check_ly_ranges(pmap, args.p, args.t, args.A)
         L = analysis.estimate_equicontinuity_L(pmap, p=args.p, t=args.t,
                                                A=args.A)
     if args.auto_A:
@@ -178,11 +180,11 @@ def cmd_lorenz(args) -> int:
         x0=args.x0, y0=args.y0, z0=args.z0,
         dt=args.dt, t_max=args.t_max, transient=args.transient)
     lorenz.check_fit_degree(args.fit_degree)
-    traj = lorenz.integrate(config)
-    serialize.write_trajectory_csv(args.out_trajectory, traj)
-    print(f"trajectory ({len(traj.t)} samples) -> {args.out_trajectory}")
-    maxima = lorenz.extract_z_maxima(traj)
-    data = lorenz.build_return_map(maxima)
+    maxima = lorenz.ZMaxima()
+    serialize.write_trajectory_csv(args.out_trajectory,
+                                   map(maxima.feed, lorenz.integrate(config)))
+    print(f"trajectory ({maxima.samples} samples) -> {args.out_trajectory}")
+    data = lorenz.build_return_map(maxima.result())
     serialize.write_text_atomic(args.out_map, serialize.return_map_csv(data))
     print(f"return map ({len(data.pairs)} pairs, cusp at "
           f"{data.cusp_estimate:.6g}) -> {args.out_map}")

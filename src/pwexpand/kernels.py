@@ -61,9 +61,12 @@ def sliding_minmax(values: np.ndarray, half: int):
 
 
 def lorenz_rk4(state, sigma, rho, beta, dt, nsteps):
-    """Integrate the Lorenz system with classical RK4, storing every step.
+    """Integrate the Lorenz system from `state` with classical RK4,
+    storing every step.
 
-    Returns an array of shape (nsteps + 1, 3); row 0 is the initial state.
+    Returns an array of shape (nsteps + 1, 3); row 0 is `state`.  A step
+    reads only the three doubles of the row before it, so a call started
+    from the last row of another continues that run bit for bit.
     """
     sigma, rho, beta, dt = float(sigma), float(rho), float(beta), float(dt)
     nsteps = int(nsteps)
@@ -72,6 +75,9 @@ def lorenz_rk4(state, sigma, rho, beta, dt, nsteps):
     # item assignment and writes the same double
     flat = memoryview(out).cast("B").cast("d")
     x, y, z = (float(v) for v in np.asarray(state, dtype=np.float64))
+    # `x + 0.5 * dt * k` evaluates as x + (0.5 * dt) * k, so taking the
+    # product once per call leaves every step's rounding unchanged
+    half_dt = 0.5 * dt
     flat[0] = x
     flat[1] = y
     flat[2] = z
@@ -80,16 +86,16 @@ def lorenz_rk4(state, sigma, rho, beta, dt, nsteps):
         k1y = x * (rho - z) - y
         k1z = x * y - beta * z
 
-        x2 = x + 0.5 * dt * k1x
-        y2 = y + 0.5 * dt * k1y
-        z2 = z + 0.5 * dt * k1z
+        x2 = x + half_dt * k1x
+        y2 = y + half_dt * k1y
+        z2 = z + half_dt * k1z
         k2x = sigma * (y2 - x2)
         k2y = x2 * (rho - z2) - y2
         k2z = x2 * y2 - beta * z2
 
-        x3 = x + 0.5 * dt * k2x
-        y3 = y + 0.5 * dt * k2y
-        z3 = z + 0.5 * dt * k2z
+        x3 = x + half_dt * k2x
+        y3 = y + half_dt * k2y
+        z3 = z + half_dt * k2z
         k3x = sigma * (y3 - x3)
         k3y = x3 * (rho - z3) - y3
         k3z = x3 * y3 - beta * z3

@@ -2,6 +2,11 @@
 the "next maximum of z" return map, and fit a two-branch piecewise model
 over the cusp.
 
+The trajectory is computed once, in pieces of at most `_CHUNK` steps:
+`integrate` yields them, the CLI streams each one to the trajectory CSV
+and through a `ZMaxima` accumulator, and no array as long as the run
+exists.
+
 The fitted map is deliberately NOT fed into the contraction analysis
 automatically — its Hölder exponent is a statistical estimate, so the CLI
 prints a config the user may pass on explicitly.
@@ -16,6 +21,7 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, ToolError
 from .maps import make_map
+from .serialize import _CHUNK
 
 
 class IntegrationError(ToolError):
@@ -54,6 +60,15 @@ class LorenzConfig:
             raise ConfigError(
                 f"t_max ({self.t_max}) must be finite, positive and exceed "
                 f"the transient ({self.transient})")
+        steps = self.t_max / self.dt
+        if not steps < 2.0 ** 53:
+            raise ConfigError(
+                f"cannot store {steps:g} steps of dt = {self.dt:g}: t = k*dt "
+                "is exact only for step counts k below 2**53")
+
+    @property
+    def nsteps(self) -> int:
+        return round(self.t_max / self.dt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,51 +120,81 @@ class FitDiagnostics:
     min_abs_slope_central: tuple  # min |fit'| over the central 80%
 
 
-def integrate(config: LorenzConfig) -> Trajectory:
-    """Fixed-step RK4 trajectory, with the transient dropped.
+def integrate(config: LorenzConfig):
+    """Yield the fixed-step RK4 trajectory after the transient as
+    `Trajectory` pieces of at most _CHUNK rows, in order.
 
-    Deterministic: identical configs give bitwise-identical output.
+    Deterministic: identical configs give bitwise-identical output, and
+    the rows do not depend on the piece size.
     """
-    steps = config.t_max / config.dt
-    state = np.array([config.x0, config.y0, config.z0])
-    try:
-        nsteps = round(steps)
-        out = kernels.lorenz_rk4(state, config.sigma, config.rho,
-                                 config.beta_param, config.dt, nsteps)
-    except (OverflowError, ValueError, MemoryError) as err:
-        raise IntegrationError(
-            f"cannot store {steps:g} steps of dt = {config.dt:g}: {err}") from err
-    if not np.all(np.isfinite(out)):
-        first = int(np.argmax(~np.isfinite(out).all(axis=1)))
-        raise IntegrationError(
-            f"state became non-finite at t = {first * config.dt:g}")
-    # scaled in place, so no second t-sized array exists; step counts
-    # below 2**53 are exact doubles, so t[k] is still k * dt
-    t = np.arange(nsteps + 1, dtype=float)
-    t *= config.dt
-    keep = int(np.searchsorted(t, config.transient - 1e-12))
-    return Trajectory(t=t[keep:], xyz=out[keep:])
+    dt, nsteps = config.dt, config.nsteps
+    cut = config.transient - 1e-12
+    xyz = np.array([[config.x0, config.y0, config.z0]])
+    first = 0  # step index of xyz[0]
+    while True:
+        bad = ~np.isfinite(xyz).all(axis=1)
+        if bad.any():
+            k = first + int(np.argmax(bad))
+            raise IntegrationError(f"state became non-finite at t = {k * dt:g}")
+        # step counts below 2**53 are exact doubles, so t[k] is k * dt
+        t = np.arange(first, first + len(xyz), dtype=float)
+        t *= dt
+        keep = int(np.searchsorted(t, cut))
+        if keep < len(t):
+            yield Trajectory(t=t[keep:], xyz=xyz[keep:])
+        first += len(xyz)
+        if first > nsteps:
+            return
+        # a step reads only the row before it, so the run continues from
+        # the last stored row bit for bit; row 0 of the result is that row
+        xyz = kernels.lorenz_rk4(xyz[-1], config.sigma, config.rho,
+                                 config.beta_param, dt,
+                                 min(_CHUNK, nsteps + 1 - first))[1:]
+
+
+class ZMaxima:
+    """Interior local maxima of z over a trajectory fed piece by piece,
+    each refined by the quadratic through its three samples (the parabola
+    peak of (a, b, c) is b - S²/(8Q) with S = c - a and Q = a - 2b + c).
+
+    `feed` carries the last two z samples into the next piece, so the
+    maxima are those of the whole z, whatever the pieces."""
+
+    def __init__(self):
+        self.samples = 0
+        self._tail = np.empty(0)
+        self._found = []
+
+    def feed(self, piece: Trajectory) -> Trajectory:
+        """Take the maxima of one more piece; returns the piece."""
+        z = np.concatenate([self._tail, piece.z])
+        self.samples += len(piece.z)
+        k = np.flatnonzero((z[:-2] < z[1:-1]) & (z[1:-1] >= z[2:])) + 1
+        left, mid, right = z[k - 1], z[k], z[k + 1]
+        S = right - left
+        Q = left - 2.0 * mid + right
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self._found.append(np.where(Q < 0.0, mid - S * S / (8.0 * Q), mid))
+        self._tail = z[-2:]
+        return piece
+
+    def result(self) -> np.ndarray:
+        """The refined maxima in order, once at least two were found."""
+        if self.samples < 3:
+            raise InsufficientDataError(
+                f"need at least 3 samples, got {self.samples}")
+        maxima = np.concatenate(self._found)
+        if len(maxima) < 2:
+            raise InsufficientDataError(
+                f"found {len(maxima)} z-maxima; need at least 2 for a return map")
+        return maxima
 
 
 def extract_z_maxima(traj: Trajectory) -> np.ndarray:
-    """Interior local maxima of z, each refined by the quadratic through
-    its three samples (the parabola peak of (a, b, c) is b - S²/(8Q) with
-    S = c - a and Q = a - 2b + c)."""
-    z = traj.z
-    if len(z) < 3:
-        raise InsufficientDataError(f"need at least 3 samples, got {len(z)}")
-    k = np.flatnonzero((z[:-2] < z[1:-1]) & (z[1:-1] >= z[2:])) + 1
-    # the refinement only at the maxima: full-length float temporaries
-    # would cost five times the size of z
-    left, mid, right = z[k - 1], z[k], z[k + 1]
-    S = right - left
-    Q = left - 2.0 * mid + right
-    with np.errstate(divide="ignore", invalid="ignore"):
-        maxima = np.where(Q < 0.0, mid - S * S / (8.0 * Q), mid)
-    if len(maxima) < 2:
-        raise InsufficientDataError(
-            f"found {len(maxima)} z-maxima; need at least 2 for a return map")
-    return maxima
+    """The refined interior z-maxima of one whole trajectory (`ZMaxima`)."""
+    acc = ZMaxima()
+    acc.feed(traj)
+    return acc.result()
 
 
 def build_return_map(maxima: np.ndarray) -> ReturnMapData:

@@ -37,10 +37,16 @@ def _cell(x) -> str:
 
 def _rows(header: str, *columns, comments=()):
     """Yield CSV text in pieces: the "# " comment lines and the header,
-    then _CHUNK rows at a time, one row per entry of the array columns, or
-    one row if all are scalars.  A scalar or None column repeats its
-    `_cell`; array cells follow the same policy by dtype.  Rows go through
-    one template."""
+    then the rows of `_body`."""
+    yield "".join(f"# {c}\n" for c in comments) + header + "\n"
+    yield from _body(columns)
+
+
+def _body(columns):
+    """Yield CSV rows _CHUNK at a time, one row per entry of the array
+    columns, or one row if all are scalars.  A scalar or None column
+    repeats its `_cell`; array cells follow the same policy by dtype.
+    Rows go through one template."""
     fields, arrays = [], []
     for col in columns:
         a = np.asarray(col)
@@ -52,7 +58,6 @@ def _rows(header: str, *columns, comments=()):
         arrays.append(np.where(a, "true", "false") if kind == "b" else a)
     template = ",".join(fields) + "\n"
     rows = min((len(a) for a in arrays), default=1)
-    yield "".join(f"# {c}\n" for c in comments) + header + "\n"
     for start in range(0, rows, _CHUNK):
         m = min(_CHUNK, rows - start)
         cells = [None] * (m * len(arrays))
@@ -155,18 +160,22 @@ def iterate_series_csv(series) -> str:
                   series.flags, comments=(head,))
 
 
-def _trajectory_rows(traj):
-    return _rows("t,x,y,z", traj.t, *np.asarray(traj.xyz).T)
+def _trajectory_rows(pieces):
+    yield "t,x,y,z\n"
+    for traj in pieces:
+        yield from _body((traj.t, *np.asarray(traj.xyz).T))
 
 
 def trajectory_csv(traj) -> str:
-    return "".join(_trajectory_rows(traj))
+    return "".join(_trajectory_rows([traj]))
 
 
-def write_trajectory_csv(path, traj) -> None:
-    """Write `trajectory_csv(traj)` atomically, _CHUNK rows at a time, so
-    the whole text is never held in memory."""
-    _write_atomic(path, _trajectory_rows(traj))
+def write_trajectory_csv(path, pieces) -> None:
+    """Write the trajectory pieces, in order, atomically as one CSV with
+    one header; its text is `trajectory_csv` of their concatenation.  Each
+    piece is formatted and written before the next is drawn, so neither
+    the text nor the whole trajectory is held in memory."""
+    _write_atomic(path, _trajectory_rows(pieces))
 
 
 def return_map_csv(data) -> str:

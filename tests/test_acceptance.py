@@ -245,9 +245,10 @@ def test_criterion_8_oscillation_machinery(acceptance_report, tripling,
 
 def test_criterion_9_lorenz_pipeline(acceptance_report):
     t0 = time.perf_counter()
-    traj = lorenz.integrate(lorenz.LorenzConfig())
-    maxima = lorenz.extract_z_maxima(traj)
-    data = lorenz.build_return_map(maxima)
+    acc = lorenz.ZMaxima()
+    for piece in lorenz.integrate(lorenz.LorenzConfig()):
+        acc.feed(piece)
+    data = lorenz.build_return_map(acc.result())
     pts = data.normalized_pairs
     cusp = data.cusp_estimate
 

@@ -8,18 +8,22 @@ the scipy import checks, and a formula whose numpy warnings would reach a
 user's stderr.
 """
 
+import contextlib
+import gc
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pwexpand
-from pwexpand import analysis, plotting, serialize, transfer
+from pwexpand import analysis, kernels, lorenz, plotting, serialize, transfer
 from pwexpand.cli import main
 from pwexpand.grid import GridFunction, project, variation
 from pwexpand.mapconfig import load_map
@@ -179,6 +183,22 @@ def test_ly_auto_A_at_t_above_one_exits_before_estimating(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --auto-A is only available for t = 1\n"
+    assert not out.exists()
+
+
+def test_ly_auto_L_with_t_above_p_exits_before_estimating(
+        tmp_path, capsys, monkeypatch):
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("L was estimated")
+
+    monkeypatch.setattr(analysis, "estimate_equicontinuity_L", no_estimate)
+    out = tmp_path / "ly.csv"
+    argv = ["ly", TRIPLING, "--p", "1", "--t", "1.5", "--out", str(out)]
+    assert main(argv) == 1
+    plain = capsys.readouterr()
+    assert plain.err == "error: t must lie in [1, p], got t=1.5, p=1.0\n"
+    assert main(argv + ["--auto-L"]) == 1
+    assert capsys.readouterr() == plain
     assert not out.exists()
 
 
@@ -474,6 +494,53 @@ def test_lorenz_bad_fit_degree_exits_before_integrating(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: degree must lie in [1, 6], got 9\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_lorenz_blow_up_after_the_first_piece_leaves_no_file(tmp_path, capsys):
+    # x = y = 0 stays put and z' = 15 z, so z overflows after ~4700 steps
+    args = ["--x0", "0", "--y0", "0", "--z0", "1", "--beta=-15", "--dt",
+            "0.01", "--t-max", "60", "--transient", "5"]
+    whole = kernels.lorenz_rk4([0.0, 0.0, 1.0], 10.0, 28.0, -15.0, 0.01, 6000)
+    k = int(np.argmax(~np.isfinite(whole).all(axis=1)))
+    assert lorenz._CHUNK < k < 6000
+    outs = [str(tmp_path / name) for name in ("traj.csv", "rmap.csv", "fit.json")]
+    assert main(["lorenz", *args, "--out-trajectory", outs[0],
+                 "--out-map", outs[1], "--out-fit", outs[2]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: state became non-finite at t = {k * 0.01:g}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def _lorenz_traced_peak(tmp_path, t_max):
+    """tracemalloc peak of one `lorenz` run above what was live before."""
+    argv = ["lorenz", "--rho", "100", "--dt", "0.01", "--t-max", str(t_max),
+            "--transient", "0", "--fit-degree", "1",
+            "--out-trajectory", str(tmp_path / "traj.csv"),
+            "--out-map", str(tmp_path / "rmap.csv"),
+            "--out-fit", str(tmp_path / "fit.json")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0  # loads what the pipeline imports lazily
+        # garbage left by earlier code, freed at a collection inside the
+        # traced run, would move its peak by tens of kB
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+
+def test_lorenz_memory_does_not_grow_with_the_run(tmp_path, monkeypatch):
+    # 256-row pieces keep the runs short: 4001 rows against 5001, 16 pieces
+    # against 20; rho = 100 gives the fit its 100 return pairs by t = 40
+    monkeypatch.setattr(lorenz, "_CHUNK", 256)
+    short = _lorenz_traced_peak(tmp_path, 40)
+    long = _lorenz_traced_peak(tmp_path, 50)
+    # the 1000 extra rows of t and xyz alone would be 32 kB
+    assert long - short < 8_000, (short, long)
 
 
 def test_missing_config_exits_one(tmp_path, capsys):

@@ -7,8 +7,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pwexpand import lorenz
+from pwexpand import kernels, lorenz
 from pwexpand.errors import ConfigError
+
+
+def _whole(config):
+    """The pieces of `lorenz.integrate` joined into one Trajectory."""
+    pieces = list(lorenz.integrate(config))
+    return lorenz.Trajectory(t=np.concatenate([p.t for p in pieces]),
+                             xyz=np.concatenate([p.xyz for p in pieces]))
 
 
 def _synthetic_return_data(xs, ys):
@@ -29,12 +36,21 @@ def test_config_rejects_transient_swallowing_the_run():
         lorenz.LorenzConfig(t_max=40.0, transient=50.0)
 
 
+def test_config_rejects_step_counts_where_times_stop_being_exact():
+    # t = k * dt needs k below 2**53; checked before any step is taken
+    dt = 2.0 ** -60
+    assert lorenz.LorenzConfig(dt=dt, t_max=(2.0 ** 53 - 1) * dt,
+                               transient=0.0).nsteps == 2 ** 53 - 1
+    with pytest.raises(ConfigError, match=r"^cannot store 9\.0072e\+15 steps"):
+        lorenz.LorenzConfig(dt=dt, t_max=2.0 ** 53 * dt, transient=0.0)
+
+
 # -------------------------------------------------------------- integrate
 
 def test_integrate_is_bitwise_deterministic():
     cfg = lorenz.LorenzConfig(dt=0.01, t_max=10.0, transient=1.0)
-    a = lorenz.integrate(cfg)
-    b = lorenz.integrate(cfg)
+    a = _whole(cfg)
+    b = _whole(cfg)
     assert np.array_equal(a.xyz, b.xyz)
     assert np.array_equal(a.t, b.t)
     assert a.t[0] >= 1.0 - 1e-12
@@ -44,7 +60,7 @@ def test_integrate_is_bitwise_deterministic():
                                        (0.001, 77.777)])
 def test_integrate_times_are_step_counts_times_dt(dt, t_max):
     # bit for bit the integer arange times dt
-    traj = lorenz.integrate(lorenz.LorenzConfig(dt=dt, t_max=t_max))
+    traj = _whole(lorenz.LorenzConfig(dt=dt, t_max=t_max))
     t = np.arange(round(t_max / dt) + 1) * dt
     want = t[np.searchsorted(t, 50.0 - 1e-12):]
     assert traj.t.tobytes() == want.tobytes()
@@ -54,10 +70,35 @@ def test_integrate_times_are_step_counts_times_dt(dt, t_max):
 def test_integrate_below_onset_gives_no_oscillations():
     # rho = 0.5: the origin attracts and z decays monotonically, so the
     # maxima extractor has nothing to work with
-    traj = lorenz.integrate(
+    traj = _whole(
         lorenz.LorenzConfig(rho=0.5, dt=0.01, t_max=60.0, transient=40.0))
     with pytest.raises(lorenz.InsufficientDataError):
         lorenz.extract_z_maxima(traj)
+
+
+def _boundary_cases():
+    # transient -1 keeps row 0; a transient of k * dt keeps rows k..nsteps
+    for nsteps in (4095, 4096, 4097, 3 * 4096 + 17):
+        for first in (0, 1, 1000, 4096, 4097):
+            if first < nsteps:
+                yield nsteps, first
+
+
+@pytest.mark.parametrize("nsteps, first", list(_boundary_cases()))
+def test_pieces_are_one_whole_integration(nsteps, first):
+    dt = 0.01
+    cfg = lorenz.LorenzConfig(dt=dt, t_max=nsteps * dt,
+                              transient=first * dt if first else -1.0)
+    assert cfg.nsteps == nsteps
+    whole = kernels.lorenz_rk4([1.0, 1.0, 1.0], 10.0, 28.0, 8.0 / 3.0, dt,
+                               nsteps)
+    t = np.arange(nsteps + 1) * dt
+    assert np.searchsorted(t, cfg.transient - 1e-12) == first
+    pieces = list(lorenz.integrate(cfg))
+    assert all(0 < len(p.t) == len(p.xyz) <= lorenz._CHUNK for p in pieces)
+    got = _whole(cfg)
+    assert got.xyz.tobytes() == whole[first:].tobytes()
+    assert got.t.tobytes() == t[first:].tobytes()
 
 
 # -------------------------------------------------------- extract_z_maxima
@@ -110,6 +151,44 @@ def test_maxima_match_the_full_length_refinement(z):
         return
     got = lorenz.extract_z_maxima(traj)
     assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+
+
+def _fed(z, cuts):
+    """A ZMaxima fed z in pieces split at the indices `cuts`."""
+    acc = lorenz.ZMaxima()
+    for part in np.split(z, cuts):
+        piece = lorenz.Trajectory(t=np.arange(len(part)),
+                                  xyz=np.column_stack([part, part, part]))
+        assert acc.feed(piece) is piece
+    return acc
+
+
+# peaks at 3 and 13, and a plateau over 7..9 whose first sample is the
+# maximum (the >= rule)
+BOUNDARY_Z = np.array([0.0, 1, 2, 5, 2, 1, 3, 4, 4, 4, 1, 0, 2, 6, 1])
+
+
+@pytest.mark.parametrize("cuts", [[4], [3], [8], [9], [3, 3, 4],
+                                  list(range(1, len(BOUNDARY_Z)))],
+                         ids=["peak-last-of-piece", "peak-first-of-next",
+                              "plateau-after-first", "plateau-before-last",
+                              "empty-and-one-sample", "all-one-sample"])
+def test_maxima_across_piece_boundaries(cuts):
+    expect = _full_length_maxima(BOUNDARY_Z)
+    assert len(expect) == 3
+    acc = _fed(BOUNDARY_Z, cuts)
+    assert acc.samples == len(BOUNDARY_Z)
+    assert acc.result().tobytes() == expect.tobytes()
+
+
+def test_maxima_do_not_depend_on_where_pieces_end():
+    rng = np.random.default_rng(8)
+    for z in (np.cumsum(rng.integers(-1, 2, size=40)).astype(float),
+              np.cumsum(rng.normal(size=40))):
+        expect = _full_length_maxima(z).tobytes()
+        for a in range(len(z) + 1):
+            for b in (a, a + 1, a + 2):
+                assert _fed(z, [a, b]).result().tobytes() == expect
 
 
 def test_maxima_rounding_tie_takes_the_middle_sample():
@@ -223,8 +302,7 @@ def test_fit_rejects_an_empty_branch():
 # ------------------------------------------------------------ full pipeline
 
 def test_short_real_trajectory_has_the_known_shape():
-    traj = lorenz.integrate(
-        lorenz.LorenzConfig(dt=0.01, t_max=150.0, transient=5.0))
+    traj = _whole(lorenz.LorenzConfig(dt=0.01, t_max=150.0, transient=5.0))
     maxima = lorenz.extract_z_maxima(traj)
     assert len(maxima) > 150
     data = lorenz.build_return_map(maxima)

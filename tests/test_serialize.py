@@ -222,9 +222,15 @@ def test_trajectory_csv(n, tmp_path):
     expect = oracle_trajectory(traj)
     assert serialize.trajectory_csv(traj) == expect
     target = tmp_path / "traj.csv"
-    serialize.write_trajectory_csv(target, traj)
+    serialize.write_trajectory_csv(target, [traj])
     assert target.read_bytes() == expect.encode("utf-8")
     assert list(tmp_path.iterdir()) == [target]
+    # in pieces, an empty one among them: the same bytes, one header
+    half = n // 2
+    pieces = [SimpleNamespace(t=traj.t[a:b], xyz=traj.xyz[a:b])
+              for a, b in ((0, half), (half, half), (half, n))]
+    serialize.write_trajectory_csv(target, pieces)
+    assert target.read_bytes() == expect.encode("utf-8")
 
 
 @pytest.mark.parametrize("n", ROWS)
@@ -258,7 +264,7 @@ def test_write_trajectory_csv_holds_one_chunk_at_a_time(tmp_path):
     target = tmp_path / "traj.csv"
     tracemalloc.start()
     try:
-        serialize.write_trajectory_csv(target, traj)
+        serialize.write_trajectory_csv(target, [traj])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
