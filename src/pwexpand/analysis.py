@@ -37,20 +37,8 @@ _MAX_DEGREE = _MAX_JUMPS = 8
 _L_TRIALS, _L_ITERATES, _L_GRID, _L_SEED = 12, 20, 1024, 7
 
 
-class InadmissibleError(ToolError):
-    """No radius cap A can make the contraction coefficient < 1."""
-
-
 class NoRateError(ToolError):
     """Too few above-floor correlation values to fit a decay rate."""
-
-
-class AmbiguousMeasureError(ToolError):
-    """The invariant density is not unique (unit eigenvalue not simple)."""
-
-
-class DensityDegenerateError(ToolError):
-    """Invariant density vanishes (below floor) on a set of positive measure."""
 
 
 @dataclass(frozen=True)
@@ -163,7 +151,7 @@ def shrink_A_until_admissible(pmap: PiecewiseMap, p: float) -> LYConstants:
     s = pmap.min_slope_global
     slope_value, holds = check_slope_condition(pmap, p)
     if not holds:
-        raise InadmissibleError(
+        raise ToolError(
             f"slope condition fails: 1/s^(1/p) + 1/s = {slope_value:.6g} >= 1 "
             f"at s={s:.6g}, p={p}; no radius cap can give alpha < 1")
     A = 0.125
@@ -172,7 +160,7 @@ def shrink_A_until_admissible(pmap: PiecewiseMap, p: float) -> LYConstants:
         if consts.admissible:
             return consts
         A *= 0.5
-    raise InadmissibleError(
+    raise ToolError(
         f"alpha stayed >= 1 down to A = 2^-16 (s={s:.6g}, "
         f"M={pmap.holder_max:.6g}, p={p})")
 
@@ -242,7 +230,7 @@ def _unique_invariant_density(pmap: PiecewiseMap, n: int) -> GridFunction:
         start = 0.5 + rng.random(n)
         h1, _, _, _ = power_iterate(op.apply_t, start / np.mean(start))
         if float(np.mean(np.abs(h1 - h.values))) > 1e-6:
-            raise AmbiguousMeasureError(
+            raise ToolError(
                 "different starting densities reach different fixed points; "
                 "the invariant measure is not unique — inspect spectrum()")
     return h
@@ -257,7 +245,7 @@ def _correlation(kind: str, pmap: PiecewiseMap, f, g, N_max: int,
     f, g = (expr.parse(e) if isinstance(e, str) else e for e in (f, g))
     h = _unique_invariant_density(pmap, n).values
     if kind == "invariant" and np.any(h <= H_FLOOR):
-        raise DensityDegenerateError(
+        raise ToolError(
             f"invariant density is below {H_FLOOR:g} on {np.sum(h <= H_FLOOR)}"
             f" of {n} cells; the normalized operator is not defined there")
     w = h if kind == "invariant" else np.ones(n)

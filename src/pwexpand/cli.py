@@ -2,7 +2,8 @@
 
 One subcommand per analysis; every output file is CSV (SVG for plots) and
 written atomically.  Exit codes: 0 on success, 1 when validation or
-analysis fails, 2 on usage errors (argparse's own convention).
+analysis fails or memory runs out, 2 on usage errors (argparse's own
+convention).
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ from .errors import ToolError
 from .expr import parse as parse_expr
 from .grid import project, variation
 from .mapconfig import dump_map_config, load_map
-from .maps import ValidationError, check_slope_condition, validate
+from .maps import check_slope_condition, validate
 
 
 def _load_validated(path):
     pmap = load_map(path)
     report = validate(pmap)
     if not report.accepted:
-        raise ValidationError(
+        raise ToolError(
             f"map {path} failed validation: {report.violation_summary()}")
     return pmap
 
@@ -47,11 +48,12 @@ def _plot(args, draw, data) -> None:
         return
     out = args.out
     svg = (out[: -len(".csv")] if out.endswith(".csv") else out) + ".svg"
-    if draw(data, svg):
-        print(f"plot -> {svg}")
-    else:
+    if not plotting.HAVE_MPL:
         print(f"warning: matplotlib unavailable, skipped plot {svg}",
               file=sys.stderr)
+        return
+    draw(data, svg)
+    print(f"plot -> {svg}")
 
 
 def cmd_check_slope(args) -> int:
@@ -316,6 +318,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ToolError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        # numpy's message names the size and shape of the failed allocation
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return 1
 
 

@@ -1,7 +1,17 @@
 """Shared exception types.
 
-Every error raised deliberately by this package derives from ToolError;
-the CLI maps any ToolError to exit code 1 (usage errors are 2).
+Every error raised deliberately by this package is a ToolError, and the
+CLI maps any ToolError to ``error: <message>`` and exit code 1 (usage
+errors are 2).  A subclass exists only where a caller catches it by type:
+
+- `ToolError`: a computation failed; `cli.main` catches it.
+- `ConfigError`: bad input (a map config, an option out of range).
+- `expr.ParseError`: a syntax error, with its `.offset`; `maps.make_map`
+  catches it to name the branch.
+- `expr.EvalError`: a domain violation while evaluating; `maps.make_map`
+  catches it to name the branch formula.
+- `analysis.NoRateError`: too few correlation values to fit a rate;
+  `analysis._correlation` catches it and reports the rate as None.
 """
 
 

@@ -24,22 +24,6 @@ from .maps import make_map
 from .serialize import _CHUNK
 
 
-class IntegrationError(ToolError):
-    """Trajectory blew up (non-finite state)."""
-
-
-class InsufficientDataError(ToolError):
-    """Too few samples or maxima to continue the pipeline."""
-
-
-class DegenerateRangeError(ToolError):
-    """All maxima coincide; the return interval has zero length."""
-
-
-class FitError(ToolError):
-    """Piecewise fit is impossible on the given data."""
-
-
 @dataclass(frozen=True)
 class LorenzConfig:
     sigma: float = 10.0
@@ -135,7 +119,7 @@ def integrate(config: LorenzConfig):
         bad = ~np.isfinite(xyz).all(axis=1)
         if bad.any():
             k = first + int(np.argmax(bad))
-            raise IntegrationError(f"state became non-finite at t = {k * dt:g}")
+            raise ToolError(f"state became non-finite at t = {k * dt:g}")
         # step counts below 2**53 are exact doubles, so t[k] is k * dt
         t = np.arange(first, first + len(xyz), dtype=float)
         t *= dt
@@ -181,11 +165,10 @@ class ZMaxima:
     def result(self) -> np.ndarray:
         """The refined maxima in order, once at least two were found."""
         if self.samples < 3:
-            raise InsufficientDataError(
-                f"need at least 3 samples, got {self.samples}")
+            raise ToolError(f"need at least 3 samples, got {self.samples}")
         maxima = np.concatenate(self._found)
         if len(maxima) < 2:
-            raise InsufficientDataError(
+            raise ToolError(
                 f"found {len(maxima)} z-maxima; need at least 2 for a return map")
         return maxima
 
@@ -201,12 +184,11 @@ def build_return_map(maxima: np.ndarray) -> ReturnMapData:
     """Pairs (z_k, z_{k+1}) with their affine normalization to [0,1]²."""
     maxima = np.asarray(maxima, dtype=float)
     if len(maxima) < 3:
-        raise InsufficientDataError(
-            f"need at least 3 maxima, got {len(maxima)}")
+        raise ToolError(f"need at least 3 maxima, got {len(maxima)}")
     data = ReturnMapData(maxima=maxima)
     if data.z_max - data.z_min < 1e-12:
-        raise DegenerateRangeError(f"maxima are all {data.z_min:g}; cannot "
-                                   "normalize a zero-length range")
+        raise ToolError(f"maxima are all {data.z_min:g}; cannot normalize "
+                        "a zero-length range")
     return data
 
 
@@ -277,7 +259,7 @@ def fit_piecewise(data: ReturnMapData, degree: int):
     for (lo, hi), mask in zip(domains, masks):
         bx, by = xs[mask], ys[mask]
         if len(bx) < 10:
-            raise FitError(
+            raise ToolError(
                 f"branch on [{lo:.4g}, {hi:.4g}] has only {len(bx)} points "
                 "(needs 10); the two-branch cusp model does not fit this data")
         coeffs = np.polynomial.polynomial.polyfit(bx, by, degree)

@@ -37,19 +37,6 @@ _HOLDER_PAIRS = 256
 _HOLDER_SEED = 0
 
 
-class ValidationError(ToolError):
-    """A map failed `validate`; the report's violations are the message."""
-
-
-class OutOfImageError(ToolError):
-    """Requested preimage of a point outside the branch image."""
-
-
-class RootFindError(ToolError):
-    """Branch inversion failed to converge (should not happen for
-    validated monotone branches)."""
-
-
 @dataclass(frozen=True)
 class Interval:
     lo: float
@@ -313,7 +300,7 @@ def invert_branch_array(branch: Branch, ys) -> np.ndarray:
         xn = np.where(bad, 0.5 * (a + b), xn)
         x = np.where(done, x, xn)
     worst = float(np.max(np.abs(res)))
-    raise RootFindError(
+    raise ToolError(
         f"branch inversion did not reach tol={INVERSE_TOL} in "
         f"{_INVERSE_MAX_ITER} iterations (worst residual {worst:g}) for "
         f"branch {branch.formula!r}")
@@ -323,7 +310,7 @@ def branch_inverse(branch: Branch, y: float) -> float:
     """Solve τ_i(x) = y on the branch domain."""
     img = branch.image
     if y < img.lo - INVERSE_TOL or y > img.hi + INVERSE_TOL:
-        raise OutOfImageError(
+        raise ToolError(
             f"y={y!r} is outside the branch image [{img.lo}, {img.hi}]")
     y_in = min(max(y, img.lo), img.hi)
     return float(invert_branch_array(branch, np.array([y_in]))[0])

@@ -1,5 +1,6 @@
-"""SVG plot emission (optional: degrades to a warning when matplotlib is
-missing, since every figure duplicates data already in a CSV)."""
+"""SVG plot emission.  matplotlib is optional, since every figure
+duplicates data already in a CSV: without it `HAVE_MPL` is False and the
+CLI warns instead of calling a draw function."""
 
 from __future__ import annotations
 
@@ -29,21 +30,16 @@ def _save_atomic(fig, path) -> None:
     write_text_atomic(path, buf.getvalue())
 
 
-def density_plot(h, path) -> bool:
-    if not HAVE_MPL:
-        return False
+def density_plot(h, path) -> None:
     fig, ax = plt.subplots(figsize=(7, 4))
     ax.step(h.midpoints(), h.values, where="mid", lw=1.2)
     ax.set_xlabel("x")
     ax.set_ylabel("h(x)")
     ax.set_title("invariant density")
     _save_atomic(fig, path)
-    return True
 
 
-def spectrum_plot(report, path) -> bool:
-    if not HAVE_MPL:
-        return False
+def spectrum_plot(report, path) -> None:
     fig, ax = plt.subplots(figsize=(5, 5))
     theta = np.linspace(0.0, 2.0 * np.pi, 256)
     ax.plot(np.cos(theta), np.sin(theta), color="0.8", lw=0.8)
@@ -55,12 +51,9 @@ def spectrum_plot(report, path) -> bool:
     rel = "≥ " if report.gap_is_bound else ""
     ax.set_title(f"leading eigenvalues (gap {rel}{report.spectral_gap:.4g})")
     _save_atomic(fig, path)
-    return True
 
 
-def correlation_plot(series, path) -> bool:
-    if not HAVE_MPL:
-        return False
+def correlation_plot(series, path) -> None:
     fig, ax = plt.subplots(figsize=(7, 4))
     C = np.maximum(series.C_values, 1e-17)
     ax.semilogy(series.N_values, C, marker="o", ms=3, lw=1.0)
@@ -71,4 +64,3 @@ def correlation_plot(series, path) -> bool:
     ax.set_xlabel("N")
     ax.set_ylabel("C(N)")
     _save_atomic(fig, path)
-    return True

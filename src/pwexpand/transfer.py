@@ -24,7 +24,7 @@ fixed vector for the doubly stochastic maps and breaks down at once).  It
 grows by max(64, m/4) vectors per step and stops once every top-k Ritz
 value outside r_ess + 1e-8 has residual |h_{m+1,m} y_m| ≤ ``_RITZ_TOL``;
 the Ritz values inside are returned unresolved.  At ``KRYLOV_MAX_DIM``
-vectors, or when k exceeds that cap, `spectrum` raises `SpectralError`.
+vectors, or when k exceeds that cap, `spectrum` raises `ToolError`.
 
 `ulam_matrix` returns the Ulam matrix as numpy (row, col, value) triplets.
 `UlamOperator.apply_t` applies Pᵀ with one ``np.bincount``, and the dense
@@ -46,22 +46,6 @@ from . import expr
 from .errors import ConfigError, ToolError
 from .grid import GridFunction, variation
 from .maps import PiecewiseMap, invert_branch_array
-
-
-class AssemblyError(ToolError):
-    """Ulam assembly failed (root finder or stochasticity check)."""
-
-
-class ConvergenceError(ToolError):
-    """Power iteration failed to converge; carries the last residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
-class SpectralError(ToolError):
-    """Eigenvalue computation failed or produced no unit eigenvalue."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,12 +86,16 @@ class UlamOperator:
 @dataclass(frozen=True, eq=False)
 class SpectralReport:
     eigenvalues: np.ndarray  # complex, sorted by decreasing modulus
-    resolved: np.ndarray     # bool per eigenvalue: converged, |λ| > r_ess + 1e-8
     unit_multiplicity: int
     spectral_gap: float      # 1 - largest resolved modulus below 1, or a bound
     gap_is_bound: bool       # no such modulus: spectral_gap is the lower bound
     r_ess: float
     solver: str              # "dense" or "krylov m=<basis size>"
+
+    @property
+    def resolved(self) -> np.ndarray:
+        """Per eigenvalue: converged and |λ| > r_ess + 1e-8."""
+        return np.abs(self.eigenvalues) > self.r_ess + _ESS_MARGIN
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +167,7 @@ def ulam_matrix(pmap: PiecewiseMap, n: int) -> UlamOperator:
         try:
             xs = invert_branch_array(br, ys)
         except ToolError as err:
-            raise AssemblyError(
+            raise ToolError(
                 f"edge inversion failed on branch {br.formula!r}: {err}") from err
         # preimage [xa, xb] of target bin j, then the source bins ia..ib it
         # meets, expanded to one (i, j) entry per pair in (j, i) order
@@ -217,7 +205,7 @@ def ulam_matrix(pmap: PiecewiseMap, n: int) -> UlamOperator:
     # rounded edges alone put up to ~n·eps (1.2e-12 at n = 10⁴)
     if worst > max(1e-12, 4 * n * np.finfo(float).eps):
         bad = int(np.argmax(np.abs(row_sums - 1.0)))
-        raise AssemblyError(
+        raise ToolError(
             f"row {bad} sums to {float(row_sums[bad])!r} (off by {worst:g}); "
             "branch images may not cover the bin")
     s = pmap.min_slope_global
@@ -254,10 +242,10 @@ def invariant_density(op: UlamOperator) -> GridFunction:
     uniform density, in the L¹ metric."""
     h, converged, residual, steps = power_iterate(op.apply_t, np.ones(op.n))
     if not converged:
-        raise ConvergenceError(
+        raise ToolError(
             f"power iteration stalled at L1 residual {residual:g} after "
             f"{steps} iterations; the unit eigenvalue may not be simple "
-            "(inspect the spectrum)", residual)
+            "(inspect the spectrum)")
     h = np.maximum(h, 0.0)
     h = h / np.mean(h)
     return GridFunction(h)
@@ -295,7 +283,7 @@ def _krylov_top(op: UlamOperator, k: int, r_ess: float,
         # basis vectors as rows; a page is used only once its row is written
         basis = np.empty((cap + 1, n))
     except MemoryError as err:
-        raise SpectralError(
+        raise ToolError(
             f"iterative eigensolve failed: no memory for a Krylov basis of "
             f"{cap + 1} vectors of length {n}") from err
     hess = np.zeros((cap + 1, cap))  # upper Hessenberg, top-left (m+1) x m
@@ -304,7 +292,7 @@ def _krylov_top(op: UlamOperator, k: int, r_ess: float,
     m, worst = 0, np.inf
     while True:
         if m >= cap:
-            raise SpectralError(
+            raise ToolError(
                 f"iterative eigensolve failed: the Krylov basis reached its "
                 f"cap of {cap} vectors before the top {k} Ritz values outside "
                 f"r_ess = {r_ess:.6g} converged (largest residual {worst:.3g})")
@@ -351,11 +339,11 @@ def spectrum(op: UlamOperator, k: int) -> SpectralReport:
         try:
             vals = np.linalg.eigvals(op.dense_t())
         except np.linalg.LinAlgError as err:
-            raise SpectralError(f"dense eigensolve failed: {err}") from err
+            raise ToolError(f"dense eigensolve failed: {err}") from err
         solver = "dense"
     else:
         if k > KRYLOV_MAX_DIM:
-            raise SpectralError(
+            raise ToolError(
                 f"cannot compute the top {k} eigenvalues on {n} bins: above "
                 f"DENSE_EIG_LIMIT = {DENSE_EIG_LIMIT} bins the iterative "
                 f"eigensolve returns at most KRYLOV_MAX_DIM = "
@@ -368,7 +356,7 @@ def spectrum(op: UlamOperator, k: int) -> SpectralReport:
     moduli = moduli[order]
     unit_mult = int(np.sum(np.abs(moduli - 1.0) < _UNIT_TOL))
     if abs(moduli[0] - 1.0) > _UNIT_TOL:
-        raise SpectralError(
+        raise ToolError(
             f"leading eigenvalue {eigvals[0]!r} is not on the unit circle")
     # every computed value outside r_ess has converged (dense: all of them)
     resolved = moduli > op.r_ess + _ESS_MARGIN
@@ -382,7 +370,6 @@ def spectrum(op: UlamOperator, k: int) -> SpectralReport:
         gap = 0.0 if resolved.all() else max(0.0, 1.0 - op.r_ess)
     return SpectralReport(
         eigenvalues=eigvals[:k],
-        resolved=resolved[:k],
         unit_multiplicity=unit_mult,
         spectral_gap=gap,
         gap_is_bound=gap_is_bound,

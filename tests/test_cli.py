@@ -14,6 +14,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -694,6 +695,29 @@ def test_overflowing_formula_prints_one_error_line(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, env=env)
     assert out.returncode == 1
     assert out.stderr == "error: grid values must be finite\n"
+
+
+def test_out_of_memory_prints_one_error_line(tmp_path):
+    # the child's address space is capped at 2 GiB, far below the 7.45 GiB
+    # that the bin edges of 10^9 bins take
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    # one BLAS thread: each thread's buffers take address space, so the
+    # import alone could exceed the cap on a machine with many cores
+    src = Path(pwexpand.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-m", "pwexpand.cli", "density",
+         str(CONFIGS / "tent.json"), "--bins", "1000000000", "--no-plot"],
+        cwd=tmp_path, capture_output=True, text=True, env=env,
+        preexec_fn=cap_memory)
+    assert out.returncode == 1
+    assert out.stderr.count("\n") == 1
+    assert out.stderr.startswith("error: out of memory")
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "density.csv").exists()
 
 
 def test_unknown_subcommand_exits_two():

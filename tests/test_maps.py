@@ -12,12 +12,12 @@ import pytest
 
 import pwexpand
 from pwexpand import expr, maps
-from pwexpand.errors import ConfigError
+from pwexpand.errors import ConfigError, ToolError
 from pwexpand.mapconfig import (dump_map_config, load_map, map_from_config,
                                 map_to_config)
-from pwexpand.maps import (INVERSE_TOL, OutOfImageError, apply_map,
-                           branch_inverse, check_slope_condition,
-                           invert_branch_array, make_map, validate)
+from pwexpand.maps import (INVERSE_TOL, apply_map, branch_inverse,
+                           check_slope_condition, invert_branch_array,
+                           make_map, validate)
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = ["configs/doubling.json", "configs/tripling.json", "configs/tent.json",
@@ -324,7 +324,7 @@ def test_slope_condition_guards(tripling):
 def test_branch_inverse_examples(doubling, markov, tripling):
     assert branch_inverse(doubling.branches[0], 0.5) == pytest.approx(0.25, abs=1e-12)
     assert branch_inverse(markov.branches[1], 0.0) == pytest.approx(2 / 3, abs=1e-12)
-    with pytest.raises(OutOfImageError):
+    with pytest.raises(ToolError, match="^y=1.2 is outside the branch image"):
         branch_inverse(tripling.branches[0], 1.2)
 
 
