@@ -5,7 +5,9 @@ over the cusp.
 The trajectory is computed once, in pieces of at most `_CHUNK` steps:
 `integrate` yields them, the CLI streams each one to the trajectory CSV
 and through a `ZMaxima` accumulator, and no array as long as the run
-exists.
+exists.  The RK4 loop runs in a forked child, where the platform has
+`os.fork`, so the next piece is integrated while the caller formats and
+scans this one.
 
 The fitted map is deliberately NOT fed into the contraction analysis
 automatically — its Hölder exponent is a statistical estimate, so the CLI
@@ -14,6 +16,10 @@ prints a config the user may pass on explicitly.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import signal
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,36 +110,98 @@ class FitDiagnostics:
     min_abs_slope_central: tuple  # min |fit'| over the central 80%
 
 
+def _rk4_blocks(config: LorenzConfig):
+    """Yield the rows of the whole RK4 run in order, in blocks of shape
+    (m, 3): the start row, then pieces of at most _CHUNK steps."""
+    xyz = np.array([[config.x0, config.y0, config.z0]])
+    yield xyz
+    done = 0
+    while done < config.nsteps:
+        steps = min(_CHUNK, config.nsteps - done)
+        # a step reads only the row before it, so the run continues from
+        # the last stored row bit for bit; row 0 of the result is that row
+        xyz = kernels.lorenz_rk4(xyz[-1], config.sigma, config.rho,
+                                 config.beta_param, config.dt, steps)[1:]
+        done += steps
+        yield xyz
+
+
+def _in_child(blocks):
+    """Iterate `blocks`, C-contiguous float64 arrays of shape (m, 3), in a
+    forked child and yield them here in order, so that the child computes
+    the next block while the caller works on this one.
+
+    The child sends each block as its row count and its raw doubles
+    through a pipe, whose capacity bounds how far it runs ahead.  It
+    leaves only by `os._exit`, so no cleanup of the frames below this one
+    (a temp file's removal, say) runs in it, and it must make no BLAS
+    call: the parent's BLAS threads do not exist in it.  If the parent
+    dies, the child's next write fails and it exits.  A child that ends
+    before its last block is a ToolError; if the caller stops early, the
+    child is killed.  Either way it is reaped.
+    """
+    sys.stdout.flush()
+    sys.stderr.flush()
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            with os.fdopen(w, "wb") as out:
+                for xyz in blocks:
+                    out.write(len(xyz).to_bytes(8, sys.byteorder))
+                    out.write(xyz)
+                    out.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    try:
+        with os.fdopen(r, "rb") as src:
+            # a short read is the end of the pipe: the child has exited
+            while len(head := src.read(8)) == 8:
+                buf = bytearray(int.from_bytes(head, sys.byteorder) * 24)
+                if src.readinto(buf) < len(buf):
+                    break
+                yield np.frombuffer(buf).reshape(-1, 3)
+    except BaseException:  # also GeneratorExit: the caller stopped early
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        raise ToolError(
+            f"the RK4 integration process ended early (exit status {status})")
+
+
 def integrate(config: LorenzConfig):
     """Yield the fixed-step RK4 trajectory after the transient as
     `Trajectory` pieces of at most _CHUNK rows, in order.
 
-    Deterministic: identical configs give bitwise-identical output, and
-    the rows do not depend on the piece size.
+    Where the platform has `os.fork`, the RK4 loop runs in a child
+    (`_in_child`) while the caller consumes the pieces.  Deterministic:
+    identical configs give bitwise-identical output, and the rows depend
+    neither on the piece size nor on the fork.
     """
-    dt, nsteps = config.dt, config.nsteps
+    dt = config.dt
     cut = config.transient - 1e-12
-    xyz = np.array([[config.x0, config.y0, config.z0]])
-    first = 0  # step index of xyz[0]
-    while True:
-        bad = ~np.isfinite(xyz).all(axis=1)
-        if bad.any():
-            k = first + int(np.argmax(bad))
-            raise ToolError(f"state became non-finite at t = {k * dt:g}")
-        # step counts below 2**53 are exact doubles, so t[k] is k * dt
-        t = np.arange(first, first + len(xyz), dtype=float)
-        t *= dt
-        keep = int(np.searchsorted(t, cut))
-        if keep < len(t):
-            yield Trajectory(t=t[keep:], xyz=xyz[keep:])
-        first += len(xyz)
-        if first > nsteps:
-            return
-        # a step reads only the row before it, so the run continues from
-        # the last stored row bit for bit; row 0 of the result is that row
-        xyz = kernels.lorenz_rk4(xyz[-1], config.sigma, config.rho,
-                                 config.beta_param, dt,
-                                 min(_CHUNK, nsteps + 1 - first))[1:]
+    blocks = _rk4_blocks(config)
+    blocks = _in_child(blocks) if hasattr(os, "fork") else blocks
+    with contextlib.closing(blocks):
+        first = 0  # step index of xyz[0]
+        for xyz in blocks:
+            bad = ~np.isfinite(xyz).all(axis=1)
+            if bad.any():
+                k = first + int(np.argmax(bad))
+                raise ToolError(f"state became non-finite at t = {k * dt:g}")
+            # step counts below 2**53 are exact doubles, so t[k] is k * dt
+            t = np.arange(first, first + len(xyz), dtype=float)
+            t *= dt
+            keep = int(np.searchsorted(t, cut))
+            if keep < len(t):
+                yield Trajectory(t=t[keep:], xyz=xyz[keep:])
+            first += len(xyz)
 
 
 class ZMaxima:

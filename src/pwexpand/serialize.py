@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import secrets
 
 import numpy as np
 
@@ -80,7 +79,7 @@ def _write_atomic(path, chunks) -> None:
     umask, so the result gets the same mode as a plain ``open(path, "w")``.
     """
     path = os.fspath(path)
-    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     created = False
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

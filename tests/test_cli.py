@@ -96,6 +96,21 @@ def test_scipy_is_imported_only_where_it_is_called():
                           + "[False, True, False]\n")
 
 
+def test_cli_import_loads_no_secrets_hashlib_or_multiprocessing():
+    # temp file names come from os.urandom and the Lorenz child from a
+    # bare os.fork, so none of these is worth its import time
+    script = ("import sys\n"
+              "import pwexpand.cli\n"
+              "print([m for m in ('secrets', 'hashlib', 'multiprocessing')\n"
+              "       if m in sys.modules])\n")
+    src = Path(pwexpand.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["var", "--f", "sin(2*pi*x)", "--q", "2.5", "--p", "2", "--A", "0.125",
      "--grid", "256", "--out", "var.csv"],
@@ -511,6 +526,35 @@ def test_lorenz_blow_up_after_the_first_piece_leaves_no_file(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == f"error: state became non-finite at t = {k * 0.01:g}\n"
     assert list(tmp_path.iterdir()) == []
+    # the integrating child, still running ahead, was killed and reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_lorenz_failing_child_exits_one(tmp_path, capfd, monkeypatch):
+    # the forked child inherits the patch; its third RK4 piece raises
+    rk4, calls = kernels.lorenz_rk4, []
+
+    def failing_rk4(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError("injected failure")
+        return rk4(*args)
+
+    monkeypatch.setattr(kernels, "lorenz_rk4", failing_rk4)
+    outs = [str(tmp_path / name) for name in ("traj.csv", "rmap.csv", "fit.json")]
+    assert main(["lorenz", "--dt", "0.01", "--t-max", "200", "--transient",
+                 "0", "--out-trajectory", outs[0], "--out-map", outs[1],
+                 "--out-fit", outs[2]]) == 1
+    # capfd also holds what the child wrote to file descriptors 1 and 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the RK4 integration process ended early "
+                            "(exit status 1)\n")
+    assert calls == []  # every piece was integrated in the child
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _lorenz_traced_peak(tmp_path, t_max):

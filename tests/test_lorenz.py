@@ -2,6 +2,7 @@
 assembly, and the two-branch cusp fit (on synthetic data with known
 answers, plus one short real trajectory)."""
 
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -88,7 +89,7 @@ def _boundary_cases():
 
 
 @pytest.mark.parametrize("nsteps, first", list(_boundary_cases()))
-def test_pieces_are_one_whole_integration(nsteps, first):
+def test_pieces_are_one_whole_integration(nsteps, first, monkeypatch):
     dt = 0.01
     cfg = lorenz.LorenzConfig(dt=dt, t_max=nsteps * dt,
                               transient=first * dt if first else -1.0)
@@ -97,11 +98,28 @@ def test_pieces_are_one_whole_integration(nsteps, first):
                                nsteps)
     t = np.arange(nsteps + 1) * dt
     assert np.searchsorted(t, cfg.transient - 1e-12) == first
-    pieces = list(lorenz.integrate(cfg))
-    assert all(0 < len(p.t) == len(p.xyz) <= lorenz._CHUNK for p in pieces)
-    got = _whole(cfg)
-    assert got.xyz.tobytes() == whole[first:].tobytes()
-    assert got.t.tobytes() == t[first:].tobytes()
+    # in a forked child, then in this process as where os.fork is missing
+    for forked in (True, False):
+        if not forked:
+            monkeypatch.delattr(os, "fork")
+        pieces = list(lorenz.integrate(cfg))
+        assert all(0 < len(p.t) == len(p.xyz) <= lorenz._CHUNK for p in pieces)
+        got = _whole(cfg)
+        assert got.xyz.tobytes() == whole[first:].tobytes()
+        assert got.t.tobytes() == t[first:].tobytes()
+
+
+@pytest.mark.parametrize("stop", ["close", "drop"])
+def test_stopping_after_the_first_piece_leaves_no_child(stop):
+    pieces = lorenz.integrate(
+        lorenz.LorenzConfig(dt=0.01, t_max=500.0, transient=0.0))
+    assert len(next(pieces).t) == 1
+    if stop == "close":
+        pieces.close()
+    else:
+        del pieces  # the last reference: the generator is finalized
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # -------------------------------------------------------- extract_z_maxima
