@@ -7,7 +7,11 @@ The trajectory is computed once, in pieces of at most `_CHUNK` steps:
 and through a `ZMaxima` accumulator, and no array as long as the run
 exists.  The RK4 loop runs in a forked child, where the platform has
 `os.fork`, so the next piece is integrated while the caller formats and
-scans this one.
+scans this one.  The child also formats the last rows of each piece as
+CSV text: as many as keep its time per piece level with the caller's,
+whose measured time comes back through a second pipe (`_share`).  The
+piece carries that text to `serialize`, which formats only the rows
+before it.
 
 The fitted map is deliberately NOT fed into the contraction analysis
 automatically — its Hölder exponent is a statistical estimate, so the CLI
@@ -16,18 +20,22 @@ prints a config the user may pass on explicitly.
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import functools
 import os
 import signal
+import struct
 import sys
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
 from .errors import ConfigError, ToolError
 from .maps import make_map
-from .serialize import _CHUNK
+from .serialize import _CHUNK, _body
 
 
 @dataclass(frozen=True)
@@ -65,6 +73,8 @@ class LorenzConfig:
 class Trajectory:
     t: np.ndarray
     xyz: np.ndarray  # shape (len(t), 3)
+    # the CSV rows of the last rows, where the RK4 child formatted them
+    _csv_tail: str = field(default="", init=False, repr=False)
 
     @property
     def z(self) -> np.ndarray:
@@ -126,45 +136,128 @@ def _rk4_blocks(config: LorenzConfig):
         yield xyz
 
 
-def _in_child(blocks):
-    """Iterate `blocks`, C-contiguous float64 arrays of shape (m, 3), in a
-    forked child and yield them here in order, so that the child computes
-    the next block while the caller works on this one.
+def _times(first: int, m: int, config: LorenzConfig):
+    """The times of the m steps from step `first` on, and the index of the
+    first of them after the transient."""
+    # step counts below 2**53 are exact doubles, so t[k] is k * dt
+    t = np.arange(first, first + m, dtype=float)
+    t *= config.dt
+    return t, int(np.searchsorted(t, config.transient - 1e-12))
 
-    The child sends each block as its row count and its raw doubles
-    through a pipe, whose capacity bounds how far it runs ahead.  It
-    leaves only by `os._exit`, so no cleanup of the frames below this one
-    (a temp file's removal, say) runs in it, and it must make no BLAS
-    call: the parent's BLAS threads do not exist in it.  If the parent
-    dies, the child's next write fails and it exits.  A child that ends
-    before its last block is a ToolError; if the caller stops early, the
-    child is killed.  Either way it is reaped.
+
+def _share(kept: int, rk4_s: float, row_s, caller_row_s) -> int:
+    """How many of a block's `kept` rows the RK4 child formats: as many as
+    make its RK4 time for the block plus its rows, at `row_s` each, as
+    long as the caller's other rows at `caller_row_s` each.  Both are the
+    last measured times per row, None before the first measurement:
+    until the caller's is measured the child's stands in for it, and
+    until the child's is, the rows are split evenly."""
+    if row_s is None:
+        return kept // 2
+    if caller_row_s is None:
+        caller_row_s = row_s
+    share = round((kept * caller_row_s - rk4_s) / (row_s + caller_row_s))
+    return min(max(share, 0), kept)
+
+
+def _formatted_blocks(config: LorenzConfig, caller_times):
+    """Yield (xyz, text) for each block of `_rk4_blocks`, where text is
+    the CSV rows (`serialize._body`) of the last `_share` rows of the
+    block that lie after the transient.  `caller_times()` returns the
+    times the caller took for the blocks it has finished since the last
+    call, in order."""
+    blocks = _rk4_blocks(config)
+    first = 0
+    row_s = caller_row_s = None
+    caller_rows = collections.deque()  # per block not yet timed
+    while True:
+        start = time.perf_counter()
+        xyz = next(blocks, None)
+        if xyz is None:
+            return
+        rk4_s = time.perf_counter() - start
+        for busy_s in caller_times():
+            if rows := caller_rows.popleft():
+                caller_row_s = busy_s / rows
+        t, keep = _times(first, len(xyz), config)
+        share = _share(len(xyz) - keep, rk4_s, row_s, caller_row_s)
+        caller_rows.append(len(xyz) - keep - share)
+        text = ""
+        if share:
+            start = time.perf_counter()
+            text = "".join(_body((t[-share:], *xyz[-share:].T)))
+            row_s = (time.perf_counter() - start) / share
+        yield xyz, text
+        first += len(xyz)
+
+
+def _in_child(make_blocks):
+    """Iterate `make_blocks(caller_times)`, pairs of a C-contiguous float64
+    array of shape (m, 3) and an ASCII string, in a forked child and
+    yield them here in order, so that the child computes the next pair
+    while the caller works on this one.
+
+    The child sends each pair through a pipe as one record: the row count
+    and the string's length, 8 bytes each, then the raw doubles, then the
+    string.  The pipe's capacity bounds how far it runs ahead.  For each
+    pair, this side sends back through a second pipe the time the caller
+    took before it asked for the next one, as one double;
+    `caller_times()` returns, in the child, those that have arrived
+    since its last call.
+
+    The child leaves only by `os._exit`, so no cleanup of the frames
+    below this one (a temp file's removal, say) runs in it, and it must
+    make no BLAS call: the parent's BLAS threads do not exist in it.  If
+    the parent dies, the child's next write fails and it exits.  A child
+    that ends before its last record is a ToolError; if the caller stops
+    early, the child is killed.  Either way it is reaped.
     """
     sys.stdout.flush()
     sys.stderr.flush()
     r, w = os.pipe()
+    back_r, back_w = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
             os.close(r)
+            os.close(back_w)
+            os.set_blocking(back_r, False)
+
+            def caller_times():
+                # 8-byte writes to a pipe are atomic: reads hold whole doubles
+                with contextlib.suppress(BlockingIOError):
+                    return [busy_s for busy_s, in
+                            struct.iter_unpack("d", os.read(back_r, 1 << 16))]
+                return []
+
             with os.fdopen(w, "wb") as out:
-                for xyz in blocks:
-                    out.write(len(xyz).to_bytes(8, sys.byteorder))
+                for xyz, text in make_blocks(caller_times):
+                    data = text.encode("ascii")
+                    out.write(len(xyz).to_bytes(8, sys.byteorder)
+                              + len(data).to_bytes(8, sys.byteorder))
                     out.write(xyz)
+                    out.write(data)
                     out.flush()
             status = 0
         finally:
             os._exit(status)
     os.close(w)
+    os.close(back_r)
     try:
-        with os.fdopen(r, "rb") as src:
+        with os.fdopen(r, "rb") as src, os.fdopen(back_w, "wb", 0) as back:
             # a short read is the end of the pipe: the child has exited
-            while len(head := src.read(8)) == 8:
-                buf = bytearray(int.from_bytes(head, sys.byteorder) * 24)
+            while len(head := src.read(16)) == 16:
+                buf = bytearray(int.from_bytes(head[:8], sys.byteorder) * 24)
+                size = int.from_bytes(head[8:], sys.byteorder)
                 if src.readinto(buf) < len(buf):
                     break
-                yield np.frombuffer(buf).reshape(-1, 3)
+                if len(data := src.read(size)) < size:
+                    break
+                start = time.perf_counter()
+                yield np.frombuffer(buf).reshape(-1, 3), data.decode("ascii")
+                with contextlib.suppress(BrokenPipeError):  # the child is gone
+                    back.write(struct.pack("d", time.perf_counter() - start))
     except BaseException:  # also GeneratorExit: the caller stopped early
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
@@ -180,27 +273,28 @@ def integrate(config: LorenzConfig):
     `Trajectory` pieces of at most _CHUNK rows, in order.
 
     Where the platform has `os.fork`, the RK4 loop runs in a child
-    (`_in_child`) while the caller consumes the pieces.  Deterministic:
-    identical configs give bitwise-identical output, and the rows depend
-    neither on the piece size nor on the fork.
+    (`_in_child`) while the caller consumes the pieces, and the child
+    formats a share of each piece's CSV rows (`_formatted_blocks`).
+    Deterministic: identical configs give bitwise-identical output, and
+    the rows depend neither on the piece size nor on the fork.
     """
     dt = config.dt
-    cut = config.transient - 1e-12
-    blocks = _rk4_blocks(config)
-    blocks = _in_child(blocks) if hasattr(os, "fork") else blocks
+    if hasattr(os, "fork"):
+        blocks = _in_child(functools.partial(_formatted_blocks, config))
+    else:
+        blocks = ((xyz, "") for xyz in _rk4_blocks(config))
     with contextlib.closing(blocks):
         first = 0  # step index of xyz[0]
-        for xyz in blocks:
+        for xyz, text in blocks:
             bad = ~np.isfinite(xyz).all(axis=1)
             if bad.any():
                 k = first + int(np.argmax(bad))
                 raise ToolError(f"state became non-finite at t = {k * dt:g}")
-            # step counts below 2**53 are exact doubles, so t[k] is k * dt
-            t = np.arange(first, first + len(xyz), dtype=float)
-            t *= dt
-            keep = int(np.searchsorted(t, cut))
+            t, keep = _times(first, len(xyz), config)
             if keep < len(t):
-                yield Trajectory(t=t[keep:], xyz=xyz[keep:])
+                piece = Trajectory(t=t[keep:], xyz=xyz[keep:])
+                object.__setattr__(piece, "_csv_tail", text)
+                yield piece
             first += len(xyz)
 
 

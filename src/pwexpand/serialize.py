@@ -162,7 +162,11 @@ def iterate_series_csv(series) -> str:
 def _trajectory_rows(pieces):
     yield "t,x,y,z\n"
     for traj in pieces:
-        yield from _body((traj.t, *np.asarray(traj.xyz).T))
+        # the last rows of a `lorenz.integrate` piece may come formatted
+        tail = getattr(traj, "_csv_tail", "")
+        n = len(traj.t) - tail.count("\n")
+        yield from _body((traj.t[:n], *np.asarray(traj.xyz)[:n].T))
+        yield tail
 
 
 def trajectory_csv(traj) -> str:

@@ -512,7 +512,41 @@ def test_lorenz_bad_fit_degree_exits_before_integrating(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_lorenz_blow_up_after_the_first_piece_leaves_no_file(tmp_path, capsys):
+def _every_kept_row(kept, *times):
+    return kept
+
+
+def _half_the_kept_rows(kept, *times):
+    return kept // 2
+
+
+def _no_kept_row(kept, *times):
+    return 0
+
+
+def test_lorenz_files_do_not_depend_on_the_split(tmp_path, capsys, monkeypatch):
+    # the cut at step 50000 falls inside an RK4 block; rho = 1500 gives the
+    # fit its 100 return pairs in the 10 time units after it
+    runs = []
+    for name, rule in [("measured", None), ("none", _no_kept_row),
+                       ("half", _half_the_kept_rows), ("all", _every_kept_row),
+                       ("no-fork", None)]:
+        if name == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        elif rule is not None:
+            monkeypatch.setattr(lorenz, "_share", rule)
+        outs = [tmp_path / f"{name}-{f}" for f in ("traj.csv", "rmap.csv", "fit.json")]
+        assert main(["lorenz", "--rho", "1500", "--t-max", "60", "--transient",
+                     "50", "--out-trajectory", str(outs[0]), "--out-map",
+                     str(outs[1]), "--out-fit", str(outs[2])]) == 0
+        out = capsys.readouterr().out.replace(f"{tmp_path}/{name}-", "")
+        runs.append((out, [f.read_bytes() for f in outs]))
+    assert runs[0][1][0].count(b"\n") == 10_002
+    assert all(run == runs[0] for run in runs)
+
+
+def test_lorenz_blow_up_after_the_first_piece_leaves_no_file(
+        tmp_path, capsys, monkeypatch):
     # x = y = 0 stays put and z' = 15 z, so z overflows after ~4700 steps
     args = ["--x0", "0", "--y0", "0", "--z0", "1", "--beta=-15", "--dt",
             "0.01", "--t-max", "60", "--transient", "5"]
@@ -520,29 +554,35 @@ def test_lorenz_blow_up_after_the_first_piece_leaves_no_file(tmp_path, capsys):
     k = int(np.argmax(~np.isfinite(whole).all(axis=1)))
     assert lorenz._CHUNK < k < 6000
     outs = [str(tmp_path / name) for name in ("traj.csv", "rmap.csv", "fit.json")]
-    assert main(["lorenz", *args, "--out-trajectory", outs[0],
-                 "--out-map", outs[1], "--out-fit", outs[2]]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: state became non-finite at t = {k * 0.01:g}\n"
-    assert list(tmp_path.iterdir()) == []
-    # the integrating child, still running ahead, was killed and reaped
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    # with the measured split, then with the child formatting every kept
+    # row, the non-finite ones too
+    for rule in (lorenz._share, _every_kept_row):
+        monkeypatch.setattr(lorenz, "_share", rule)
+        assert main(["lorenz", *args, "--out-trajectory", outs[0],
+                     "--out-map", outs[1], "--out-fit", outs[2]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: state became non-finite at t = {k * 0.01:g}\n")
+        assert list(tmp_path.iterdir()) == []
+        # the integrating child, still running ahead, was killed and reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
-def test_lorenz_failing_child_exits_one(tmp_path, capfd, monkeypatch):
-    # the forked child inherits the patch; its third RK4 piece raises
-    rk4, calls = kernels.lorenz_rk4, []
+def _fail_in_child(module, name, tmp_path, capfd, monkeypatch):
+    """Run `lorenz` with module.name patched to raise on its third call,
+    which happens in the forked child, and check that it exits 1 cleanly."""
+    real, calls = getattr(module, name), []
 
-    def failing_rk4(*args):
+    def failing(*args):
         calls.append(args)
         if len(calls) == 3:
             raise RuntimeError("injected failure")
-        return rk4(*args)
+        return real(*args)
 
-    monkeypatch.setattr(kernels, "lorenz_rk4", failing_rk4)
-    outs = [str(tmp_path / name) for name in ("traj.csv", "rmap.csv", "fit.json")]
+    monkeypatch.setattr(module, name, failing)
+    outs = [str(tmp_path / f) for f in ("traj.csv", "rmap.csv", "fit.json")]
     assert main(["lorenz", "--dt", "0.01", "--t-max", "200", "--transient",
                  "0", "--out-trajectory", outs[0], "--out-map", outs[1],
                  "--out-fit", outs[2]]) == 1
@@ -551,10 +591,22 @@ def test_lorenz_failing_child_exits_one(tmp_path, capfd, monkeypatch):
     assert captured.out == ""
     assert captured.err == ("error: the RK4 integration process ended early "
                             "(exit status 1)\n")
-    assert calls == []  # every piece was integrated in the child
+    assert calls == []  # every call was made in the child
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_lorenz_failing_child_exits_one(tmp_path, capfd, monkeypatch):
+    # the forked child inherits the patch; its third RK4 piece raises
+    _fail_in_child(kernels, "lorenz_rk4", tmp_path, capfd, monkeypatch)
+
+
+def test_lorenz_failing_formatting_in_the_child_exits_one(
+        tmp_path, capfd, monkeypatch):
+    # the child formats half of each piece; its third formatting raises
+    monkeypatch.setattr(lorenz, "_share", _half_the_kept_rows)
+    _fail_in_child(lorenz, "_body", tmp_path, capfd, monkeypatch)
 
 
 def _lorenz_traced_peak(tmp_path, t_max):

@@ -8,18 +8,22 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pwexpand import kernels, lorenz
+from pwexpand import kernels, lorenz, serialize
 from pwexpand.errors import ConfigError, ToolError
 
 # the failure of ZMaxima.result on a signal with fewer than two maxima
 TOO_FEW_MAXIMA = r"^found [01] z-maxima; need at least 2 for a return map$"
 
 
-def _whole(config):
-    """The pieces of `lorenz.integrate` joined into one Trajectory."""
-    pieces = list(lorenz.integrate(config))
+def _joined(pieces):
+    """Trajectory pieces joined into one Trajectory."""
     return lorenz.Trajectory(t=np.concatenate([p.t for p in pieces]),
                              xyz=np.concatenate([p.xyz for p in pieces]))
+
+
+def _whole(config):
+    """The pieces of `lorenz.integrate` joined into one Trajectory."""
+    return _joined(list(lorenz.integrate(config)))
 
 
 def _synthetic_return_data(xs, ys):
@@ -89,7 +93,7 @@ def _boundary_cases():
 
 
 @pytest.mark.parametrize("nsteps, first", list(_boundary_cases()))
-def test_pieces_are_one_whole_integration(nsteps, first, monkeypatch):
+def test_pieces_are_one_whole_integration(nsteps, first, tmp_path, monkeypatch):
     dt = 0.01
     cfg = lorenz.LorenzConfig(dt=dt, t_max=nsteps * dt,
                               transient=first * dt if first else -1.0)
@@ -98,15 +102,53 @@ def test_pieces_are_one_whole_integration(nsteps, first, monkeypatch):
                                nsteps)
     t = np.arange(nsteps + 1) * dt
     assert np.searchsorted(t, cfg.transient - 1e-12) == first
-    # in a forked child, then in this process as where os.fork is missing
-    for forked in (True, False):
-        if not forked:
+    rows = serialize.trajectory_csv(
+        lorenz.Trajectory(t=t[first:], xyz=whole[first:])).splitlines()
+    # in a forked child that formats no row, half or all of the kept rows
+    # of each piece, then in this process as where os.fork is missing
+    for rule in (lambda kept, *times: 0, lambda kept, *times: kept // 2,
+                 lambda kept, *times: kept, None):
+        if rule is None:
             monkeypatch.delattr(os, "fork")
+            rule = lambda kept, *times: 0  # noqa: E731
+        else:
+            monkeypatch.setattr(lorenz, "_share", rule)
         pieces = list(lorenz.integrate(cfg))
         assert all(0 < len(p.t) == len(p.xyz) <= lorenz._CHUNK for p in pieces)
-        got = _whole(cfg)
+        assert [p._csv_tail.count("\n") for p in pieces] == [
+            rule(len(p.t)) for p in pieces]
+        got = _joined(pieces)
         assert got.xyz.tobytes() == whole[first:].tobytes()
         assert got.t.tobytes() == t[first:].tobytes()
+        serialize.write_trajectory_csv(tmp_path / "traj.csv", pieces)
+        # by rows: a failure then names the first wrong row
+        assert (tmp_path / "traj.csv").read_text().splitlines() == rows
+
+
+@pytest.mark.parametrize("kept, rk4_s, row_s, caller_row_s, share", [
+    (4096, 0.006, None, None, 2048),   # nothing measured: an even split
+    (4096, 0.006, 3e-6, None, 1048),   # the child's row time stands in
+    (4096, 0.006, 3e-6, 3e-6, 1048),   # 0.006 + 1048 * 3e-6 = 3048 * 3e-6
+    (4096, 0.006, 2e-6, 4e-6, 1731),   # a slower caller: more to the child
+    (4096, 0.020, 3e-6, 3e-6, 0),      # the RK4 alone outlasts the caller
+    (0, 0.006, 3e-6, 3e-6, 0),         # inside the transient
+])
+def test_share_balances_the_child_and_the_caller(kept, rk4_s, row_s,
+                                                 caller_row_s, share):
+    assert lorenz._share(kept, rk4_s, row_s, caller_row_s) == share
+
+
+def test_the_child_hears_the_callers_times(monkeypatch):
+    # a rule that formats every kept row once a caller's time has arrived
+    monkeypatch.setattr(lorenz, "_share", lambda kept, rk4_s, row_s, caller:
+                        0 if caller is None else kept)
+    pieces = list(lorenz.integrate(
+        lorenz.LorenzConfig(dt=0.01, t_max=100.0, transient=-1.0)))
+    tails = [p._csv_tail.count("\n") for p in pieces]
+    # the child cannot finish sending block 1, which holds more than the
+    # pipe, before the caller is done with block 0 and has timed it
+    assert tails[0] == 0
+    assert tails[2:] == [len(p.t) for p in pieces[2:]] and len(pieces) == 4
 
 
 @pytest.mark.parametrize("stop", ["close", "drop"])
