@@ -98,10 +98,19 @@ class CorrelationSeries:
 
 
 def check_ly_ranges(pmap: PiecewiseMap, p: float, t: float, A: float) -> float:
-    """ConfigError unless p >= 1, s > 1, 1 <= t <= p and 0 < A <= 1, the
-    ranges `ly_constants` needs before it reads L; returns the slope
-    condition's value 1/s^(1/p) + 1/s."""
+    """ConfigError unless p >= 1, s > 1, p >= 1/epsilon, 1 <= t <= p and
+    0 < A <= 1, the ranges `ly_constants` needs before it reads L; returns
+    the slope condition's value 1/s^(1/p) + 1/s.
+
+    The constants read M, the epsilon-Hölder constant of tau', as the
+    constant of |tau'(x) - tau'(y)| <= M|x - y|^(1/p).  On [0,1] the
+    first bounds the second only when 1/p <= epsilon."""
     slope_value, _ = check_slope_condition(pmap, p)
+    eps = pmap.holder_exponent
+    if p < 1.0 / eps:
+        raise ConfigError(
+            f"p must be at least 1/epsilon = {1.0 / eps:g} for the map's "
+            f"epsilon = {eps:g}, got p={p}")
     if not (1.0 <= t <= p):
         raise ConfigError(f"t must lie in [1, p], got t={t}, p={p}")
     if not (0.0 < A <= 1.0):
@@ -149,12 +158,12 @@ def shrink_A_until_admissible(pmap: PiecewiseMap, p: float) -> LYConstants:
     """Halve A from 1/8 until alpha < 1 (possible exactly when the slope
     condition holds, since A → 0 sends alpha to the slope-condition value)."""
     s = pmap.min_slope_global
-    slope_value, holds = check_slope_condition(pmap, p)
-    if not holds:
+    A = 0.125
+    slope_value = check_ly_ranges(pmap, p, 1.0, A)
+    if not slope_value < 1.0:
         raise ToolError(
             f"slope condition fails: 1/s^(1/p) + 1/s = {slope_value:.6g} >= 1 "
             f"at s={s:.6g}, p={p}; no radius cap can give alpha < 1")
-    A = 0.125
     while A >= 2.0 ** -16:
         consts = ly_constants(pmap, p=p, t=1.0, A=A)
         if consts.admissible:
@@ -165,12 +174,11 @@ def shrink_A_until_admissible(pmap: PiecewiseMap, p: float) -> LYConstants:
         f"M={pmap.holder_max:.6g}, p={p})")
 
 
-def _random_trig(rng, n: int) -> np.ndarray:
-    x = (np.arange(n) + 0.5) / n
+def _random_trig(rng, basis, n: int) -> np.ndarray:
     out = np.full(n, rng.normal())
-    for k in range(1, _MAX_DEGREE + 1):
+    for k, (cos_k, sin_k) in enumerate(basis, start=1):
         a, b = rng.normal(size=2) / k
-        out += a * np.cos(2.0 * math.pi * k * x) + b * np.sin(2.0 * math.pi * k * x)
+        out += a * cos_k + b * sin_k
     return out
 
 
@@ -186,18 +194,27 @@ def _random_step(rng, n: int) -> np.ndarray:
     return out
 
 
-def random_test_functions(n: int, count: int, seed: int):
-    """Seeded stream of grid test functions, alternating trigonometric
-    polynomials (degree <= _MAX_DEGREE) and step functions (<= _MAX_JUMPS
-    jumps)."""
+def _test_functions(n: int, count: int, seed: int):
+    """`random_test_functions` one at a time.  The cos and sin rows of
+    each degree are computed once per call and shared by the trigonometric
+    functions, which sum them in the same order as when each function
+    computed its own, so the bits do not change."""
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
-    out = []
+    x = (np.arange(n) + 0.5) / n
+    basis = [(np.cos(2.0 * math.pi * k * x), np.sin(2.0 * math.pi * k * x))
+             for k in range(1, _MAX_DEGREE + 1)]
     for i in range(count):
-        vals = _random_trig(rng, n) if i % 2 == 0 else _random_step(rng, n)
-        out.append(GridFunction(vals))
-    return out
+        yield GridFunction(_random_trig(rng, basis, n) if i % 2 == 0
+                           else _random_step(rng, n))
+
+
+def random_test_functions(n: int, count: int, seed: int):
+    """Seeded list of grid test functions, alternating trigonometric
+    polynomials (degree <= _MAX_DEGREE) and step functions (<= _MAX_JUMPS
+    jumps)."""
+    return list(_test_functions(n, count, seed))
 
 
 def ly_verify(pmap: PiecewiseMap, p: float, A: float, trials: int, n: int,
@@ -208,7 +225,7 @@ def ly_verify(pmap: PiecewiseMap, p: float, A: float, trials: int, n: int,
     alpha, beta = consts.alpha, consts.beta
     margins = np.empty(trials)
     slacks = np.empty(trials)
-    for i, f in enumerate(random_test_functions(n, trials, seed)):
+    for i, f in enumerate(_test_functions(n, trials, seed)):
         var_f = variation(f, 1.0, p, A).variation
         l1_f = float(np.mean(np.abs(f.values)))
         lhs = variation(apply_fp(pmap, f), 1.0, p, A).variation
@@ -320,7 +337,7 @@ def estimate_equicontinuity_L(pmap: PiecewiseMap, p: float, t: float,
     _L_ITERATES times.  NOT rigorous: a sampled maximum, clearly a lower
     bound of the true constant; use for exploration only."""
     best = 1.0
-    for f in random_test_functions(_L_GRID, _L_TRIALS, _L_SEED):
+    for f in _test_functions(_L_GRID, _L_TRIALS, _L_SEED):
         denom = variation(f, t, p, A).bv_norm
         if denom <= 0:
             continue

@@ -21,6 +21,9 @@ def sliding_minmax_sweep(values: np.ndarray, halves):
     """Yield (lo, hi), the running min and max over the windows [k-h, k+h]
     clipped to the ends, for each h of the nondecreasing sequence halves.
 
+    lo and hi are the same two length-n buffers at every step, and the
+    next step overwrites them; a caller that keeps a step copies it.
+
     Level j of the table holds the min and max over 2^j consecutive cells
     of the edge-padded array; a window of width w with 2^j <= w < 2^(j+1)
     is the union of two overlapping level-j blocks.  Min and max do not
@@ -42,6 +45,7 @@ def sliding_minmax_sweep(values: np.ndarray, halves):
     # edge padding leaves the min/max of a truncated window unchanged
     lo = hi = np.pad(values, pad, mode="edge")
     span = 1
+    out_lo, out_hi = np.empty(n), np.empty(n)
     for h in halves:
         h = min(h, pad)
         width = 2 * h + 1
@@ -51,8 +55,8 @@ def sliding_minmax_sweep(values: np.ndarray, halves):
             span *= 2
         a = pad - h
         b = a + width - span
-        yield (np.minimum(lo[a:a + n], lo[b:b + n]),
-               np.maximum(hi[a:a + n], hi[b:b + n]))
+        yield (np.minimum(lo[a:a + n], lo[b:b + n], out=out_lo),
+               np.maximum(hi[a:a + n], hi[b:b + n], out=out_hi))
 
 
 def sliding_minmax(values: np.ndarray, half: int):

@@ -236,6 +236,65 @@ def test_ly_at_t_one_uses_no_L(tmp_path, capsys, monkeypatch):
             "L is not used at t = 1")
 
 
+def _quadratic_branches(tmp_path, epsilon):
+    """Two branches with tau'' = 0.8; the sampled M_i shrinks with epsilon
+    (0.436 at epsilon = 0.25, 0.8 at epsilon = 1)."""
+    cfg = tmp_path / f"quadratic_{epsilon}.json"
+    cfg.write_text(json.dumps({"v": 1, "epsilon": epsilon, "branches": [
+        {"lo": 0.0, "hi": 0.5, "formula": "1.8*x + 0.4*x^2"},
+        {"lo": 0.5, "hi": 1.0, "formula": "1.8*(x-0.5) + 0.4*(x-0.5)^2"}]}))
+    return str(cfg)
+
+
+def test_ly_needs_p_at_least_one_over_epsilon(tmp_path, capsys):
+    # an epsilon-Hoelder M is the constant at exponent 1/p only when
+    # 1/p <= epsilon; below that the constants would read the wrong M
+    cfg = _quadratic_branches(tmp_path, 0.25)
+    out = str(tmp_path / "out.csv")
+    message = ("error: p must be at least 1/epsilon = 4 for the map's "
+               "epsilon = 0.25, got p=1.0\n")
+    for argv in (["ly", cfg, "--p", "1", "--A", "0.01"],
+                 ["ly-verify", cfg, "--p", "1", "--A", "0.01",
+                  "--trials", "2", "--grid", "64"],
+                 ["iterates", cfg, "--f", "x", "--p", "1", "--A", "0.01",
+                  "--n", "2"]):
+        assert main(argv + ["--out", out]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err == message, argv
+        assert captured.out == ""
+    assert not os.path.exists(out)
+    assert main(["ly", cfg, "--p", "4", "--A", "0.01", "--out", out]) == 0
+    assert "alpha = " in capsys.readouterr().out
+    # check-slope reads no Hoelder constant
+    assert main(["check-slope", cfg, "--p", "1"]) == 0
+    assert capsys.readouterr().out == "1.1122233344455565 >= 1: inadmissible\n"
+
+
+def test_ly_auto_A_needs_p_at_least_one_over_epsilon(tmp_path, capsys):
+    cfg = tmp_path / "tripling_eps.json"
+    doc = json.loads(Path(TRIPLING).read_text())
+    doc["epsilon"] = 0.5
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "ly.csv"
+    assert main(["ly", str(cfg), "--p", "1", "--auto-A",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: p must be at least 1/epsilon = 2 for the map's "
+        "epsilon = 0.5, got p=1.0\n")
+    assert main(["ly", str(cfg), "--p", "2", "--auto-A",
+                 "--out", str(out)]) == 0
+
+
+def test_ly_at_epsilon_one_keeps_its_csv(tmp_path, capsys):
+    out = tmp_path / "ly.csv"
+    assert main(["ly", _quadratic_branches(tmp_path, 1.0), "--p", "1",
+                 "--A", "0.01", "--out", str(out)]) == 0
+    assert out.read_text() == (
+        "p,t,A,B,D,alpha,beta,K,C,slope_condition_value,admissible\n"
+        "1,1,0.01,0.01,0.0024740814913709478,1.1177336047847488,"
+        "56.244793794698332,56.127060189913585,,1.1122233344455565,false\n")
+
+
 def test_density_writes_values_and_plot(tmp_path, capsys):
     out = tmp_path / "density.csv"
     assert main(["density", MARKOV, "--bins", "300", "--out", str(out)]) == 0

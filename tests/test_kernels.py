@@ -5,7 +5,7 @@ convergence."""
 import numpy as np
 import pytest
 
-from pwexpand import kernels
+from pwexpand import grid, kernels
 
 
 def brute_minmax(values, half):
@@ -57,12 +57,41 @@ def test_sliding_minmax_sweep_matches_brute_force(n):
     values[spread] = rng.normal(size=int(spread.sum()))
     halves = sorted([0, 0, 1, 2, 3, 31, 32, 32, 33, n // 3, n // 2, n - 1, n,
                      2 * n + 5, 2 * n + 5])
-    got = list(kernels.sliding_minmax_sweep(values, halves))
+    # each step overwrites the buffers of the one before, so keep copies
+    got = [(lo.copy(), hi.copy())
+           for lo, hi in kernels.sliding_minmax_sweep(values, halves)]
     assert len(got) == len(halves)
     for half, (lo, hi) in zip(halves, got):
         blo, bhi = brute_minmax(values, half)
         assert np.array_equal(lo, blo), (n, half)
         assert np.array_equal(hi, bhi), (n, half)
+
+
+def test_sliding_minmax_sweep_reuses_two_buffers():
+    values = np.random.default_rng(5).normal(size=100)
+    sweep = kernels.sliding_minmax_sweep(values, [0, 3, 40])
+    lo, hi = next(sweep)
+    assert lo is not hi and not np.shares_memory(lo, values)
+    for lo_next, hi_next in sweep:
+        assert lo_next is lo and hi_next is hi
+
+
+def test_osc_profile_does_not_return_a_sweep_buffer(monkeypatch):
+    yielded = []
+    sweep = kernels.sliding_minmax_sweep
+
+    def recording(values, halves):
+        for pair in sweep(values, halves):
+            yielded.extend(pair)
+            yield pair
+
+    monkeypatch.setattr(kernels, "sliding_minmax_sweep", recording)
+    f = grid.GridFunction(np.random.default_rng(6).normal(size=50))
+    prof = grid.osc_profile(f, 0.1)
+    assert len(yielded) == 2
+    assert all(not np.shares_memory(prof.values, buf) for buf in yielded)
+    lo, hi = kernels.sliding_minmax(f.values, grid.window_half_width(0.1, 50))
+    assert np.array_equal(prof.values, hi - lo)
 
 
 def test_sliding_minmax_sweep_rejects_bad_halves():
