@@ -196,8 +196,6 @@ def cmd_lorenz(args) -> int:
     print(f"fitted 2-branch map (degree {args.fit_degree}) -> {args.out_fit}")
     print(f"central min |slope| per branch: {slopes}; "
           f"residual RMS: {', '.join(f'{r:.3g}' for r in diag.residual_rms)}")
-    print(f"Hölder exponent estimate {fitted.holder_exponent:.3g} "
-          f"({lorenz.HOLDER_CAVEAT})")
     report = validate(fitted)
     verdict = "accepted" if report.accepted else report.violation_summary()
     print(f"fitted map validation: {verdict}")

@@ -12,10 +12,6 @@ CSV text: as many as keep its time per piece level with the caller's,
 whose measured time comes back through a second pipe (`_share`).  The
 piece carries that text to `serialize`, which formats only the rows
 before it.
-
-The fitted map is deliberately NOT fed into the contraction analysis
-automatically — its Hölder exponent is a statistical estimate, so the CLI
-prints a config the user may pass on explicitly.
 """
 
 from __future__ import annotations
@@ -108,10 +104,6 @@ class ReturnMapData:
         """Abscissa of the peak ordinate of the normalized pairs."""
         normalized = self.normalized_pairs
         return float(normalized[np.argmax(normalized[:, 1]), 0])
-
-
-HOLDER_CAVEAT = ("Hölder exponent is estimated from second differences of "
-                 "scattered data; treat it as indicative, not as a verdict.")
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,29 +360,16 @@ def _poly_formula(coeffs: np.ndarray) -> str:
     return " + ".join(terms)
 
 
-def _second_difference_exponent(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Heuristic derivative-Hölder exponent of scattered graph data:
-    resample to a uniform grid, measure mean |y(x+h) - 2y(x) + y(x-h)| at
-    dyadic lags, and read the exponent off the log-log slope minus 1."""
-    order = np.argsort(xs)
-    xs, ys = xs[order], ys[order]
-    grid_n = 257
-    gx = np.linspace(xs[0], xs[-1], grid_n)
-    gy = np.interp(gx, xs, ys)
-    step = gx[1] - gx[0]
-    lags, means = [], []
-    for lag in (2, 4, 8, 16, 32):
-        if 2 * lag >= grid_n:
-            break
-        d2 = np.abs(gy[2 * lag:] - 2.0 * gy[lag:-lag] + gy[:-2 * lag])
-        m = float(np.mean(d2))
-        if m > 0:
-            lags.append(lag * step)
-            means.append(m)
-    if len(lags) < 3:
-        return 1.0
-    slope = np.polyfit(np.log(lags), np.log(means), 1)[0]
-    return float(min(max(slope - 1.0, 0.05), 1.0))
+def _abs_extremes(coeffs: np.ndarray, lo: float, hi: float):
+    """(min, max) of |p| over [lo, hi] for the polynomial p with ascending
+    coefficients `coeffs`.  Both lie at an end, at a root of p or at a
+    root of p'; the real parts of complex roots only add candidates, and
+    no candidate in [lo, hi] can carry either past its true value."""
+    P = np.polynomial.polynomial
+    xs = np.concatenate([[lo, hi], P.polyroots(coeffs).real,
+                         P.polyroots(P.polyder(coeffs)).real])
+    vals = np.abs(P.polyval(xs[(lo <= xs) & (xs <= hi)], coeffs))
+    return float(vals.min()), float(vals.max())
 
 
 def check_fit_degree(degree: int) -> None:
@@ -405,7 +384,9 @@ def fit_piecewise(data: ReturnMapData, degree: int):
 
     Returns (map, diagnostics); the map is built leniently and may well
     fail validation (slopes dip below 1 near the cusp) — that is reported,
-    not hidden.
+    not hidden.  The branches are polynomials, so tau' is Lipschitz: the
+    map has epsilon = 1, and each branch declares the exact min|tau'| and
+    max|tau''| over its domain (`_abs_extremes`).
     """
     pts = data.normalized_pairs
     if len(pts) < 100:
@@ -416,27 +397,28 @@ def fit_piecewise(data: ReturnMapData, degree: int):
     xs, ys = pts[:, 0], pts[:, 1]
     masks = (xs <= cusp, xs > cusp)
     domains = ((0.0, cusp), (cusp, 1.0))
+    P = np.polynomial.polynomial
     specs = []
-    rms_list, slopes, holders = [], [], []
+    rms_list, slopes = [], []
     for (lo, hi), mask in zip(domains, masks):
         bx, by = xs[mask], ys[mask]
         if len(bx) < 10:
             raise ToolError(
                 f"branch on [{lo:.4g}, {hi:.4g}] has only {len(bx)} points "
                 "(needs 10); the two-branch cusp model does not fit this data")
-        coeffs = np.polynomial.polynomial.polyfit(bx, by, degree)
-        fit_vals = np.polynomial.polynomial.polyval(bx, coeffs)
+        coeffs = P.polyfit(bx, by, degree)
+        fit_vals = P.polyval(bx, coeffs)
         rms = float(np.sqrt(np.mean((fit_vals - by) ** 2)))
-        dcoeffs = np.polynomial.polynomial.polyder(coeffs)
+        dcoeffs = P.polyder(coeffs)
         width = hi - lo
-        central = np.linspace(lo + 0.1 * width, hi - 0.1 * width, 201)
-        deriv = np.polynomial.polynomial.polyval(central, dcoeffs)
-        specs.append({"lo": lo, "hi": hi, "formula": _poly_formula(coeffs)})
+        specs.append({"lo": lo, "hi": hi, "formula": _poly_formula(coeffs),
+                      "min_slope": _abs_extremes(dcoeffs, lo, hi)[0],
+                      "holder_constant": _abs_extremes(P.polyder(dcoeffs),
+                                                       lo, hi)[1]})
         rms_list.append(rms)
-        slopes.append(float(np.min(np.abs(deriv))))
-        holders.append(_second_difference_exponent(bx, by))
-    # the smaller of the two branch estimates; see HOLDER_CAVEAT
-    pmap = make_map(specs, epsilon=min(holders))
+        slopes.append(_abs_extremes(dcoeffs, lo + 0.1 * width,
+                                    hi - 0.1 * width)[0])
+    pmap = make_map(specs, epsilon=1.0)
     diagnostics = FitDiagnostics(residual_rms=tuple(rms_list),
                                  min_abs_slope_central=tuple(slopes))
     return pmap, diagnostics

@@ -31,9 +31,11 @@ SCHEMA_VERSION = 1
 def map_from_config(doc) -> PiecewiseMap:
     if not isinstance(doc, dict):
         raise ConfigError("map config must be a JSON object")
-    if doc.get("v") != SCHEMA_VERSION:
+    version = doc.get("v")
+    # True == 1 in Python, but a JSON true is not a version number
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ConfigError(
-            f"unsupported map-config version {doc.get('v')!r} "
+            f"unsupported map-config version {version!r} "
             f"(expected {SCHEMA_VERSION})")
     if "epsilon" not in doc:
         raise ConfigError("map config is missing 'epsilon'")

@@ -109,12 +109,13 @@ def _snap(x: float) -> float:
 
 
 def _config_number(value, where: str) -> float:
-    """float(value) for a config field, or ConfigError naming the field."""
+    """float(value) for a config field, or ConfigError naming the field.
+    JSON's true and false are not numbers, though float() takes them."""
     try:
         x = float(value)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
-    if not math.isfinite(x):
+    if isinstance(value, bool) or not math.isfinite(x):
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return x
 

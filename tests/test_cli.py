@@ -547,7 +547,7 @@ def test_lorenz_pipeline_writes_all_three_files(tmp_path, capsys):
                  "--out-fit", str(fit)]) == 0
     captured = capsys.readouterr().out
     assert "return map (" in captured
-    assert "Hölder exponent estimate" in captured
+    assert json.loads(fit.read_text())["epsilon"] == 1.0
     assert traj.read_text().splitlines()[0] == "t,x,y,z"
     assert rmap.read_text().splitlines()[0] == "z_k,z_next"
     fitted = load_map(fit)
@@ -558,6 +558,28 @@ def test_lorenz_pipeline_writes_all_three_files(tmp_path, capsys):
     assert not report.accepted
     assert (f"fitted map validation: {report.violation_summary()}"
             in captured.splitlines())
+
+
+def test_lorenz_cubic_fit_declares_max_second_derivative(tmp_path):
+    fit = tmp_path / "fit.json"
+    assert main(["lorenz", "--dt", "0.01", "--t-max", "150",
+                 "--transient", "5", "--fit-degree", "3",
+                 "--out-trajectory", str(tmp_path / "traj.csv"),
+                 "--out-map", str(tmp_path / "rmap.csv"),
+                 "--out-fit", str(fit)]) == 0
+    doc = json.loads(fit.read_text())
+    assert doc["epsilon"] == 1.0
+    number = r"(-?[0-9.]+(?:e[-+]?[0-9]+)?)"
+    cubic = re.compile(rf"{number} \+ {number}\*x \+ {number}\*x\^2 "
+                       rf"\+ {number}\*x\^3")
+    for br in doc["branches"]:
+        _, _, c2, c3 = map(float, cubic.fullmatch(br["formula"]).groups())
+        # tau'' = 2 c2 + 6 c3 x is linear: |tau''| peaks at an end
+        assert br["holder_constant"] == pytest.approx(
+            max(abs(2 * c2 + 6 * c3 * x) for x in (br["lo"], br["hi"])),
+            rel=1e-12)
+    # p = 1 is at least 1/epsilon, and both min slopes exceed 1 at this size
+    analysis.check_ly_ranges(load_map(fit), p=1, t=1, A=0.125)
 
 
 def test_lorenz_bad_fit_degree_exits_before_integrating(tmp_path, capsys):
@@ -989,20 +1011,27 @@ def _markov_doc():
     *[(f, v) for f in ("epsilon", "lo", "hi") for v in _BAD_VALUES + [None]],
     # null is valid for these two: it asks for a sampled estimate
     *[(f, v) for f in ("min_slope", "holder_constant") for v in _BAD_VALUES],
+    # float() takes JSON's true and false, and True == 1, but neither is a
+    # number here (listed last, so the ids above keep their indices)
+    ("v", True),
+    *[(f, v) for f in ("epsilon", "lo", "hi", "min_slope", "holder_constant")
+      for v in (True, False)],
 ])
 def test_non_numeric_config_field_exits_one(tmp_path, capsys, field, value):
     doc = _markov_doc()
-    if field == "epsilon":
+    if field == "v":
+        doc["v"] = value
+        message = f"unsupported map-config version {value!r} (expected 1)"
+    elif field == "epsilon":
         doc["epsilon"] = value
-        where = "epsilon"
+        message = f"epsilon must be a finite number, got {value!r}"
     else:
         doc["branches"][1][field] = value
-        where = f"branch 1 {field!r}"
+        message = f"branch 1 {field!r} must be a finite number, got {value!r}"
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
     assert main(["check-slope", str(cfg), "--p", "1"]) == 1
-    err = capsys.readouterr().err
-    assert err == f"error: {where} must be a finite number, got {value!r}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_numeric_strings_in_config_stay_accepted(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Regression guard for bad map configs: replacing any one field of a valid
 config with a value of the wrong kind, deleting a branch key, or replacing
 a whole branch, or giving a branch a hostile formula, must end in exit
-code 0 or 1 with a message, never in an exception escaping the CLI."""
+code 0 or 1 with a message, never in an exception escaping the CLI.  A
+JSON boolean where a number belongs must end in exit code 1."""
 
 import json
 import math
@@ -17,6 +18,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 _DOCS = {p.name: json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))}
 
 _BRANCH_KEYS = ("lo", "hi", "formula", "min_slope", "holder_constant")
+_NUMBER_FIELDS = {"v", "epsilon", "lo", "hi", "min_slope", "holder_constant"}
 
 _VALUES = st.one_of(
     st.text(max_size=8),
@@ -33,6 +35,7 @@ _VALUES = st.one_of(
 
 @st.composite
 def _mutated_docs(draw):
+    """A mutated config, and whether it sets a number field to a boolean."""
     doc = json.loads(json.dumps(_DOCS[draw(st.sampled_from(sorted(_DOCS)))]))
     value = draw(_VALUES)
     where = draw(st.sampled_from(("v", "epsilon", "branches", "branch")))
@@ -42,28 +45,30 @@ def _mutated_docs(draw):
         change = draw(st.sampled_from(("set", "delete", "replace")))
         if change == "set":
             doc["branches"][k][key] = value
+            where = key
         elif change == "delete":
             doc["branches"][k].pop(key, None)
         else:
             doc["branches"][k] = value
     else:
         doc[where] = value
-    return doc
+    return doc, isinstance(value, bool) and where in _NUMBER_FIELDS
 
 
-def _check_exits_cleanly(doc):
+def _check_exits_cleanly(doc, allowed=(0, 1)):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "map.json"
         cfg.write_text(json.dumps(doc))
-        assert main(["check-slope", str(cfg), "--p", "1"]) in (0, 1)
+        assert main(["check-slope", str(cfg), "--p", "1"]) in allowed
         assert main(["density", str(cfg), "--bins", "16", "--no-plot",
-                     "--out", str(Path(tmp) / "d.csv")]) in (0, 1)
+                     "--out", str(Path(tmp) / "d.csv")]) in allowed
 
 
 @settings(max_examples=300, deadline=None)
-@given(doc=_mutated_docs())
-def test_bad_config_field_never_escapes(doc):
-    _check_exits_cleanly(doc)
+@given(mutated=_mutated_docs())
+def test_bad_config_field_never_escapes(mutated):
+    doc, boolean_number = mutated
+    _check_exits_cleanly(doc, (1,) if boolean_number else (0, 1))
 
 
 @settings(max_examples=100, deadline=None)

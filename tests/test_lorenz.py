@@ -308,6 +308,36 @@ def test_normalization_round_trips():
 
 # ------------------------------------------------------------ fit_piecewise
 
+def test_abs_extremes_matches_a_brute_force_grid():
+    # p' has degree - 1 random critical points inside [lo, hi] (degree 1
+    # has none), p is shifted to vanish at a random interior point and
+    # scaled to max |p| = 1 on the grid; p + 2 has no root there
+    P = np.polynomial.polynomial
+    rng = np.random.default_rng(2401)
+    for degree in range(1, 7):
+        for _ in range(8):
+            lo = rng.uniform(-1.0, 1.0)
+            hi = lo + rng.uniform(0.5, 2.0)
+            xs = np.linspace(lo, hi, 200_001)
+            q = P.polyint(P.polyfromroots(rng.uniform(lo, hi, degree - 1)))
+            q = P.polysub(q, [P.polyval(rng.uniform(lo, hi), q)])
+            q = rng.choice([-1.0, 1.0]) * q / np.max(np.abs(P.polyval(xs, q)))
+            for coeffs in (q, P.polyadd(q, [2.0])):
+                grid = np.abs(P.polyval(xs, coeffs))
+                # the rounding bound of Horner's rule: both sides evaluate
+                # p, so they may differ by this much at the same extremum
+                tol = (2 * len(coeffs) * np.finfo(float).eps
+                       * P.polyval(max(abs(lo), abs(hi)), np.abs(coeffs)))
+                low, high = lorenz._abs_extremes(coeffs, lo, hi)
+                assert high >= grid.max() - tol
+                assert high == pytest.approx(grid.max(), rel=1e-9)
+                if coeffs is q:
+                    assert low <= tol
+                else:
+                    assert low <= grid.min() + tol
+                    assert low == pytest.approx(grid.min(), rel=1e-9)
+
+
 def test_fit_recovers_a_tent_from_noisy_samples():
     rng = np.random.default_rng(11)
     xs = np.sort(rng.random(500))
@@ -320,8 +350,9 @@ def test_fit_recovers_a_tent_from_noisy_samples():
     assert diag.min_abs_slope_central[1] == pytest.approx(2.0, abs=1e-4)
     assert max(diag.residual_rms) < 1e-4
     assert pmap.breakpoints[1] == data.cusp_estimate
-    assert 0.05 <= pmap.holder_exponent <= 1.0
-    assert "indicative" in lorenz.HOLDER_CAVEAT
+    # linear branches: tau' is constant, so epsilon = 1 holds with M_i = 0
+    assert pmap.holder_exponent == 1.0
+    assert [br.holder_constant for br in pmap.branches] == [0.0, 0.0]
 
 
 def test_fit_reports_misfit_of_a_three_branch_cloud():
