@@ -17,7 +17,7 @@ import numpy as np
 
 from . import expr
 from .errors import ConfigError, ToolError
-from .grid import GridFunction, project, variation
+from .grid import DEFAULT_A, GridFunction, project, variation
 from .maps import PiecewiseMap, check_slope_condition
 from .transfer import (apply_fp, invariant_density, power_iterate,
                        ulam_matrix)
@@ -119,7 +119,7 @@ def check_ly_ranges(pmap: PiecewiseMap, p: float, t: float, A: float) -> float:
 
 
 def ly_constants(pmap: PiecewiseMap, p: float, t: float = 1.0,
-                 A: float = 0.125, L=None) -> LYConstants:
+                 A: float = DEFAULT_A, L=None) -> LYConstants:
     """Contraction constants for the variation inequality at radius cap A.
 
     For t=1 these are the one-norm constants; for 1 < t <= p the branch
@@ -155,10 +155,10 @@ def ly_constants(pmap: PiecewiseMap, p: float, t: float = 1.0,
 
 
 def shrink_A_until_admissible(pmap: PiecewiseMap, p: float) -> LYConstants:
-    """Halve A from 1/8 until alpha < 1 (possible exactly when the slope
+    """Halve A from DEFAULT_A until alpha < 1 (possible exactly when the slope
     condition holds, since A → 0 sends alpha to the slope-condition value)."""
     s = pmap.min_slope_global
-    A = 0.125
+    A = DEFAULT_A
     slope_value = check_ly_ranges(pmap, p, 1.0, A)
     if not slope_value < 1.0:
         raise ToolError(

@@ -15,7 +15,7 @@ import sys
 from . import analysis, lorenz, plotting, serialize, transfer
 from .errors import ToolError
 from .expr import parse as parse_expr
-from .grid import project, variation
+from .grid import DEFAULT_A, project, variation
 from .mapconfig import dump_map_config, load_map
 from .maps import check_slope_condition, validate
 
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--p", type=float, required=True)
     q.add_argument("--t", type=float, default=1.0)
     group = q.add_mutually_exclusive_group()
-    group.add_argument("--A", type=float, default=0.125)
+    group.add_argument("--A", type=float, default=DEFAULT_A)
     group.add_argument("--auto-A", action="store_true", dest="auto_A")
     group = q.add_mutually_exclusive_group()
     group.add_argument("--L", type=float, default=None)

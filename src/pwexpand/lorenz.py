@@ -7,23 +7,19 @@ The trajectory is computed once, in pieces of at most `_CHUNK` steps:
 and through a `ZMaxima` accumulator, and no array as long as the run
 exists.  The RK4 loop runs in a forked child, where the platform has
 `os.fork`, so the next piece is integrated while the caller formats and
-scans this one.  The child also formats the last rows of each piece as
-CSV text: as many as keep its time per piece level with the caller's,
-whose measured time comes back through a second pipe (`_share`).  The
-piece carries that text to `serialize`, which formats only the rows
-before it.
+scans this one.  While the caller has not yet asked for the piece, the
+child formats its rows as CSV text, from the last row back; each request
+arrives as one byte on a second pipe.  The piece carries that text to
+`serialize`, which formats only the rows before it.
 """
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import functools
 import os
 import signal
-import struct
 import sys
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +28,8 @@ from . import kernels
 from .errors import ConfigError, ToolError
 from .maps import make_map
 from .serialize import _CHUNK, _body
+
+_STEP = 256  # rows the RK4 child formats between looks at the requests
 
 
 @dataclass(frozen=True)
@@ -137,100 +135,80 @@ def _times(first: int, m: int, config: LorenzConfig):
     return t, int(np.searchsorted(t, config.transient - 1e-12))
 
 
-def _share(kept: int, rk4_s: float, row_s, caller_row_s) -> int:
-    """How many of a block's `kept` rows the RK4 child formats: as many as
-    make its RK4 time for the block plus its rows, at `row_s` each, as
-    long as the caller's other rows at `caller_row_s` each.  Both are the
-    last measured times per row, None before the first measurement:
-    until the caller's is measured the child's stands in for it, and
-    until the child's is, the rows are split evenly."""
-    if row_s is None:
-        return kept // 2
-    if caller_row_s is None:
-        caller_row_s = row_s
-    share = round((kept * caller_row_s - rk4_s) / (row_s + caller_row_s))
-    return min(max(share, 0), kept)
-
-
-def _formatted_blocks(config: LorenzConfig, caller_times):
+def _formatted_blocks(config: LorenzConfig, asked):
     """Yield (xyz, text) for each block of `_rk4_blocks`, where text is
-    the CSV rows (`serialize._body`) of the last `_share` rows of the
-    block that lie after the transient.  `caller_times()` returns the
-    times the caller took for the blocks it has finished since the last
-    call, in order."""
-    blocks = _rk4_blocks(config)
+    the CSV rows (`serialize._body`) of the last rows of the block that
+    lie after the transient: formatted from the end, `_STEP` rows at a
+    time, until `asked()` says that the caller wants the block."""
     first = 0
-    row_s = caller_row_s = None
-    caller_rows = collections.deque()  # per block not yet timed
-    while True:
-        start = time.perf_counter()
-        xyz = next(blocks, None)
-        if xyz is None:
-            return
-        rk4_s = time.perf_counter() - start
-        for busy_s in caller_times():
-            if rows := caller_rows.popleft():
-                caller_row_s = busy_s / rows
+    for xyz in _rk4_blocks(config):
         t, keep = _times(first, len(xyz), config)
-        share = _share(len(xyz) - keep, rk4_s, row_s, caller_row_s)
-        caller_rows.append(len(xyz) - keep - share)
-        text = ""
-        if share:
-            start = time.perf_counter()
-            text = "".join(_body((t[-share:], *xyz[-share:].T)))
-            row_s = (time.perf_counter() - start) / share
-        yield xyz, text
+        parts, end = [], len(xyz)
+        # asked() first: it drains the requests, transient blocks included
+        while not asked() and end > keep:
+            start = max(end - _STEP, keep)
+            parts.append("".join(_body((t[start:end], *xyz[start:end].T))))
+            end = start
+        yield xyz, "".join(reversed(parts))
         first += len(xyz)
 
 
 def _in_child(make_blocks):
-    """Iterate `make_blocks(caller_times)`, pairs of a C-contiguous float64
-    array of shape (m, 3) and an ASCII string, in a forked child and
-    yield them here in order, so that the child computes the next pair
-    while the caller works on this one.
+    """Iterate `make_blocks(asked)`, pairs of a C-contiguous float64 array
+    of shape (m, 3) and an ASCII string, in a forked child and yield them
+    here in order, so that the child computes the next pair while the
+    caller works on this one.
 
     The child sends each pair through a pipe as one record: the row count
     and the string's length, 8 bytes each, then the raw doubles, then the
-    string.  The pipe's capacity bounds how far it runs ahead.  For each
-    pair, this side sends back through a second pipe the time the caller
-    took before it asked for the next one, as one double;
-    `caller_times()` returns, in the child, those that have arrived
-    since its last call.
+    string.  The pipe's capacity bounds how far it runs ahead.  Each time
+    the caller asks for a pair after the first, this side writes one byte
+    to a second pipe; `asked()`, in the child, reads it without blocking
+    and is true once it has had a byte for every pair sent.
 
     The child leaves only by `os._exit`, so no cleanup of the frames
     below this one (a temp file's removal, say) runs in it, and it must
     make no BLAS call: the parent's BLAS threads do not exist in it.  If
     the parent dies, the child's next write fails and it exits.  A child
-    that ends before its last record is a ToolError; if the caller stops
-    early, the child is killed.  Either way it is reaped.
+    that cannot start or ends before its last record is a ToolError; if
+    the caller stops early, the child is killed.  Either way it is reaped.
     """
     sys.stdout.flush()
     sys.stderr.flush()
-    r, w = os.pipe()
-    back_r, back_w = os.pipe()
-    pid = os.fork()
+    fds = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError as err:
+        for fd in fds:
+            os.close(fd)
+        raise ToolError("cannot start the RK4 integration process: "
+                        f"{err.strerror or err}") from err
+    r, w, back_r, back_w = fds
     if pid == 0:
         status = 1
         try:
             os.close(r)
             os.close(back_w)
             os.set_blocking(back_r, False)
+            requests = sent = 0
 
-            def caller_times():
-                # 8-byte writes to a pipe are atomic: reads hold whole doubles
+            def asked():
+                nonlocal requests
                 with contextlib.suppress(BlockingIOError):
-                    return [busy_s for busy_s, in
-                            struct.iter_unpack("d", os.read(back_r, 1 << 16))]
-                return []
+                    requests += len(os.read(back_r, 1 << 16))
+                return requests >= sent
 
             with os.fdopen(w, "wb") as out:
-                for xyz, text in make_blocks(caller_times):
+                for xyz, text in make_blocks(asked):
                     data = text.encode("ascii")
                     out.write(len(xyz).to_bytes(8, sys.byteorder)
                               + len(data).to_bytes(8, sys.byteorder))
                     out.write(xyz)
                     out.write(data)
                     out.flush()
+                    sent += 1
             status = 0
         finally:
             os._exit(status)
@@ -246,10 +224,9 @@ def _in_child(make_blocks):
                     break
                 if len(data := src.read(size)) < size:
                     break
-                start = time.perf_counter()
                 yield np.frombuffer(buf).reshape(-1, 3), data.decode("ascii")
                 with contextlib.suppress(BrokenPipeError):  # the child is gone
-                    back.write(struct.pack("d", time.perf_counter() - start))
+                    back.write(b"\0")  # the caller asks for the next pair
     except BaseException:  # also GeneratorExit: the caller stopped early
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
@@ -266,7 +243,8 @@ def integrate(config: LorenzConfig):
 
     Where the platform has `os.fork`, the RK4 loop runs in a child
     (`_in_child`) while the caller consumes the pieces, and the child
-    formats a share of each piece's CSV rows (`_formatted_blocks`).
+    formats the last CSV rows of each piece until the caller asks for it
+    (`_formatted_blocks`).
     Deterministic: identical configs give bitwise-identical output, and
     the rows depend neither on the piece size nor on the fork.
     """

@@ -164,11 +164,7 @@ def ulam_matrix(pmap: PiecewiseMap, n: int) -> UlamOperator:
     for br in pmap.branches:
         # clipped edges invert to exact domain ends, so row sums telescope
         ys = np.clip(edges, br.image.lo, br.image.hi)
-        try:
-            xs = invert_branch_array(br, ys)
-        except ToolError as err:
-            raise ToolError(
-                f"edge inversion failed on branch {br.formula!r}: {err}") from err
+        xs = invert_branch_array(br, ys)
         # preimage [xa, xb] of target bin j, then the source bins ia..ib it
         # meets, expanded to one (i, j) entry per pair in (j, i) order
         xa, xb = (xs[:-1], xs[1:]) if br.monotone_sign > 0 else (xs[1:], xs[:-1])

@@ -1,10 +1,15 @@
-"""Shared fixtures: the standard test maps, built once per session, and
-the acceptance-criteria report surfaced after the run."""
+"""Shared fixtures: the standard test maps, built once per session, the
+acceptance-criteria report surfaced after the run, a check that no test
+leaves a child process, and a way to fix how much of each Lorenz piece
+the RK4 child formats."""
+
+import os
 
 import numpy as np
 import pytest
 
 import pwexpand
+from pwexpand import lorenz
 
 # one line per acceptance criterion, echoed at the end of the run
 acceptance_lines = []
@@ -20,6 +25,41 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process (waitpid gave pid {pid})")
+
+
+@pytest.fixture
+def child_steps(monkeypatch):
+    """Call with n to make the Lorenz RK4 child format the last n `_STEP`
+    steps of kept rows of each piece, or with None for all of them,
+    whenever the caller asks for the piece."""
+    real_blocks, real_formatted = lorenz._rk4_blocks, lorenz._formatted_blocks
+
+    def fix(steps):
+        looks = [0]  # the child's looks at the requests in this block
+
+        def blocks(config):
+            for xyz in real_blocks(config):
+                looks[0] = 0
+                yield xyz
+
+        def asked():
+            looks[0] += 1
+            return steps is not None and looks[0] > steps
+
+        monkeypatch.setattr(lorenz, "_rk4_blocks", blocks)
+        monkeypatch.setattr(lorenz, "_formatted_blocks",
+                            lambda config, _: real_formatted(config, asked))
+    return fix
 
 
 @pytest.fixture(scope="session")

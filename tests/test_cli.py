@@ -9,6 +9,7 @@ user's stderr.
 """
 
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -24,7 +25,8 @@ import numpy as np
 import pytest
 
 import pwexpand
-from pwexpand import analysis, kernels, lorenz, plotting, serialize, transfer
+from pwexpand import (analysis, kernels, lorenz, maps, plotting, serialize,
+                      transfer)
 from pwexpand.cli import main
 from pwexpand.grid import GridFunction, project, variation
 from pwexpand.mapconfig import load_map
@@ -332,6 +334,18 @@ def test_density_bytes_equal_correlates_density(tmp_path):
     assert got.tobytes() == want.tobytes()
 
 
+def test_failed_edge_inversion_names_the_branch_once(tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setattr(maps, "_INVERSE_MAX_ITER", 1)
+    out = tmp_path / "d.csv"
+    assert main(["density", str(ROOT / "pipebench" / "maps" / "nonlinear.json"),
+                 "--bins", "64", "--no-plot", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: branch inversion did not reach tol=")
+    assert err.count("\n") == 1 and err.count("2*x + 0.1*sin(2*pi*x)") == 1
+    assert not out.exists()
+
+
 def test_density_has_no_tolerance_options(tmp_path):
     for opt in ("--tol", "--max-iters"):
         with pytest.raises(SystemExit) as exc:
@@ -593,29 +607,19 @@ def test_lorenz_bad_fit_degree_exits_before_integrating(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def _every_kept_row(kept, *times):
-    return kept
-
-
-def _half_the_kept_rows(kept, *times):
-    return kept // 2
-
-
-def _no_kept_row(kept, *times):
-    return 0
-
-
-def test_lorenz_files_do_not_depend_on_the_split(tmp_path, capsys, monkeypatch):
+def test_lorenz_files_do_not_depend_on_the_split(tmp_path, capsys, monkeypatch,
+                                                 child_steps):
     # the cut at step 50000 falls inside an RK4 block; rho = 1500 gives the
     # fit its 100 return pairs in the 10 time units after it
     runs = []
-    for name, rule in [("measured", None), ("none", _no_kept_row),
-                       ("half", _half_the_kept_rows), ("all", _every_kept_row),
-                       ("no-fork", None)]:
+    # the child stops when asked, then formats no row, one step or every
+    # kept row of each piece, then no child is forked
+    for name, steps in [("asked", None), ("none", 0), ("one-step", 1),
+                        ("all", None), ("no-fork", None)]:
         if name == "no-fork":
             monkeypatch.delattr(os, "fork")
-        elif rule is not None:
-            monkeypatch.setattr(lorenz, "_share", rule)
+        elif name != "asked":
+            child_steps(steps)
         outs = [tmp_path / f"{name}-{f}" for f in ("traj.csv", "rmap.csv", "fit.json")]
         assert main(["lorenz", "--rho", "1500", "--t-max", "60", "--transient",
                      "50", "--out-trajectory", str(outs[0]), "--out-map",
@@ -627,7 +631,7 @@ def test_lorenz_files_do_not_depend_on_the_split(tmp_path, capsys, monkeypatch):
 
 
 def test_lorenz_blow_up_after_the_first_piece_leaves_no_file(
-        tmp_path, capsys, monkeypatch):
+        tmp_path, capsys, child_steps):
     # x = y = 0 stays put and z' = 15 z, so z overflows after ~4700 steps
     args = ["--x0", "0", "--y0", "0", "--z0", "1", "--beta=-15", "--dt",
             "0.01", "--t-max", "60", "--transient", "5"]
@@ -635,10 +639,11 @@ def test_lorenz_blow_up_after_the_first_piece_leaves_no_file(
     k = int(np.argmax(~np.isfinite(whole).all(axis=1)))
     assert lorenz._CHUNK < k < 6000
     outs = [str(tmp_path / name) for name in ("traj.csv", "rmap.csv", "fit.json")]
-    # with the measured split, then with the child formatting every kept
-    # row, the non-finite ones too
-    for rule in (lorenz._share, _every_kept_row):
-        monkeypatch.setattr(lorenz, "_share", rule)
+    # with the child stopping when asked, then with it formatting every
+    # kept row, the non-finite ones too
+    for every_kept_row in (False, True):
+        if every_kept_row:
+            child_steps(None)
         assert main(["lorenz", *args, "--out-trajectory", outs[0],
                      "--out-map", outs[1], "--out-fit", outs[2]]) == 1
         captured = capsys.readouterr()
@@ -684,10 +689,39 @@ def test_lorenz_failing_child_exits_one(tmp_path, capfd, monkeypatch):
 
 
 def test_lorenz_failing_formatting_in_the_child_exits_one(
-        tmp_path, capfd, monkeypatch):
-    # the child formats half of each piece; its third formatting raises
-    monkeypatch.setattr(lorenz, "_share", _half_the_kept_rows)
+        tmp_path, capfd, monkeypatch, child_steps):
+    # the child formats one step of each piece; its third formatting raises
+    child_steps(1)
     _fail_in_child(lorenz, "_body", tmp_path, capfd, monkeypatch)
+
+
+@pytest.mark.parametrize("call, err", [
+    (0, errno.EMFILE), (1, errno.EMFILE), (2, errno.EAGAIN)],
+    ids=["pipe", "second-pipe", "fork"])
+def test_lorenz_that_cannot_start_its_child_exits_one(
+        call, err, tmp_path, capsys, monkeypatch):
+    # the calls are os.pipe, os.pipe, os.fork; number `call` fails
+    real_pipe, calls = os.pipe, []
+
+    def failing():
+        calls.append(None)
+        if len(calls) - 1 == call:
+            raise OSError(err, os.strerror(err))
+        return real_pipe()
+
+    monkeypatch.setattr(os, "pipe", failing)
+    monkeypatch.setattr(os, "fork", failing)
+    fds = os.listdir("/proc/self/fd")
+    outs = [str(tmp_path / f) for f in ("traj.csv", "rmap.csv", "fit.json")]
+    assert main(["lorenz", "--dt", "0.01", "--t-max", "100", "--transient",
+                 "0", "--out-trajectory", outs[0], "--out-map", outs[1],
+                 "--out-fit", outs[2]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cannot start the RK4 integration "
+                            f"process: {os.strerror(err)}\n")
+    assert list(tmp_path.iterdir()) == []
+    assert os.listdir("/proc/self/fd") == fds  # the pipes made are closed
 
 
 def _lorenz_traced_peak(tmp_path, t_max):

@@ -3,6 +3,8 @@ assembly, and the two-branch cusp fit (on synthetic data with known
 answers, plus one short real trajectory)."""
 
 import os
+import signal
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -93,7 +95,8 @@ def _boundary_cases():
 
 
 @pytest.mark.parametrize("nsteps, first", list(_boundary_cases()))
-def test_pieces_are_one_whole_integration(nsteps, first, tmp_path, monkeypatch):
+def test_pieces_are_one_whole_integration(nsteps, first, tmp_path, monkeypatch,
+                                          child_steps):
     dt = 0.01
     cfg = lorenz.LorenzConfig(dt=dt, t_max=nsteps * dt,
                               transient=first * dt if first else -1.0)
@@ -104,19 +107,20 @@ def test_pieces_are_one_whole_integration(nsteps, first, tmp_path, monkeypatch):
     assert np.searchsorted(t, cfg.transient - 1e-12) == first
     rows = serialize.trajectory_csv(
         lorenz.Trajectory(t=t[first:], xyz=whole[first:])).splitlines()
-    # in a forked child that formats no row, half or all of the kept rows
-    # of each piece, then in this process as where os.fork is missing
-    for rule in (lambda kept, *times: 0, lambda kept, *times: kept // 2,
-                 lambda kept, *times: kept, None):
-        if rule is None:
+    # in a forked child that formats no row, one step or all of the kept
+    # rows of each piece, then in this process as where os.fork is missing
+    for steps, tail in [(0, lambda kept: 0),
+                        (1, lambda kept: min(kept, lorenz._STEP)),
+                        (None, lambda kept: kept),
+                        ("no fork", lambda kept: 0)]:
+        if steps == "no fork":
             monkeypatch.delattr(os, "fork")
-            rule = lambda kept, *times: 0  # noqa: E731
         else:
-            monkeypatch.setattr(lorenz, "_share", rule)
+            child_steps(steps)
         pieces = list(lorenz.integrate(cfg))
         assert all(0 < len(p.t) == len(p.xyz) <= lorenz._CHUNK for p in pieces)
         assert [p._csv_tail.count("\n") for p in pieces] == [
-            rule(len(p.t)) for p in pieces]
+            tail(len(p.t)) for p in pieces]
         got = _joined(pieces)
         assert got.xyz.tobytes() == whole[first:].tobytes()
         assert got.t.tobytes() == t[first:].tobytes()
@@ -125,30 +129,38 @@ def test_pieces_are_one_whole_integration(nsteps, first, tmp_path, monkeypatch):
         assert (tmp_path / "traj.csv").read_text().splitlines() == rows
 
 
-@pytest.mark.parametrize("kept, rk4_s, row_s, caller_row_s, share", [
-    (4096, 0.006, None, None, 2048),   # nothing measured: an even split
-    (4096, 0.006, 3e-6, None, 1048),   # the child's row time stands in
-    (4096, 0.006, 3e-6, 3e-6, 1048),   # 0.006 + 1048 * 3e-6 = 3048 * 3e-6
-    (4096, 0.006, 2e-6, 4e-6, 1731),   # a slower caller: more to the child
-    (4096, 0.020, 3e-6, 3e-6, 0),      # the RK4 alone outlasts the caller
-    (0, 0.006, 3e-6, 3e-6, 0),         # inside the transient
-])
-def test_share_balances_the_child_and_the_caller(kept, rk4_s, row_s,
-                                                 caller_row_s, share):
-    assert lorenz._share(kept, rk4_s, row_s, caller_row_s) == share
+def test_a_slow_caller_gets_later_pieces_formatted_by_the_child():
+    pieces = []
+    for piece in lorenz.integrate(
+            lorenz.LorenzConfig(dt=0.01, t_max=100.0, transient=-1.0)):
+        pieces.append(piece)
+        time.sleep(0.2)  # far longer than the child's RK4 and formatting
+    # the caller asks for the first piece at once, and for each later one
+    # only after the child has had the time to format all of it
+    assert [len(p.t) for p in pieces] == [1, 4096, 4096, 1808]
+    assert [p._csv_tail.count("\n") for p in pieces[1:]] == [4096, 4096, 1808]
 
 
-def test_the_child_hears_the_callers_times(monkeypatch):
-    # a rule that formats every kept row once a caller's time has arrived
-    monkeypatch.setattr(lorenz, "_share", lambda kept, rk4_s, row_s, caller:
-                        0 if caller is None else kept)
-    pieces = list(lorenz.integrate(
-        lorenz.LorenzConfig(dt=0.01, t_max=100.0, transient=-1.0)))
-    tails = [p._csv_tail.count("\n") for p in pieces]
-    # the child cannot finish sending block 1, which holds more than the
-    # pipe, before the caller is done with block 0 and has timed it
-    assert tails[0] == 0
-    assert tails[2:] == [len(p.t) for p in pieces[2:]] and len(pieces) == 4
+def _on_alarm(signum, frame):
+    raise TimeoutError("the run did not end within 30 s")
+
+
+def test_the_child_reads_the_requests_inside_the_transient(monkeypatch):
+    # 70 000 one-row blocks before the first kept row: were the child to
+    # read no request there, the request pipe would fill and block this
+    # process, which then leaves the child blocked on its own full pipe
+    monkeypatch.setattr(lorenz, "_CHUNK", 1)
+    cfg = lorenz.LorenzConfig(dt=0.01, t_max=700.5, transient=700.0)
+    handler = signal.signal(signal.SIGALRM, _on_alarm)
+    signal.alarm(30)
+    try:
+        got = _whole(cfg)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    whole = kernels.lorenz_rk4([1.0, 1.0, 1.0], 10.0, 28.0, 8.0 / 3.0, 0.01,
+                               70_050)
+    assert got.xyz.tobytes() == whole[70_000:].tobytes()
 
 
 @pytest.mark.parametrize("stop", ["close", "drop"])
