@@ -11,8 +11,8 @@ from .analysis import (
     estimate_equicontinuity_L,
     fit_decay_rate,
     ly_constants,
+    ly_constants_best_A,
     ly_verify,
-    shrink_A_until_admissible,
 )
 from .errors import ConfigError, ToolError
 from .expr import eval_with_derivative, evaluate, format_expression, parse
@@ -83,6 +83,7 @@ __all__ = [
     "iterate_norm_series",
     "load_map",
     "ly_constants",
+    "ly_constants_best_A",
     "ly_verify",
     "make_map",
     "map_from_config",
@@ -91,7 +92,6 @@ __all__ = [
     "osc_q",
     "parse",
     "project",
-    "shrink_A_until_admissible",
     "spectrum",
     "ulam_matrix",
     "validate",

@@ -3,9 +3,11 @@ verification of the variation inequality, and correlation-decay
 measurement.
 
 All constants are evaluated exactly from (M, s, q, p, t, A); nothing here
-is fitted.  The inequality var(Pf) <= alpha*var(f) + beta*||f||_1 is then
-checked on random test functions, and correlation series are fitted for
-their exponential rate.
+is fitted.  At t = 1 the radius cap A that makes C = 2 + beta/(1 - alpha)
+smallest is found in closed form, from the real roots of a quartic in
+D = M*A^(1/p)/s^(1+1/p).  The inequality var(Pf) <= alpha*var(f) +
+beta*||f||_1 is then checked on random test functions, and correlation
+series are fitted for their exponential rate.
 """
 
 from __future__ import annotations
@@ -154,24 +156,40 @@ def ly_constants(pmap: PiecewiseMap, p: float, t: float = 1.0,
                        slope_condition_value=slope_value)
 
 
-def shrink_A_until_admissible(pmap: PiecewiseMap, p: float) -> LYConstants:
-    """Halve A from DEFAULT_A until alpha < 1 (possible exactly when the slope
-    condition holds, since A → 0 sends alpha to the slope-condition value)."""
+def ly_constants_best_A(pmap: PiecewiseMap, p: float) -> LYConstants:
+    """The t = 1 constants at the radius cap 0 < A <= DEFAULT_A that
+    minimises beta/(1 - alpha), and so C = 2 + beta/(1 - alpha).
+
+    With u = 1/p, c = M/s^(1+u), v the slope-condition value and
+    D = c*A^u, the constants factor as alpha = (1+D)(v + (2/s)^u D) and
+    beta = c(1+D)(2^u + 1/(sD)), so beta/(1 - alpha) = c*N(D)/Q(D) with
+    N = (1+D)(2^u sD + 1) and Q = sD(1 - alpha), neither of which reads M.
+    The best D is a real root of the quartic N'Q - NQ' in (0, c*DEFAULT_A^u]
+    where Q > 0, or that end point; A = (D/c)^p."""
     s = pmap.min_slope_global
-    A = DEFAULT_A
-    slope_value = check_ly_ranges(pmap, p, 1.0, A)
+    slope_value = check_ly_ranges(pmap, p, 1.0, DEFAULT_A)
     if not slope_value < 1.0:
         raise ToolError(
             f"slope condition fails: 1/s^(1/p) + 1/s = {slope_value:.6g} >= 1 "
             f"at s={s:.6g}, p={p}; no radius cap can give alpha < 1")
-    while A >= 2.0 ** -16:
-        consts = ly_constants(pmap, p=p, t=1.0, A=A)
-        if consts.admissible:
-            return consts
-        A *= 0.5
-    raise ToolError(
-        f"alpha stayed >= 1 down to A = 2^-16 (s={s:.6g}, "
-        f"M={pmap.holder_max:.6g}, p={p})")
+    u = 1.0 / p
+    c = pmap.holder_max / s ** (1.0 + u)
+    top = c * DEFAULT_A ** u
+    if top == 0.0:  # beta = A^-u/s falls with A
+        return ly_constants(pmap, p=p, t=1.0, A=DEFAULT_A)
+    P = np.polynomial.Polynomial
+    N = P([1.0, 1.0]) * P([1.0, 2.0 ** u * s])
+    Q = P([0.0, s]) * (1.0 - P([1.0, 1.0]) * P([slope_value, (2.0 / s) ** u]))
+    roots = (N.deriv() * Q - N * Q.deriv()).roots().real
+    with np.errstate(over="ignore"):  # Q(top) for a huge declared M
+        D = min((D for D in (top, *roots) if 0.0 < D <= top and Q(D) > 0.0),
+                key=lambda D: N(D) / Q(D))
+    A = DEFAULT_A if D == top else float((D / c) ** p)
+    if A == 0.0:
+        raise ToolError(
+            f"the best radius cap (D/c)^p = ({D:.6g}/{c:.6g})^{p:g} underflows "
+            f"to 0 (s={s:.6g}, M={pmap.holder_max:.6g}, p={p})")
+    return ly_constants(pmap, p=p, t=1.0, A=A)
 
 
 def _random_trig(rng, basis, n: int) -> np.ndarray:
@@ -238,14 +256,22 @@ def ly_verify(pmap: PiecewiseMap, p: float, A: float, trials: int, n: int,
 
 def _unique_invariant_density(pmap: PiecewiseMap, n: int) -> GridFunction:
     """`invariant_density` from the uniform start, with a uniqueness probe:
-    power iteration from two random starts must reach the same fixed
-    point; disagreement means the unit eigenvalue is not simple."""
+    power iteration from two random starts must settle, and at the same
+    fixed point; disagreement means the unit eigenvalue is not simple.  A
+    probe that does not settle shows no second fixed point, only that P
+    may have another eigenvalue on the unit circle."""
     op = ulam_matrix(pmap, n)
     h = invariant_density(op)
     rng = np.random.default_rng(1234)
     for _ in range(2):
         start = 0.5 + rng.random(n)
-        h1, _, _, _ = power_iterate(op.apply_t, start / np.mean(start))
+        h1, converged, residual, steps = power_iterate(
+            op.apply_t, start / np.mean(start))
+        if not converged:
+            raise ToolError(
+                f"power iteration from a random start stalled at L1 residual "
+                f"{residual:g} after {steps} iterations; P may have another "
+                "eigenvalue on the unit circle — inspect spectrum()")
         if float(np.mean(np.abs(h1 - h.values))) > 1e-6:
             raise ToolError(
                 "different starting densities reach different fixed points; "

@@ -76,7 +76,7 @@ def cmd_ly(args) -> int:
         L = analysis.estimate_equicontinuity_L(pmap, p=args.p, t=args.t,
                                                A=args.A)
     if args.auto_A:
-        consts = analysis.shrink_A_until_admissible(pmap, p=args.p)
+        consts = analysis.ly_constants_best_A(pmap, p=args.p)
     else:
         consts = analysis.ly_constants(pmap, p=args.p, t=args.t,
                                        A=args.A, L=L)
@@ -86,9 +86,10 @@ def cmd_ly(args) -> int:
     elif args.auto_L:
         print(f"estimated L = {serialize.fmt(L)} (empirical, non-rigorous)")
     status = "admissible" if consts.admissible else "inadmissible"
+    C = "" if consts.C is None else f", C = {serialize.fmt(consts.C)}"
     print(f"alpha = {serialize.fmt(consts.alpha)} ({status}), "
           f"beta = {serialize.fmt(consts.beta)}, A = {serialize.fmt(consts.A)}"
-          f" -> {args.out}")
+          f"{C} -> {args.out}")
     return 0
 
 
@@ -223,7 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--t", type=float, default=1.0)
     group = q.add_mutually_exclusive_group()
     group.add_argument("--A", type=float, default=DEFAULT_A)
-    group.add_argument("--auto-A", action="store_true", dest="auto_A")
+    group.add_argument("--auto-A", action="store_true", dest="auto_A",
+                       help="use the cap 0 < A <= 1/8 with the smallest C "
+                            "(t = 1 only)")
     group = q.add_mutually_exclusive_group()
     group.add_argument("--L", type=float, default=None)
     group.add_argument("--auto-L", action="store_true", dest="auto_L")

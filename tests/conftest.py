@@ -167,6 +167,24 @@ def nonlinear():
 
 
 @pytest.fixture(scope="session")
+def swap_map():
+    # swaps [0,1/2] and [1/2,1]: Lebesgue measure is the unique ACIM, and
+    # P has the eigenvalue -1, so the map is ergodic but not mixing
+    return pwexpand.make_map(
+        [
+            {"lo": 0.0, "hi": 0.25, "formula": "2*x + 0.5",
+             "min_slope": 2.0, "holder_constant": 0.0},
+            {"lo": 0.25, "hi": 0.5, "formula": "2*x",
+             "min_slope": 2.0, "holder_constant": 0.0},
+            {"lo": 0.5, "hi": 0.75, "formula": "2*x - 1",
+             "min_slope": 2.0, "holder_constant": 0.0},
+            {"lo": 0.75, "hi": 1.0, "formula": "2*x - 1.5",
+             "min_slope": 2.0, "holder_constant": 0.0},
+        ],
+        epsilon=1.0)
+
+
+@pytest.fixture(scope="session")
 def absorbing():
     # [0,1/2] is invariant and absorbing; the unique invariant density
     # is 2 * indicator([0,1/2]), identically zero on the right half

@@ -3,6 +3,7 @@ and correlation-decay measurement."""
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pwexpand
 from pwexpand import analysis
 from pwexpand.errors import ConfigError, ToolError
 from pwexpand.grid import project
+from pwexpand.mapconfig import load_map
 
 
 # ------------------------------------------------------------ ly_constants
@@ -101,33 +103,68 @@ def test_constants_guards(tripling):
         analysis.ly_constants(tripling, p=1.0, A=0.0)
 
 
-# ------------------------------------------- shrink_A_until_admissible
+def test_constants_factor_through_D():
+    # with u = 1/p, c = M/s^(1+u), D = c*A^u and v = s^-u + 1/s, the t = 1
+    # constants are alpha = (1+D)(v + (2/s)^u D), beta = c(1+D)(2^u + 1/(sD))
+    rng = np.random.default_rng(26)
+    for _ in range(200):
+        s, M = rng.uniform(1.05, 10.0), rng.uniform(0.0, 100.0)
+        p, A = rng.uniform(1.0, 4.0), 2.0 ** rng.uniform(-30.0, -3.0)
+        pmap = pwexpand.make_map(
+            [{"lo": 0.0, "hi": 1 / s, "formula": f"{s!r}*x",
+              "min_slope": s, "holder_constant": M},
+             {"lo": 1 / s, "hi": 1.0, "formula": f"{s!r}*x - 1",
+              "min_slope": s, "holder_constant": M}], epsilon=1.0)
+        c = analysis.ly_constants(pmap, p=p, t=1.0, A=A)
+        u = 1.0 / p
+        k = M / s ** (1.0 + u)
+        D = k * A ** u
+        v = s ** -u + 1.0 / s
+        assert c.alpha == pytest.approx((1 + D) * (v + (2 / s) ** u * D),
+                                        rel=1e-12, abs=0.0)
+        assert c.beta == pytest.approx(k * (1 + D) * (2 ** u + 1 / (s * D)),
+                                       rel=1e-12, abs=0.0)
 
-def test_shrink_A_accepts_tripling_immediately(tripling):
-    c = analysis.shrink_A_until_admissible(tripling, p=1.0)
+
+# ------------------------------------------------- ly_constants_best_A
+
+HALF_HOLDER = Path(__file__).resolve().parent / "half_holder.json"
+
+
+def test_best_A_keeps_tripling_at_the_default_cap(tripling):
+    c = analysis.ly_constants_best_A(tripling, p=1.0)
     assert c.A == 0.125
     assert abs(c.alpha - 2 / 3) <= 1e-15
 
 
-def test_shrink_A_halves_until_curvature_is_tamed():
-    # declaring a large Hoelder constant inflates D until A shrinks:
-    # with M = 50, alpha(1/8) ~ 1.91, alpha(1/16) ~ 1.21, alpha(1/32) < 1
-    big = pwexpand.make_map(
-        [{"lo": 0.0, "hi": 1 / 3, "formula": "3*x",
-          "min_slope": 3.0, "holder_constant": 50.0},
-         {"lo": 1 / 3, "hi": 2 / 3, "formula": "3*x - 1",
-          "min_slope": 3.0, "holder_constant": 50.0},
-         {"lo": 2 / 3, "hi": 1.0, "formula": "3*x - 2",
-          "min_slope": 3.0, "holder_constant": 50.0}],
-        epsilon=1.0)
-    c = analysis.shrink_A_until_admissible(big, p=1.0)
-    assert c.A == pytest.approx(1 / 32)
-    assert c.admissible and c.alpha < 1.0
+@pytest.mark.parametrize("name, p", [("half_holder", 2.0),
+                                     ("curvature", 1.0)])
+def test_best_A_is_the_minimum_of_a_log_scan(name, p):
+    # the oracle scans ly_constants itself over A in [2^-30, 1/8]; the
+    # first admissible power of two is far from it on both maps (A = 1/32:
+    # C = 29131 on the half-Hoelder map, 314.6 on the curvature map)
+    if name == "half_holder":
+        pmap = load_map(HALF_HOLDER)
+    else:  # tripling with M_i = 50 declared; tau' is constant, so it holds
+        pmap = pwexpand.make_map(
+            [{"lo": j / 3, "hi": (j + 1) / 3, "formula": f"3*x - {j}",
+              "min_slope": 3.0, "holder_constant": 50.0} for j in range(3)],
+            epsilon=1.0)
+    ratios = []
+    for A in np.geomspace(2.0 ** -30, 0.125, 3001):
+        c = analysis.ly_constants(pmap, p=p, t=1.0, A=A)
+        if c.alpha < 1.0:
+            ratios.append(c.beta / (1.0 - c.alpha))
+    best = analysis.ly_constants_best_A(pmap, p=p)
+    assert best.alpha < 1.0
+    assert best.beta / (1.0 - best.alpha) <= (1.0 + 1e-6) * min(ratios)
+    rep = analysis.ly_verify(pmap, p=p, A=best.A, trials=40, n=4096)
+    assert rep.violations == 0
 
 
-def test_shrink_A_rejects_doubling(doubling):
+def test_best_A_rejects_doubling(doubling):
     with pytest.raises(ToolError, match="^slope condition fails: "):
-        analysis.shrink_A_until_admissible(doubling, p=1.0)
+        analysis.ly_constants_best_A(doubling, p=1.0)
 
 
 # ----------------------------------------------------------------- ly_verify
@@ -322,6 +359,22 @@ def test_invariant_correlation_rate_tracks_second_eigenvalue(markov):
 def test_correlation_rejects_non_ergodic_map(block_map):
     with pytest.raises(ToolError, match="invariant measure is not unique"):
         analysis.correlation_lebesgue(block_map, "x", "x", 5, 64)
+
+
+@pytest.mark.parametrize("kind", ["lebesgue", "invariant"])
+def test_correlation_on_a_period_two_map_names_the_unit_circle(swap_map,
+                                                               kind):
+    # the swap map's ACIM is unique, but P has the eigenvalue -1, so a
+    # random start oscillates with period 2 and never settles
+    correlate = getattr(analysis, f"correlation_{kind}")
+    with pytest.raises(ToolError) as err:
+        correlate(swap_map, "x", "x", 5, 64)
+    message = str(err.value)
+    assert message.startswith("power iteration from a random start stalled "
+                              "at L1 residual ")
+    assert "after 20000 iterations; P may have another eigenvalue on the " \
+           "unit circle" in message
+    assert "not unique" not in message
 
 
 def test_invariant_correlation_rejects_vanishing_density(absorbing):

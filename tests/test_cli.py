@@ -16,6 +16,7 @@ import json
 import os
 import re
 import resource
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -27,7 +28,7 @@ import pytest
 import pwexpand
 from pwexpand import (analysis, kernels, lorenz, maps, plotting, serialize,
                       transfer)
-from pwexpand.cli import main
+from pwexpand.cli import build_parser, main
 from pwexpand.grid import GridFunction, project, variation
 from pwexpand.mapconfig import load_map
 from pwexpand.maps import validate
@@ -44,6 +45,28 @@ def _grid_csv_values(text):
     lines = text.splitlines()
     assert lines[0] == "cell_index,midpoint,value"
     return np.array([float(line.split(",")[2]) for line in lines[1:]])
+
+
+def _readme_cli_lines():
+    """The `pwexpand ...` lines of README's `## CLI` sh block."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines()
+            if line.startswith("pwexpand ")]
+
+
+def test_readme_cli_lines_parse():
+    # a renamed or dropped option fails here instead of leaving the
+    # README stale; nothing is run
+    lines = _readme_cli_lines()
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit as exc:
+            pytest.fail(f"README line does not parse ({exc.code}): {line}")
 
 
 def test_console_script_runs():
@@ -174,10 +197,45 @@ def test_ly_rejects_A_together_with_auto_A(tmp_path):
 
 
 def test_ly_auto_A_picks_the_first_admissible_cap(tmp_path, capsys):
-    out = tmp_path / "ly.csv"
+    # on tripling beta = (1/3)/A falls with A, so the best cap is 1/8, the
+    # CSV is the one written at --A 0.125 and stdout ends with C = 10
+    out, plain = tmp_path / "ly.csv", tmp_path / "plain.csv"
     assert main(["ly", TRIPLING, "--p", "1", "--auto-A",
                  "--out", str(out)]) == 0
-    assert "A = 0.125" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "alpha = 0.66666666666666663 (admissible), beta = 2.6666666666666665,"
+        f" A = 0.125, C = 9.9999999999999982 -> {out}\n")
+    assert main(["ly", TRIPLING, "--p", "1", "--out", str(plain)]) == 0
+    assert out.read_bytes() == plain.read_bytes()
+
+
+def _curved_tripling_config(tmp_path, M):
+    doc = json.loads(Path(TRIPLING).read_text())
+    for branch in doc["branches"]:
+        branch["holder_constant"] = M
+    cfg = tmp_path / f"tripling_M{M:g}.json"
+    cfg.write_text(json.dumps(doc))
+    return str(cfg)
+
+
+def test_ly_auto_A_tames_a_huge_curvature(tmp_path, capsys):
+    out = tmp_path / "ly.csv"
+    cfg = _curved_tripling_config(tmp_path, 1e6)
+    assert main(["ly", cfg, "--p", "1", "--auto-A", "--out", str(out)]) == 0
+    assert "(admissible)" in capsys.readouterr().out
+    assert out.read_text().rstrip().endswith(",true")
+
+
+def test_ly_auto_A_whose_cap_underflows_exits_one(tmp_path, capsys):
+    out = tmp_path / "ly.csv"
+    cfg = _curved_tripling_config(tmp_path, 1e300)
+    assert main(["ly", cfg, "--p", "2", "--auto-A", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: the best radius cap ")
+    assert "underflows to 0" in captured.err
+    assert not out.exists()
 
 
 def test_ly_rejects_L_together_with_auto_L(tmp_path):

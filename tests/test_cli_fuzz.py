@@ -22,12 +22,15 @@ from pwexpand.cli import main
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 MARKOV = str(CONFIGS / "markov.json")
 TRIPLING = str(CONFIGS / "tripling.json")
+# four branches 0.8u + 0.2u^1.5, u = 4x - j: an epsilon = 1/2 map with M > 0
+HALF_HOLDER = str(Path(__file__).resolve().parent / "half_holder.json")
 
 # (base argv, its numeric options with their working values)
 INVOCATIONS = (
     (["check-slope", TRIPLING], {"--p": "1"}),
     (["ly", TRIPLING, "--out", "ly.csv"],
      {"--p": "2", "--t": "1.5", "--A": "0.125", "--L": "2"}),
+    (["ly", HALF_HOLDER, "--auto-A", "--out", "lya.csv"], {"--p": "2"}),
     (["ly-verify", MARKOV, "--out", "lyv.csv"],
      {"--p": "1", "--A": "0.125", "--trials": "2", "--grid": "64",
       "--seed": "0"}),
