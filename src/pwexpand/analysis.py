@@ -6,8 +6,9 @@ All constants are evaluated exactly from (M, s, q, p, t, A); nothing here
 is fitted.  At t = 1 the radius cap A that makes C = 2 + beta/(1 - alpha)
 smallest is found in closed form, from the real roots of a quartic in
 D = M*A^(1/p)/s^(1+1/p).  The inequality var(Pf) <= alpha*var(f) +
-beta*||f||_1 is then checked on random test functions, and correlation
-series are fitted for their exponential rate.
+beta*||f||_1 is then checked on random test functions.  Correlation
+series run on the Ulam operator alone, so C(N) decays to rounding and the
+fitted rate is the mixing rate of that finite Markov chain.
 """
 
 from __future__ import annotations
@@ -21,14 +22,11 @@ from . import expr
 from .errors import ConfigError, ToolError
 from .grid import DEFAULT_A, GridFunction, project, variation
 from .maps import PiecewiseMap, check_slope_condition
-from .transfer import (apply_fp, invariant_density, power_iterate,
-                       ulam_matrix)
+from .transfer import (UlamOperator, apply_fp, invariant_density,
+                       power_iterate, ulam_matrix)
 
 #: correlation values below this are treated as exact zeros
 NOISE_FLOOR = 1e-14
-
-#: invariant densities must stay above this for the normalized operator
-H_FLOOR = 1e-8
 
 #: highest degree of a random trigonometric test function, and most jumps
 #: of a random step function
@@ -152,6 +150,10 @@ def ly_constants(pmap: PiecewiseMap, p: float, t: float = 1.0,
         beta = (2.0 ** (1.0 / p) * q * M * (1.0 + D) / s ** (1.0 + expo)
                 + 2.0 * q * (1.0 + D) / (s * B ** (1.0 / p)))
         K = 1.0 - alpha + beta + L if L is not None else None
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ToolError(
+            f"alpha = {alpha:g}, beta = {beta:g} at A={A:g}, p={p:g}, "
+            f"t={t:g}: the constants overflow a double")
     return LYConstants(p=p, t=t, A=A, D=D, alpha=alpha, beta=beta, K=K,
                        slope_condition_value=slope_value)
 
@@ -254,17 +256,16 @@ def ly_verify(pmap: PiecewiseMap, p: float, A: float, trials: int, n: int,
                           margins=margins, slacks=slacks)
 
 
-def _unique_invariant_density(pmap: PiecewiseMap, n: int) -> GridFunction:
-    """`invariant_density` from the uniform start, with a uniqueness probe:
-    power iteration from two random starts must settle, and at the same
-    fixed point; disagreement means the unit eigenvalue is not simple.  A
-    probe that does not settle shows no second fixed point, only that P
-    may have another eigenvalue on the unit circle."""
-    op = ulam_matrix(pmap, n)
+def _unique_invariant_density(op: UlamOperator) -> GridFunction:
+    """`invariant_density` of `op` from the uniform start, with a
+    uniqueness probe: power iteration from two random starts must settle,
+    and at the same fixed point; disagreement means the unit eigenvalue is
+    not simple.  A probe that does not settle shows no second fixed point,
+    only that P may have another eigenvalue on the unit circle."""
     h = invariant_density(op)
     rng = np.random.default_rng(1234)
     for _ in range(2):
-        start = 0.5 + rng.random(n)
+        start = 0.5 + rng.random(op.n)
         h1, converged, residual, steps = power_iterate(
             op.apply_t, start / np.mean(start))
         if not converged:
@@ -281,25 +282,23 @@ def _unique_invariant_density(pmap: PiecewiseMap, n: int) -> GridFunction:
 
 def _correlation(kind: str, pmap: PiecewiseMap, f, g, N_max: int,
                  n: int) -> CorrelationSeries:
-    """C(N) = |m(P_w^N f · g · w) − m(f·w)·μ(g)| for N = 0..N_max, with
-    P_w u = P(u·w)/w and the weight w = 1 ("lebesgue") or w = h
-    ("invariant").  Multiplying or dividing by 1.0 is exact, so the
-    Lebesgue series is the plain P^N f series bit for bit."""
+    """C(N) = |m(Lᴺ F · (g − μ(g)))| for N = 0..N_max, with L = Pᵀ the
+    Ulam operator on n bins, μ = h·dm its invariant density, and F = f
+    ("lebesgue") or F = f·h ("invariant").  L conserves mass, so this is
+    |m(Lᴺ F · g) − m(F)·μ(g)|.  Centering g first keeps the tail at
+    rounding: two terms of size m(F)·μ(g) that cancel leave ~1e-14 on
+    tripling, above NOISE_FLOOR."""
     f, g = (expr.parse(e) if isinstance(e, str) else e for e in (f, g))
-    h = _unique_invariant_density(pmap, n).values
-    if kind == "invariant" and np.any(h <= H_FLOOR):
-        raise ToolError(
-            f"invariant density is below {H_FLOOR:g} on {np.sum(h <= H_FLOOR)}"
-            f" of {n} cells; the normalized operator is not defined there")
-    w = h if kind == "invariant" else np.ones(n)
+    op = ulam_matrix(pmap, n)
+    h = _unique_invariant_density(op).values
     fv, gv = project(f, n).values, project(g, n).values
-    mu_f, mu_g = float(np.mean(fv * w)), float(np.mean(gv * h))
+    cur = fv * h if kind == "invariant" else fv
+    gv = gv - float(np.mean(gv * h))
     C = np.empty(N_max + 1)
-    cur = fv
     for N in range(N_max + 1):
-        C[N] = abs(float(np.mean(cur * gv * w)) - mu_f * mu_g)
+        C[N] = abs(float(np.mean(cur * gv)))
         if N < N_max:
-            cur = apply_fp(pmap, GridFunction(cur * w)).values / w
+            cur = op.apply_t(cur)
     try:
         rate, quality = fit_decay_rate(C)
     except NoRateError:
@@ -310,18 +309,21 @@ def _correlation(kind: str, pmap: PiecewiseMap, f, g, N_max: int,
 
 def correlation_lebesgue(pmap: PiecewiseMap, f, g, N_max: int,
                          n: int) -> CorrelationSeries:
-    """C_m(N) = |∫ P^N f · g dm − m(f)·μ(g)| for N = 0..N_max.
+    """C_m(N) = |∫ Lᴺ f · g dm − m(f)·μ(g)| for N = 0..N_max.
 
     `f` and `g` are expressions (or strings); the integrals live on an
-    n-cell grid and μ is the unique invariant measure h·dm.
+    n-cell grid, L is the Ulam operator there, and μ = h·dm its unique
+    invariant measure.
     """
     return _correlation("lebesgue", pmap, f, g, N_max, n)
 
 
 def correlation_invariant(pmap: PiecewiseMap, f, g, N_max: int,
                           n: int) -> CorrelationSeries:
-    """C_μ(N) via the normalized operator f ↦ P(f·h)/h, which fixes the
-    constants and represents conditional expectation with respect to μ."""
+    """C_μ(N) = |∫ f · g∘τᴺ dμ − μ(f)·μ(g)| = |∫ Lᴺ(f·h) · g dm − μ(f)·μ(g)|
+    for N = 0..N_max, on the same grid, Ulam operator L and μ = h·dm as
+    `correlation_lebesgue`.  A density that vanishes on part of [0, 1]
+    needs no special case."""
     return _correlation("invariant", pmap, f, g, N_max, n)
 
 

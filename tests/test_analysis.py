@@ -323,7 +323,11 @@ def test_correlation_tripling_rate_one_third(tripling):
     assert 0.28 <= cs.fitted_rate <= 0.38
     assert cs.fit_quality > 0.98
     assert cs.kind == "lebesgue"
-    assert np.all(np.diff(cs.C_values) <= 0.0)
+    # monotone down to the floor; below it is the rounding of L^N on a
+    # constant, which is not monotone
+    above = np.flatnonzero(cs.C_values > analysis.NOISE_FLOOR)
+    assert np.all(np.diff(cs.C_values[:above[-1] + 1]) <= 0.0)
+    assert np.array_equal(above, np.arange(above.size))
 
 
 def test_correlation_against_constant_observable_vanishes(tripling):
@@ -338,15 +342,15 @@ def test_invariant_correlation_of_constant_vanishes(tripling):
 
 
 def test_both_correlation_kinds_agree_for_uniform_measure(tripling):
-    # the tripling map preserves Lebesgue itself (h = 1), so the
-    # normalized operator is plain P and the two series coincide
+    # the tripling map preserves Lebesgue itself (h = 1), so F = f*h is
+    # f and the two series coincide
     a = analysis.correlation_lebesgue(tripling, "x", "x", 12, 729)
     b = analysis.correlation_invariant(tripling, "x", "x", 12, 729)
     assert np.max(np.abs(a.C_values - b.C_values)) <= 1e-10
 
 
 def test_invariant_correlation_rate_tracks_second_eigenvalue(markov):
-    # stop before the O(1/n)-per-step grid error floors the series
+    # a short series: ten steps already fit the rate to 0.1
     from pwexpand import transfer
 
     cs = analysis.correlation_invariant(markov, "x", "x", 10, 1024)
@@ -377,9 +381,34 @@ def test_correlation_on_a_period_two_map_names_the_unit_circle(swap_map,
     assert "not unique" not in message
 
 
-def test_invariant_correlation_rejects_vanishing_density(absorbing):
-    with pytest.raises(ToolError, match="^invariant density is below "):
-        analysis.correlation_invariant(absorbing, "x", "x", 5, 128)
+def test_invariant_correlation_rate_is_the_ulam_second_eigenvalue(markov):
+    # every step runs on the Ulam operator whose density is h, so the
+    # series decays to rounding at that operator's |lambda_2|
+    from pwexpand import transfer
+
+    cs = analysis.correlation_invariant(markov, "x", "x", 60, 1024)
+    rep = transfer.spectrum(transfer.ulam_matrix(markov, 1024), 4)
+    assert abs(cs.fitted_rate - abs(rep.eigenvalues[1])) <= 0.01
+    assert cs.C_values[60] <= 1e-10 * cs.C_values[0]
+
+
+def test_invariant_correlation_on_a_vanishing_density(absorbing):
+    # mu = 2*1_[0,1/2], and tau on [0,1/2] is doubling under x = y/2, so
+    # Cov_mu(x, x o tau^N) = Cov_m(y, y o D^N)/4 = 2^-N/48
+    cs = analysis.correlation_invariant(absorbing, "x", "x", 8, 1000)
+    N = np.arange(9)
+    np.testing.assert_allclose(cs.C_values, 2.0 ** -N / 48, rtol=1e-3)
+
+
+@pytest.mark.parametrize("kind, want", [
+    ("lebesgue", 1 / 3 - 0.5 * 11 / 24),
+    ("invariant", 31 / 108 - (11 / 24) ** 2)])
+def test_correlation_at_zero_is_the_covariance(markov, kind, want):
+    # C(0) reads no operator.  markov's h is 9/8 on [0, 2/3) and 3/4 on
+    # [2/3, 1], so mu(x) = 11/24 and mu(x^2) = 31/108; the grid takes x as
+    # the cell midpoints, whose squares are off by -1/(12 n^2) = -8.8e-9
+    cs = getattr(analysis, f"correlation_{kind}")(markov, "x", "x", 0, 3072)
+    assert cs.C_values[0] == pytest.approx(want, abs=1e-7)
 
 
 # ------------------------------------------------------------ fit_decay_rate

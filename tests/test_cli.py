@@ -69,6 +69,23 @@ def test_readme_cli_lines_parse():
             pytest.fail(f"README line does not parse ({exc.code}): {line}")
 
 
+def _readme_library_blocks():
+    """The `python` code blocks of README's `## Library` section."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return [part.split("```", 1)[0]
+            for part in section.split("```python\n")[1:]]
+
+
+def test_readme_library_blocks_run():
+    # a renamed function or changed signature fails here instead of
+    # leaving the README stale
+    blocks = _readme_library_blocks()
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 def test_console_script_runs():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
@@ -238,6 +255,29 @@ def test_ly_auto_A_whose_cap_underflows_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("M, argv", [
+    (0.0, ["ly", "--p", "1", "--A", "5e-324"]),
+    (1e308, ["ly", "--p", "1", "--auto-A"]),
+    (0.0, ["ly-verify", "--p", "1", "--A", "5e-324", "--trials", "2",
+           "--grid", "64"]),
+    (0.0, ["iterates", "--f", "x", "--p", "1", "--A", "5e-324", "--n", "2",
+           "--grid", "64"]),
+], ids=["ly", "ly-auto-A", "ly-verify", "iterates"])
+def test_constants_that_overflow_exit_one(tmp_path, capsys, M, argv):
+    # beta carries 1/A, so a subnormal cap (given, or picked by --auto-A
+    # for a declared M near the largest double) makes it inf
+    cfg = _curved_tripling_config(tmp_path, M)
+    out = tmp_path / "out.csv"
+    assert main([argv[0], cfg, *argv[1:], "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: alpha = ")
+    assert "beta = inf" in captured.err
+    assert captured.err.endswith("the constants overflow a double\n")
+    assert not out.exists()
+
+
 def test_ly_rejects_L_together_with_auto_L(tmp_path):
     out = tmp_path / "ly.csv"
     with pytest.raises(SystemExit) as exc:
@@ -388,7 +428,8 @@ def test_density_bytes_equal_correlates_density(tmp_path):
     assert main(["density", MARKOV, "--bins", "300", "--no-plot",
                  "--out", str(out)]) == 0
     got = _grid_csv_values(out.read_text())
-    want = analysis._unique_invariant_density(load_map(MARKOV), 300).values
+    want = analysis._unique_invariant_density(
+        transfer.ulam_matrix(load_map(MARKOV), 300)).values
     assert got.tobytes() == want.tobytes()
 
 
@@ -549,7 +590,7 @@ def test_var_accepts_inf_exponent(tmp_path):
 
 
 def test_correlate_rates_agree_across_measures(tmp_path, capsys):
-    # the tripling map preserves Lebesgue, so both normalizations must
+    # the tripling map preserves Lebesgue, so both measures must
     # fit (essentially) the same rate
     rates = {}
     for wrt in ("lebesgue", "invariant"):
