@@ -5,10 +5,11 @@ measurement.
 All constants are evaluated exactly from (M, s, q, p, t, A); nothing here
 is fitted.  At t = 1 the radius cap A that makes C = 2 + beta/(1 - alpha)
 smallest is found in closed form, from the real roots of a quartic in
-D = M*A^(1/p)/s^(1+1/p).  The inequality var(Pf) <= alpha*var(f) +
-beta*||f||_1 is then checked on random test functions.  Correlation
-series run on the Ulam operator alone, so C(N) decays to rounding and the
-fitted rate is the mixing rate of that finite Markov chain.
+D = M*A^(1/p)/s^(1+1/p).  Every step of P here is one step of the Ulam
+operator L = Pᵀ on the grid, built once per call: the inequality
+var(Lf) <= alpha*var(f) + beta*||f||_1 is checked on random test
+functions, and correlation series decay to rounding at the mixing rate
+of that finite Markov chain.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from . import expr
 from .errors import ConfigError, ToolError
 from .grid import DEFAULT_A, GridFunction, project, variation
 from .maps import PiecewiseMap, check_slope_condition
-from .transfer import (UlamOperator, apply_fp, invariant_density,
-                       power_iterate, ulam_matrix)
+from .transfer import (UlamOperator, invariant_density, power_iterate,
+                       ulam_matrix)
 
 #: correlation values below this are treated as exact zeros
 NOISE_FLOOR = 1e-14
@@ -239,16 +240,19 @@ def random_test_functions(n: int, count: int, seed: int):
 
 def ly_verify(pmap: PiecewiseMap, p: float, A: float, trials: int, n: int,
               seed: int = 0) -> LYVerification:
-    """Empirically check var(Pf) <= alpha*var(f) + beta*||f||_1 on random
-    test functions, allowing the grid slack 10/n * (1 + var f)."""
+    """Empirically check var(Lf) <= alpha*var(f) + beta*||f||_1 for the
+    Ulam operator L = Pᵀ on n bins on random test functions, allowing the
+    grid slack 10/n * (1 + var f)."""
     consts = ly_constants(pmap, p=p, t=1.0, A=A)
     alpha, beta = consts.alpha, consts.beta
+    op = ulam_matrix(pmap, n)
     margins = np.empty(trials)
     slacks = np.empty(trials)
     for i, f in enumerate(_test_functions(n, trials, seed)):
         var_f = variation(f, 1.0, p, A).variation
         l1_f = float(np.mean(np.abs(f.values)))
-        lhs = variation(apply_fp(pmap, f), 1.0, p, A).variation
+        lhs = variation(GridFunction(op.apply_t(f.values)),
+                        1.0, p, A).variation
         rhs = alpha * var_f + beta * l1_f
         margins[i] = rhs - lhs
         slacks[i] = 10.0 / n * (1.0 + var_f)
@@ -362,8 +366,10 @@ def estimate_equicontinuity_L(pmap: PiecewiseMap, p: float, t: float,
                               A: float) -> float:
     """Empirical stand-in for the uniform bound sup_n ||P^n f||_t / ||f||_t
     over _L_TRIALS test functions on a _L_GRID-cell grid, each iterated
-    _L_ITERATES times.  NOT rigorous: a sampled maximum, clearly a lower
-    bound of the true constant; use for exploration only."""
+    _L_ITERATES times by the Ulam operator there.  NOT rigorous: a sampled
+    maximum, clearly a lower bound of the true constant; use for
+    exploration only."""
+    op = ulam_matrix(pmap, _L_GRID)
     best = 1.0
     for f in _test_functions(_L_GRID, _L_TRIALS, _L_SEED):
         denom = variation(f, t, p, A).bv_norm
@@ -371,7 +377,7 @@ def estimate_equicontinuity_L(pmap: PiecewiseMap, p: float, t: float,
             continue
         g = f
         for _ in range(_L_ITERATES):
-            g = apply_fp(pmap, g)
+            g = GridFunction(op.apply_t(g.values))
             ratio = variation(g, t, p, A).bv_norm / denom
             if ratio > best:
                 best = ratio

@@ -11,7 +11,7 @@ pass before the map is used elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,8 +72,6 @@ class PiecewiseMap:
     breakpoints: tuple
     branches: tuple
     holder_exponent: float
-    # scratch for transfer-operator stencils, keyed by grid size
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def min_slope_global(self) -> float:

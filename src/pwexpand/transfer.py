@@ -1,17 +1,11 @@
-"""Transfer (Frobenius–Perron) operator: pointwise action on grid
-functions, exact Ulam discretization, invariant densities, and leading
-eigenvalues.
+"""Transfer (Frobenius–Perron) operator: its exact Ulam discretization,
+invariant densities, and leading eigenvalues.
 
-The pointwise action at a cell midpoint x sums f(y)/|τ'(y)| over the
-branch preimages y of x.  Its stencil is three arrays (source cell, target
-cell, weight) concatenated in branch order, and `apply_fp` is one
-``np.bincount`` over them.  The bincount adds each target cell's terms to
-0.0 in array order, which is branch order, and a target cell occurs at
-most once per branch, so the sums are those of a per-branch scatter loop
-bit for bit.  The Ulam matrix is assembled from exact interval
-preimages of the bin edges, so its rows are stochastic to rounding error,
-not to Monte-Carlo error.  `spectrum` returns eigenvalues only; the
-density comes from `invariant_density`.
+Every step of P on a grid function is one ``apply_t`` of the Ulam operator
+L = Pᵀ, assembled from exact interval preimages of the bin edges, so its
+rows are stochastic to rounding error, not to Monte-Carlo error.
+`spectrum` returns eigenvalues only; the density comes from
+`invariant_density`.
 
 Eigensolve policy of `spectrum`.  P is quasi-compact with essential
 spectral radius at most r_ess = 1/s_min (stored on `UlamOperator`), and
@@ -42,7 +36,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import expr
 from .errors import ConfigError, ToolError
 from .grid import GridFunction, variation
 from .maps import PiecewiseMap, invert_branch_array
@@ -124,34 +117,10 @@ class IterateSeries:
         return int(fails[-1]) + 1 if fails.size else 0
 
 
-def _fp_stencil(pmap: PiecewiseMap, n: int):
-    """(source cells, target cells, weights 1/|τ'(y)|) of the pointwise FP
-    action on an n-cell grid, concatenated in branch order; cached on the
-    map.  Not an `UlamOperator`: the pairs are unsorted, and one (source,
-    target) pair can occur in two branches (tent at odd n)."""
-    key = ("fp", n)
-    cached = pmap._cache.get(key)
-    if cached is not None:
-        return cached
-    mids = (np.arange(n) + 0.5) / n
-    src, cells, weights = [], [], []
-    for br in pmap.branches:
-        target = np.nonzero((mids >= br.image.lo) & (mids <= br.image.hi))[0]
-        xs = invert_branch_array(br, mids[target])
-        _, ders = expr.eval_with_derivative(br.expression, xs)
-        src.append(np.clip(np.floor(xs * n).astype(int), 0, n - 1))
-        cells.append(target)
-        weights.append(1.0 / np.abs(ders))
-    stencil = tuple(np.concatenate(a) for a in (src, cells, weights))
-    pmap._cache[key] = stencil
-    return stencil
-
-
 def apply_fp(pmap: PiecewiseMap, f: GridFunction) -> GridFunction:
-    """One application of the transfer operator to a grid function."""
-    src, cells, weights = _fp_stencil(pmap, f.n)
-    return GridFunction(np.bincount(cells, weights=f.values[src] * weights,
-                                    minlength=f.n))
+    """One Ulam step L f = Pᵀ f of a grid function; assembles the operator
+    on every call, so a loop should build `ulam_matrix` once instead."""
+    return GridFunction(ulam_matrix(pmap, f.n).apply_t(f.values))
 
 
 def ulam_matrix(pmap: PiecewiseMap, n: int) -> UlamOperator:
@@ -347,7 +316,10 @@ def spectrum(op: UlamOperator, k: int) -> SpectralReport:
         vals, m = _krylov_top(op, k, op.r_ess, np.random.default_rng(0))
         solver = f"krylov m={m}"
     moduli = np.abs(vals)
-    order = np.argsort(-moduli, kind="stable")
+    # a modulus within _UNIT_TOL of 1 sorts as 1, with λ = 1 first, so a
+    # rounded-up root of unity cannot lead
+    unit = np.where(np.abs(moduli - 1.0) < _UNIT_TOL, 1.0, moduli)
+    order = np.lexsort((np.abs(vals - 1.0) >= _UNIT_TOL, -unit))
     eigvals = vals[order]
     moduli = moduli[order]
     unit_mult = int(np.sum(np.abs(moduli - 1.0) < _UNIT_TOL))
@@ -375,17 +347,19 @@ def spectrum(op: UlamOperator, k: int) -> SpectralReport:
 
 def iterate_norm_series(pmap: PiecewiseMap, f: GridFunction, p: float,
                         A: float, n_max: int) -> IterateSeries:
-    """BV norms of P^n f for n = 0..n_max, compared against the a-priori
-    bound C * ||f||_1 that holds for all large n."""
+    """BV norms of Lⁿ f for n = 0..n_max, L = Pᵀ the Ulam operator on f's
+    grid, compared against the a-priori bound C * ||f||_1 that holds for
+    all large n."""
     from . import analysis  # local import: analysis builds on this module
 
     consts = analysis.ly_constants(pmap, p=p, t=1.0, A=A)
+    op = ulam_matrix(pmap, f.n)
     norms = np.empty(n_max + 1)
     g = f
     for i in range(n_max + 1):
         norms[i] = variation(g, 1.0, p, A).bv_norm
         if i < n_max:
-            g = apply_fp(pmap, g)
+            g = GridFunction(op.apply_t(g.values))
     l1 = float(np.mean(np.abs(f.values)))
     # alpha >= 1 at this A gives C = None: the norms without a bound
     return IterateSeries(norms=norms, l1_initial=l1, C=consts.C)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pwexpand
-from pwexpand import analysis
+from pwexpand import analysis, transfer
 from pwexpand.errors import ConfigError, ToolError
 from pwexpand.grid import project
 from pwexpand.mapconfig import load_map
@@ -186,10 +186,8 @@ def test_verify_is_deterministic(tripling):
 
 def test_verify_memory_does_not_grow_with_trials(markov):
     # one test function and its image are alive at a time, so 64 trials
-    # peak where 8 do; holding all 64 at n = 16384 would add 7 MB.  The
-    # first call caches the map's transfer stencil, so it is not measured
-    analysis.ly_verify(markov, p=1.0, A=0.125, trials=1, n=16384)
-
+    # peak where 8 do; holding all 64 at n = 16384 would add 7 MB.  Each
+    # call assembles one Ulam operator, the same for both
     def peak(trials):
         tracemalloc.start()
         try:
@@ -200,6 +198,29 @@ def test_verify_memory_does_not_grow_with_trials(markov):
             tracemalloc.stop()
 
     assert abs(peak(64) - peak(8)) <= 2 ** 20
+
+
+@pytest.mark.parametrize("run", [
+    lambda pmap: analysis.ly_verify(pmap, p=1.0, A=0.125, trials=8, n=256),
+    lambda pmap: transfer.iterate_norm_series(
+        pmap, project(pwexpand.parse("x"), 256), p=1.0, A=0.125, n_max=10),
+    lambda pmap: analysis.estimate_equicontinuity_L(pmap, p=2.0, t=2.0,
+                                                    A=0.01)],
+    ids=["ly_verify", "iterate_norm_series", "estimate_equicontinuity_L"])
+def test_each_p_loop_assembles_one_ulam_operator(tripling, monkeypatch, run):
+    # every step of P runs on one operator, built once per call, not once
+    # per step through apply_fp
+    built = []
+
+    def counted(pmap, n):
+        built.append(n)
+        return real(pmap, n)
+
+    real = transfer.ulam_matrix
+    for module in (transfer, analysis):
+        monkeypatch.setattr(module, "ulam_matrix", counted)
+    run(tripling)
+    assert len(built) == 1
 
 
 # float.hex of random_test_functions(64, 6, seed=3), with a run of k equal
@@ -351,8 +372,6 @@ def test_both_correlation_kinds_agree_for_uniform_measure(tripling):
 
 def test_invariant_correlation_rate_tracks_second_eigenvalue(markov):
     # a short series: ten steps already fit the rate to 0.1
-    from pwexpand import transfer
-
     cs = analysis.correlation_invariant(markov, "x", "x", 10, 1024)
     rep = transfer.spectrum(transfer.ulam_matrix(markov, 1024), 4)
     lam2 = abs(rep.eigenvalues[1])
@@ -384,11 +403,10 @@ def test_correlation_on_a_period_two_map_names_the_unit_circle(swap_map,
 def test_invariant_correlation_rate_is_the_ulam_second_eigenvalue(markov):
     # every step runs on the Ulam operator whose density is h, so the
     # series decays to rounding at that operator's |lambda_2|
-    from pwexpand import transfer
-
     cs = analysis.correlation_invariant(markov, "x", "x", 60, 1024)
     rep = transfer.spectrum(transfer.ulam_matrix(markov, 1024), 4)
     assert abs(cs.fitted_rate - abs(rep.eigenvalues[1])) <= 0.01
+    assert cs.fit_quality > 0.9
     assert cs.C_values[60] <= 1e-10 * cs.C_values[0]
 
 
