@@ -37,6 +37,10 @@ _MAX_DEGREE = _MAX_JUMPS = 8
 #: grid size and seed
 _L_TRIALS, _L_ITERATES, _L_GRID, _L_SEED = 12, 20, 1024, 7
 
+#: estimate_equicontinuity_L's starting value, which it returns when no
+#: sampled iterate's norm exceeds the norm of its start
+L_FLOOR = 1.0
+
 
 class NoRateError(ToolError):
     """Too few above-floor correlation values to fit a decay rate."""
@@ -366,11 +370,11 @@ def estimate_equicontinuity_L(pmap: PiecewiseMap, p: float, t: float,
                               A: float) -> float:
     """Empirical stand-in for the uniform bound sup_n ||P^n f||_t / ||f||_t
     over _L_TRIALS test functions on a _L_GRID-cell grid, each iterated
-    _L_ITERATES times by the Ulam operator there.  NOT rigorous: a sampled
-    maximum, clearly a lower bound of the true constant; use for
-    exploration only."""
+    _L_ITERATES times by the Ulam operator there, and never below L_FLOOR.
+    NOT rigorous: a sampled maximum, clearly a lower bound of the true
+    constant; use for exploration only."""
     op = ulam_matrix(pmap, _L_GRID)
-    best = 1.0
+    best = L_FLOOR
     for f in _test_functions(_L_GRID, _L_TRIALS, _L_SEED):
         denom = variation(f, t, p, A).bv_norm
         if denom <= 0:

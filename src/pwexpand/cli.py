@@ -84,7 +84,10 @@ def cmd_ly(args) -> int:
     if args.t == 1.0 and (args.auto_L or args.L is not None):
         print("L is not used at t = 1")
     elif args.auto_L:
-        print(f"estimated L = {serialize.fmt(L)} (empirical, non-rigorous)")
+        floor = ("floor: no sampled iterate exceeded its start; "
+                 if L == analysis.L_FLOOR else "")
+        print(f"estimated L = {serialize.fmt(L)} ({floor}empirical, "
+              "non-rigorous)")
     status = "admissible" if consts.admissible else "inadmissible"
     C = "" if consts.C is None else f", C = {serialize.fmt(consts.C)}"
     print(f"alpha = {serialize.fmt(consts.alpha)} ({status}), "

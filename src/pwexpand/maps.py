@@ -25,6 +25,9 @@ INVERSE_TOL = 1e-12
 #: Newton/bisection steps before branch inversion gives up
 _INVERSE_MAX_ITER = 200
 
+#: points branch inversion iterates together; bounds its working memory
+_INVERSE_CHUNK = 4096
+
 #: geometric snap tolerance for breakpoints and images
 _EDGE_TOL = 1e-9
 
@@ -267,25 +270,36 @@ def invert_branch_array(branch: Branch, ys) -> np.ndarray:
     Every y must already lie inside the branch image (clip first); use
     `branch_inverse` for the checked scalar form.  An image end gets its
     domain end exactly, without iterating: Newton overshoots the bracket
-    there and bisection creeps toward it one bit per step.
+    there and bisection creeps toward it one bit per step.  The other
+    points are solved _INVERSE_CHUNK at a time, so the working memory does
+    not grow with len(ys); each point's iterates depend on that point
+    alone, so the chunking changes no bit of the result.
     """
     ys = np.asarray(ys, dtype=float)
     img = branch.image
     # the domain ends mapping to img.lo and img.hi; the branch rises a -> b
     end_a, end_b = (branch.domain.lo, branch.domain.hi)[::branch.monotone_sign]
     out = np.where(ys == img.lo, end_a, end_b)
-    inner = (ys != img.lo) & (ys != img.hi)
-    ys = ys[inner]
+    inner = np.flatnonzero((ys != img.lo) & (ys != img.hi))
+    for start in range(0, inner.size, _INVERSE_CHUNK):
+        idx = inner[start:start + _INVERSE_CHUNK]
+        out[idx] = _newton(branch, ys[idx], end_a, end_b)
+    return out
+
+
+def _newton(branch: Branch, ys: np.ndarray, end_a: float,
+            end_b: float) -> np.ndarray:
+    """x in the bracket [end_a, end_b] with |τ(x) - y| <= INVERSE_TOL for
+    each y strictly inside the image; a converged point stays frozen while
+    the others iterate."""
     a, b = np.full(ys.shape, end_a), np.full(ys.shape, end_b)
     x = 0.5 * (a + b)
-    res = None
     for _ in range(_INVERSE_MAX_ITER):
         val, der = expr.eval_with_derivative(branch.expression, x)
         res = val - ys
         done = np.abs(res) <= INVERSE_TOL
         if bool(np.all(done)):
-            out[inner] = x
-            return out
+            return x
         # the bracket is arranged so tau(a) <= y <= tau(b); a negative
         # residual means x still sits on the a-side whatever the sign
         below = res < 0.0
@@ -298,6 +312,8 @@ def invert_branch_array(branch: Branch, ys) -> np.ndarray:
         bad = ~np.isfinite(xn) | (xn < inner_lo) | (xn > inner_hi)
         xn = np.where(bad, 0.5 * (a + b), xn)
         x = np.where(done, x, xn)
+    # every earlier chunk converged, so this chunk holds the worst residual
+    # of all the points evaluated so far
     worst = float(np.max(np.abs(res)))
     raise ToolError(
         f"branch inversion did not reach tol={INVERSE_TOL} in "

@@ -21,6 +21,10 @@ the Ritz values inside are returned unresolved.  At ``KRYLOV_MAX_DIM``
 vectors, or when k exceeds that cap, `spectrum` raises `ToolError`.
 
 `ulam_matrix` returns the Ulam matrix as numpy (row, col, value) triplets.
+It assembles them branch by branch, in (row, col) order whenever the
+branches increase and are listed in domain order; only a decreasing branch
+or a source bin that two branches share makes it sort, which one pass over
+the entries detects.  Its peak is about twice the triplets' bytes.
 `UlamOperator.apply_t` applies Pᵀ with one ``np.bincount``, and the dense
 eigensolve scatters the triplets into an n × n array, so neither
 `invariant_density` nor `spectrum` loads scipy.  ``scipy.sparse`` is
@@ -123,46 +127,72 @@ def apply_fp(pmap: PiecewiseMap, f: GridFunction) -> GridFunction:
     return GridFunction(ulam_matrix(pmap, f.n).apply_t(f.values))
 
 
+def _branch_entries(br, edges: np.ndarray, n: int):
+    """(rows, cols, vals) of one branch's Ulam entries P[i, j] > 0, in
+    (j, i) order: target bin j ascending, then the source bins i that its
+    preimage meets, ascending."""
+    # clipped edges invert to exact domain ends, so row sums telescope
+    xs = invert_branch_array(br, np.clip(edges, br.image.lo, br.image.hi))
+    # preimage [xa, xb] of target bin j, then the source bins ia..ib it meets
+    xa, xb = (xs[:-1], xs[1:]) if br.monotone_sign > 0 else (xs[1:], xs[:-1])
+    j = np.flatnonzero(xb > xa)
+    xa, xb = xa[j], xb[j]
+    del xs
+    ia = np.clip(np.floor(xa * n), 0, n - 1).astype(np.int64)
+    counts = np.clip(np.floor(xb * n), 0, n - 1).astype(np.int64) - ia + 1
+    # entry k of target bin j has source bin ia[j] + k - (j's first k)
+    i = np.arange(int(counts.sum()))
+    i -= np.repeat(np.cumsum(counts) - counts - ia, counts)
+    del ia
+    # overlap of [xa, xb] with source bin i = [i/n, (i+1)/n], times n;
+    # edges[i] is i/n to the bit, as edges[i + 1] is (i+1)/n
+    w = np.repeat(xb, counts)
+    np.minimum(w, edges[1:][i], out=w)
+    lo = np.repeat(xa, counts)
+    np.maximum(lo, edges[i], out=lo)
+    w -= lo
+    del lo
+    w *= n
+    cols = np.repeat(j, counts)
+    keep = w > 0.0
+    if keep.all():
+        return i, cols, w
+    return i[keep], cols[keep], w[keep]
+
+
 def ulam_matrix(pmap: PiecewiseMap, n: int) -> UlamOperator:
     """Row-stochastic Ulam discretization on n uniform bins, assembled
     from exact branch preimages of the bin edges."""
     if n < 2:
         raise ConfigError(f"need at least 2 bins, got {n}")
     edges = np.arange(n + 1) / n
-    rows, cols, vals = [], [], []
-    for br in pmap.branches:
-        # clipped edges invert to exact domain ends, so row sums telescope
-        ys = np.clip(edges, br.image.lo, br.image.hi)
-        xs = invert_branch_array(br, ys)
-        # preimage [xa, xb] of target bin j, then the source bins ia..ib it
-        # meets, expanded to one (i, j) entry per pair in (j, i) order
-        xa, xb = (xs[:-1], xs[1:]) if br.monotone_sign > 0 else (xs[1:], xs[:-1])
-        j = np.nonzero(xb > xa)[0]
-        xa, xb = xa[j], xb[j]
-        ia = np.clip(np.floor(xa * n), 0, n - 1).astype(np.int64)
-        ib = np.clip(np.floor(xb * n), 0, n - 1).astype(np.int64)
-        counts = ib - ia + 1
-        first = np.repeat(np.cumsum(counts) - counts, counts)
-        i = np.repeat(ia, counts) + (np.arange(first.size) - first)
-        lo = np.maximum(np.repeat(xa, counts), i / n)
-        hi = np.minimum(np.repeat(xb, counts), (i + 1) / n)
-        w = (hi - lo) * n
-        keep = w > 0.0
-        rows.append(i[keep])
-        cols.append(np.repeat(j, counts)[keep])
-        vals.append(w[keep])
-    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-    order = np.lexsort((cols, rows))  # stable: ties stay in branch order
-    rows, cols, vals = rows[order], cols[order], vals[order]
+    rows, cols, vals = zip(*(_branch_entries(br, edges, n)
+                             for br in pmap.branches))
+    # each rebinding frees one array's parts before the next is copied
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
+    # increasing branches in domain order already give (row, col) order; a
+    # decreasing branch, or a source bin two branches share, needs the sort
+    if (np.any(rows[1:] < rows[:-1])
+            or np.any((rows[1:] == rows[:-1]) & (cols[1:] < cols[:-1]))):
+        order = np.lexsort((cols, rows))  # stable: ties stay in branch order
+        rows = rows[order]
+        cols = cols[order]
+        vals = vals[order]
+        del order
     # a source bin that meets two branches can repeat an (i, j) pair; the
     # bincount adds each run from 0.0 in order, as scipy's sum_duplicates
     new = np.ones(rows.size, dtype=bool)
     new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    vals = np.bincount(np.cumsum(new) - 1, weights=vals)
-    rows, cols = rows[new], cols[new]
+    if not new.all():
+        vals = np.bincount(np.cumsum(new) - 1, weights=vals)
+        rows, cols = rows[new], cols[new]
     # row sums by reduceat, as scipy's CSR sum(axis=1) takes them, so the
     # check and its message see the sums the CSR view reports
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    head = np.ones(rows.size, dtype=bool)
+    head[1:] = rows[1:] != rows[:-1]
+    starts = np.flatnonzero(head)
     row_sums = np.zeros(n)
     row_sums[rows[starts]] = np.add.reduceat(vals, starts)
     worst = float(np.max(np.abs(row_sums - 1.0)))

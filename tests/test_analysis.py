@@ -466,3 +466,14 @@ def test_equicontinuity_estimate_is_deterministic(tripling):
     assert a == b
     assert math.isfinite(a)
     assert a >= 1.0
+
+
+def test_equicontinuity_estimate_rises_above_its_floor_only_when_sampled(
+        tripling, absorbing):
+    # no sampled iterate of the tripling map's test functions outgrows its
+    # start, so the estimate stays at its starting value; on the absorbing
+    # map the mass pushed into [0, 1/2] raises the norms
+    assert analysis.estimate_equicontinuity_L(
+        tripling, p=2.0, t=2.0, A=1.0) == analysis.L_FLOOR
+    L = analysis.estimate_equicontinuity_L(absorbing, p=2.0, t=2.0, A=1.0)
+    assert L == pytest.approx(1.809, abs=1e-3)

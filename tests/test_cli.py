@@ -336,6 +336,26 @@ def test_ly_at_t_one_uses_no_L(tmp_path, capsys, monkeypatch):
             "L is not used at t = 1")
 
 
+def test_ly_auto_L_says_when_the_estimate_is_its_floor(tmp_path, capsys,
+                                                      monkeypatch):
+    # the tripling map's sampled iterates never outgrow their start, so
+    # the estimate is its starting value 1 and the CSV is that of --L 1
+    out, given = tmp_path / "ly.csv", tmp_path / "given.csv"
+    argv = ["ly", TRIPLING, "--p", "2", "--t", "1.5"]
+    assert main(argv + ["--auto-L", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "estimated L = 1 (floor: no sampled iterate exceeded its start; "
+        "empirical, non-rigorous)")
+    assert main(argv + ["--L", "1", "--out", str(given)]) == 0
+    assert out.read_bytes() == given.read_bytes()
+    capsys.readouterr()
+    monkeypatch.setattr(analysis, "estimate_equicontinuity_L",
+                        lambda *args, **kwargs: 1.5)
+    assert main(argv + ["--auto-L", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "estimated L = 1.5 (empirical, non-rigorous)")
+
+
 def _quadratic_branches(tmp_path, epsilon):
     """Two branches with tau'' = 0.8; the sampled M_i shrinks with epsilon
     (0.436 at epsilon = 0.25, 0.8 at epsilon = 1)."""

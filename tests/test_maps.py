@@ -364,19 +364,45 @@ def test_image_ends_invert_to_the_exact_domain_ends(tent, markov, nonlinear):
 def test_bin_edge_inversion_iterates_only_the_interior(monkeypatch):
     # Newton overshoots the bracket at an image end and bisection then
     # creeps toward it one bit per step, 28 evaluations on branch 0 if the
-    # ends iterated; the interior points alone need 8
+    # ends iterated; the interior points alone need 8 in each chunk
     pmap = load_map(str(ROOT / "pipebench" / "maps" / "nonlinear.json"))
-    real = expr.eval_with_derivative
-    sizes = []
-    monkeypatch.setattr(expr, "eval_with_derivative",
-                        lambda tree, x: sizes.append(x.size) or real(tree, x))
+    real_eval, real_newton = expr.eval_with_derivative, maps._newton
+    chunks = []  # per chunk, the number of points of each evaluation
+    monkeypatch.setattr(maps, "_newton", lambda br, ys, a, b: (
+        chunks.append([]) or real_newton(br, ys, a, b)))
+    monkeypatch.setattr(expr, "eval_with_derivative", lambda tree, x: (
+        chunks[-1].append(x.size) or real_eval(tree, x)))
     n = 1 << 16
     for br in pmap.branches:
-        sizes.clear()
+        chunks.clear()
         invert_branch_array(br, np.clip(np.arange(n + 1) / n, br.image.lo,
                                         br.image.hi))
-        assert 0 < len(sizes) <= 8
-        assert set(sizes) == {n - 1}
+        assert len(chunks) == -(-(n - 1) // maps._INVERSE_CHUNK)
+        for sizes in chunks:
+            # every evaluation takes the whole chunk and nothing beyond it
+            assert 0 < len(sizes) <= 8
+            assert set(sizes) == {sizes[0]}
+            assert sizes[0] <= maps._INVERSE_CHUNK
+        assert sum(sizes[0] for sizes in chunks) == n - 1
+
+
+def test_chunked_inversion_matches_the_one_point_inverse(monkeypatch):
+    # each point's Newton iterates depend on that point alone, so a chunk
+    # of points gives every point the bits of its own one-point solve;
+    # the points include both image ends, on a rising and a falling branch
+    monkeypatch.setattr(maps, "_INVERSE_CHUNK", 8)
+    rising = load_map(str(ROOT / "pipebench" / "maps" / "nonlinear.json"))
+    falling = make_map(
+        [{"lo": 0.0, "hi": 0.5, "formula": "1 - 2*x - 0.1*sin(2*pi*x)"},
+         {"lo": 0.5, "hi": 1.0, "formula": "2*x - 1 + 0.1*sin(2*pi*x)"}],
+        epsilon=1.0)
+    rng = np.random.default_rng(29)
+    for br in (rising.branches[0], falling.branches[0]):
+        img = br.image
+        ys = img.lo + (img.hi - img.lo) * rng.random(3 * 8 + 5)
+        ys[[3, 17]] = img.lo, img.hi
+        want = np.array([branch_inverse(br, y) for y in ys])
+        assert invert_branch_array(br, ys).tobytes() == want.tobytes()
 
 
 def test_branch_inverse_decreasing_branch(tent):

@@ -6,6 +6,7 @@ so several oracles here hold to rounding error rather than O(1/n).
 """
 
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +103,30 @@ _CLOSED_FORM = {
         ((0.001, 0.5), lambda x: 2 * (x - 0.001)),
         ((0.5, 1.0), lambda x: 2 * x - 1),
     ],
+    "markov": [
+        ((0.0, 2 / 3), lambda x: 3 * x / 2),
+        ((2 / 3, 1.0), lambda x: 2 * x - 4 / 3),
+    ],
+    "half_holder": [
+        ((k / 4, (k + 1) / 4),
+         lambda x, k=k: 0.8 * (4 * x - k) + 0.2 * (4 * x - k) ** 1.5)
+        for k in range(4)
+    ],
+    "absorbing": [
+        ((0.0, 0.25), lambda x: 2 * x),
+        ((0.25, 0.5), lambda x: 2 * x - 0.5),
+        ((0.5, 1.0), lambda x: 2 * x - 1),
+    ],
+    "leaky_swap": [
+        ((0.0, 1 / 20), lambda x: 10 * x),
+        ((1 / 20, 11 / 40), lambda x: 1 / 2 + 20 * (x - 1 / 20) / 9),
+        ((11 / 40, 1 / 2), lambda x: 1 / 2 + 20 * (x - 11 / 40) / 9),
+        ((1 / 2, 29 / 40), lambda x: 20 * (x - 1 / 2) / 9),
+        ((29 / 40, 19 / 20), lambda x: 20 * (x - 29 / 40) / 9),
+        ((19 / 20, 1.0), lambda x: 10 * x - 9),
+    ],
 }
+_CURVED = {"nonlinear", "half_holder"}
 
 
 def _with_a_tiny_branch():
@@ -114,19 +138,36 @@ def _with_a_tiny_branch():
         epsilon=1.0)
 
 
+def _named_map(name, request):
+    if name == "tiny":
+        return _with_a_tiny_branch()
+    if name == "leaky_swap":
+        return _leaky_swap()
+    if name == "absorbing":
+        return request.getfixturevalue("absorbing")
+    return load_map(ROOT / {"nonlinear": "pipebench/maps/nonlinear.json",
+                            "tent": "configs/tent.json",
+                            "markov": "configs/markov.json",
+                            "half_holder": "tests/half_holder.json"}[name])
+
+
 @pytest.mark.parametrize("name, n", [
     ("nonlinear", 1023), ("nonlinear", 1024), ("tent", 1023), ("tent", 1024),
-    ("tiny", 7), ("tiny", 16)])
-def test_apply_fp_matches_an_independent_ulam_operator(name, n):
-    # (Pᵀf)_j = n·Σ_i f_i·|τ⁻¹(B_j) ∩ B_i|, bin by bin, with bisection
-    # preimages of the bin edges under each closed-form branch
+    ("tiny", 7), ("tiny", 16), ("tent", 301), ("markov", 3073),
+    ("half_holder", 997), ("absorbing", 1023), ("leaky_swap", 1001)])
+def test_apply_fp_matches_an_independent_ulam_operator(name, n, request):
+    # tent's falling branch, and a source bin that two branches share
+    # (tent's at 1/2 for odd n, markov's at 2/3, the other maps' inner
+    # breakpoints), make the assembly sort its entries; tent's shared bin
+    # also repeats (i, j) pairs, which must come out summed
+    pmap = _named_map(name, request)
     if name == "tiny":
-        pmap = _with_a_tiny_branch()
         mids = (np.arange(n) + 0.5) / n
         assert not np.any((mids >= 0.3) & (mids <= 0.302))
-    else:
-        pmap = load_map(ROOT / ("pipebench/maps/nonlinear.json"
-                                if name == "nonlinear" else "configs/tent.json"))
+    op = transfer.ulam_matrix(pmap, n)
+    assert np.all(np.diff(op.rows * n + op.cols) > 0)
+    # (Pᵀf)_j = n·Σ_i f_i·|τ⁻¹(B_j) ∩ B_i|, bin by bin, with bisection
+    # preimages of the bin edges under each closed-form branch
     f = np.random.default_rng(11).normal(size=n)
     expect = np.zeros(n)
     for (a, b), tau in _CLOSED_FORM[name]:
@@ -142,9 +183,12 @@ def test_apply_fp_matches_an_independent_ulam_operator(name, n):
     # branch inversion stops at |τ(x) - y| <= INVERSE_TOL, which leaves an
     # edge preimage up to INVERSE_TOL/s off on a curved branch and moves
     # each of a target bin's 2 edges per branch by that much; Newton is
-    # exact to rounding on the linear maps
+    # exact to rounding on the linear maps, whose weights (n times the
+    # preimage overlaps) carry that rounding scaled by n: up to 1e-12 per
+    # 1024 bins
     tol = (2 * len(pmap.branches) * n * np.max(np.abs(f)) * INVERSE_TOL
-           / pmap.min_slope_global if name == "nonlinear" else 1e-12)
+           / pmap.min_slope_global if name in _CURVED
+           else 1e-12 * max(1.0, n / 1024))
     out = transfer.apply_fp(pmap, GridFunction(f))
     assert np.max(np.abs(out.values - expect)) <= tol
 
@@ -195,6 +239,20 @@ def test_ulam_rows_stochastic(tripling, doubling, tent, markov, nonlinear,
             dense = mat.toarray()
             assert dense.min() >= -1e-15
             assert dense.max() <= 1.0 + 1e-15
+
+
+def test_ulam_assembly_holds_about_twice_its_triplets():
+    # per branch only that branch's entries and one chunk of branch
+    # inversion are alive; entries that come out sorted are not copied
+    pmap = load_map(ROOT / "pipebench/maps/nonlinear.json")
+    transfer.ulam_matrix(pmap, 64)
+    tracemalloc.start()
+    try:
+        op = transfer.ulam_matrix(pmap, 1 << 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (op.rows.nbytes + op.cols.nbytes + op.vals.nbytes)
 
 
 @pytest.mark.parametrize("n", [10_000, 100_000])
