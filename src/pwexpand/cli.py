@@ -107,12 +107,19 @@ def cmd_ly_verify(args) -> int:
 
 def cmd_density(args) -> int:
     pmap = _load_validated(args.map)
-    op = transfer.ulam_matrix(pmap, args.bins)
-    h = transfer.invariant_density(op)
+    # the operator dies here, before the CSV text is built
+    h = transfer.invariant_density(transfer.ulam_matrix(pmap, args.bins))
     serialize.write_text_atomic(args.out, serialize.grid_function_csv(h))
     print(f"invariant density on {args.bins} bins -> {args.out}")
     _plot(args, plotting.density_plot, h)
     return 0
+
+
+def _eigenvalue(z) -> str:
+    """z to 6 digits, without an imaginary part below 1e-8."""
+    if abs(z.imag) < 1e-8:
+        return f"{z.real:.6g}"
+    return f"{z.real:.6g}{z.imag:+.6g}i"
 
 
 def cmd_spectrum(args) -> int:
@@ -121,11 +128,22 @@ def cmd_spectrum(args) -> int:
     report = transfer.spectrum(op, args.top)
     serialize.write_text_atomic(args.out, serialize.spectral_csv(report))
     gap = serialize.fmt(report.spectral_gap)
-    if report.gap_is_bound:
-        gap = (f">= {gap} (bound: no eigenvalue inside the unit circle is "
-               "resolved)")
-    print(f"unit multiplicity {report.unit_multiplicity}, spectral gap {gap} "
-          f"-> {args.out}")
+    if len(report.peripheral):
+        # correlations do not decay; the gap is 0
+        gap = (f"not mixing: eigenvalue {_eigenvalue(report.peripheral[0])} "
+               "on the unit circle")
+    elif math.isnan(report.spectral_gap):
+        stuck = int((report.outside & ~report.converged).sum())
+        gap = (f"spectral gap not established: {stuck} "
+               f"value{'s' if stuck != 1 else ''} outside r_ess did not "
+               "converge")
+    elif report.gap_is_bound:
+        gap = (f"spectral gap >= {gap} (bound: no eigenvalue inside the "
+               "unit circle is resolved)")
+    else:
+        gap = f"spectral gap {gap}"
+    print(f"unit multiplicity {report.unit_multiplicity}, "
+          f"{report.unit_circle} on the unit circle, {gap} -> {args.out}")
     # Ulam eigenvalues inside the essential radius bound 1/s_min depend on
     # the discretization and are not resolved eigenvalues of the operator
     resolved = int(report.resolved.sum())

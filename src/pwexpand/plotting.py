@@ -48,8 +48,11 @@ def spectrum_plot(report, path) -> None:
     ax.set_xlabel("Re")
     ax.set_ylabel("Im")
     ax.set_aspect("equal")
-    rel = "≥ " if report.gap_is_bound else ""
-    ax.set_title(f"leading eigenvalues (gap {rel}{report.spectral_gap:.4g})")
+    if np.isnan(report.spectral_gap):
+        gap = "not established"
+    else:
+        gap = f"{'≥ ' if report.gap_is_bound else ''}{report.spectral_gap:.4g}"
+    ax.set_title(f"leading eigenvalues (gap {gap})")
     _save_atomic(fig, path)
 
 

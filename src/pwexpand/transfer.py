@@ -12,13 +12,23 @@ spectral radius at most r_ess = 1/s_min (stored on `UlamOperator`), and
 Ulam eigenvalues inside r_ess move with n (Keller–Liverani), so a value is
 resolved when it has converged and |λ| > r_ess + 1e-8.  Up to
 ``DENSE_EIG_LIMIT`` (4096) bins a dense ``eigvals`` gives the whole Ulam
-spectrum.  Above it, `_krylov_top` builds an unrestarted Arnoldi basis on
-``apply_t`` from a fixed random start vector (a constant start is Pᵀ's
-fixed vector for the doubly stochastic maps and breaks down at once).  It
-grows by max(64, m/4) vectors per step and stops once every top-k Ritz
-value outside r_ess + 1e-8 has residual |h_{m+1,m} y_m| ≤ ``_RITZ_TOL``;
-the Ritz values inside are returned unresolved.  At ``KRYLOV_MAX_DIM``
-vectors, or when k exceeds that cap, `spectrum` raises `ToolError`.
+spectrum, every value converged.  Above it, `_krylov_top` builds an
+unrestarted Arnoldi basis on ``apply_t`` from a fixed random start vector
+(a constant start is Pᵀ's fixed vector for the doubly stochastic maps and
+breaks down at once).  It grows by max(64, m/4) vectors per step.  It
+stops once every top-k Ritz value outside r_ess + 1e-8 has residual
+|h_{m+1,m} y_m| ≤ ``_RITZ_TOL``, or once a step converges no more of them
+and cuts their largest residual by less than ``_STALL_FACTOR``: on tent,
+doubling and tripling the top Ritz values sit in a cluster just outside
+the r_ess circle and converge too slowly to wait for.  Each value carries
+its converged flag; an unconverged value outside r_ess leaves the
+spectral gap not established (nan).  At ``KRYLOV_MAX_DIM`` vectors, or
+when k exceeds that cap, `spectrum` raises `ToolError`.
+
+The gap is 1 minus the largest resolved modulus other than λ = 1, so a
+resolved -1 or root of unity on the unit circle (a cyclic map, which does
+not mix) makes it 0; `SpectralReport` keeps those values as
+``peripheral``, apart from the multiplicity of λ = 1.
 
 `ulam_matrix` returns the Ulam matrix as numpy (row, col, value) triplets.
 It assembles them branch by branch, in (row, col) order whenever the
@@ -83,16 +93,29 @@ class UlamOperator:
 @dataclass(frozen=True, eq=False)
 class SpectralReport:
     eigenvalues: np.ndarray  # complex, sorted by decreasing modulus
-    unit_multiplicity: int
-    spectral_gap: float      # 1 - largest resolved modulus below 1, or a bound
+    converged: np.ndarray    # bool per eigenvalue; all true when dense
+    unit_multiplicity: int   # resolved values within 1e-8 of 1
+    peripheral: np.ndarray   # the other resolved values on the unit circle
+    spectral_gap: float      # 1 - largest resolved modulus but λ = 1, a
+                             # bound, or nan when not established
     gap_is_bound: bool       # no such modulus: spectral_gap is the lower bound
     r_ess: float
-    solver: str              # "dense" or "krylov m=<basis size>"
+    solver: str              # "dense" or "krylov m=<basis size>[; stalled …]"
+
+    @property
+    def outside(self) -> np.ndarray:
+        """Per eigenvalue: |λ| > r_ess + 1e-8."""
+        return np.abs(self.eigenvalues) > self.r_ess + _ESS_MARGIN
 
     @property
     def resolved(self) -> np.ndarray:
         """Per eigenvalue: converged and |λ| > r_ess + 1e-8."""
-        return np.abs(self.eigenvalues) > self.r_ess + _ESS_MARGIN
+        return self.converged & self.outside
+
+    @property
+    def unit_circle(self) -> int:
+        """Resolved values within 1e-8 of the unit circle, λ = 1 included."""
+        return self.unit_multiplicity + len(self.peripheral)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,15 +280,21 @@ _RITZ_TOL = 1e-12
 _UNIT_TOL = 1e-8
 # a modulus within this of r_ess (rounding noise) counts as inside it
 _ESS_MARGIN = 1e-8
+# a growth step that converges no further value outside r_ess and cuts the
+# largest unconverged residual by less than this factor ends the solve
+_STALL_FACTOR = 10.0
 
 
 def _krylov_top(op: UlamOperator, k: int, r_ess: float,
                 rng: np.random.Generator):
     """Top-k eigenvalues of Pᵀ from an unrestarted Arnoldi basis on
-    `op.apply_t` that grows by max(64, m/4) vectors per step until every
-    top-k Ritz value of modulus above r_ess + 1e-8 has residual
-    |h_{m+1,m} y_m| at most _RITZ_TOL; returns (values, basis size m).
-    With r_ess = 0 every top-k value converges.
+    `op.apply_t` that grows by max(64, m/4) vectors per step; returns
+    (values, converged, m, stall).  A value has converged when its Ritz
+    residual |h_{m+1,m} y_m| is at most _RITZ_TOL.  The basis stops
+    growing when every top-k Ritz value of modulus above r_ess + 1e-8 has
+    converged (stall is None), or when a step converged no more of them
+    and cut their largest residual by less than _STALL_FACTOR (stall is
+    that residual).  With r_ess = 0 every top-k value counts.
 
     A breakdown means the basis spans an invariant subspace.  That
     subspace holds one eigenvector per eigenvalue at most, so a repeated
@@ -284,7 +313,7 @@ def _krylov_top(op: UlamOperator, k: int, r_ess: float,
     hess = np.zeros((cap + 1, cap))  # upper Hessenberg, top-left (m+1) x m
     v = rng.random(n)
     basis[0] = v / np.linalg.norm(v)
-    m, worst = 0, np.inf
+    m, done, worst = 0, -1, np.inf
     while True:
         if m >= cap:
             raise ToolError(
@@ -314,16 +343,22 @@ def _krylov_top(op: UlamOperator, k: int, r_ess: float,
             continue
         theta, vecs = np.linalg.eig(hess[:m, :m])
         top = np.argsort(-np.abs(theta), kind="stable")[:k]
-        outside = top[np.abs(theta[top]) > r_ess + _ESS_MARGIN]
-        worst = float(np.max(np.abs(hess[m, m - 1] * vecs[m - 1, outside]),
-                             initial=0.0))
+        residual = np.abs(hess[m, m - 1] * vecs[m - 1, top])
+        converged = residual <= _RITZ_TOL
+        outside = np.abs(theta[top]) > r_ess + _ESS_MARGIN
+        last_done, last_worst = done, worst
+        done = int(np.sum(converged & outside))
+        worst = float(np.max(residual[outside], initial=0.0))
         if worst <= _RITZ_TOL:
-            return theta[top], m
+            return theta[top], converged, m, None
+        if done <= last_done and worst > last_worst / _STALL_FACTOR:
+            return theta[top], converged, m, worst
 
 
 def spectrum(op: UlamOperator, k: int) -> SpectralReport:
-    """Top-k eigenvalues by modulus with their resolved flags, unit-circle
-    multiplicity and spectral gap; the module docstring says which
+    """Top-k eigenvalues by modulus with their converged and resolved
+    flags, the multiplicity of λ = 1, the other resolved values on the
+    unit circle and the spectral gap; the module docstring says which
     eigensolver runs and what counts as resolved.  The invariant density
     comes from `invariant_density`."""
     n = op.n
@@ -335,6 +370,7 @@ def spectrum(op: UlamOperator, k: int) -> SpectralReport:
             vals = np.linalg.eigvals(op.dense_t())
         except np.linalg.LinAlgError as err:
             raise ToolError(f"dense eigensolve failed: {err}") from err
+        converged = np.ones(n, dtype=bool)
         solver = "dense"
     else:
         if k > KRYLOV_MAX_DIM:
@@ -343,32 +379,43 @@ def spectrum(op: UlamOperator, k: int) -> SpectralReport:
                 f"DENSE_EIG_LIMIT = {DENSE_EIG_LIMIT} bins the iterative "
                 f"eigensolve returns at most KRYLOV_MAX_DIM = "
                 f"{KRYLOV_MAX_DIM}")
-        vals, m = _krylov_top(op, k, op.r_ess, np.random.default_rng(0))
+        vals, converged, m, stall = _krylov_top(op, k, op.r_ess,
+                                                np.random.default_rng(0))
         solver = f"krylov m={m}"
-    moduli = np.abs(vals)
+        if stall is not None:
+            solver += f"; stalled (largest residual {stall:.3g})"
     # a modulus within _UNIT_TOL of 1 sorts as 1, with λ = 1 first, so a
     # rounded-up root of unity cannot lead
+    moduli = np.abs(vals)
     unit = np.where(np.abs(moduli - 1.0) < _UNIT_TOL, 1.0, moduli)
-    order = np.lexsort((np.abs(vals - 1.0) >= _UNIT_TOL, -unit))
-    eigvals = vals[order]
-    moduli = moduli[order]
-    unit_mult = int(np.sum(np.abs(moduli - 1.0) < _UNIT_TOL))
-    if abs(moduli[0] - 1.0) > _UNIT_TOL:
+    one = np.abs(vals - 1.0) < _UNIT_TOL
+    order = np.lexsort((~one, -unit))
+    eigvals, unit, one = vals[order], unit[order], one[order]
+    converged = converged[order]
+    if unit[0] != 1.0:
         raise ToolError(
             f"leading eigenvalue {eigvals[0]!r} is not on the unit circle")
-    # every computed value outside r_ess has converged (dense: all of them)
-    resolved = moduli > op.r_ess + _ESS_MARGIN
-    below = moduli[resolved & (moduli < moduli[0] - _UNIT_TOL)]
-    # with none, a lower bound: 1 - r_ess, or 0 when every computed value
-    # is on the unit circle and what lies past the last of them is unknown
-    gap_is_bound = below.size == 0
+    outside = moduli[order] > op.r_ess + _ESS_MARGIN
+    resolved = converged & outside
+    # the gap is over every resolved value but λ = 1, so a resolved -1 or
+    # root of unity makes it 0; with none, a lower bound: 1 - r_ess, or 0
+    # when every computed value is on the unit circle and what lies past
+    # the last of them is unknown
+    others = unit[resolved & ~one]
+    gap_is_bound = others.size == 0
     if not gap_is_bound:
-        gap = float(1.0 - below[0])
+        gap = float(1.0 - others[0])
     else:
         gap = 0.0 if resolved.all() else max(0.0, 1.0 - op.r_ess)
+    # an unconverged value outside r_ess may lie anywhere up to the circle,
+    # and may sort above a resolved one
+    if np.any(outside & ~converged):
+        gap, gap_is_bound = math.nan, False
     return SpectralReport(
         eigenvalues=eigvals[:k],
-        unit_multiplicity=unit_mult,
+        converged=converged[:k],
+        unit_multiplicity=int(np.sum(resolved & one)),
+        peripheral=eigvals[resolved & (unit == 1.0) & ~one],
         spectral_gap=gap,
         gap_is_bound=gap_is_bound,
         r_ess=op.r_ess,

@@ -20,6 +20,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -442,6 +443,33 @@ def test_density_csv_round_trips_byte_identically(tmp_path):
         GridFunction(_grid_csv_values(text))) == text
 
 
+def test_density_frees_the_operator_before_building_the_csv(tmp_path,
+                                                           monkeypatch):
+    # the Ulam triplets are dead by the time the CSV text is built, so the
+    # two never share the peak
+    refs = []
+    build = transfer.ulam_matrix
+
+    def tracked(pmap, n):
+        op = build(pmap, n)
+        refs.append(weakref.ref(op))
+        return op
+
+    seen = []
+    csv = serialize.grid_function_csv
+
+    def check(h):
+        gc.collect()
+        seen.append(refs[0]() is None)
+        return csv(h)
+
+    monkeypatch.setattr(transfer, "ulam_matrix", tracked)
+    monkeypatch.setattr(serialize, "grid_function_csv", check)
+    assert main(["density", MARKOV, "--bins", "300", "--no-plot",
+                 "--out", str(tmp_path / "density.csv")]) == 0
+    assert seen == [True]
+
+
 def test_density_bytes_equal_correlates_density(tmp_path):
     # density and correlate's density share one stopping rule
     out = tmp_path / "density.csv"
@@ -510,13 +538,57 @@ def test_spectrum_counts_eigenvalues_outside_the_essential_radius(
                      "--no-plot", "--out", str(out)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == (
-            f"unit multiplicity 1, spectral gap >= 0.5 (bound: no eigenvalue "
-            f"inside the unit circle is resolved) -> {out}")
+            f"unit multiplicity 1, 1 on the unit circle, spectral gap >= 0.5 "
+            f"(bound: no eigenvalue inside the unit circle is resolved) "
+            f"-> {out}")
         assert lines[1] == (
             "r_ess = 1/s_min = 0.5; 1 of 8 eigenvalues resolved (|lambda| > "
             "r_ess + 1e-8), 7 not separated from the essential spectrum")
         assert out.read_text().splitlines()[0] == (
             "# r_ess=0.5 resolved_rows=1 spectral_gap=0.5 gap=bound")
+
+
+def test_spectrum_on_a_period_two_map_prints_not_mixing(tmp_path, capsys):
+    # the swap map exchanges [0, 1/2] and [1/2, 1]: -1 is an eigenvalue on
+    # the unit circle, so there is no gap to print, not even a bound
+    cfg = tmp_path / "swap.json"
+    cfg.write_text(json.dumps({
+        "v": 1, "epsilon": 1.0,
+        "branches": [{"lo": k / 4, "hi": (k + 1) / 4, "formula": f}
+                     for k, f in enumerate(["2*x + 0.5", "2*x", "2*x - 1",
+                                            "2*x - 1.5"])]}))
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", str(cfg), "--bins", "1024", "--top", "4",
+                 "--no-plot", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "unit multiplicity 1, 2 on the unit circle, not mixing: eigenvalue -1 "
+        f"on the unit circle -> {out}")
+    r_ess = 1.0 / (0.999 * 2.0)
+    assert out.read_text().splitlines()[0] == (
+        f"# r_ess={serialize.fmt(r_ess)} resolved_rows=2 spectral_gap=0 "
+        "gap=measured")
+
+
+def test_spectrum_ends_on_the_tripling_cluster(tmp_path, capsys):
+    # at 8192 bins the tripling Ulam matrix has λ = 1 and n - 1 values on
+    # |λ| = 1/3 = r_ess; the top Ritz values stay just outside that circle,
+    # unconverged, so the solve stops on the stall and says the gap is not
+    # established instead of running into the basis cap
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", TRIPLING, "--bins", "8192", "--top", "8",
+                 "--no-plot", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (
+        "unit multiplicity 1, 1 on the unit circle, spectral gap not "
+        "established: 7 values outside r_ess did not converge -> " + str(out))
+    assert "1 of 8 eigenvalues resolved" in lines[1]
+    assert re.fullmatch(r"eigensolver: krylov m=\d+; stalled \(largest "
+                        r"residual [0-9.e+-]+\)", lines[2])
+    csv = out.read_text().splitlines()
+    assert csv[0] == ("# r_ess=0.33333333333333331 resolved_rows=1 "
+                      "spectral_gap=nan gap=unresolved")
+    assert len(csv) == 10
+    assert complex(*map(float, csv[2].split(",")[:2])) == pytest.approx(1.0)
 
 
 def test_spectrum_prints_its_eigensolver(tmp_path, capsys, monkeypatch):

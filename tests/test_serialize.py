@@ -8,6 +8,7 @@ chunks plus one row.
 """
 
 import functools
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -46,11 +47,17 @@ def oracle_grid_function(f):
         f"{k},{fmt((k + 0.5) / f.n)},{fmt(v)}" for k, v in enumerate(f.values)])
 
 
+def _gap_kind(report):
+    if math.isnan(report.spectral_gap):
+        return "unresolved"
+    return "bound" if report.gap_is_bound else "measured"
+
+
 def oracle_spectral(report):
     lines = [f"# r_ess={fmt(report.r_ess)} "
              f"resolved_rows={sum(map(bool, report.resolved))} "
              f"spectral_gap={fmt(report.spectral_gap)} "
-             f"gap={'bound' if report.gap_is_bound else 'measured'}",
+             f"gap={_gap_kind(report)}",
              "re,im,modulus"]
     for lam in report.eigenvalues:
         lam = complex(lam)
@@ -142,10 +149,10 @@ def _abs_mismatches():
     return bad[:300]
 
 
-def _spectral_report(lam, resolved_rows, gap_is_bound):
+def _spectral_report(lam, resolved_rows, gap_is_bound, gap=0.1):
     return SimpleNamespace(
         eigenvalues=lam, resolved=np.arange(len(lam)) < resolved_rows,
-        r_ess=1.0 / 3.0, spectral_gap=0.1, gap_is_bound=gap_is_bound)
+        r_ess=1.0 / 3.0, spectral_gap=gap, gap_is_bound=gap_is_bound)
 
 
 @pytest.mark.parametrize("n", ROWS)
@@ -163,6 +170,18 @@ def test_spectral_csv_modulus_is_pythons_abs():
     # real eigenvalues (a float array) are written with a zero imaginary part
     real = _spectral_report(np.array([1.0, -1.0 / 3.0]), 1, gap_is_bound=True)
     assert serialize.spectral_csv(real) == oracle_spectral(real)
+
+
+def test_spectral_csv_unresolved_gap():
+    # unconverged values outside r_ess leave the gap unestablished: a nan
+    # gap is written as such, with its own label
+    lam = np.array([1.0, 0.5 + 0.01j, 0.5 - 0.01j, 0.1])
+    report = _spectral_report(lam, 1, gap_is_bound=False, gap=math.nan)
+    text = serialize.spectral_csv(report)
+    assert text == oracle_spectral(report)
+    assert text.splitlines()[0] == (
+        "# r_ess=0.33333333333333331 resolved_rows=1 spectral_gap=nan "
+        "gap=unresolved")
 
 
 @pytest.mark.parametrize("K, C", [(3.0, 10.0), (None, None), (1e308, -0.0)])

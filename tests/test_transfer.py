@@ -608,8 +608,10 @@ def test_krylov_basis_matches_the_dense_spectrum(markov):
     op = transfer.ulam_matrix(markov, 900)
     dense = np.linalg.eigvals(op.matrix.toarray())
     dense = dense[np.argsort(-np.abs(dense), kind="stable")]
-    vals, m = transfer._krylov_top(op, 5, 0.0, np.random.default_rng(0))
+    vals, converged, m, stall = transfer._krylov_top(
+        op, 5, 0.0, np.random.default_rng(0))
     assert len(vals) == 5 and m < transfer.KRYLOV_MAX_DIM
+    assert converged.tolist() == [True] * 5 and stall is None
     moduli = np.sort(np.abs(vals))[::-1]
     assert np.max(np.abs(moduli - np.abs(dense[:5]))) <= 1e-10
     assert max(np.min(np.abs(dense - lam)) for lam in vals) <= 1e-10
@@ -619,8 +621,10 @@ def test_krylov_basis_finds_a_repeated_unit_eigenvalue(block_map):
     # two ergodic components: the Krylov space of one start vector holds
     # one unit eigenvector, so the basis must go on past its breakdowns
     op = transfer.ulam_matrix(block_map, 64)
-    vals, _ = transfer._krylov_top(op, 6, 0.0, np.random.default_rng(0))
+    vals, converged, _, stall = transfer._krylov_top(
+        op, 6, 0.0, np.random.default_rng(0))
     assert np.sum(np.abs(np.abs(vals) - 1.0) <= 1e-8) == 2
+    assert converged.all() and stall is None
 
 
 def test_krylov_basis_without_memory_is_a_spectral_error(markov, monkeypatch):
@@ -649,8 +653,58 @@ def test_spectrum_puts_one_first_among_the_cube_roots_of_unity():
     assert abs(rep.eigenvalues[0] - 1.0) <= 1e-12
     pair = sorted(rep.eigenvalues[1:3], key=lambda z: -z.imag)
     assert np.max(np.abs(np.array(pair) - roots)) <= 1e-12
-    assert rep.unit_multiplicity == 3
+    # only λ = 1 counts towards the multiplicity; the pair is on the circle,
+    # so the map does not mix and the gap is 0
+    assert rep.unit_multiplicity == 1 and rep.unit_circle == 3
+    assert np.array_equal(rep.peripheral, rep.eigenvalues[1:3])
+    assert not rep.gap_is_bound and rep.spectral_gap == 0.0
     assert abs(rep.eigenvalues[3]) < 1.0 - 1e-8
+
+
+def _swap_map():
+    """2x + 1/2, 2x, 2x - 1, 2x - 3/2 on the quarters: [0, 1/2] and
+    [1/2, 1] swap.  Lebesgue measure is the unique ACIM, and P maps
+    1_L - 1_R to its negative, so -1 is an eigenvalue."""
+    return pwexpand.make_map(
+        [{"lo": k / 4, "hi": (k + 1) / 4, "formula": f}
+         for k, f in enumerate(["2*x + 1/2", "2*x", "2*x - 1",
+                                "2*x - 3/2"])], epsilon=1.0)
+
+
+def test_spectrum_swap_map_has_minus_one_and_no_gap():
+    op = transfer.ulam_matrix(_swap_map(), 1024)
+    ind = np.where(np.arange(1024) < 512, 1.0, -1.0)
+    assert np.max(np.abs(op.apply_t(ind) + ind)) <= 1e-12
+    rep = transfer.spectrum(op, 4)
+    assert rep.solver == "dense"
+    assert np.max(np.abs(rep.eigenvalues[:2] - [1.0, -1.0])) <= 1e-12
+    # one ergodic component with period 2: -1 is resolved, is not λ = 1,
+    # and takes the gap to 0 instead of the bound 1 - r_ess
+    assert rep.resolved.tolist() == [True, True, False, False]
+    assert rep.unit_multiplicity == 1 and rep.unit_circle == 2
+    assert len(rep.peripheral) == 1 and abs(rep.peripheral[0] + 1.0) <= 1e-12
+    assert not rep.gap_is_bound and rep.spectral_gap == 0.0
+
+
+def test_spectrum_stops_on_the_tent_cluster_at_the_essential_radius(tent):
+    # at 4500 bins about n/8 Ulam eigenvalues lie on |λ| = 1/2 = r_ess; the
+    # top Ritz values sit just outside it and converge slowly, so the solve
+    # ends on the stall and flags them instead of growing the basis
+    op = transfer.ulam_matrix(tent, 4500)
+    first = transfer.spectrum(op, 8)
+    m = int(re.match(r"krylov m=(\d+); stalled \(largest residual ",
+                     first.solver).group(1))
+    assert m <= 128
+    assert abs(first.eigenvalues[0] - 1.0) <= 1e-8
+    assert first.converged.tolist() == [True] + [False] * 7
+    assert first.resolved.tolist() == [True] + [False] * 7
+    assert np.all(first.outside[1:])
+    # seven values outside r_ess did not converge: no gap, not even a bound
+    assert np.isnan(first.spectral_gap) and not first.gap_is_bound
+    second = transfer.spectrum(op, 8)
+    assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+    assert first.converged.tobytes() == second.converged.tobytes()
+    assert first.solver == second.solver
 
 
 def test_spectrum_rejects_k_below_two(tripling):
