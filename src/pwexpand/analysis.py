@@ -266,21 +266,23 @@ def ly_verify(pmap: PiecewiseMap, p: float, A: float, trials: int, n: int,
 
 def _unique_invariant_density(op: UlamOperator) -> GridFunction:
     """`invariant_density` of `op` from the uniform start, with a
-    uniqueness probe: power iteration from two random starts must settle,
-    and at the same fixed point; disagreement means the unit eigenvalue is
-    not simple.  A probe that does not settle shows no second fixed point,
-    only that P may have another eigenvalue on the unit circle."""
+    uniqueness probe: power iteration from the cell averages of the
+    densities 2x and 3x² must settle, and at the same fixed point;
+    disagreement means the unit eigenvalue is not simple.  A smooth,
+    non-uniform start puts an O(1) share of its mass on each part of a
+    reducible or cyclic map, where a random start would put ~n^(-1/2).
+    A probe that does not settle shows no second fixed point, only that P
+    may have another eigenvalue on the unit circle."""
     h = invariant_density(op)
-    rng = np.random.default_rng(1234)
-    for _ in range(2):
-        start = 0.5 + rng.random(op.n)
+    edges = np.linspace(0.0, 1.0, op.n + 1)
+    for name, start in (("2x", edges ** 2), ("3x^2", edges ** 3)):
         h1, converged, residual, steps = power_iterate(
-            op.apply_t, start / np.mean(start))
+            op.apply_t, op.n * np.diff(start))
         if not converged:
             raise ToolError(
-                f"power iteration from a random start stalled at L1 residual "
-                f"{residual:g} after {steps} iterations; P may have another "
-                "eigenvalue on the unit circle — inspect spectrum()")
+                f"power iteration from the start density {name} stalled at L1 "
+                f"residual {residual:g} after {steps} iterations; P may have "
+                "another eigenvalue on the unit circle — inspect spectrum()")
         if float(np.mean(np.abs(h1 - h.values))) > 1e-6:
             raise ToolError(
                 "different starting densities reach different fixed points; "

@@ -128,12 +128,12 @@ def cmd_spectrum(args) -> int:
     report = transfer.spectrum(op, args.top)
     serialize.write_text_atomic(args.out, serialize.spectral_csv(report))
     gap = serialize.fmt(report.spectral_gap)
+    stuck = int((report.outside & ~report.converged).sum())
     if len(report.peripheral):
         # correlations do not decay; the gap is 0
         gap = (f"not mixing: eigenvalue {_eigenvalue(report.peripheral[0])} "
                "on the unit circle")
     elif math.isnan(report.spectral_gap):
-        stuck = int((report.outside & ~report.converged).sum())
         gap = (f"spectral gap not established: {stuck} "
                f"value{'s' if stuck != 1 else ''} outside r_ess did not "
                "converge")
@@ -147,10 +147,13 @@ def cmd_spectrum(args) -> int:
     # Ulam eigenvalues inside the essential radius bound 1/s_min depend on
     # the discretization and are not resolved eigenvalues of the operator
     resolved = int(report.resolved.sum())
-    rest = len(report.eigenvalues) - resolved
+    inside = len(report.eigenvalues) - resolved - stuck
+    counts = [f"{stuck} outside r_ess did not converge"] if stuck else []
+    if inside or not stuck:
+        counts.append(f"{inside} not separated from the essential spectrum")
     print(f"r_ess = 1/s_min = {serialize.fmt(report.r_ess)}; {resolved} of "
           f"{len(report.eigenvalues)} eigenvalues resolved (|lambda| > "
-          f"r_ess + 1e-8), {rest} not separated from the essential spectrum")
+          f"r_ess + 1e-8), {', '.join(counts)}")
     print(f"eigensolver: {report.solver}")
     _plot(args, plotting.spectrum_plot, report)
     return 0

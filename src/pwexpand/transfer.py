@@ -234,14 +234,20 @@ def ulam_matrix(pmap: PiecewiseMap, n: int) -> UlamOperator:
 # the one stopping rule of every density solve, applied by power_iterate
 DENSITY_TOL = 1e-13
 DENSITY_MAX_ITERS = 20000
+# a residual that has not halved over this many steps has stalled: at that
+# rate DENSITY_MAX_ITERS steps cut it by at most 2^-40, about what taking
+# 0.1 below DENSITY_TOL needs
+DENSITY_STALL_WINDOW = 500
 
 
 def power_iterate(apply_t, h0: np.ndarray):
     """Iterate h -> apply_t(h) = P^T h, renormalized to mean 1, from h0
-    until one step moves h by less than DENSITY_TOL in L¹, at most
-    DENSITY_MAX_ITERS times; returns (h, converged, residual, iterations)
-    with residual that last step."""
+    until one step moves h by less than DENSITY_TOL in L¹; stop unconverged
+    after DENSITY_MAX_ITERS steps, or once the residual is more than half
+    what it was DENSITY_STALL_WINDOW steps before.  Returns (h, converged,
+    residual, iterations) with residual that last step."""
     h, residual = h0, np.inf
+    residuals = []
     for steps in range(DENSITY_MAX_ITERS):
         h2 = apply_t(h)
         mean = float(np.mean(h2))
@@ -251,6 +257,10 @@ def power_iterate(apply_t, h0: np.ndarray):
         residual = float(np.mean(np.abs(h2 - h)))
         if residual < DENSITY_TOL:
             return h2, True, residual, steps + 1
+        residuals.append(residual)
+        if (steps >= DENSITY_STALL_WINDOW
+                and residual > 0.5 * residuals[steps - DENSITY_STALL_WINDOW]):
+            return h2, False, residual, steps + 1
         h = h2
     return h, False, residual, DENSITY_MAX_ITERS
 

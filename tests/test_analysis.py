@@ -370,15 +370,6 @@ def test_both_correlation_kinds_agree_for_uniform_measure(tripling):
     assert np.max(np.abs(a.C_values - b.C_values)) <= 1e-10
 
 
-def test_invariant_correlation_rate_tracks_second_eigenvalue(markov):
-    # a short series: ten steps already fit the rate to 0.1
-    cs = analysis.correlation_invariant(markov, "x", "x", 10, 1024)
-    rep = transfer.spectrum(transfer.ulam_matrix(markov, 1024), 4)
-    lam2 = abs(rep.eigenvalues[1])
-    assert abs(cs.fitted_rate - lam2) <= 0.1
-    assert cs.fit_quality > 0.9
-
-
 def test_correlation_rejects_non_ergodic_map(block_map):
     with pytest.raises(ToolError, match="invariant measure is not unique"):
         analysis.correlation_lebesgue(block_map, "x", "x", 5, 64)
@@ -387,16 +378,17 @@ def test_correlation_rejects_non_ergodic_map(block_map):
 @pytest.mark.parametrize("kind", ["lebesgue", "invariant"])
 def test_correlation_on_a_period_two_map_names_the_unit_circle(swap_map,
                                                                kind):
-    # the swap map's ACIM is unique, but P has the eigenvalue -1, so a
-    # random start oscillates with period 2 and never settles
+    # the swap map's ACIM is unique, but P has the eigenvalue -1, so the
+    # start 2x, which puts 1/4 of its mass on [0, 1/2], oscillates with
+    # period 2; its residual never falls, and the stall rule ends it
     correlate = getattr(analysis, f"correlation_{kind}")
     with pytest.raises(ToolError) as err:
         correlate(swap_map, "x", "x", 5, 64)
     message = str(err.value)
-    assert message.startswith("power iteration from a random start stalled "
-                              "at L1 residual ")
-    assert "after 20000 iterations; P may have another eigenvalue on the " \
-           "unit circle" in message
+    assert message.startswith("power iteration from the start density 2x "
+                              "stalled at L1 residual ")
+    assert (f"after {transfer.DENSITY_STALL_WINDOW + 1} iterations; P may "
+            "have another eigenvalue on the unit circle") in message
     assert "not unique" not in message
 
 
@@ -405,9 +397,14 @@ def test_invariant_correlation_rate_is_the_ulam_second_eigenvalue(markov):
     # series decays to rounding at that operator's |lambda_2|
     cs = analysis.correlation_invariant(markov, "x", "x", 60, 1024)
     rep = transfer.spectrum(transfer.ulam_matrix(markov, 1024), 4)
-    assert abs(cs.fitted_rate - abs(rep.eigenvalues[1])) <= 0.01
+    lam2 = abs(rep.eigenvalues[1])
+    assert abs(cs.fitted_rate - lam2) <= 0.01
     assert cs.fit_quality > 0.9
     assert cs.C_values[60] <= 1e-10 * cs.C_values[0]
+    # a short series: its first ten steps already fit the rate to 0.1
+    rate, quality = analysis.fit_decay_rate(cs.C_values[:11])
+    assert abs(rate - lam2) <= 0.1
+    assert quality > 0.9
 
 
 def test_invariant_correlation_on_a_vanishing_density(absorbing):

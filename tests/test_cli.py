@@ -4,8 +4,8 @@ CSV files each subcommand leaves behind.
 Everything runs in-process through main(argv) except the tests that need
 a fresh interpreter: the console-script entry point declared in
 pyproject.toml, run the way the wrapper that pip generates for it does,
-the scipy import checks, and a formula whose numpy warnings would reach a
-user's stderr.
+the import checks (scipy, numpy.random and what it pulls in), and a
+formula whose numpy warnings would reach a user's stderr.
 """
 
 import contextlib
@@ -39,6 +39,7 @@ CONFIGS = ROOT / "configs"
 TRIPLING = str(CONFIGS / "tripling.json")
 DOUBLING = str(CONFIGS / "doubling.json")
 MARKOV = str(CONFIGS / "markov.json")
+NONLINEAR = str(ROOT / "pipebench" / "maps" / "nonlinear.json")
 
 
 def _grid_csv_values(text):
@@ -87,6 +88,17 @@ def test_readme_library_blocks_run():
         exec(compile(block, "README.md", "exec"), {})
 
 
+def _fresh_python(script, *argv, cwd=None):
+    """stdout of `script` run with `argv` in a fresh interpreter on this
+    pwexpand, so no module an earlier test imported counts as loaded."""
+    src = Path(pwexpand.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd,
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
 def test_console_script_runs():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:
@@ -95,14 +107,20 @@ def test_console_script_runs():
     # the body of the generated console-script wrapper
     wrapper = (f"import sys; from {module} import {func}; "
                f"sys.exit({func}())")
-    # the child imports the same pwexpand as this process
-    src = Path(pwexpand.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run(
-        [sys.executable, "-c", wrapper, "check-slope", TRIPLING, "--p", "1"],
-        capture_output=True, text=True, env=env)
-    assert out.returncode == 0
-    assert out.stdout == "0.66666666666666663 < 1: admissible\n"
+    assert (_fresh_python(wrapper, "check-slope", TRIPLING, "--p", "1")
+            == "0.66666666666666663 < 1: admissible\n")
+
+
+# runs main(sys.argv[2:]), then prints its exit code and every loaded
+# module that, or whose top-level package, is named in sys.argv[1] (a
+# comma-separated list)
+_MAIN_SCRIPT = (
+    "import sys\n"
+    "from pwexpand.cli import main\n"
+    "code = main(sys.argv[2:])\n"
+    "names = sys.argv[1].split(',')\n"
+    "print(code, sorted(m for m in sys.modules if m in names\n"
+    "                   or m.split('.')[0] in names))\n")
 
 
 def test_scipy_is_imported_only_where_it_is_called():
@@ -130,13 +148,8 @@ def test_scipy_is_imported_only_where_it_is_called():
         "print(loaded())\n"
         "op.matrix\n"
         "print(loaded())\n")
-    src = Path(pwexpand.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", script],
-                         capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == ("[False, False, False]\n" * 5
-                          + "[False, True, False]\n")
+    assert _fresh_python(script) == ("[False, False, False]\n" * 5
+                                     + "[False, True, False]\n")
 
 
 def test_cli_import_loads_no_secrets_hashlib_or_multiprocessing():
@@ -146,12 +159,28 @@ def test_cli_import_loads_no_secrets_hashlib_or_multiprocessing():
               "import pwexpand.cli\n"
               "print([m for m in ('secrets', 'hashlib', 'multiprocessing')\n"
               "       if m in sys.modules])\n")
-    src = Path(pwexpand.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", script],
-                         capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "[]\n"
+    assert _fresh_python(script) == "[]\n"
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["check-slope", NONLINEAR, "--p", "1"], []),
+    (["density", NONLINEAR, "--bins", "1024", "--no-plot",
+      "--out", "density.csv"], []),
+    (["correlate", NONLINEAR, "--f", "x", "--g", "x", "--N", "4", "--grid",
+      "1024", "--wrt", "invariant", "--no-plot", "--out", "correlation.csv"],
+     []),
+    # --seed is a contract, so ly-verify keeps its generator
+    (["ly-verify", NONLINEAR, "--p", "2", "--A", "0.125", "--trials", "2",
+      "--grid", "256", "--out", "ly_verify.csv"],
+     ["hashlib", "numpy.random", "secrets"]),
+], ids=["check-slope", "density", "correlate-invariant", "ly-verify"])
+def test_only_ly_verify_loads_a_random_generator(argv, loaded, tmp_path):
+    # numpy.random brings secrets, hashlib and libcrypto with it; a map
+    # load samples its Hölder constants on a grid and correlate's
+    # uniqueness probes start from fixed densities, so neither needs it
+    out = _fresh_python(_MAIN_SCRIPT, "numpy.random,secrets,hashlib", *argv,
+                        cwd=tmp_path)
+    assert out.splitlines()[-1] == f"0 {loaded}"
 
 
 @pytest.mark.parametrize("argv", [
@@ -173,18 +202,8 @@ def test_cli_import_loads_no_secrets_hashlib_or_multiprocessing():
 ], ids=["var", "ly-verify", "iterates", "ly-auto-L", "density",
         "correlate-invariant", "spectrum-dense"])
 def test_variation_subcommands_load_no_scipy(argv, tmp_path):
-    # a fresh interpreter, so no earlier test has loaded scipy already
-    script = (
-        "import sys\n"
-        "from pwexpand.cli import main\n"
-        "code = main(sys.argv[1:])\n"
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    src = Path(pwexpand.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path,
-                         capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "0 []"
+    out = _fresh_python(_MAIN_SCRIPT, "scipy", *argv, cwd=tmp_path)
+    assert out.splitlines()[-1] == "0 []"
     assert (tmp_path / argv[-1]).exists()
 
 
@@ -581,7 +600,9 @@ def test_spectrum_ends_on_the_tripling_cluster(tmp_path, capsys):
     assert lines[0] == (
         "unit multiplicity 1, 1 on the unit circle, spectral gap not "
         "established: 7 values outside r_ess did not converge -> " + str(out))
-    assert "1 of 8 eigenvalues resolved" in lines[1]
+    assert lines[1] == (
+        "r_ess = 1/s_min = 0.33333333333333331; 1 of 8 eigenvalues resolved "
+        "(|lambda| > r_ess + 1e-8), 7 outside r_ess did not converge")
     assert re.fullmatch(r"eigensolver: krylov m=\d+; stalled \(largest "
                         r"residual [0-9.e+-]+\)", lines[2])
     csv = out.read_text().splitlines()

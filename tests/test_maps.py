@@ -1,6 +1,7 @@
 """Map construction, validation, Hölder estimation, branch inversion."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -269,6 +270,35 @@ def test_holder_sqrt_derivative_half_exponent():
     est = m.branches[0].holder_constant
     assert est == pytest.approx(1.0, abs=1e-9)
     assert est <= 1.0 + 1e-12
+
+
+
+def _sine_branch_holder(epsilon):
+    return make_map([{"lo": 0.0, "hi": 0.5, "formula": "2*x + 0.1*sin(2*pi*x)"},
+                     {"lo": 0.5, "hi": 1.0,
+                      "formula": "2*x - 1 + 0.1*sin(2*pi*x)"}],
+                    epsilon=epsilon).branches[0].holder_constant
+
+
+def test_holder_of_a_sine_branch_is_its_lipschitz_constant():
+    # tau' = 2 + 0.2*pi*cos(2*pi*x) on [0, 1/2]: |tau''| peaks at 0.4*pi^2
+    # at x = 1/4, a grid point
+    est = _sine_branch_holder(1.0)
+    sup = 0.4 * math.pi ** 2
+    assert sup - 1e-3 <= est <= sup
+
+
+def test_holder_of_a_sine_branch_at_half_exponent():
+    # |tau'(y) - tau'(x)| = 0.2*pi * 2|sin(pi(x + y)) sin(pi d)| with
+    # d = y - x, and x + y = 1/2 is reachable for every d <= 1/2, so the
+    # sup is 0.2*pi * max_d 2 sin(pi d)/d^(1/2).  The flat maximum sits near
+    # d = 0.371, where a 1e-6 grid is exact to ~1e-12; the sampled M sits
+    # ~3e-8 below it
+    d = np.linspace(1e-6, 0.5, 500_000)
+    sup = 0.2 * math.pi * float(np.max(2.0 * np.sin(math.pi * d) / np.sqrt(d)))
+    est = _sine_branch_holder(0.5)
+    assert est <= sup * (1.0 + 1e-10)
+    assert est >= sup * (1.0 - 5e-3)
 
 
 # ------------------------------------------------------- slope condition

@@ -408,7 +408,9 @@ def test_invariant_density_absorbing_support(absorbing):
 def test_invariant_density_convergence_error_carries_residual():
     # [0, 1/3] and [1/3, 1] swap blocks, so the Ulam matrix has the
     # eigenvalue -1 and power iteration from the uniform start never
-    # converges (the map of test_correlate_on_a_stalled_density_exits_one)
+    # converges (the map of test_correlate_on_a_stalled_density_exits_one):
+    # its residual does not fall at all, so the stall rule ends it after
+    # one window
     swap = pwexpand.make_map([
         {"lo": 0.0, "hi": 1 / 3, "formula": "2*x + 1/3"},
         {"lo": 1 / 3, "hi": 5 / 9, "formula": "1.5*x - 0.5"},
@@ -418,7 +420,25 @@ def test_invariant_density_convergence_error_carries_residual():
         transfer.invariant_density(transfer.ulam_matrix(swap, 63))
     residual = re.search(r"at L1 residual (\S+) after", str(exc.value))[1]
     assert float(residual) > transfer.DENSITY_TOL
-    assert f"after {transfer.DENSITY_MAX_ITERS} iterations" in str(exc.value)
+    assert (f"after {transfer.DENSITY_STALL_WINDOW + 1} iterations"
+            in str(exc.value))
+
+
+@pytest.mark.parametrize("lam2, converged", [(0.99, True), (0.999, False)])
+def test_power_iteration_stops_when_the_residual_stops_halving(lam2, converged):
+    # a two-state chain whose second eigenvalue is lam2: the residual falls
+    # by lam2 per step, 0.0066 per window at 0.99 and 0.61 at 0.999
+    a = (1.0 - lam2) / 2.0
+    m = np.array([[1.0 - a, a], [a, 1.0 - a]])
+    h, ok, residual, steps = transfer.power_iterate(
+        lambda v: m @ v, np.array([1.5, 0.5]))
+    assert ok is converged
+    if converged:
+        np.testing.assert_allclose(h, 1.0, atol=1e-10)
+        assert transfer.DENSITY_STALL_WINDOW < steps < transfer.DENSITY_MAX_ITERS
+    else:
+        assert steps == transfer.DENSITY_STALL_WINDOW + 1
+        assert residual > transfer.DENSITY_TOL
 
 
 # ---------------------------------------------------------------- spectrum
