@@ -42,10 +42,6 @@ _L_TRIALS, _L_ITERATES, _L_GRID, _L_SEED = 12, 20, 1024, 7
 L_FLOOR = 1.0
 
 
-class NoRateError(ToolError):
-    """Too few above-floor correlation values to fit a decay rate."""
-
-
 @dataclass(frozen=True)
 class LYConstants:
     p: float
@@ -96,6 +92,7 @@ class CorrelationSeries:
     C_values: np.ndarray  # C(N) for N = 0, 1, ...
     fitted_rate: object   # float, or None when the series sits at the floor
     fit_quality: object   # R^2 of the log-linear fit, or None
+    r_ess: float          # the essential spectral radius bound of P
 
     @property
     def N_values(self) -> np.ndarray:
@@ -309,12 +306,9 @@ def _correlation(kind: str, pmap: PiecewiseMap, f, g, N_max: int,
         C[N] = abs(float(np.mean(cur * gv)))
         if N < N_max:
             cur = op.apply_t(cur)
-    try:
-        rate, quality = fit_decay_rate(C)
-    except NoRateError:
-        rate = quality = None
+    rate, quality = fit_decay_rate(C)
     return CorrelationSeries(kind=kind, C_values=C, fitted_rate=rate,
-                             fit_quality=quality)
+                             fit_quality=quality, r_ess=op.r_ess)
 
 
 def correlation_lebesgue(pmap: PiecewiseMap, f, g, N_max: int,
@@ -340,7 +334,9 @@ def correlation_invariant(pmap: PiecewiseMap, f, g, N_max: int,
 def fit_decay_rate(C_values):
     """Exponential rate of the series C(N), N = 0, 1, ..., from the longest
     contiguous run of above-floor values: least-squares slope of log C(N)
-    against N, rate = exp(slope).  Returns (rate, R^2)."""
+    against N, rate = exp(slope).  Returns (rate, R^2), or (None, None)
+    when fewer than 4 contiguous values lie above NOISE_FLOOR (an exactly
+    zero series is a legitimate outcome)."""
     C = np.asarray(C_values, dtype=float)
     above = C > NOISE_FLOOR
     best_start, best_len = 0, 0
@@ -354,10 +350,7 @@ def fit_decay_rate(C_values):
                 best_start, best_len = start, length
             start = None
     if best_len < 4:
-        raise NoRateError(
-            f"only {best_len} contiguous values above the {NOISE_FLOOR:g} "
-            "floor; no decay rate can be fitted (the series may be exactly "
-            "zero, which is a legitimate outcome)")
+        return None, None
     N = np.arange(best_start, best_start + best_len, dtype=float)
     y = np.log(C[best_start:best_start + best_len])
     slope, intercept = np.polyfit(N, y, 1)
@@ -370,11 +363,12 @@ def fit_decay_rate(C_values):
 
 def estimate_equicontinuity_L(pmap: PiecewiseMap, p: float, t: float,
                               A: float) -> float:
-    """Empirical stand-in for the uniform bound sup_n ||P^n f||_t / ||f||_t
-    over _L_TRIALS test functions on a _L_GRID-cell grid, each iterated
-    _L_ITERATES times by the Ulam operator there, and never below L_FLOOR.
-    NOT rigorous: a sampled maximum, clearly a lower bound of the true
-    constant; use for exploration only."""
+    """Empirical stand-in for the uniform bound sup_n ||L^n f|| / ||f|| in
+    the t-BV norm ||g|| = V_{t,p}(g) + ||g||_{L^t} (`variation(g, t, p,
+    A).bv_norm`), over _L_TRIALS test functions on a _L_GRID-cell grid,
+    each iterated _L_ITERATES times by the Ulam operator L there, and
+    never below L_FLOOR.  NOT rigorous: a sampled maximum, clearly a lower
+    bound of the true constant; use for exploration only."""
     op = ulam_matrix(pmap, _L_GRID)
     best = L_FLOOR
     for f in _test_functions(_L_GRID, _L_TRIALS, _L_SEED):

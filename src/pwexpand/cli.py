@@ -9,7 +9,7 @@ convention).
 from __future__ import annotations
 
 import argparse
-import math
+import dataclasses
 import sys
 
 from . import analysis, lorenz, plotting, serialize, transfer
@@ -34,12 +34,6 @@ def _positive_int(text: str) -> int:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
-
-
-def _lq(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
 
 
 def _plot(args, draw, data) -> None:
@@ -131,13 +125,14 @@ def cmd_spectrum(args) -> int:
     stuck = int((report.outside & ~report.converged).sum())
     if len(report.peripheral):
         # correlations do not decay; the gap is 0
+        period = "" if report.period is None else f", period {report.period}"
         gap = (f"not mixing: eigenvalue {_eigenvalue(report.peripheral[0])} "
-               "on the unit circle")
-    elif math.isnan(report.spectral_gap):
+               f"on the unit circle{period}")
+    elif report.gap_kind == "unresolved":
         gap = (f"spectral gap not established: {stuck} "
                f"value{'s' if stuck != 1 else ''} outside r_ess did not "
                "converge")
-    elif report.gap_is_bound:
+    elif report.gap_kind == "bound":
         gap = (f"spectral gap >= {gap} (bound: no eigenvalue inside the "
                "unit circle is resolved)")
     else:
@@ -182,6 +177,11 @@ def cmd_correlate(args) -> int:
     else:
         print(f"fitted rate {serialize.fmt(series.fitted_rate)} "
               f"(R^2 = {serialize.fmt(series.fit_quality)}) -> {args.out}")
+        # Ulam eigenvalues inside r_ess move with the grid (Keller–Liverani)
+        if series.fitted_rate <= series.r_ess + 1e-8:
+            print(f"the rate lies inside the essential spectrum (r_ess = "
+                  f"{serialize.fmt(series.r_ess)}): it belongs to the "
+                  f"{args.grid}-bin Ulam chain and moves with --grid")
     _plot(args, plotting.correlation_plot, series)
     return 0
 
@@ -202,10 +202,9 @@ def cmd_iterates(args) -> int:
 
 
 def cmd_lorenz(args) -> int:
-    config = lorenz.LorenzConfig(
-        sigma=args.sigma, rho=args.rho, beta_param=args.beta,
-        x0=args.x0, y0=args.y0, z0=args.z0,
-        dt=args.dt, t_max=args.t_max, transient=args.transient)
+    config = lorenz.LorenzConfig(**{
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(lorenz.LorenzConfig)})
     lorenz.check_fit_degree(args.fit_degree)
     maxima = lorenz.ZMaxima()
     serialize.write_trajectory_csv(args.out_trajectory,
@@ -285,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("var", help="generalized variation of an expression")
     q.add_argument("--f", required=True)
-    q.add_argument("--q", type=_lq, required=True,
+    q.add_argument("--q", type=float, required=True,
                    help="oscillation-norm exponent (>= 1 or 'inf')")
     q.add_argument("--p", type=float, required=True)
     q.add_argument("--A", type=float, required=True)
@@ -316,15 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_iterates)
 
     q = sub.add_parser("lorenz", help="next-maximum-of-z return map pipeline")
-    q.add_argument("--sigma", type=float, default=10.0)
-    q.add_argument("--rho", type=float, default=28.0)
-    q.add_argument("--beta", type=float, default=8.0 / 3.0)
-    q.add_argument("--x0", type=float, default=1.0)
-    q.add_argument("--y0", type=float, default=1.0)
-    q.add_argument("--z0", type=float, default=1.0)
-    q.add_argument("--dt", type=float, default=0.001)
-    q.add_argument("--t-max", type=float, default=2000.0, dest="t_max")
-    q.add_argument("--transient", type=float, default=50.0)
+    for field in dataclasses.fields(lorenz.LorenzConfig):
+        # the option keeps the short name --beta for the field beta_param
+        name = "beta" if field.name == "beta_param" else field.name
+        q.add_argument(f"--{name.replace('_', '-')}", type=float,
+                       default=field.default, dest=field.name,
+                       metavar=name.upper())
     q.add_argument("--fit-degree", type=int, default=3, dest="fit_degree")
     q.add_argument("--out-trajectory", default="lorenz_trajectory.csv",
                    dest="out_trajectory")

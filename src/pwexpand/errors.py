@@ -12,8 +12,6 @@ errors are 2).  A subclass exists only where a caller catches it by type:
   catches it to name the branch.
 - `expr.EvalError`: a domain violation while evaluating; `maps.make_map`
   catches it to name the branch formula.
-- `analysis.NoRateError`: too few correlation values to fit a rate;
-  `analysis._correlation` catches it and reports the rate as None.
 """
 
 

@@ -48,11 +48,9 @@ def spectrum_plot(report, path) -> None:
     ax.set_xlabel("Re")
     ax.set_ylabel("Im")
     ax.set_aspect("equal")
-    if np.isnan(report.spectral_gap):
-        gap = "not established"
-    else:
-        gap = f"{'≥ ' if report.gap_is_bound else ''}{report.spectral_gap:.4g}"
-    ax.set_title(f"leading eigenvalues (gap {gap})")
+    gap = {"measured": "{:.4g}", "bound": "≥ {:.4g}",
+           "unresolved": "not established"}[report.gap_kind]
+    ax.set_title(f"leading eigenvalues (gap {gap.format(report.spectral_gap)})")
     _save_atomic(fig, path)
 
 

@@ -112,14 +112,10 @@ def grid_function_csv(f: GridFunction) -> str:
 def spectral_csv(report) -> str:
     lam = np.asarray(report.eigenvalues, dtype=complex)
     # the resolved values (converged, |λ| > r_ess + 1e-8) are the first
-    # rows unless unconverged values outside r_ess leave the gap nan
-    if np.isnan(report.spectral_gap):
-        kind = "unresolved"
-    else:
-        kind = "bound" if report.gap_is_bound else "measured"
+    # rows unless unconverged values outside r_ess leave the gap unresolved
     head = (f"r_ess={fmt(report.r_ess)}"
             f" resolved_rows={int(np.sum(report.resolved))}"
-            f" spectral_gap={fmt(report.spectral_gap)} gap={kind}")
+            f" spectral_gap={fmt(report.spectral_gap)} gap={report.gap_kind}")
     # np.hypot rounds as Python's abs(complex) does; np.abs does not
     return _table("re,im,modulus", lam.real, lam.imag,
                   np.hypot(lam.real, lam.imag), comments=(head,))

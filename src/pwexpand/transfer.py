@@ -28,7 +28,9 @@ when k exceeds that cap, `spectrum` raises `ToolError`.
 The gap is 1 minus the largest resolved modulus other than λ = 1, so a
 resolved -1 or root of unity on the unit circle (a cyclic map, which does
 not mix) makes it 0; `SpectralReport` keeps those values as
-``peripheral``, apart from the multiplicity of λ = 1.
+``peripheral``, apart from the multiplicity of λ = 1, and reads the
+map's period from them.  Its ``gap_kind`` says whether the gap is
+measured, the bound, or unresolved (nan).
 
 `ulam_matrix` returns the Ulam matrix as numpy (row, col, value) triplets.
 It assembles them branch by branch, in (row, col) order whenever the
@@ -97,8 +99,8 @@ class SpectralReport:
     unit_multiplicity: int   # resolved values within 1e-8 of 1
     peripheral: np.ndarray   # the other resolved values on the unit circle
     spectral_gap: float      # 1 - largest resolved modulus but λ = 1, a
-                             # bound, or nan when not established
-    gap_is_bound: bool       # no such modulus: spectral_gap is the lower bound
+                             # bound, or nan when unresolved
+    gap_kind: str            # "measured", "bound" or "unresolved"
     r_ess: float
     solver: str              # "dense" or "krylov m=<basis size>[; stalled …]"
 
@@ -116,6 +118,17 @@ class SpectralReport:
     def unit_circle(self) -> int:
         """Resolved values within 1e-8 of the unit circle, λ = 1 included."""
         return self.unit_multiplicity + len(self.peripheral)
+
+    @property
+    def period(self):
+        """Least k <= unit_circle with |λᵏ - 1| <= k·1e-8 for every resolved
+        value on the unit circle, or None.  The peripheral values of an
+        ergodic component are the k-th roots of unity for its period k
+        (Hofbauer–Keller); a value within 1e-8 of 1 passes at every k."""
+        for k in range(1, self.unit_circle + 1):
+            if np.all(np.abs(self.peripheral ** k - 1.0) <= k * _UNIT_TOL):
+                return k
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,13 +326,8 @@ def _krylov_top(op: UlamOperator, k: int, r_ess: float,
     spans all of R^n."""
     n = op.n
     cap = min(KRYLOV_MAX_DIM, n)
-    try:
-        # basis vectors as rows; a page is used only once its row is written
-        basis = np.empty((cap + 1, n))
-    except MemoryError as err:
-        raise ToolError(
-            f"iterative eigensolve failed: no memory for a Krylov basis of "
-            f"{cap + 1} vectors of length {n}") from err
+    # basis vectors as rows; a page is used only once its row is written
+    basis = np.empty((cap + 1, n))
     hess = np.zeros((cap + 1, cap))  # upper Hessenberg, top-left (m+1) x m
     v = rng.random(n)
     basis[0] = v / np.linalg.norm(v)
@@ -412,22 +420,22 @@ def spectrum(op: UlamOperator, k: int) -> SpectralReport:
     # when every computed value is on the unit circle and what lies past
     # the last of them is unknown
     others = unit[resolved & ~one]
-    gap_is_bound = others.size == 0
-    if not gap_is_bound:
-        gap = float(1.0 - others[0])
-    else:
-        gap = 0.0 if resolved.all() else max(0.0, 1.0 - op.r_ess)
-    # an unconverged value outside r_ess may lie anywhere up to the circle,
-    # and may sort above a resolved one
     if np.any(outside & ~converged):
-        gap, gap_is_bound = math.nan, False
+        # an unconverged value outside r_ess may lie anywhere up to the
+        # circle, and may sort above a resolved one
+        gap_kind, gap = "unresolved", math.nan
+    elif others.size:
+        gap_kind, gap = "measured", float(1.0 - others[0])
+    else:
+        gap_kind = "bound"
+        gap = 0.0 if resolved.all() else max(0.0, 1.0 - op.r_ess)
     return SpectralReport(
         eigenvalues=eigvals[:k],
         converged=converged[:k],
         unit_multiplicity=int(np.sum(resolved & one)),
         peripheral=eigvals[resolved & (unit == 1.0) & ~one],
         spectral_gap=gap,
-        gap_is_bound=gap_is_bound,
+        gap_kind=gap_kind,
         r_ess=op.r_ess,
         solver=solver)
 

@@ -13,6 +13,7 @@ import errno
 import gc
 import io
 import json
+import math
 import os
 import re
 import resource
@@ -22,6 +23,7 @@ import sys
 import tracemalloc
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -581,11 +583,29 @@ def test_spectrum_on_a_period_two_map_prints_not_mixing(tmp_path, capsys):
                  "--no-plot", "--out", str(out)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == (
         "unit multiplicity 1, 2 on the unit circle, not mixing: eigenvalue -1 "
-        f"on the unit circle -> {out}")
+        f"on the unit circle, period 2 -> {out}")
     r_ess = 1.0 / (0.999 * 2.0)
     assert out.read_text().splitlines()[0] == (
         f"# r_ess={serialize.fmt(r_ess)} resolved_rows=2 spectral_gap=0 "
         "gap=measured")
+
+
+def test_spectrum_prints_the_period_of_a_three_cycle(tmp_path, capsys):
+    # each half of a third maps onto the next third: P permutes the thirds
+    # cyclically, so the cube roots of unity are on the unit circle
+    cfg = tmp_path / "three.json"
+    cfg.write_text(json.dumps({
+        "v": 1, "epsilon": 1.0,
+        "branches": [{"lo": k / 6, "hi": (k + 1) / 6, "formula": f}
+                     for k, f in enumerate(["2*x + 1/3", "2*x", "2*x",
+                                            "2*x - 1/3", "2*x - 4/3",
+                                            "2*x - 5/3"])]}))
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", str(cfg), "--bins", "300", "--top", "4",
+                 "--no-plot", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "unit multiplicity 1, 3 on the unit circle, not mixing: eigenvalue "
+        f"-0.5+0.866025i on the unit circle, period 3 -> {out}")
 
 
 def test_spectrum_ends_on_the_tripling_cluster(tmp_path, capsys):
@@ -717,6 +737,57 @@ def test_correlate_rates_agree_across_measures(tmp_path, capsys):
         rates[wrt] = float(head.split("=")[1].split()[0])
     assert 0.28 <= rates["lebesgue"] <= 0.38
     assert rates["lebesgue"] == pytest.approx(rates["invariant"], abs=1e-6)
+
+
+@pytest.mark.parametrize("cfg, bins, wrt, r_ess", [
+    (TRIPLING, 2187, "invariant", "0.33333333333333331"),
+    (MARKOV, 1024, "lebesgue", "0.66666666666666663"),
+    (DOUBLING, 1024, "lebesgue", "0.5")], ids=["tripling", "markov",
+                                               "doubling"])
+def test_correlate_labels_a_rate_inside_the_essential_spectrum(
+        tmp_path, capsys, cfg, bins, wrt, r_ess):
+    # each fitted rate is an eigenvalue of the n-bin Ulam chain inside
+    # r_ess = 1/s_min; on tripling it sits just below 1/3 (the exact decay
+    # of x against x is 3^-N), the case on the boundary
+    out = tmp_path / "corr.csv"
+    assert main(["correlate", cfg, "--f", "x", "--g", "x", "--N", "20",
+                 "--grid", str(bins), "--wrt", wrt, "--no-plot",
+                 "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("fitted rate ")
+    assert lines[1] == (
+        f"the rate lies inside the essential spectrum (r_ess = {r_ess}): it "
+        f"belongs to the {bins}-bin Ulam chain and moves with --grid")
+    rate = float(out.read_text().splitlines()[1].split()[1].split("=")[1])
+    assert rate <= float(r_ess) + 1e-8
+
+
+def test_correlate_does_not_label_a_rate_outside_the_essential_spectrum(
+        tmp_path, capsys):
+    # the leaky swap: on span{1_L, 1_R} P acts by [[1/10, 9/10],
+    # [9/10, 1/10]], so x decays at |-4/5|, outside r_ess = 9/20
+    cfg = tmp_path / "leaky.json"
+    branches = [(0.0, 1 / 20, "10*x", 10.0),
+                (1 / 20, 11 / 40, "1/2 + 20*(x - 1/20)/9", 20 / 9),
+                (11 / 40, 1 / 2, "1/2 + 20*(x - 11/40)/9", 20 / 9),
+                (1 / 2, 29 / 40, "20*(x - 1/2)/9", 20 / 9),
+                (29 / 40, 19 / 20, "20*(x - 29/40)/9", 20 / 9),
+                (19 / 20, 1.0, "10*x - 9", 10.0)]
+    cfg.write_text(json.dumps({"v": 1, "epsilon": 1.0, "branches": [
+        {"lo": lo, "hi": hi, "formula": f, "min_slope": slope,
+         "holder_constant": 0.0} for lo, hi, f, slope in branches]}))
+    out = tmp_path / "corr.csv"
+    assert main(["correlate", str(cfg), "--f", "x", "--g", "x", "--N", "20",
+                 "--grid", "2000", "--no-plot", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert re.fullmatch(r"fitted rate 0\.79\d* \(R\^2 = [0-9.]+\) -> .*",
+                        lines[0])
+    # a series at the noise floor has no rate to label
+    assert main(["correlate", TRIPLING, "--f", "1", "--g", "x", "--N", "20",
+                 "--grid", "243", "--no-plot", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        f"series at the noise floor (no rate) -> {out}\n")
 
 
 def test_correlate_on_a_stalled_density_exits_one(tmp_path, capsys):
@@ -1120,9 +1191,9 @@ def test_overflowing_formula_prints_one_error_line(tmp_path):
     assert out.stderr == "error: grid values must be finite\n"
 
 
-def test_out_of_memory_prints_one_error_line(tmp_path):
-    # the child's address space is capped at 2 GiB, far below the 7.45 GiB
-    # that the bin edges of 10^9 bins take
+def _run_with_2_gib(tmp_path, *argv):
+    """`pwexpand argv` in a child whose address space is capped at 2 GiB;
+    returns the CompletedProcess."""
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
@@ -1131,16 +1202,70 @@ def test_out_of_memory_prints_one_error_line(tmp_path):
     src = Path(pwexpand.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    out = subprocess.run(
-        [sys.executable, "-m", "pwexpand.cli", "density",
-         str(CONFIGS / "tent.json"), "--bins", "1000000000", "--no-plot"],
+    return subprocess.run(
+        [sys.executable, "-m", "pwexpand.cli", *argv],
         cwd=tmp_path, capture_output=True, text=True, env=env,
         preexec_fn=cap_memory)
+
+
+def test_out_of_memory_prints_one_error_line(tmp_path):
+    # the cap is far below the 7.45 GiB that the bin edges of 10^9 bins take
+    out = _run_with_2_gib(tmp_path, "density", str(CONFIGS / "tent.json"),
+                          "--bins", "1000000000", "--no-plot")
     assert out.returncode == 1
     assert out.stderr.count("\n") == 1
     assert out.stderr.startswith("error: out of memory")
     assert "Traceback" not in out.stderr
     assert not (tmp_path / "density.csv").exists()
+
+
+def test_out_of_memory_in_the_eigensolve_prints_one_error_line(tmp_path):
+    # the Ulam operator on 3·10^5 bins takes tens of MB; the Krylov basis
+    # of 1025 vectors of that length takes 2.29 GiB, above the cap
+    out = _run_with_2_gib(tmp_path, "spectrum", str(CONFIGS / "tent.json"),
+                          "--bins", "300000", "--no-plot")
+    assert out.returncode == 1
+    assert out.stderr.count("\n") == 1
+    assert out.stderr.startswith("error: out of memory: ")
+    assert "(1025, 300000)" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
+def _spectrum_csv_at_blas_threads(tmp_path, threads, cfg, bins):
+    """The `spectrum --top 8` CSV of a child run at OPENBLAS_NUM_THREADS =
+    threads: the comment's fields, and the rows as floats."""
+    out = tmp_path / f"spec_{threads}.csv"
+    src = Path(pwexpand.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src),
+               OPENBLAS_NUM_THREADS=str(threads))
+    subprocess.run([sys.executable, "-m", "pwexpand.cli", "spectrum", cfg,
+                    "--bins", str(bins), "--top", "8", "--no-plot",
+                    "--out", str(out)], check=True, capture_output=True,
+                   env=env)
+    head, header, *rows = out.read_text().splitlines()
+    assert header == "re,im,modulus"
+    fields = dict(f.split("=") for f in head.removeprefix("# ").split())
+    return fields, np.array([[float(x) for x in r.split(",")] for r in rows])
+
+
+@pytest.mark.parametrize("cfg, bins", [(MARKOV, 1200),
+                                       (str(CONFIGS / "tent.json"), 4500)],
+                         ids=["dense", "krylov"])
+def test_spectrum_agrees_across_blas_thread_counts(tmp_path, cfg, bins):
+    # README's contract: at a fixed OPENBLAS_NUM_THREADS the bytes repeat;
+    # across thread counts the BLAS sums reassociate, and every value
+    # agrees to 1e-13 (9.3e-15 on markov 1200, 2.7e-15 on tent 4500)
+    one, rows_one = _spectrum_csv_at_blas_threads(tmp_path, 1, cfg, bins)
+    two, rows_two = _spectrum_csv_at_blas_threads(tmp_path, 2, cfg, bins)
+    assert rows_one.shape == rows_two.shape == (8, 3)
+    for key in ("resolved_rows", "gap"):
+        assert one[key] == two[key]
+    for key in ("r_ess", "spectral_gap"):
+        assert float(one[key]) == pytest.approx(float(two[key]), abs=1e-13,
+                                                nan_ok=True)
+    assert np.max(np.abs(rows_one - rows_two)) <= 1e-13
 
 
 def test_unknown_subcommand_exits_two():
@@ -1244,6 +1369,33 @@ def test_save_atomic_writes_through_write_text_atomic(tmp_path, monkeypatch):
     assert out.stat().st_mode & 0o777 == 0o644
     assert stub.closed == [fig]
     assert list(tmp_path.iterdir()) == [out]
+
+
+class _StubAxes:
+    def __init__(self):
+        self.titles = []
+
+    def set_title(self, title):
+        self.titles.append(title)
+
+    def __getattr__(self, name):  # plot, scatter and the other setters
+        return lambda *args, **kwargs: None
+
+
+@pytest.mark.parametrize("kind, gap, title", [
+    ("measured", 0.2, "leading eigenvalues (gap 0.2)"),
+    ("bound", 0.5, "leading eigenvalues (gap ≥ 0.5)"),
+    ("unresolved", math.nan, "leading eigenvalues (gap not established)")])
+def test_spectrum_plot_titles_the_gap_by_its_kind(monkeypatch, kind, gap,
+                                                  title):
+    ax = _StubAxes()
+    stub = SimpleNamespace(subplots=lambda **kwargs: (None, ax))
+    monkeypatch.setattr(plotting, "plt", stub, raising=False)
+    monkeypatch.setattr(plotting, "_save_atomic", lambda fig, path: None)
+    report = SimpleNamespace(eigenvalues=np.array([1.0, 0.8]),
+                             spectral_gap=gap, gap_kind=kind)
+    plotting.spectrum_plot(report, "unused.svg")
+    assert ax.titles == [title]
 
 
 _BAD_VALUES = ["abc", "", [1], {"a": 1}]

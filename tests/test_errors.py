@@ -18,8 +18,7 @@ def test_every_tool_error_subclass_has_a_catching_caller():
         importlib.import_module(f"pwexpand.{info.name}")
     found = {cls.__name__ for cls in _subclasses(ToolError)
              if cls.__module__.startswith("pwexpand.")}
-    assert found == {"ConfigError", "ParseError", "EvalError",
-                     "NoRateError"}, (
+    assert found == {"ConfigError", "ParseError", "EvalError"}, (
         "a new ToolError subclass needs a caller that catches it by type; "
         "otherwise raise ToolError (or ConfigError for bad input) with a "
         "message that tells the failures apart")

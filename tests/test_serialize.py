@@ -47,17 +47,11 @@ def oracle_grid_function(f):
         f"{k},{fmt((k + 0.5) / f.n)},{fmt(v)}" for k, v in enumerate(f.values)])
 
 
-def _gap_kind(report):
-    if math.isnan(report.spectral_gap):
-        return "unresolved"
-    return "bound" if report.gap_is_bound else "measured"
-
-
 def oracle_spectral(report):
     lines = [f"# r_ess={fmt(report.r_ess)} "
              f"resolved_rows={sum(map(bool, report.resolved))} "
              f"spectral_gap={fmt(report.spectral_gap)} "
-             f"gap={_gap_kind(report)}",
+             f"gap={report.gap_kind}",
              "re,im,modulus"]
     for lam in report.eigenvalues:
         lam = complex(lam)
@@ -149,10 +143,10 @@ def _abs_mismatches():
     return bad[:300]
 
 
-def _spectral_report(lam, resolved_rows, gap_is_bound, gap=0.1):
+def _spectral_report(lam, resolved_rows, gap_kind, gap=0.1):
     return SimpleNamespace(
         eigenvalues=lam, resolved=np.arange(len(lam)) < resolved_rows,
-        r_ess=1.0 / 3.0, spectral_gap=gap, gap_is_bound=gap_is_bound)
+        r_ess=1.0 / 3.0, spectral_gap=gap, gap_kind=gap_kind)
 
 
 @pytest.mark.parametrize("n", ROWS)
@@ -160,15 +154,16 @@ def test_spectral_csv(n):
     lam = _values(n, 3) + 1j * _values(n, 4)[::-1]
     k = min(64, n // 2)
     lam[n - k:] = _abs_mismatches()[:k]
-    report = _spectral_report(lam, n // 3, gap_is_bound=n == 0)
+    report = _spectral_report(lam, n // 3,
+                              gap_kind="bound" if n == 0 else "measured")
     assert serialize.spectral_csv(report) == oracle_spectral(report)
 
 
 def test_spectral_csv_modulus_is_pythons_abs():
-    report = _spectral_report(_abs_mismatches(), 1, gap_is_bound=False)
+    report = _spectral_report(_abs_mismatches(), 1, gap_kind="measured")
     assert serialize.spectral_csv(report) == oracle_spectral(report)
     # real eigenvalues (a float array) are written with a zero imaginary part
-    real = _spectral_report(np.array([1.0, -1.0 / 3.0]), 1, gap_is_bound=True)
+    real = _spectral_report(np.array([1.0, -1.0 / 3.0]), 1, gap_kind="bound")
     assert serialize.spectral_csv(real) == oracle_spectral(real)
 
 
@@ -176,7 +171,7 @@ def test_spectral_csv_unresolved_gap():
     # unconverged values outside r_ess leave the gap unestablished: a nan
     # gap is written as such, with its own label
     lam = np.array([1.0, 0.5 + 0.01j, 0.5 - 0.01j, 0.1])
-    report = _spectral_report(lam, 1, gap_is_bound=False, gap=math.nan)
+    report = _spectral_report(lam, 1, gap_kind="unresolved", gap=math.nan)
     text = serialize.spectral_csv(report)
     assert text == oracle_spectral(report)
     assert text.splitlines()[0] == (

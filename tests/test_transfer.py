@@ -454,7 +454,8 @@ def test_spectrum_markov_three_bins(markov):
     # ±1/3 lie inside r_ess = 2/3: exact, but not separated from the
     # essential spectrum, so the gap is the bound 1 - r_ess
     assert rep.resolved.tolist() == [True, False, False]
-    assert rep.gap_is_bound and abs(rep.spectral_gap - 1 / 3) <= 1e-12
+    assert rep.gap_kind == "bound" and abs(rep.spectral_gap - 1 / 3) <= 1e-12
+    assert rep.period == 1
     h = transfer.invariant_density(transfer.ulam_matrix(markov, 3))
     assert np.max(np.abs(h.values - [9 / 8, 9 / 8, 3 / 4])) <= 1e-10
 
@@ -494,7 +495,8 @@ def test_spectrum_tripling_has_a_large_gap(tripling):
     assert abs(rep.eigenvalues[1]) <= 0.05
     # so nothing but 1 lies outside r_ess = 1/3: the gap is the bound 2/3
     assert rep.resolved.tolist() == [True, False, False, False]
-    assert rep.gap_is_bound and rep.spectral_gap == 1.0 - 1.0 / 3.0
+    assert rep.gap_kind == "bound" and rep.spectral_gap == 1.0 - 1.0 / 3.0
+    assert rep.period == 1
 
 
 def test_spectrum_matches_dense_eigvals(doubling):
@@ -512,7 +514,9 @@ def test_spectrum_block_map_double_unit_eigenvalue(block_map):
     # each block is a doubling map: the rest is ~0, inside r_ess = 1/2
     assert np.max(np.abs(rep.eigenvalues[2:])) <= 0.1
     assert rep.resolved.tolist() == [True, True] + [False] * 4
-    assert rep.gap_is_bound and rep.spectral_gap == 0.5
+    assert rep.gap_kind == "bound" and rep.spectral_gap == 0.5
+    # two ergodic components, each with period 1
+    assert rep.period == 1
 
 
 def test_spectrum_iterative_path_above_dense_limit(markov):
@@ -528,7 +532,7 @@ def test_spectrum_iterative_path_above_dense_limit(markov):
     assert rep.r_ess == 1.0 / 1.5
     assert rep.resolved.tolist() == [True] + [False] * 4
     assert np.all(np.abs(rep.eigenvalues[1:]) <= rep.r_ess + 1e-8)
-    assert rep.gap_is_bound and rep.spectral_gap == 1.0 - rep.r_ess
+    assert rep.gap_kind == "bound" and rep.spectral_gap == 1.0 - rep.r_ess
     # each resolved λ is an eigenvalue of Pᵀ: one solve (Pᵀ - λI) x = b by
     # sparse LU blows x up along the eigenvector, so |(Pᵀ - λI) x| / |x|
     # is tiny
@@ -578,7 +582,7 @@ def test_spectrum_resolves_the_leaky_swap_eigenvalue(n):
     assert np.max(np.abs(rep.eigenvalues[:2] - [1.0, -0.8])) <= 1e-10
     assert rep.resolved.tolist() == [True, True] + [False] * 6
     assert np.all(np.abs(rep.eigenvalues[2:]) <= op.r_ess + 1e-8)
-    assert not rep.gap_is_bound
+    assert rep.gap_kind == "measured"
     assert abs(rep.spectral_gap - 0.2) <= 1e-10
 
 
@@ -599,7 +603,8 @@ def test_spectrum_resolves_only_one_on_dyadic_bins(name, n, request):
     assert abs(rep.eigenvalues[0] - 1.0) <= 1e-8
     assert rep.resolved.tolist() == [True] + [False] * 7
     assert np.all(np.abs(rep.eigenvalues[1:]) <= 0.5)
-    assert rep.gap_is_bound and rep.spectral_gap == 0.5
+    assert rep.gap_kind == "bound" and rep.spectral_gap == 0.5
+    assert rep.period == 1
 
 
 def test_spectrum_tied_moduli_match_the_dense_oracle(monkeypatch):
@@ -647,19 +652,6 @@ def test_krylov_basis_finds_a_repeated_unit_eigenvalue(block_map):
     assert converged.all() and stall is None
 
 
-def test_krylov_basis_without_memory_is_a_spectral_error(markov, monkeypatch):
-    # the basis is reserved in one allocation; when that fails (8 GiB at
-    # n = 2^20 on an 8 GB machine) the caller gets a ToolError naming it
-    op = transfer.ulam_matrix(markov, 30)
-
-    def no_memory(*args, **kwargs):
-        raise MemoryError
-
-    monkeypatch.setattr(np, "empty", no_memory)
-    with pytest.raises(ToolError, match="Krylov basis of 31 "):
-        transfer._krylov_top(op, 4, 0.0, np.random.default_rng(0))
-
-
 def test_spectrum_puts_one_first_among_the_cube_roots_of_unity():
     # each half of a third maps onto the next third at slope 2, so P
     # permutes the thirds cyclically: 1 and e^{±2πi/3} lie on the unit
@@ -677,7 +669,8 @@ def test_spectrum_puts_one_first_among_the_cube_roots_of_unity():
     # so the map does not mix and the gap is 0
     assert rep.unit_multiplicity == 1 and rep.unit_circle == 3
     assert np.array_equal(rep.peripheral, rep.eigenvalues[1:3])
-    assert not rep.gap_is_bound and rep.spectral_gap == 0.0
+    assert rep.gap_kind == "measured" and rep.spectral_gap == 0.0
+    assert rep.period == 3
     assert abs(rep.eigenvalues[3]) < 1.0 - 1e-8
 
 
@@ -703,7 +696,35 @@ def test_spectrum_swap_map_has_minus_one_and_no_gap():
     assert rep.resolved.tolist() == [True, True, False, False]
     assert rep.unit_multiplicity == 1 and rep.unit_circle == 2
     assert len(rep.peripheral) == 1 and abs(rep.peripheral[0] + 1.0) <= 1e-12
-    assert not rep.gap_is_bound and rep.spectral_gap == 0.0
+    assert rep.gap_kind == "measured" and rep.spectral_gap == 0.0
+    assert rep.period == 2
+
+
+def _report_on_the_circle(peripheral, unit_multiplicity=1):
+    return transfer.SpectralReport(
+        eigenvalues=np.ones(1, dtype=complex), converged=np.ones(1, bool),
+        unit_multiplicity=unit_multiplicity,
+        peripheral=np.asarray(peripheral, dtype=complex), spectral_gap=0.0,
+        gap_kind="measured", r_ess=0.5, solver="dense")
+
+
+def test_period_is_the_order_of_the_peripheral_roots_of_unity():
+    i = 1j
+    assert _report_on_the_circle([-1.0]).period == 2
+    assert _report_on_the_circle([i, -1.0, -i]).period == 4
+    # a fourth root of unity alone still needs k = 4, and four values on
+    # the circle allow it
+    assert _report_on_the_circle([i], unit_multiplicity=3).period == 4
+    # within k·1e-8 of a root of unity, as a rounded Ulam value is
+    assert _report_on_the_circle([-1.0 + 3e-9j]).period == 2
+    # periods 2 and 3 on two components need k = 6, past the five values
+    # on the circle; an irrational angle has no period
+    omega = np.exp(2j * np.pi / 3)
+    assert _report_on_the_circle([-1.0, omega, omega.conjugate()],
+                                 unit_multiplicity=2).period is None
+    assert _report_on_the_circle([np.exp(1j)]).period is None
+    # nothing resolved on the circle: no period to read
+    assert _report_on_the_circle([], unit_multiplicity=0).period is None
 
 
 def test_spectrum_stops_on_the_tent_cluster_at_the_essential_radius(tent):
@@ -720,7 +741,7 @@ def test_spectrum_stops_on_the_tent_cluster_at_the_essential_radius(tent):
     assert first.resolved.tolist() == [True] + [False] * 7
     assert np.all(first.outside[1:])
     # seven values outside r_ess did not converge: no gap, not even a bound
-    assert np.isnan(first.spectral_gap) and not first.gap_is_bound
+    assert first.gap_kind == "unresolved" and np.isnan(first.spectral_gap)
     second = transfer.spectrum(op, 8)
     assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
     assert first.converged.tobytes() == second.converged.tobytes()
