@@ -23,8 +23,8 @@ from . import expr
 from .errors import ConfigError, ToolError
 from .grid import DEFAULT_A, GridFunction, project, variation
 from .maps import PiecewiseMap, check_slope_condition
-from .transfer import (UlamOperator, invariant_density, power_iterate,
-                       ulam_matrix)
+from .transfer import (_ESS_MARGIN, UlamOperator, invariant_density,
+                       power_iterate, ulam_matrix)
 
 #: correlation values below this are treated as exact zeros
 NOISE_FLOOR = 1e-14
@@ -97,6 +97,13 @@ class CorrelationSeries:
     @property
     def N_values(self) -> np.ndarray:
         return np.arange(len(self.C_values))
+
+    @property
+    def rate_inside_ess(self) -> bool:
+        """A fitted rate within r_ess + 1e-8, where Ulam eigenvalues move
+        with the grid (Keller–Liverani)."""
+        return (self.fitted_rate is not None
+                and self.fitted_rate <= self.r_ess + _ESS_MARGIN)
 
 
 def check_ly_ranges(pmap: PiecewiseMap, p: float, t: float, A: float) -> float:
@@ -273,17 +280,12 @@ def _unique_invariant_density(op: UlamOperator) -> GridFunction:
     h = invariant_density(op)
     edges = np.linspace(0.0, 1.0, op.n + 1)
     for name, start in (("2x", edges ** 2), ("3x^2", edges ** 3)):
-        h1, converged, residual, steps = power_iterate(
-            op.apply_t, op.n * np.diff(start))
-        if not converged:
-            raise ToolError(
-                f"power iteration from the start density {name} stalled at L1 "
-                f"residual {residual:g} after {steps} iterations; P may have "
-                "another eigenvalue on the unit circle — inspect spectrum()")
+        h1 = power_iterate(op.apply_t, op.n * np.diff(start),
+                           f"the start density {name}")
         if float(np.mean(np.abs(h1 - h.values))) > 1e-6:
             raise ToolError(
                 "different starting densities reach different fixed points; "
-                "the invariant measure is not unique — inspect spectrum()")
+                "the invariant measure is not unique (inspect the spectrum)")
     return h
 
 

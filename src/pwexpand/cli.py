@@ -177,8 +177,7 @@ def cmd_correlate(args) -> int:
     else:
         print(f"fitted rate {serialize.fmt(series.fitted_rate)} "
               f"(R^2 = {serialize.fmt(series.fit_quality)}) -> {args.out}")
-        # Ulam eigenvalues inside r_ess move with the grid (Keller–Liverani)
-        if series.fitted_rate <= series.r_ess + 1e-8:
+        if series.rate_inside_ess:
             print(f"the rate lies inside the essential spectrum (r_ess = "
                   f"{serialize.fmt(series.r_ess)}): it belongs to the "
                   f"{args.grid}-bin Ulam chain and moves with --grid")

@@ -140,26 +140,27 @@ def variation(f: GridFunction, lq: float, p: float,
         raise ConfigError(f"A must lie in (0,1], got {A}")
     if not p >= 1:
         raise ConfigError(f"p must be at least 1, got {p}")
+    if math.isinf(p):
+        raise ConfigError(f"p must be finite, got {p}")
     if not lq >= 1:
         raise ConfigError(f"lq must be >= 1 or inf, got {lq}")
 
     radii = radius_grid(f.n, A)
-    halves = [window_half_width(r, f.n) for r in radii]
-    # the smallest radii share half-widths (half = 1 for r*n in (1, 2]), so
-    # one sweep over the distinct ones computes each profile norm once
-    steps = sorted(set(halves))
-    sweep = zip(steps, kernels.sliding_minmax_sweep(f.values, steps))
+    # the smallest radii share half-widths (half = 1 for r*n in (1, 2]), and
+    # the first radius of each has its largest ratio, so one sweep over the
+    # distinct half-widths computes each profile norm once
+    first = {}
+    for r in radii:
+        first.setdefault(window_half_width(r, f.n), r)
+    best, best_r = -1.0, float(radii[0])
     # the sweep's buffers are overwritten by its next step, so the profile
     # can take hi's place
-    osc_norm = {h: _lq_norm(np.subtract(hi, lo, out=hi), lq, nonnegative=True)
-                for h, (lo, hi) in sweep}
-    best = -1.0
-    best_r = radii[0]
-    for r, h in zip(radii, halves):
-        ratio = osc_norm[h] / r ** (1.0 / p)
+    for r, (lo, hi) in zip(first.values(),
+                           kernels.sliding_minmax_sweep(f.values, list(first))):
+        ratio = (_lq_norm(np.subtract(hi, lo, out=hi), lq, nonnegative=True)
+                 / r ** (1.0 / p))
         if ratio > best:
-            best = ratio
-            best_r = float(r)
+            best, best_r = ratio, float(r)
     return VariationReport(
         lq_exponent=lq, p=p, A=A, radii=radii,
         variation=best, lq_norm=f.norm_lq(lq), argmax_radius=best_r)

@@ -16,7 +16,6 @@ arrives as one byte on a second pipe.  The piece carries that text to
 from __future__ import annotations
 
 import contextlib
-import functools
 import os
 import signal
 import sys
@@ -153,11 +152,11 @@ def _formatted_blocks(config: LorenzConfig, asked):
         first += len(xyz)
 
 
-def _in_child(make_blocks):
-    """Iterate `make_blocks(asked)`, pairs of a C-contiguous float64 array
-    of shape (m, 3) and an ASCII string, in a forked child and yield them
-    here in order, so that the child computes the next pair while the
-    caller works on this one.
+def _in_child(config: LorenzConfig):
+    """Iterate `_formatted_blocks(config, asked)`, pairs of a C-contiguous
+    float64 array of shape (m, 3) and an ASCII string, in a forked child
+    and yield them here in order, so that the child computes the next pair
+    while the caller works on this one.
 
     The child sends each pair through a pipe as one record: the row count
     and the string's length, 8 bytes each, then the raw doubles, then the
@@ -201,7 +200,7 @@ def _in_child(make_blocks):
                 return requests >= sent
 
             with os.fdopen(w, "wb") as out:
-                for xyz, text in make_blocks(asked):
+                for xyz, text in _formatted_blocks(config, asked):
                     data = text.encode("ascii")
                     out.write(len(xyz).to_bytes(8, sys.byteorder)
                               + len(data).to_bytes(8, sys.byteorder))
@@ -250,7 +249,7 @@ def integrate(config: LorenzConfig):
     """
     dt = config.dt
     if hasattr(os, "fork"):
-        blocks = _in_child(functools.partial(_formatted_blocks, config))
+        blocks = _in_child(config)
     else:
         blocks = ((xyz, "") for xyz in _rk4_blocks(config))
     with contextlib.closing(blocks):
@@ -279,7 +278,7 @@ class ZMaxima:
     def __init__(self):
         self.samples = 0
         self._tail = np.empty(0)
-        self._found = []
+        self._found = [np.empty(0)]
 
     def feed(self, piece: Trajectory) -> Trajectory:
         """Take the maxima of one more piece; returns the piece."""
@@ -295,14 +294,9 @@ class ZMaxima:
         return piece
 
     def result(self) -> np.ndarray:
-        """The refined maxima in order, once at least two were found."""
-        if self.samples < 3:
-            raise ToolError(f"need at least 3 samples, got {self.samples}")
-        maxima = np.concatenate(self._found)
-        if len(maxima) < 2:
-            raise ToolError(
-                f"found {len(maxima)} z-maxima; need at least 2 for a return map")
-        return maxima
+        """The refined maxima found so far, in order; `build_return_map`
+        judges whether they are enough."""
+        return np.concatenate(self._found)
 
 
 def extract_z_maxima(traj: Trajectory) -> np.ndarray:
@@ -313,7 +307,8 @@ def extract_z_maxima(traj: Trajectory) -> np.ndarray:
 
 
 def build_return_map(maxima: np.ndarray) -> ReturnMapData:
-    """Pairs (z_k, z_{k+1}) with their affine normalization to [0,1]²."""
+    """Pairs (z_k, z_{k+1}) with their affine normalization to [0,1]²;
+    needs at least 3 maxima, of more than one value."""
     maxima = np.asarray(maxima, dtype=float)
     if len(maxima) < 3:
         raise ToolError(f"need at least 3 maxima, got {len(maxima)}")

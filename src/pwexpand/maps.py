@@ -248,6 +248,8 @@ def check_slope_condition(pmap: PiecewiseMap, p: float):
     """
     if not p >= 1:
         raise ConfigError(f"p must be at least 1, got {p}")
+    if math.isinf(p):
+        raise ConfigError(f"p must be finite, got {p}")
     s = pmap.min_slope_global
     if s <= 1.0:
         raise ConfigError(f"minimum slope {s} is not greater than 1")

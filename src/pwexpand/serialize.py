@@ -16,7 +16,7 @@ from .errors import ToolError
 from .grid import GridFunction
 
 
-#: rows formatted per piece of `_rows`; bounds its transient lists
+#: rows formatted per piece of `_body`; bounds its transient lists
 _CHUNK = 4096
 
 
@@ -32,13 +32,6 @@ def _cell(x) -> str:
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     return str(x) if isinstance(x, (int, np.integer)) else fmt(x)
-
-
-def _rows(header: str, *columns, comments=()):
-    """Yield CSV text in pieces: the "# " comment lines and the header,
-    then the rows of `_body`."""
-    yield "".join(f"# {c}\n" for c in comments) + header + "\n"
-    yield from _body(columns)
 
 
 def _body(columns):
@@ -66,8 +59,10 @@ def _body(columns):
 
 
 def _table(header: str, *columns, comments=()) -> str:
-    """The whole CSV text of `_rows` as one string."""
-    return "".join(_rows(header, *columns, comments=comments))
+    """The whole CSV text: the "# " comment lines, the header, then the
+    rows of `_body`, in one join."""
+    head = "".join(f"# {c}\n" for c in comments) + header + "\n"
+    return "".join([head, *_body(columns)])
 
 
 def _write_atomic(path, chunks) -> None:

@@ -224,13 +224,7 @@ def ulam_matrix(pmap: PiecewiseMap, n: int) -> UlamOperator:
     if not new.all():
         vals = np.bincount(np.cumsum(new) - 1, weights=vals)
         rows, cols = rows[new], cols[new]
-    # row sums by reduceat, as scipy's CSR sum(axis=1) takes them, so the
-    # check and its message see the sums the CSR view reports
-    head = np.ones(rows.size, dtype=bool)
-    head[1:] = rows[1:] != rows[:-1]
-    starts = np.flatnonzero(head)
-    row_sums = np.zeros(n)
-    row_sums[rows[starts]] = np.add.reduceat(vals, starts)
+    row_sums = np.bincount(rows, weights=vals, minlength=n)
     worst = float(np.max(np.abs(row_sums - 1.0)))
     # a row telescopes to the bin width ((i+1)/n - i/n)·n, on which the
     # rounded edges alone put up to ~n·eps (1.2e-12 at n = 10⁴)
@@ -253,40 +247,39 @@ DENSITY_MAX_ITERS = 20000
 DENSITY_STALL_WINDOW = 500
 
 
-def power_iterate(apply_t, h0: np.ndarray):
+def power_iterate(apply_t, h0: np.ndarray, start: str) -> np.ndarray:
     """Iterate h -> apply_t(h) = P^T h, renormalized to mean 1, from h0
-    until one step moves h by less than DENSITY_TOL in L¹; stop unconverged
-    after DENSITY_MAX_ITERS steps, or once the residual is more than half
-    what it was DENSITY_STALL_WINDOW steps before.  Returns (h, converged,
-    residual, iterations) with residual that last step."""
-    h, residual = h0, np.inf
-    residuals = []
-    for steps in range(DENSITY_MAX_ITERS):
+    until one step moves h by less than DENSITY_TOL in L¹, and return h.
+    Raises ToolError after DENSITY_MAX_ITERS steps, or once the residual
+    is more than half what it was DENSITY_STALL_WINDOW steps before: a
+    stall suggests another eigenvalue of P on the unit circle, as the
+    peripheral spectrum of a map that does not mix is a group of roots of
+    unity (Hofbauer–Keller).  `start` names h0 in the message."""
+    h, residual, residuals = h0, np.inf, []
+    while len(residuals) < DENSITY_MAX_ITERS:
         h2 = apply_t(h)
         mean = float(np.mean(h2))
         if mean <= 0:
-            return h, False, residual, steps
+            break
         h2 = h2 / mean
         residual = float(np.mean(np.abs(h2 - h)))
         if residual < DENSITY_TOL:
-            return h2, True, residual, steps + 1
+            return h2
         residuals.append(residual)
-        if (steps >= DENSITY_STALL_WINDOW
-                and residual > 0.5 * residuals[steps - DENSITY_STALL_WINDOW]):
-            return h2, False, residual, steps + 1
         h = h2
-    return h, False, residual, DENSITY_MAX_ITERS
+        if (len(residuals) > DENSITY_STALL_WINDOW
+                and residual > 0.5 * residuals[-1 - DENSITY_STALL_WINDOW]):
+            break
+    raise ToolError(
+        f"power iteration from {start} stalled at L1 residual {residual:g} "
+        f"after {len(residuals)} iterations; P may have another eigenvalue "
+        "on the unit circle (inspect the spectrum)")
 
 
 def invariant_density(op: UlamOperator) -> GridFunction:
     """Invariant density of the Ulam operator by power iteration from the
     uniform density, in the L¹ metric."""
-    h, converged, residual, steps = power_iterate(op.apply_t, np.ones(op.n))
-    if not converged:
-        raise ToolError(
-            f"power iteration stalled at L1 residual {residual:g} after "
-            f"{steps} iterations; the unit eigenvalue may not be simple "
-            "(inspect the spectrum)")
+    h = power_iterate(op.apply_t, np.ones(op.n), "the uniform density")
     h = np.maximum(h, 0.0)
     h = h / np.mean(h)
     return GridFunction(h)
@@ -308,23 +301,23 @@ _ESS_MARGIN = 1e-8
 _STALL_FACTOR = 10.0
 
 
-def _krylov_top(op: UlamOperator, k: int, r_ess: float,
-                rng: np.random.Generator):
+def _krylov_top(op: UlamOperator, k: int):
     """Top-k eigenvalues of Pᵀ from an unrestarted Arnoldi basis on
-    `op.apply_t` that grows by max(64, m/4) vectors per step; returns
-    (values, converged, m, stall).  A value has converged when its Ritz
-    residual |h_{m+1,m} y_m| is at most _RITZ_TOL.  The basis stops
-    growing when every top-k Ritz value of modulus above r_ess + 1e-8 has
-    converged (stall is None), or when a step converged no more of them
-    and cut their largest residual by less than _STALL_FACTOR (stall is
-    that residual).  With r_ess = 0 every top-k value counts.
+    `op.apply_t` that grows by max(64, m/4) vectors per step, started from
+    a random vector of ``default_rng(0)``; returns (values, converged, m,
+    stall).  A value has converged when its Ritz residual |h_{m+1,m} y_m|
+    is at most _RITZ_TOL.  The basis stops growing when every top-k Ritz
+    value of modulus above op.r_ess + 1e-8 has converged (stall is None),
+    or when a step converged no more of them and cut their largest
+    residual by less than _STALL_FACTOR (stall is that residual).  With
+    op.r_ess = 0 every top-k value counts.
 
     A breakdown means the basis spans an invariant subspace.  That
     subspace holds one eigenvector per eigenvalue at most, so a repeated
     top eigenvalue (two ergodic components) would be reported once: a
     random vector orthogonal to the basis continues it, until the basis
     spans all of R^n."""
-    n = op.n
+    n, r_ess, rng = op.n, op.r_ess, np.random.default_rng(0)
     cap = min(KRYLOV_MAX_DIM, n)
     # basis vectors as rows; a page is used only once its row is written
     basis = np.empty((cap + 1, n))
@@ -397,8 +390,7 @@ def spectrum(op: UlamOperator, k: int) -> SpectralReport:
                 f"DENSE_EIG_LIMIT = {DENSE_EIG_LIMIT} bins the iterative "
                 f"eigensolve returns at most KRYLOV_MAX_DIM = "
                 f"{KRYLOV_MAX_DIM}")
-        vals, converged, m, stall = _krylov_top(op, k, op.r_ess,
-                                                np.random.default_rng(0))
+        vals, converged, m, stall = _krylov_top(op, k)
         solver = f"krylov m={m}"
         if stall is not None:
             solver += f"; stalled (largest residual {stall:.3g})"

@@ -790,22 +790,51 @@ def test_correlate_does_not_label_a_rate_outside_the_essential_spectrum(
         f"series at the noise floor (no rate) -> {out}\n")
 
 
-def test_correlate_on_a_stalled_density_exits_one(tmp_path, capsys):
-    # [0, 1/3] and [1/3, 1] swap blocks, so the Ulam matrix has the
-    # eigenvalue -1 and power iteration from the uniform start oscillates
+def _block_swap_config(tmp_path):
+    """[0, 1/3] and [1/3, 1] swap blocks, so the Ulam matrix has the
+    eigenvalue -1 and power iteration from the uniform start oscillates."""
     cfg = tmp_path / "swap.json"
     cfg.write_text(json.dumps({"v": 1, "epsilon": 1.0, "branches": [
         {"lo": 0.0, "hi": 1 / 3, "formula": "2*x + 1/3"},
         {"lo": 1 / 3, "hi": 5 / 9, "formula": "1.5*x - 0.5"},
         {"lo": 5 / 9, "hi": 7 / 9, "formula": "1.5*x - 5/6"},
         {"lo": 7 / 9, "hi": 1.0, "formula": "1.5*x - 7/6"}]}))
-    assert main(["correlate", str(cfg), "--f", "x", "--g", "x", "--N", "5",
-                 "--grid", "63", "--no-plot",
+    return str(cfg)
+
+
+def test_correlate_on_a_stalled_density_exits_one(tmp_path, capsys):
+    assert main(["correlate", _block_swap_config(tmp_path), "--f", "x",
+                 "--g", "x", "--N", "5", "--grid", "63", "--no-plot",
                  "--out", str(tmp_path / "c.csv")]) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert "power iteration stalled" in err
+    assert err.count("\n") == 1
+    assert err.startswith("error: power iteration from the uniform density "
+                          "stalled at L1 residual ")
+    assert err.endswith("; P may have another eigenvalue on the unit circle "
+                        "(inspect the spectrum)\n")
     assert not (tmp_path / "c.csv").exists()
+
+
+def test_density_on_a_period_two_map_names_the_unit_circle(tmp_path,
+                                                            capsys):
+    # spectrum finds λ = 1 simple and -1 beside it: the stall blames the
+    # circle, not the multiplicity of 1
+    cfg = _block_swap_config(tmp_path)
+    assert main(["density", cfg, "--bins", "63", "--no-plot",
+                 "--out", str(tmp_path / "d.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"error: power iteration from the uniform density stalled at L1 "
+        rf"residual \S+ after {transfer.DENSITY_STALL_WINDOW + 1} iterations; "
+        r"P may have another eigenvalue on the unit circle \(inspect the "
+        r"spectrum\)\n", captured.err)
+    assert not (tmp_path / "d.csv").exists()
+    assert main(["spectrum", cfg, "--bins", "63", "--top", "4", "--no-plot",
+                 "--out", str(tmp_path / "s.csv")]) == 0
+    assert capsys.readouterr().out.startswith(
+        "unit multiplicity 1, 2 on the unit circle, not mixing: eigenvalue -1 "
+        "on the unit circle, period 2")
 
 
 def test_iterates_reports_when_the_bound_kicks_in(tmp_path, capsys):
@@ -888,6 +917,21 @@ def test_lorenz_bad_fit_degree_exits_before_integrating(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: degree must lie in [1, 6], got 9\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, count", [
+    (["--rho", "0.5", "--t-max", "2"], 0), (["--t-max", "1"], 1),
+    (["--t-max", "1.4"], 2)])
+def test_lorenz_with_too_few_maxima_exits_one(tmp_path, capsys, args, count):
+    # one rule, stated by build_return_map, whatever the count below 3
+    outs = [tmp_path / name for name in ("traj.csv", "rmap.csv", "fit.json")]
+    assert main(["lorenz", *args, "--dt", "0.01", "--transient", "0",
+                 "--out-trajectory", str(outs[0]), "--out-map", str(outs[1]),
+                 "--out-fit", str(outs[2])]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("trajectory (")
+    assert captured.err == f"error: need at least 3 maxima, got {count}\n"
+    assert not outs[1].exists() and not outs[2].exists()
 
 
 def test_lorenz_files_do_not_depend_on_the_split(tmp_path, capsys, monkeypatch,
@@ -1328,6 +1372,14 @@ def test_failed_write_removes_its_temp_file(tmp_path):
     (["ly", TRIPLING, "--p", "0", "--auto-A"], "p must be at least 1, got 0"),
     (["ly-verify", TRIPLING, "--p", "1", "--A", "0.125", "--seed=-1"],
      "seed must be a non-negative integer, got -1"),
+    (["check-slope", TRIPLING, "--p", "inf"], "p must be finite, got inf"),
+    (["var", "--f", "x", "--q", "1", "--p", "inf", "--A", "0.125",
+      "--grid", "64"], "p must be finite, got inf"),
+    (["ly", TRIPLING, "--p", "inf"], "p must be finite, got inf"),
+    (["ly-verify", TRIPLING, "--p", "inf", "--A", "0.125", "--trials", "2",
+      "--grid", "64"], "p must be finite, got inf"),
+    (["iterates", TRIPLING, "--f", "x", "--p", "inf", "--A", "0.125",
+      "--n", "2", "--grid", "64"], "p must be finite, got inf"),
 ])
 def test_bad_numeric_argument_exits_one(tmp_path, capsys, argv, message):
     out = str(tmp_path / "out.csv")

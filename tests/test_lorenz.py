@@ -13,8 +13,8 @@ import pytest
 from pwexpand import kernels, lorenz, serialize
 from pwexpand.errors import ConfigError, ToolError
 
-# the failure of ZMaxima.result on a signal with fewer than two maxima
-TOO_FEW_MAXIMA = r"^found [01] z-maxima; need at least 2 for a return map$"
+# the failure of build_return_map on fewer than three maxima
+TOO_FEW_MAXIMA = r"^need at least 3 maxima, got [012]$"
 
 
 def _joined(pieces):
@@ -79,11 +79,13 @@ def test_integrate_times_are_step_counts_times_dt(dt, t_max):
 
 def test_integrate_below_onset_gives_no_oscillations():
     # rho = 0.5: the origin attracts and z decays monotonically, so the
-    # maxima extractor has nothing to work with
+    # maxima extractor finds nothing to build a return map from
     traj = _whole(
         lorenz.LorenzConfig(rho=0.5, dt=0.01, t_max=60.0, transient=40.0))
-    with pytest.raises(ToolError, match=TOO_FEW_MAXIMA):
-        lorenz.extract_z_maxima(traj)
+    maxima = lorenz.extract_z_maxima(traj)
+    assert maxima.dtype == float and len(maxima) == 0
+    with pytest.raises(ToolError, match="^need at least 3 maxima, got 0$"):
+        lorenz.build_return_map(maxima)
 
 
 def _boundary_cases():
@@ -220,10 +222,6 @@ def test_maxima_match_the_full_length_refinement(z):
     traj = lorenz.Trajectory(t=np.arange(len(z)),
                              xyz=np.column_stack([z, z, z]))
     expect = _full_length_maxima(z)
-    if len(expect) < 2:
-        with pytest.raises(ToolError, match=TOO_FEW_MAXIMA):
-            lorenz.extract_z_maxima(traj)
-        return
     got = lorenz.extract_z_maxima(traj)
     assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
 
@@ -273,10 +271,13 @@ def test_maxima_rounding_tie_takes_the_middle_sample():
 
 
 def test_maxima_of_a_monotone_signal_raise():
+    # no maxima, so the return map raises
     t = np.arange(0.0, 5.0, 0.01)
     traj = lorenz.Trajectory(t=t, xyz=np.column_stack([t, t, t]))
+    maxima = lorenz.extract_z_maxima(traj)
+    assert len(maxima) == 0
     with pytest.raises(ToolError, match=TOO_FEW_MAXIMA):
-        lorenz.extract_z_maxima(traj)
+        lorenz.build_return_map(maxima)
 
 
 # --------------------------------------------------------- build_return_map

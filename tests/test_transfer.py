@@ -5,6 +5,7 @@ Linear full-branch maps with dyadic/triadic breakpoints are grid-exact,
 so several oracles here hold to rounding error rather than O(1/n).
 """
 
+import dataclasses
 import re
 import tracemalloc
 from pathlib import Path
@@ -416,12 +417,14 @@ def test_invariant_density_convergence_error_carries_residual():
         {"lo": 1 / 3, "hi": 5 / 9, "formula": "1.5*x - 0.5"},
         {"lo": 5 / 9, "hi": 7 / 9, "formula": "1.5*x - 5/6"},
         {"lo": 7 / 9, "hi": 1.0, "formula": "1.5*x - 7/6"}], epsilon=1.0)
-    with pytest.raises(ToolError, match="^power iteration stalled") as exc:
+    with pytest.raises(ToolError, match="^power iteration from the uniform "
+                       "density stalled") as exc:
         transfer.invariant_density(transfer.ulam_matrix(swap, 63))
     residual = re.search(r"at L1 residual (\S+) after", str(exc.value))[1]
     assert float(residual) > transfer.DENSITY_TOL
-    assert (f"after {transfer.DENSITY_STALL_WINDOW + 1} iterations"
-            in str(exc.value))
+    assert str(exc.value).endswith(
+        f"after {transfer.DENSITY_STALL_WINDOW + 1} iterations; P may have "
+        "another eigenvalue on the unit circle (inspect the spectrum)")
 
 
 @pytest.mark.parametrize("lam2, converged", [(0.99, True), (0.999, False)])
@@ -430,15 +433,25 @@ def test_power_iteration_stops_when_the_residual_stops_halving(lam2, converged):
     # by lam2 per step, 0.0066 per window at 0.99 and 0.61 at 0.999
     a = (1.0 - lam2) / 2.0
     m = np.array([[1.0 - a, a], [a, 1.0 - a]])
-    h, ok, residual, steps = transfer.power_iterate(
-        lambda v: m @ v, np.array([1.5, 0.5]))
-    assert ok is converged
+    steps = []
+
+    def apply_t(v):
+        steps.append(None)
+        return m @ v
+
     if converged:
+        h = transfer.power_iterate(apply_t, np.array([1.5, 0.5]), "h0")
         np.testing.assert_allclose(h, 1.0, atol=1e-10)
-        assert transfer.DENSITY_STALL_WINDOW < steps < transfer.DENSITY_MAX_ITERS
-    else:
-        assert steps == transfer.DENSITY_STALL_WINDOW + 1
-        assert residual > transfer.DENSITY_TOL
+        assert (transfer.DENSITY_STALL_WINDOW < len(steps)
+                < transfer.DENSITY_MAX_ITERS)
+        return
+    with pytest.raises(ToolError,
+                       match="^power iteration from h0 stalled") as exc:
+        transfer.power_iterate(apply_t, np.array([1.5, 0.5]), "h0")
+    assert len(steps) == transfer.DENSITY_STALL_WINDOW + 1
+    assert f"after {len(steps)} iterations; " in str(exc.value)
+    residual = re.search(r"at L1 residual (\S+) after", str(exc.value))[1]
+    assert float(residual) > transfer.DENSITY_TOL
 
 
 # ---------------------------------------------------------------- spectrum
@@ -634,7 +647,7 @@ def test_krylov_basis_matches_the_dense_spectrum(markov):
     dense = np.linalg.eigvals(op.matrix.toarray())
     dense = dense[np.argsort(-np.abs(dense), kind="stable")]
     vals, converged, m, stall = transfer._krylov_top(
-        op, 5, 0.0, np.random.default_rng(0))
+        dataclasses.replace(op, r_ess=0.0), 5)
     assert len(vals) == 5 and m < transfer.KRYLOV_MAX_DIM
     assert converged.tolist() == [True] * 5 and stall is None
     moduli = np.sort(np.abs(vals))[::-1]
@@ -647,7 +660,7 @@ def test_krylov_basis_finds_a_repeated_unit_eigenvalue(block_map):
     # one unit eigenvector, so the basis must go on past its breakdowns
     op = transfer.ulam_matrix(block_map, 64)
     vals, converged, _, stall = transfer._krylov_top(
-        op, 6, 0.0, np.random.default_rng(0))
+        dataclasses.replace(op, r_ess=0.0), 6)
     assert np.sum(np.abs(np.abs(vals) - 1.0) <= 1e-8) == 2
     assert converged.all() and stall is None
 
