@@ -206,15 +206,17 @@ def cmd_lorenz(args) -> int:
         for f in dataclasses.fields(lorenz.LorenzConfig)})
     lorenz.check_fit_degree(args.fit_degree)
     maxima = lorenz.ZMaxima()
-    serialize.write_trajectory_csv(args.out_trajectory,
-                                   map(maxima.feed, lorenz.integrate(config)))
+    # the three files appear together, once the fit has succeeded
+    with serialize.written_together() as stage:
+        stage(args.out_trajectory, serialize.trajectory_rows(
+            map(maxima.feed, lorenz.integrate(config))))
+        data = lorenz.build_return_map(maxima.result())
+        stage(args.out_map, [serialize.return_map_csv(data)])
+        fitted, diag = lorenz.fit_piecewise(data, degree=args.fit_degree)
+        stage(args.out_fit, [dump_map_config(fitted)])
     print(f"trajectory ({maxima.samples} samples) -> {args.out_trajectory}")
-    data = lorenz.build_return_map(maxima.result())
-    serialize.write_text_atomic(args.out_map, serialize.return_map_csv(data))
     print(f"return map ({len(data.pairs)} pairs, cusp at "
           f"{data.cusp_estimate:.6g}) -> {args.out_map}")
-    fitted, diag = lorenz.fit_piecewise(data, degree=args.fit_degree)
-    serialize.write_text_atomic(args.out_fit, dump_map_config(fitted))
     slopes = ", ".join(f"{s:.4g}" for s in diag.min_abs_slope_central)
     print(f"fitted 2-branch map (degree {args.fit_degree}) -> {args.out_fit}")
     print(f"central min |slope| per branch: {slopes}; "

@@ -65,31 +65,57 @@ def _table(header: str, *columns, comments=()) -> str:
     return "".join([head, *_body(columns)])
 
 
-def _write_atomic(path, chunks) -> None:
-    """Write the strings of `chunks` via a temp file in the destination
-    directory, then rename; if writing or `chunks` fails, the temp file is
-    removed and the target is left as it was.
+@contextlib.contextmanager
+def _tool_error(path):
+    """Re-raise an OSError as the ToolError "cannot write <path>: …"."""
+    try:
+        yield
+    except OSError as err:
+        raise ToolError(f"cannot write {path}: {err.strerror or err}") from err
 
-    The temp file is created with mode 0o666 and the kernel applies the
+
+@contextlib.contextmanager
+def written_together():
+    """Yield ``stage(path, chunks)``, which writes the strings of `chunks`
+    to a new temp file in the directory of `path`.  When the block ends,
+    each temp file is renamed onto its path, in the order staged.  If the
+    block, a write or `chunks` fails, every temp file is removed and every
+    target is left as it was; a failed rename removes the temp files not
+    yet renamed.  Only renames touch the targets.
+
+    A temp file is created with mode 0o666 and the kernel applies the
     umask, so the result gets the same mode as a plain ``open(path, "w")``.
     """
-    path = os.fspath(path)
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
-    created = False
+    staged = []  # (temp file, target), not yet renamed
+
+    def stage(path, chunks):
+        path = os.fspath(path)
+        tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+        with _tool_error(path):
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append((tmp, path))
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        created = True
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    except BaseException as err:
-        if created:
+        yield stage
+        while staged:
+            tmp, path = staged[0]
+            with _tool_error(path):
+                os.replace(tmp, path)
+            del staged[0]
+    finally:
+        for tmp, _ in staged:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
-        if isinstance(err, OSError):
-            raise ToolError(f"cannot write {path}: {err.strerror or err}") from err
-        raise
+
+
+def _write_atomic(path, chunks) -> None:
+    """Write the strings of `chunks` to `path` by one staged rename (see
+    `written_together`)."""
+    with written_together() as stage:
+        stage(path, chunks)
 
 
 def write_text_atomic(path, text: str) -> None:
@@ -154,7 +180,10 @@ def iterate_series_csv(series) -> str:
                   series.flags, comments=(head,))
 
 
-def _trajectory_rows(pieces):
+def trajectory_rows(pieces):
+    """The CSV text of the trajectory pieces, in order, under one header,
+    in chunks: each piece is formatted before the next is drawn, so
+    neither the text nor the whole trajectory is held in memory."""
     yield "t,x,y,z\n"
     for traj in pieces:
         # the last rows of a `lorenz.integrate` piece may come formatted
@@ -165,15 +194,7 @@ def _trajectory_rows(pieces):
 
 
 def trajectory_csv(traj) -> str:
-    return "".join(_trajectory_rows([traj]))
-
-
-def write_trajectory_csv(path, pieces) -> None:
-    """Write the trajectory pieces, in order, atomically as one CSV with
-    one header; its text is `trajectory_csv` of their concatenation.  Each
-    piece is formatted and written before the next is drawn, so neither
-    the text nor the whole trajectory is held in memory."""
-    _write_atomic(path, _trajectory_rows(pieces))
+    return "".join(trajectory_rows([traj]))
 
 
 def return_map_csv(data) -> str:

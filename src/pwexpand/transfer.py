@@ -38,7 +38,8 @@ branches increase and are listed in domain order; only a decreasing branch
 or a source bin that two branches share makes it sort, which one pass over
 the entries detects.  Its peak is about twice the triplets' bytes.
 `UlamOperator.apply_t` applies Pᵀ with one ``np.bincount``, and the dense
-eigensolve scatters the triplets into an n × n array, so neither
+eigensolve scatters the triplets into an n × n array of which only the
+pages holding a nonzero are resident (`UlamOperator.dense_t`), so neither
 `invariant_density` nor `spectrum` loads scipy.  ``scipy.sparse`` is
 imported only by `UlamOperator.matrix`, a CSR view for callers that want
 one.
@@ -46,6 +47,7 @@ one.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -77,10 +79,33 @@ class UlamOperator:
                            minlength=self.n)
 
     def dense_t(self) -> np.ndarray:
-        """Pᵀ as a dense n × n array."""
-        out = np.zeros((self.n, self.n))
-        out[self.cols, self.rows] = self.vals
-        return out
+        """Pᵀ as a dense n × n array: the transposed view of P, scattered
+        into a private anonymous mapping, so only the 4 KiB pages that hold
+        a nonzero are backed (about one per source bin).  ``np.zeros``
+        advises huge pages for a large array, and the scatter then backs
+        the whole of it.  The view's C-order bytes are those of Pᵀ, so
+        ``eigvals`` copies the same values into its LAPACK buffer.  Where
+        ``mmap.MAP_PRIVATE`` does not exist (Windows) it is ``np.zeros``."""
+        import mmap  # here: its extension module adds RSS to every run
+
+        n = self.n
+        if hasattr(mmap, "MAP_PRIVATE"):
+            try:
+                buf = mmap.mmap(-1, 8 * n * n, flags=mmap.MAP_PRIVATE)
+            except OSError as err:  # ENOMEM; worded as numpy's MemoryError
+                raise MemoryError(
+                    f"Unable to allocate {8 * n * n / (1 << 30):.3g} GiB for "
+                    f"an array with shape ({n}, {n}) and data type float64"
+                ) from err
+            if hasattr(mmap, "MADV_NOHUGEPAGE"):
+                # under THP "always" the mapping would get 2 MiB pages
+                with contextlib.suppress(OSError):
+                    buf.madvise(mmap.MADV_NOHUGEPAGE)
+            p = np.frombuffer(buf).reshape(n, n)
+        else:
+            p = np.zeros((n, n))
+        p[self.rows, self.cols] = self.vals
+        return p.T
 
     @cached_property
     def matrix(self):

@@ -929,9 +929,30 @@ def test_lorenz_with_too_few_maxima_exits_one(tmp_path, capsys, args, count):
                  "--out-trajectory", str(outs[0]), "--out-map", str(outs[1]),
                  "--out-fit", str(outs[2])]) == 1
     captured = capsys.readouterr()
-    assert captured.out.startswith("trajectory (")
+    assert captured.out == ""
     assert captured.err == f"error: need at least 3 maxima, got {count}\n"
-    assert not outs[1].exists() and not outs[2].exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("t_max, message, existing", [
+    ("1", "need at least 3 maxima, got 1", True),
+    ("1.8", "need at least 100 normalized pairs to fit, got 2", False)],
+    ids=["maxima", "fit"])
+def test_lorenz_that_fails_leaves_the_directory_as_it_was(
+        tmp_path, capsys, monkeypatch, t_max, message, existing):
+    # the trajectory (and at 1.8 the return map) is written before the
+    # step that fails; the three files appear only together
+    monkeypatch.chdir(tmp_path)
+    old = tmp_path / "lorenz_trajectory.csv"
+    if existing:
+        old.write_bytes(b"t,x,y,z\n0,1,2,3\n")
+    before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+    assert main(["lorenz", "--t-max", t_max, "--transient", "0",
+                 "--dt", "0.01"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
 
 
 def test_lorenz_files_do_not_depend_on_the_split(tmp_path, capsys, monkeypatch,
@@ -1238,6 +1259,12 @@ def test_overflowing_formula_prints_one_error_line(tmp_path):
 def _run_with_2_gib(tmp_path, *argv):
     """`pwexpand argv` in a child whose address space is capped at 2 GiB;
     returns the CompletedProcess."""
+    return _python_with_2_gib(tmp_path, "-m", "pwexpand.cli", *argv)
+
+
+def _python_with_2_gib(tmp_path, *args):
+    """`python args` in a child whose address space is capped at 2 GiB;
+    returns the CompletedProcess."""
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
@@ -1247,9 +1274,8 @@ def _run_with_2_gib(tmp_path, *argv):
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     return subprocess.run(
-        [sys.executable, "-m", "pwexpand.cli", *argv],
-        cwd=tmp_path, capture_output=True, text=True, env=env,
-        preexec_fn=cap_memory)
+        [sys.executable, *args], cwd=tmp_path, capture_output=True,
+        text=True, env=env, preexec_fn=cap_memory)
 
 
 def test_out_of_memory_prints_one_error_line(tmp_path):
@@ -1275,6 +1301,38 @@ def test_out_of_memory_in_the_eigensolve_prints_one_error_line(tmp_path):
     assert "Traceback" not in out.stderr
     assert out.stdout == ""
     assert not (tmp_path / "spectrum.csv").exists()
+
+
+# the dense Pᵀ on 20000 bins: 8·20000² bytes = 2.98 GiB, above the cap
+_DENSE_20000 = """
+import sys
+import numpy as np
+from pwexpand import cli, transfer
+if sys.argv[1] == "dense_t":
+    none = np.zeros(0, dtype=np.int64)
+    op = transfer.UlamOperator(20000, none, none, np.zeros(0), 0.5)
+    try:
+        op.dense_t()
+    except MemoryError as err:
+        print(err)
+else:
+    transfer.DENSE_EIG_LIMIT = 20000  # the dense path on 20000 bins
+    sys.exit(cli.main(["spectrum", sys.argv[1], "--bins", "20000",
+                       "--no-plot"]))
+"""
+
+
+def test_a_dense_matrix_that_cannot_be_mapped_prints_one_error_line(tmp_path):
+    message = ("Unable to allocate 2.98 GiB for an array with shape "
+               "(20000, 20000) and data type float64")
+    out = _python_with_2_gib(tmp_path, "-c", _DENSE_20000, "dense_t")
+    assert (out.returncode, out.stdout, out.stderr) == (0, message + "\n", "")
+    out = _python_with_2_gib(tmp_path, "-c", _DENSE_20000,
+                             str(CONFIGS / "tent.json"))
+    assert out.returncode == 1
+    assert out.stderr == f"error: out of memory: {message}\n"
+    assert out.stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def _spectrum_csv_at_blas_threads(tmp_path, threads, cfg, bins):

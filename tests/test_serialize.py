@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from pwexpand import serialize
+from pwexpand.errors import ToolError
 from pwexpand.grid import GridFunction
 from pwexpand.serialize import _CHUNK, fmt
 
@@ -236,14 +237,14 @@ def test_trajectory_csv(n, tmp_path):
     expect = oracle_trajectory(traj)
     assert serialize.trajectory_csv(traj) == expect
     target = tmp_path / "traj.csv"
-    serialize.write_trajectory_csv(target, [traj])
+    serialize._write_atomic(target, serialize.trajectory_rows([traj]))
     assert target.read_bytes() == expect.encode("utf-8")
     assert list(tmp_path.iterdir()) == [target]
     # in pieces, an empty one among them: the same bytes, one header
     half = n // 2
     pieces = [SimpleNamespace(t=traj.t[a:b], xyz=traj.xyz[a:b])
               for a, b in ((0, half), (half, half), (half, n))]
-    serialize.write_trajectory_csv(target, pieces)
+    serialize._write_atomic(target, serialize.trajectory_rows(pieces))
     assert target.read_bytes() == expect.encode("utf-8")
 
 
@@ -278,10 +279,30 @@ def test_write_trajectory_csv_holds_one_chunk_at_a_time(tmp_path):
     target = tmp_path / "traj.csv"
     tracemalloc.start()
     try:
-        serialize.write_trajectory_csv(target, [traj])
+        serialize._write_atomic(target, serialize.trajectory_rows([traj]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the text is ~22 MB (a str of it ~40 MB with the join); one 4096-row
     # chunk with its cells and encoded copy is ~1.5 MB
     assert peak < 2e6 < target.stat().st_size / 10, peak
+
+
+def test_written_together_renames_only_when_the_block_ends(tmp_path):
+    kept = tmp_path / "kept.csv"
+    kept.write_text("before\n")
+    with pytest.raises(RuntimeError, match="later step"):
+        with serialize.written_together() as stage:
+            stage(kept, ["after\n"])
+            stage(tmp_path / "new.csv", ["new\n"])
+            raise RuntimeError("later step")
+    assert list(tmp_path.iterdir()) == [kept]
+    assert kept.read_text() == "before\n"
+    # a rename that fails (the target is a directory) leaves no temp file
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(ToolError, match="cannot write .*dir"):
+        with serialize.written_together() as stage:
+            stage(kept, ["after\n"])
+            stage(tmp_path / "dir", ["x\n"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "kept.csv"]
+    assert kept.read_text() == "after\n"

@@ -6,7 +6,10 @@ so several oracles here hold to rounding error rather than O(1/n).
 """
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -376,6 +379,50 @@ def test_ulam_transpose_actions_match_the_reference_csr(path, n):
     assert op.apply_t(h).tobytes() == (want.transpose().tocsr() @ h).tobytes()
     if n <= transfer.DENSE_EIG_LIMIT:
         assert op.dense_t().tobytes() == want.toarray().T.tobytes()
+
+
+@pytest.mark.parametrize("path, n", [
+    (str(ROOT / "configs" / "markov.json"), 300),
+    (str(ROOT / "pipebench" / "maps" / "nonlinear.json"), 500)],
+    ids=["markov", "nonlinear"])
+def test_dense_eigenvalues_match_the_csr_oracle_bit_for_bit(path, n):
+    # dense_t is a transposed view; eigvals copies it into the same LAPACK
+    # buffer as a C-ordered Pᵀ, so the eigenvalues are the same doubles
+    op = transfer.ulam_matrix(load_map(path), n)
+    got = np.linalg.eigvals(op.dense_t())
+    assert got.tobytes() == np.linalg.eigvals(op.matrix.toarray().T).tobytes()
+
+
+_DENSE_RSS = """
+import sys
+from pwexpand import transfer
+from pwexpand.mapconfig import load_map
+
+def rss():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh
+                    if line.startswith("VmRSS:"))
+
+op = transfer.ulam_matrix(load_map(sys.argv[1]), int(sys.argv[2]))
+before = rss()
+dense = op.dense_t()
+print(rss() - before)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmRSS from /proc/self/status")
+def test_dense_matrix_is_resident_only_where_it_has_entries():
+    # markov at 2100 bins has ~2.3 entries per row; the pages holding them
+    # take ~8 MB of the 35 MB array, where np.zeros (huge pages) took 33 MB
+    n = 2100
+    src = Path(pwexpand.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", _DENSE_RSS, str(ROOT / "configs" / "markov.json"),
+         str(n)], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    grown = int(out.stdout)
+    assert grown < 8 * n * n / 2, grown
 
 
 # ------------------------------------------------------- invariant_density
