@@ -15,6 +15,7 @@ of that finite Markov chain.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,46 +204,57 @@ def ly_constants_best_A(pmap: PiecewiseMap, p: float) -> LYConstants:
     return ly_constants(pmap, p=p, t=1.0, A=A)
 
 
-def _random_trig(rng, basis, n: int) -> np.ndarray:
-    out = np.full(n, rng.normal())
+def _normal(draw) -> float:
+    """A standard normal by Box–Muller from two uniform draws; 1 - u lies
+    in (0, 1], so its logarithm is finite."""
+    radius = math.sqrt(-2.0 * math.log(1.0 - draw()))
+    return radius * math.cos(2.0 * math.pi * draw())
+
+
+def _random_trig(draw, basis, n: int) -> np.ndarray:
+    out = np.full(n, _normal(draw))
     for k, (cos_k, sin_k) in enumerate(basis, start=1):
-        a, b = rng.normal(size=2) / k
+        a, b = _normal(draw) / k, _normal(draw) / k
         out += a * cos_k + b * sin_k
     return out
 
 
-def _random_step(rng, n: int) -> np.ndarray:
-    jumps = rng.integers(1, _MAX_JUMPS + 1)
-    edges = np.sort(rng.integers(1, n, size=jumps))
-    levels = rng.normal(size=jumps + 1)
+def _random_step(draw, n: int) -> np.ndarray:
+    jumps = 1 + int(draw() * _MAX_JUMPS)
+    edges = sorted(1 + int(draw() * (n - 1)) for _ in range(jumps))
     out = np.empty(n)
     start = 0
-    for edge, level in zip(list(edges) + [n], levels):
-        out[start:edge] = level
+    for edge in edges + [n]:
+        out[start:edge] = _normal(draw)
         start = edge
     return out
 
 
 def _test_functions(n: int, count: int, seed: int):
-    """`random_test_functions` one at a time.  The cos and sin rows of
-    each degree are computed once per call and shared by the trigonometric
-    functions, which sum them in the same order as when each function
-    computed its own, so the bits do not change."""
+    """`random_test_functions` one at a time.  Every number comes from
+    ``random.Random(seed).random()``, whose sequence Python keeps the same
+    across versions for a given seed: a normal is Box–Muller on two
+    draws, an integer in [lo, lo + span) is lo + int(draw * span).  The cos
+    and sin rows of each degree are computed once per call and shared by
+    the trigonometric functions."""
+    # Random(-s) seeds like Random(s), so a negative seed would repeat one
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    rng = np.random.default_rng(seed)
+    draw = random.Random(seed).random
     x = (np.arange(n) + 0.5) / n
     basis = [(np.cos(2.0 * math.pi * k * x), np.sin(2.0 * math.pi * k * x))
              for k in range(1, _MAX_DEGREE + 1)]
     for i in range(count):
-        yield GridFunction(_random_trig(rng, basis, n) if i % 2 == 0
-                           else _random_step(rng, n))
+        yield GridFunction(_random_trig(draw, basis, n) if i % 2 == 0
+                           else _random_step(draw, n))
 
 
 def random_test_functions(n: int, count: int, seed: int):
     """Seeded list of grid test functions, alternating trigonometric
-    polynomials (degree <= _MAX_DEGREE) and step functions (<= _MAX_JUMPS
-    jumps)."""
+    polynomials (degree <= _MAX_DEGREE, normal coefficients, the degree-k
+    ones divided by k) and step functions (1 to _MAX_JUMPS jumps at
+    uniform cells, normal levels), all drawn from
+    ``random.Random(seed).random()``."""
     return list(_test_functions(n, count, seed))
 
 

@@ -232,8 +232,7 @@ def _holder_from_samples(tree, lo: float, hi: float, epsilon: float) -> float:
     """Max of |τ'(x_j)-τ'(x_i)|/(x_j-x_i)^ε over every pair i < j of a
     uniform grid of _HOLDER_CELLS cells on [lo, hi]: τ' is evaluated once,
     at its _HOLDER_CELLS + 1 points, and the quotients of all 32 896 pairs
-    (at 256 cells) are taken in one pass.  Adjacent pairs see the fine scale, far pairs the coarse one;
-    no generator is drawn from, so a map load never imports numpy.random."""
+    (at 256 cells) are taken in one pass.  Adjacent pairs see the fine scale, far pairs the coarse one."""
     grid = np.linspace(lo, hi, _HOLDER_CELLS + 1)
     _, dg = expr.eval_with_derivative(tree, grid)
     i, j = np.triu_indices(grid.size, 1)

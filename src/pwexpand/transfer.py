@@ -13,17 +13,18 @@ Ulam eigenvalues inside r_ess move with n (Keller–Liverani), so a value is
 resolved when it has converged and |λ| > r_ess + 1e-8.  Up to
 ``DENSE_EIG_LIMIT`` (4096) bins a dense ``eigvals`` gives the whole Ulam
 spectrum, every value converged.  Above it, `_krylov_top` builds an
-unrestarted Arnoldi basis on ``apply_t`` from a fixed random start vector
-(a constant start is Pᵀ's fixed vector for the doubly stochastic maps and
-breaks down at once).  It grows by max(64, m/4) vectors per step.  It
-stops once every top-k Ritz value outside r_ess + 1e-8 has residual
-|h_{m+1,m} y_m| ≤ ``_RITZ_TOL``, or once a step converges no more of them
-and cuts their largest residual by less than ``_STALL_FACTOR``: on tent,
-doubling and tripling the top Ritz values sit in a cluster just outside
-the r_ess circle and converge too slowly to wait for.  Each value carries
-its converged flag; an unconverged value outside r_ess leaves the
-spectral gap not established (nan).  At ``KRYLOV_MAX_DIM`` vectors, or
-when k exceeds that cap, `spectrum` raises `ToolError`.
+unrestarted Arnoldi basis on ``apply_t`` from a fixed pseudo-random start
+vector, n draws of ``random.Random(0).random()`` (a constant start is Pᵀ's
+fixed vector for the doubly stochastic maps and breaks down at once).  It
+grows by max(64, m/4) vectors per step.  It stops once every top-k Ritz
+value outside r_ess + 1e-8 has residual |h_{m+1,m} y_m| ≤ ``_RITZ_TOL``,
+or once a step converges no more of them and cuts their largest residual
+by less than ``_STALL_FACTOR``: on tent, doubling and tripling the top
+Ritz values sit in a cluster just outside the r_ess circle and converge
+too slowly to wait for.  Each value carries its converged flag; an
+unconverged value outside r_ess leaves the spectral gap not established
+(nan).  At ``KRYLOV_MAX_DIM`` vectors, or when k exceeds that cap,
+`spectrum` raises `ToolError`.
 
 The gap is 1 minus the largest resolved modulus other than λ = 1, so a
 resolved -1 or root of unity on the unit circle (a cyclic map, which does
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -329,8 +331,8 @@ _STALL_FACTOR = 10.0
 def _krylov_top(op: UlamOperator, k: int):
     """Top-k eigenvalues of Pᵀ from an unrestarted Arnoldi basis on
     `op.apply_t` that grows by max(64, m/4) vectors per step, started from
-    a random vector of ``default_rng(0)``; returns (values, converged, m,
-    stall).  A value has converged when its Ritz residual |h_{m+1,m} y_m|
+    n draws of ``random.Random(0).random()``; returns (values, converged,
+    m, stall).  A value has converged when its Ritz residual |h_{m+1,m} y_m|
     is at most _RITZ_TOL.  The basis stops growing when every top-k Ritz
     value of modulus above op.r_ess + 1e-8 has converged (stall is None),
     or when a step converged no more of them and cut their largest
@@ -340,14 +342,15 @@ def _krylov_top(op: UlamOperator, k: int):
     A breakdown means the basis spans an invariant subspace.  That
     subspace holds one eigenvector per eigenvalue at most, so a repeated
     top eigenvalue (two ergodic components) would be reported once: a
-    random vector orthogonal to the basis continues it, until the basis
-    spans all of R^n."""
-    n, r_ess, rng = op.n, op.r_ess, np.random.default_rng(0)
+    vector of the next n draws, made orthogonal to the basis, continues
+    it, until the basis spans all of R^n."""
+    n, r_ess, draw = op.n, op.r_ess, random.Random(0).random
     cap = min(KRYLOV_MAX_DIM, n)
     # basis vectors as rows; a page is used only once its row is written
     basis = np.empty((cap + 1, n))
     hess = np.zeros((cap + 1, cap))  # upper Hessenberg, top-left (m+1) x m
-    v = rng.random(n)
+    # draw() never returns the sentinel None: fromiter takes n draws
+    v = np.fromiter(iter(draw, None), float, n)
     basis[0] = v / np.linalg.norm(v)
     m, done, worst = 0, -1, np.inf
     while True:
@@ -371,7 +374,7 @@ def _krylov_top(op: UlamOperator, k: int):
             elif m == n:
                 break
             else:
-                v = rng.random(n)
+                v = np.fromiter(iter(draw, None), float, n)
                 for _ in range(2):
                     v -= (basis[:m] @ v) @ basis[:m]
                 basis[m] = v / np.linalg.norm(v)

@@ -4,8 +4,9 @@ CSV files each subcommand leaves behind.
 Everything runs in-process through main(argv) except the tests that need
 a fresh interpreter: the console-script entry point declared in
 pyproject.toml, run the way the wrapper that pip generates for it does,
-the import checks (scipy, numpy.random and what it pulls in), and a
-formula whose numpy warnings would reach a user's stderr.
+the import checks (scipy, and numpy.random with what it pulls in, which
+no subcommand loads), and a formula whose numpy warnings would reach a
+user's stderr.
 """
 
 import contextlib
@@ -164,25 +165,29 @@ def test_cli_import_loads_no_secrets_hashlib_or_multiprocessing():
     assert _fresh_python(script) == "[]\n"
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    (["check-slope", NONLINEAR, "--p", "1"], []),
-    (["density", NONLINEAR, "--bins", "1024", "--no-plot",
-      "--out", "density.csv"], []),
-    (["correlate", NONLINEAR, "--f", "x", "--g", "x", "--N", "4", "--grid",
-      "1024", "--wrt", "invariant", "--no-plot", "--out", "correlation.csv"],
-     []),
-    # --seed is a contract, so ly-verify keeps its generator
-    (["ly-verify", NONLINEAR, "--p", "2", "--A", "0.125", "--trials", "2",
-      "--grid", "256", "--out", "ly_verify.csv"],
-     ["hashlib", "numpy.random", "secrets"]),
-], ids=["check-slope", "density", "correlate-invariant", "ly-verify"])
-def test_only_ly_verify_loads_a_random_generator(argv, loaded, tmp_path):
-    # numpy.random brings secrets, hashlib and libcrypto with it; a map
-    # load samples its Hölder constants on a grid and correlate's
-    # uniqueness probes start from fixed densities, so neither needs it
+@pytest.mark.parametrize("argv", [
+    ["check-slope", NONLINEAR, "--p", "1"],
+    ["density", NONLINEAR, "--bins", "1024", "--no-plot",
+     "--out", "density.csv"],
+    ["correlate", NONLINEAR, "--f", "x", "--g", "x", "--N", "4", "--grid",
+     "1024", "--wrt", "invariant", "--no-plot", "--out", "correlation.csv"],
+    ["ly-verify", NONLINEAR, "--p", "2", "--A", "0.125", "--trials", "2",
+     "--grid", "256", "--out", "ly_verify.csv"],
+    # t > 1, so the L estimator draws its test functions
+    ["ly", TRIPLING, "--p", "2", "--t", "1.5", "--A", "0.125", "--auto-L",
+     "--out", "ly.csv"],
+    # above DENSE_EIG_LIMIT, so the Krylov start vector is drawn
+    ["spectrum", str(CONFIGS / "tent.json"), "--bins", "4500", "--top", "8",
+     "--no-plot", "--out", "spectrum.csv"],
+], ids=["check-slope", "density", "correlate-invariant", "ly-verify",
+        "ly-auto-L", "spectrum-krylov"])
+def test_no_subcommand_loads_numpy_random(argv, tmp_path):
+    # numpy.random brings secrets, hashlib and libcrypto with it; every
+    # seeded number is drawn by random.Random.random(), and a map load
+    # samples its Hölder constants on a grid
     out = _fresh_python(_MAIN_SCRIPT, "numpy.random,secrets,hashlib", *argv,
                         cwd=tmp_path)
-    assert out.splitlines()[-1] == f"0 {loaded}"
+    assert out.splitlines()[-1] == "0 []"
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,6 +7,7 @@ so several oracles here hold to rounding error rather than O(1/n).
 
 import dataclasses
 import os
+import random
 import re
 import subprocess
 import sys
@@ -18,7 +19,7 @@ import pytest
 import scipy.sparse as sp
 
 import pwexpand
-from pwexpand import expr, transfer
+from pwexpand import analysis, expr, transfer
 from pwexpand.errors import ConfigError, ToolError
 from pwexpand.grid import GridFunction, project
 from pwexpand.mapconfig import load_map
@@ -710,6 +711,38 @@ def test_krylov_basis_finds_a_repeated_unit_eigenvalue(block_map):
         dataclasses.replace(op, r_ess=0.0), 6)
     assert np.sum(np.abs(np.abs(vals) - 1.0) <= 1e-8) == 2
     assert converged.all() and stall is None
+
+
+def test_seeded_numbers_come_only_from_random_random(monkeypatch,
+                                                     block_map):
+    # Python promises the sequence of Random.random() for a seed across
+    # versions, and of no other method; block_map's basis breaks down, so
+    # the restart vectors are drawn too
+    op = dataclasses.replace(transfer.ulam_matrix(block_map, 64), r_ess=0.0)
+    draws = []
+    random_random = random.Random.random
+    monkeypatch.setattr(random.Random, "random",
+                        lambda self: draws.append(1) or random_random(self))
+
+    def run():
+        del draws[:]
+        funcs = analysis.random_test_functions(64, 6, seed=3)
+        n_funcs = len(draws)
+        vals = transfer._krylov_top(op, 6)[0]
+        return [f.values.tolist() for f in funcs], vals.tolist(), (
+            n_funcs, len(draws) - n_funcs)
+
+    expect = run()
+    n_funcs, n_krylov = expect[2]
+    assert n_funcs > 0 and n_krylov > 64 and n_krylov % 64 == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a seeded number was not drawn by random()")
+
+    for name in ("gauss", "normalvariate", "randrange", "randint",
+                 "getrandbits"):
+        monkeypatch.setattr(random.Random, name, refuse)
+    assert run() == expect
 
 
 def test_spectrum_puts_one_first_among_the_cube_roots_of_unity():
