@@ -15,8 +15,8 @@ from .analysis import (
     ly_verify,
 )
 from .errors import ConfigError, ToolError
-from .expr import eval_with_derivative, evaluate, format_expression, parse
-from .grid import GridFunction, VariationReport, osc_profile, osc_q, project, variation
+from .expr import eval_with_derivative, evaluate, parse
+from .grid import GridFunction, VariationReport, project, variation
 from .lorenz import (
     LorenzConfig,
     ReturnMapData,
@@ -30,8 +30,6 @@ from .maps import (
     Branch,
     Interval,
     PiecewiseMap,
-    apply_map,
-    branch_inverse,
     check_slope_condition,
     make_map,
     validate,
@@ -64,8 +62,6 @@ __all__ = [
     "UlamOperator",
     "VariationReport",
     "apply_fp",
-    "apply_map",
-    "branch_inverse",
     "build_return_map",
     "check_slope_condition",
     "correlation_invariant",
@@ -77,7 +73,6 @@ __all__ = [
     "extract_z_maxima",
     "fit_decay_rate",
     "fit_piecewise",
-    "format_expression",
     "integrate",
     "invariant_density",
     "iterate_norm_series",
@@ -88,8 +83,6 @@ __all__ = [
     "make_map",
     "map_from_config",
     "map_to_config",
-    "osc_profile",
-    "osc_q",
     "parse",
     "project",
     "spectrum",

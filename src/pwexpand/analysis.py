@@ -313,13 +313,20 @@ def _correlation(kind: str, pmap: PiecewiseMap, f, g, N_max: int,
     op = ulam_matrix(pmap, n)
     h = _unique_invariant_density(op).values
     fv, gv = project(f, n).values, project(g, n).values
-    cur = fv * h if kind == "invariant" else fv
-    gv = gv - float(np.mean(gv * h))
     C = np.empty(N_max + 1)
-    for N in range(N_max + 1):
-        C[N] = abs(float(np.mean(cur * gv)))
-        if N < N_max:
-            cur = op.apply_t(cur)
+    # an overflow gives inf or nan, which the check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        cur = fv * h if kind == "invariant" else fv
+        gv = gv - float(np.mean(gv * h))
+        for N in range(N_max + 1):
+            C[N] = abs(float(np.mean(cur * gv)))
+            if N < N_max:
+                cur = op.apply_t(cur)
+    bad = np.flatnonzero(~np.isfinite(C))
+    if bad.size:
+        raise ToolError(
+            f"correlation C({bad[0]}) = {C[bad[0]]} overflows a double; "
+            "scale f or g down")
     rate, quality = fit_decay_rate(C)
     return CorrelationSeries(kind=kind, C_values=C, fitted_rate=rate,
                              fit_quality=quality, r_ess=op.r_ess)

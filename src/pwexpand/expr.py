@@ -342,37 +342,3 @@ def eval_with_derivative(e, x):
         return float(val), 0.0 if der is None else float(der)
     return _fill(val, x), _fill(0.0 if der is None else der, x)
 
-
-# precedence levels for the printer: + - (1), * / (2), unary - (3), ^ (4), atoms (5)
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def format_expression(e) -> str:
-    """Print an AST back to parseable text; parse(format_expression(e))
-    evaluates identically to e."""
-    return _fmt(e, 0)
-
-
-def _fmt(e, context: int) -> str:
-    if isinstance(e, Num):
-        text = repr(float(e.value))
-        prec = 3 if math.copysign(1.0, e.value) < 0 else 5
-        return f"({text})" if prec < context else text
-    if isinstance(e, Var):
-        return "x"
-    if isinstance(e, Pi):
-        return "pi"
-    if isinstance(e, Call):
-        return f"{e.func}({_fmt(e.arg, 0)})"
-    if isinstance(e, Neg):
-        text = "-" + _fmt(e.arg, 3)
-        return f"({text})" if context > 3 else text
-    if isinstance(e, BinOp):
-        if e.op == "^":
-            text = f"{_fmt(e.left, 5)}^{_fmt(e.right, 4)}"
-            return f"({text})" if context > 4 else text
-        prec = _PREC[e.op]
-        spacer = " " if prec == 1 else ""
-        text = f"{_fmt(e.left, prec)}{spacer}{e.op}{spacer}{_fmt(e.right, prec + 1)}"
-        return f"({text})" if context > prec else text
-    raise TypeError(f"not an expression node: {e!r}")

@@ -99,28 +99,16 @@ def project(e, n: int) -> GridFunction:
     left = expr.evaluate(e, mids - delta)
     center = expr.evaluate(e, mids)
     right = expr.evaluate(e, mids + delta)
-    return GridFunction((5.0 * left + 8.0 * center + 5.0 * right) / 18.0)
+    # a sum that overflows gives inf, which GridFunction rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (5.0 * left + 8.0 * center + 5.0 * right) / 18.0
+    return GridFunction(values)
 
 
 def window_half_width(r: float, n: int) -> int:
     """Cells j with |j-k| <= half have midpoints within distance < r of
     cell k's midpoint; half = ceil(r*n) - 1 realizes the open window."""
     return max(int(math.ceil(r * n)) - 1, 0)
-
-
-def osc_profile(f: GridFunction, r: float) -> GridFunction:
-    """Oscillation (sup - inf) of f over the radius-r window at each cell."""
-    if not (0.0 < r <= 1.0):
-        raise ConfigError(f"radius must lie in (0,1], got {r}")
-    lo, hi = kernels.sliding_minmax(f.values, window_half_width(r, f.n))
-    return GridFunction(hi - lo)
-
-
-def osc_q(f: GridFunction, r: float, lq: float) -> float:
-    """L^lq norm of the oscillation profile at radius r."""
-    if not lq >= 1:
-        raise ConfigError(f"lq must be >= 1 or inf, got {lq}")
-    return osc_profile(f, r).norm_lq(lq)
 
 
 def radius_grid(n: int, A: float) -> np.ndarray:
@@ -134,8 +122,9 @@ def radius_grid(n: int, A: float) -> np.ndarray:
 
 def variation(f: GridFunction, lq: float, p: float,
               A: float = DEFAULT_A) -> VariationReport:
-    """Generalized variation: sup over 0 < r <= A of osc_q(f,r)/r^(1/p),
-    approximated by a max over a geometric radius grid."""
+    """Generalized variation: sup over 0 < r <= A of the L^lq norm of the
+    oscillation profile (sup - inf of f over each window S_r) over
+    r^(1/p), approximated by a max over a geometric radius grid."""
     if not (0.0 < A <= 1.0):
         raise ConfigError(f"A must lie in (0,1], got {A}")
     if not p >= 1:

@@ -3,8 +3,10 @@ profile, and the classical RK4 integrator of the Lorenz system.
 
 ``sliding_minmax_sweep`` computes the running min and max for a whole
 nondecreasing sequence of half-widths from one doubling (sparse) table in
-numpy, and ``sliding_minmax`` is its one-element case; no scipy module is
-loaded for an oscillation profile.  ``lorenz_rk4`` is plain Python; each
+numpy; no scipy module is loaded for an oscillation profile.
+``sliding_minmax``, its one-element case, has no caller in the library:
+it stays only because ``pipebench/probes.py`` patches it, until the
+benchmark's probes drop it.  ``lorenz_rk4`` is plain Python; each
 step performs a fixed IEEE operation sequence, so a given input always
 yields the same trajectory bit for bit.
 """

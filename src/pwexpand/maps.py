@@ -18,8 +18,7 @@ import numpy as np
 from . import expr
 from .errors import ConfigError, ToolError
 
-#: residual |τ_i(x) - y| at which branch inversion stops, and the slack
-#: `branch_inverse` allows outside the image
+#: residual |τ_i(x) - y| at which branch inversion stops
 INVERSE_TOL = 1e-12
 
 #: Newton/bisection steps before branch inversion gives up
@@ -259,10 +258,10 @@ def check_slope_condition(pmap: PiecewiseMap, p: float):
 def invert_branch_array(branch: Branch, ys) -> np.ndarray:
     """Vectorized bisection-safeguarded Newton inversion of one branch.
 
-    Every y must already lie inside the branch image (clip first); use
-    `branch_inverse` for the checked scalar form.  An image end gets its
-    domain end exactly, without iterating: Newton overshoots the bracket
-    there and bisection creeps toward it one bit per step.  The other
+    Every y must already lie inside the branch image (clip first).  An
+    image end gets its domain end exactly, without iterating: Newton
+    overshoots the bracket there and bisection creeps toward it one bit
+    per step.  The other
     points are solved _INVERSE_CHUNK at a time, so the working memory does
     not grow with len(ys); each point's iterates depend on that point
     alone, so the chunking changes no bit of the result.
@@ -312,28 +311,3 @@ def _newton(branch: Branch, ys: np.ndarray, end_a: float,
         f"{_INVERSE_MAX_ITER} iterations (worst residual {worst:g}) for "
         f"branch {branch.formula!r}")
 
-
-def branch_inverse(branch: Branch, y: float) -> float:
-    """Solve τ_i(x) = y on the branch domain."""
-    img = branch.image
-    if y < img.lo - INVERSE_TOL or y > img.hi + INVERSE_TOL:
-        raise ToolError(
-            f"y={y!r} is outside the branch image [{img.lo}, {img.hi}]")
-    y_in = min(max(y, img.lo), img.hi)
-    return float(invert_branch_array(branch, np.array([y_in]))[0])
-
-
-def apply_map(pmap: PiecewiseMap, xs):
-    """Evaluate τ pointwise (breakpoints resolve to the right-hand branch,
-    except x=1 which belongs to the last branch)."""
-    xs = np.asarray(xs, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    inner = np.asarray(pmap.breakpoints[1:-1])
-    idx = np.searchsorted(inner, xs, side="right")
-    out = np.empty(xs.shape)
-    for k, br in enumerate(pmap.branches):
-        mask = idx == k
-        if np.any(mask):
-            out[mask] = expr.evaluate(br.expression, xs[mask])
-    return float(out[0]) if scalar else out

@@ -111,18 +111,12 @@ def written_together():
                 os.unlink(tmp)
 
 
-def _write_atomic(path, chunks) -> None:
-    """Write the strings of `chunks` to `path` by one staged rename (see
-    `written_together`)."""
-    with written_together() as stage:
-        stage(path, chunks)
-
-
 def write_text_atomic(path, text: str) -> None:
-    """Write text atomically (see `_write_atomic`)."""
-    # by 1 MiB slices: one write would hold a second, encoded copy of text
-    _write_atomic(path, (text[i:i + (1 << 20)]
-                         for i in range(0, len(text), 1 << 20)))
+    """Write text to `path` by one staged rename (see `written_together`)."""
+    with written_together() as stage:
+        # by 1 MiB slices: one write would hold a second, encoded copy of text
+        stage(path, (text[i:i + (1 << 20)]
+                     for i in range(0, len(text), 1 << 20)))
 
 
 def grid_function_csv(f: GridFunction) -> str:

@@ -16,12 +16,14 @@ spectrum, every value converged.  Above it, `_krylov_top` builds an
 unrestarted Arnoldi basis on ``apply_t`` from a fixed pseudo-random start
 vector, n draws of ``random.Random(0).random()`` (a constant start is Pᵀ's
 fixed vector for the doubly stochastic maps and breaks down at once).  It
-grows by max(64, m/4) vectors per step.  It stops once every top-k Ritz
-value outside r_ess + 1e-8 has residual |h_{m+1,m} y_m| ≤ ``_RITZ_TOL``,
-or once a step converges no more of them and cuts their largest residual
-by less than ``_STALL_FACTOR``: on tent, doubling and tripling the top
-Ritz values sit in a cluster just outside the r_ess circle and converge
-too slowly to wait for.  Each value carries its converged flag; an
+grows by max(64, m/4) vectors per step, and its one array grows with it:
+each step allocates the rows it needs and copies the basis over, so the
+memory follows m, not the cap.  It stops once every top-k Ritz value
+outside r_ess + 1e-8 has residual |h_{m+1,m} y_m| ≤ ``_RITZ_TOL``, or
+once a step converges no more of them and cuts their largest residual by
+less than ``_STALL_FACTOR``: on tent, doubling and tripling the top Ritz
+values sit in a cluster just outside the r_ess circle and converge too
+slowly to wait for.  Each value carries its converged flag; an
 unconverged value outside r_ess leaves the spectral gap not established
 (nan).  At ``KRYLOV_MAX_DIM`` vectors, or when k exceeds that cap,
 `spectrum` raises `ToolError`.
@@ -346,12 +348,10 @@ def _krylov_top(op: UlamOperator, k: int):
     it, until the basis spans all of R^n."""
     n, r_ess, draw = op.n, op.r_ess, random.Random(0).random
     cap = min(KRYLOV_MAX_DIM, n)
-    # basis vectors as rows; a page is used only once its row is written
-    basis = np.empty((cap + 1, n))
     hess = np.zeros((cap + 1, cap))  # upper Hessenberg, top-left (m+1) x m
     # draw() never returns the sentinel None: fromiter takes n draws
     v = np.fromiter(iter(draw, None), float, n)
-    basis[0] = v / np.linalg.norm(v)
+    basis = (v / np.linalg.norm(v))[None, :]  # basis vectors as rows
     m, done, worst = 0, -1, np.inf
     while True:
         if m >= cap:
@@ -360,6 +360,10 @@ def _krylov_top(op: UlamOperator, k: int):
                 f"cap of {cap} vectors before the top {k} Ritz values outside "
                 f"r_ess = {r_ess:.6g} converged (largest residual {worst:.3g})")
         size = min(m + max(64, m // 4), cap)
+        # rows for this step only; the copy holds both arrays for a moment
+        grown = np.empty((size + 1, n))
+        grown[:m + 1] = basis
+        basis = grown
         while m < size:
             w = op.apply_t(basis[m])
             for _ in range(2):  # classical Gram–Schmidt, twice

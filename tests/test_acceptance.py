@@ -11,9 +11,8 @@ import time
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from pwexpand import analysis, expr, lorenz, transfer
-from pwexpand.grid import (GridFunction, osc_profile, variation,
-                           window_half_width)
+from pwexpand import analysis, expr, kernels, lorenz, transfer
+from pwexpand.grid import GridFunction, variation, window_half_width
 from pwexpand.maps import check_slope_condition, invert_branch_array
 
 
@@ -187,6 +186,13 @@ def _brute_osc(values, half):
     return out
 
 
+def _profiles(values, radii):
+    """The oscillation profiles at the nondecreasing radii, copied out of
+    the one sweep that `variation` runs."""
+    halves = [window_half_width(r, len(values)) for r in radii]
+    return [hi - lo for lo, hi in kernels.sliding_minmax_sweep(values, halves)]
+
+
 def test_criterion_8_oscillation_machinery(acceptance_report, tripling,
                                            markov, doubling):
     t0 = time.perf_counter()
@@ -199,9 +205,8 @@ def test_criterion_8_oscillation_machinery(acceptance_report, tripling,
         edges = np.sort(rng.integers(1, n, size=rng.integers(1, 9)))
         values = np.repeat(rng.normal(size=len(edges) + 1),
                            np.diff(np.concatenate([[0], edges, [n]])))
-        f = GridFunction(values)
-        for r in (1 / n, 0.02, 0.1):
-            prof = osc_profile(f, r).values
+        radii = (1 / n, 0.02, 0.1)
+        for r, prof in zip(radii, _profiles(values, radii)):
             brute = _brute_osc(values, window_half_width(r, n))
             if not np.array_equal(prof, brute):
                 exact = False
@@ -227,8 +232,8 @@ def test_criterion_8_oscillation_machinery(acceptance_report, tripling,
         src = np.clip(np.floor(xs * n).astype(int), 0, n - 1)
         g = np.zeros(n)
         g[inside] = f.values[src]
-        prof_g = osc_profile(GridFunction(g), r).values
-        prof_f = osc_profile(f, min(r / s + 2.0 / n, 1.0)).values
+        [prof_g] = _profiles(g, [r])
+        [prof_f] = _profiles(f.values, [min(r / s + 2.0 / n, 1.0)])
         idx = np.nonzero(inside)[0]
         keep = ((idx >= window_half_width(r, n))
                 & (idx < n - window_half_width(r, n)))

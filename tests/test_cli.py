@@ -1250,15 +1250,23 @@ def test_expression_error_exits_one(tmp_path, capsys):
 
 def test_overflowing_formula_prints_one_error_line(tmp_path):
     # a fresh interpreter, so numpy's warnings reach stderr as they would
-    # for a user rather than through pytest's warning filters
+    # for a user rather than through pytest's warning filters; the cell
+    # values overflow in the formula, then in the cell averages, then only
+    # in the correlation's products and sums
     src = Path(pwexpand.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run(
-        [sys.executable, "-m", "pwexpand.cli", "var", "--f", "exp(1000*x)",
-         "--q", "1", "--p", "1", "--A", "0.1", "--grid", "64"],
-        cwd=tmp_path, capture_output=True, text=True, env=env)
-    assert out.returncode == 1
-    assert out.stderr == "error: grid values must be finite\n"
+    var = ["var", "--q", "1", "--p", "1", "--A", "0.1", "--grid", "64", "--f"]
+    for argv, message in [
+            (var + ["exp(1000*x)"], "grid values must be finite"),
+            (var + ["1e308*x"], "grid values must be finite"),
+            (["correlate", MARKOV, "--f", "x", "--g", "1e307*x", "--N", "5",
+              "--grid", "300", "--no-plot"],
+             "correlation C(0) = inf overflows a double; scale f or g down")]:
+        out = subprocess.run(
+            [sys.executable, "-m", "pwexpand.cli", *argv],
+            cwd=tmp_path, capture_output=True, text=True, env=env)
+        assert (out.returncode, out.stderr) == (1, f"error: {message}\n"), argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def _run_with_2_gib(tmp_path, *argv):
@@ -1294,18 +1302,40 @@ def test_out_of_memory_prints_one_error_line(tmp_path):
     assert not (tmp_path / "density.csv").exists()
 
 
+# a Krylov basis on 5·10^6 bins: its first step's 65 rows take
+# 8·65·5·10^6 bytes = 2.42 GiB, above the cap; the operator has no entries,
+# so only the start vector is allocated before them
+_KRYLOV_5M = """
+import sys
+import numpy as np
+from pwexpand import cli, transfer
+none = np.zeros(0, dtype=np.int64)
+transfer.ulam_matrix = lambda pmap, n: transfer.UlamOperator(
+    n, none, none, np.zeros(0), 0.5)
+sys.exit(cli.main(["spectrum", sys.argv[1], "--bins", "5000000",
+                   "--no-plot"]))
+"""
+
+
 def test_out_of_memory_in_the_eigensolve_prints_one_error_line(tmp_path):
-    # the Ulam operator on 3·10^5 bins takes tens of MB; the Krylov basis
-    # of 1025 vectors of that length takes 2.29 GiB, above the cap
-    out = _run_with_2_gib(tmp_path, "spectrum", str(CONFIGS / "tent.json"),
-                          "--bins", "300000", "--no-plot")
+    out = _python_with_2_gib(tmp_path, "-c", _KRYLOV_5M,
+                             str(CONFIGS / "tent.json"))
     assert out.returncode == 1
-    assert out.stderr.count("\n") == 1
-    assert out.stderr.startswith("error: out of memory: ")
-    assert "(1025, 300000)" in out.stderr
-    assert "Traceback" not in out.stderr
+    assert out.stderr == (
+        "error: out of memory: Unable to allocate 2.42 GiB for an array "
+        "with shape (65, 5000000) and data type float64\n")
     assert out.stdout == ""
-    assert not (tmp_path / "spectrum.csv").exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_krylov_basis_takes_only_the_rows_it_uses(tmp_path):
+    # a basis reserved for all 1025 vectors of 2^18 doubles would take
+    # 2.15 GB, above the cap; the solve stops at 65 of them
+    out = _run_with_2_gib(tmp_path, "spectrum", str(CONFIGS / "doubling.json"),
+                          "--bins", str(1 << 18), "--no-plot")
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.splitlines()[-1] == "eigensolver: krylov m=64"
+    assert (tmp_path / "spectrum.csv").exists()
 
 
 # the dense Pᵀ on 20000 bins: 8·20000² bytes = 2.98 GiB, above the cap

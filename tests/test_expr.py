@@ -5,11 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from pwexpand import expr
 from pwexpand.expr import (EvalError, ParseError, eval_with_derivative,
-                           evaluate, format_expression, parse)
+                           evaluate, parse)
 
 
 # ---------------------------------------------------------------- parsing
@@ -177,46 +176,7 @@ def test_derivative_vs_central_differences():
             assert abs(der - fd) <= 1e-6 * scale
 
 
-# ------------------------------------------------------------ formatting
-
-def _safe_exprs():
-    """Strategy over a pow/log/div-free fragment (total on all of R)."""
-    atoms = st.one_of(
-        st.just(expr.Var()),
-        st.just(expr.Pi()),
-        st.floats(min_value=-4.0, max_value=4.0,
-                  allow_nan=False, allow_infinity=False).map(expr.Num),
-    )
-
-    def compose(children):
-        unary = children.map(expr.Neg)
-        calls = st.tuples(st.sampled_from(["sin", "cos", "abs"]),
-                          children).map(lambda t: expr.Call(*t))
-        binops = st.tuples(st.sampled_from(["+", "-", "*"]),
-                           children, children).map(lambda t: expr.BinOp(*t))
-        return st.one_of(unary, calls, binops)
-
-    return st.recursive(atoms, compose, max_leaves=12)
-
-
-@settings(max_examples=200, deadline=None)
-@given(e=_safe_exprs(), x=st.floats(min_value=0.0, max_value=1.0))
-def test_format_parse_round_trip(e, x):
-    text = format_expression(e)
-    reparsed = parse(text)
-    a = evaluate(e, x)
-    b = evaluate(reparsed, x)
-    assert a == b or abs(a - b) <= 1e-12 * max(1.0, abs(a))
-
-
-def test_format_examples():
-    # literals print with repr(float), hence the trailing ".0"
-    assert format_expression(parse("2*x")) == "2.0*x"
-    assert format_expression(parse("sin(pi*x)^2")) == "sin(pi*x)^2.0"
-    assert format_expression(parse("-(x + 1)")) == "-(x + 1.0)"
-    assert format_expression(parse("(x+1)*(x-1)")) == "(x + 1.0)*(x - 1.0)"
-    assert format_expression(parse("-x^2")) == "-x^2.0"
-
+# ------------------------------------------------------ grammar totality
 
 def _grammar_string(rng, depth):
     """Generate a random string from the documented grammar productions."""

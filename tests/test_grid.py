@@ -1,16 +1,19 @@
-"""Grid functions, oscillation profiles, osc_q, generalized variation, and
-the discrete forms of the three oscillation inequalities."""
+"""Grid functions, oscillation profiles and their L^q norms, generalized
+variation, and the discrete forms of the three oscillation inequalities.
+
+An oscillation profile here comes from `kernels.sliding_minmax_sweep` at
+`window_half_width`, the sweep that `variation` runs."""
 
 import math
 
 import numpy as np
 import pytest
 
-from pwexpand import grid
+from pwexpand import kernels
 from pwexpand.errors import ConfigError
 from pwexpand.expr import parse
-from pwexpand.grid import (GridFunction, osc_profile, osc_q, project,
-                           radius_grid, variation, window_half_width)
+from pwexpand.grid import (GridFunction, project, radius_grid, variation,
+                           window_half_width)
 from pwexpand.maps import invert_branch_array
 
 
@@ -24,6 +27,23 @@ def step_function(n, rng, jumps=8):
         values[start:edge] = level
         start = edge
     return GridFunction(values)
+
+
+def sweep_profiles(f, radii):
+    """The oscillation profile of f at each radius of the nondecreasing
+    radii, copied out of one sweep."""
+    halves = [window_half_width(r, f.n) for r in radii]
+    return [hi - lo for lo, hi in kernels.sliding_minmax_sweep(f.values, halves)]
+
+
+def profile(f, r):
+    """The oscillation profile of f at radius r."""
+    return sweep_profiles(f, [r])[0]
+
+
+def profile_norm(f, r, lq):
+    """L^lq norm of the oscillation profile of f at radius r."""
+    return GridFunction(profile(f, r)).norm_lq(lq)
 
 
 def brute_osc(values, half):
@@ -86,23 +106,22 @@ def test_norm_lq():
 
 def test_osc_profile_constant_is_zero():
     f = GridFunction(np.full(32, 2.5))
-    prof = osc_profile(f, 0.1)
-    assert np.array_equal(prof.values, np.zeros(32))
+    assert np.array_equal(profile(f, 0.1), np.zeros(32))
 
 
 def test_osc_profile_indicator_band():
     # indicator of [0,1/2) on n=64 at r=1/16: half-width ceil(4)-1 = 3, so
     # exactly the cells whose window straddles the 31|32 jump light up
     values = (np.arange(64) < 32).astype(float)
-    prof = osc_profile(GridFunction(values), 1 / 16)
+    prof = profile(GridFunction(values), 1 / 16)
     expect = np.zeros(64)
     expect[29:35] = 1.0
-    assert np.array_equal(prof.values, expect)
+    assert np.array_equal(prof, expect)
 
 
 def test_osc_profile_linear_interior_and_edges():
     f = project(parse("x"), 256)
-    prof = osc_profile(f, 0.1).values
+    prof = profile(f, 0.1)
     assert abs(prof[128] - 0.2) <= 0.01    # interior: about 2r
     assert abs(prof[0] - 0.1) <= 0.01      # endpoint: about r
     assert abs(prof[-1] - 0.1) <= 0.01
@@ -112,47 +131,39 @@ def test_osc_profile_matches_brute_force():
     rng = np.random.default_rng(3)
     for n in (64, 257, 1024):
         f = step_function(n, rng)
-        for r in (1.0 / n, 0.003, 1 / 64, 0.05, 0.125, 0.9):
-            prof = osc_profile(f, r)
+        radii = sorted((1.0 / n, 0.003, 1 / 64, 0.05, 0.125, 0.9))
+        for r, prof in zip(radii, sweep_profiles(f, radii)):
             oracle = brute_osc(f.values, window_half_width(r, n))
-            assert np.array_equal(prof.values, oracle), (n, r)
+            assert np.array_equal(prof, oracle), (n, r)
 
 
 def test_osc_profile_monotone_in_r():
     rng = np.random.default_rng(4)
     f = step_function(512, rng)
-    radii = np.geomspace(1 / 512, 1.0, 12)
-    prev = np.zeros(512)
-    for r in radii:
-        cur = osc_profile(f, r).values
+    profiles = sweep_profiles(f, np.geomspace(1 / 512, 1.0, 12))
+    for prev, cur in zip([np.zeros(512)] + profiles, profiles):
         assert np.all(cur >= prev - 1e-15)
-        prev = cur
-
-
-def test_osc_profile_radius_guard():
-    f = GridFunction([0.0, 1.0])
-    with pytest.raises(ConfigError):
-        osc_profile(f, 0.0)
-    with pytest.raises(ConfigError):
-        osc_profile(f, 1.5)
 
 
 def test_osc_q_examples():
     n = 1024
     values = (np.arange(n) < n // 2).astype(float)
     f = GridFunction(values)
-    assert osc_q(f, 0.25, 1.0) > 0
+    assert profile_norm(f, 0.25, 1.0) > 0
     r = 1 / 16
-    assert abs(osc_q(f, r, 1.0) - 2 * r) <= 2.5 / n   # measure of the band
-    assert osc_q(f, r, math.inf) == 1.0
-    assert osc_q(GridFunction(np.ones(16) * 7), 0.3, 2.0) == 0.0
+    # the measure of the band
+    assert abs(profile_norm(f, r, 1.0) - 2 * r) <= 2.5 / n
+    assert profile_norm(f, r, math.inf) == 1.0
+    assert profile_norm(GridFunction(np.ones(16) * 7), 0.3, 2.0) == 0.0
 
 
 def test_osc_q_monotone_in_r():
     rng = np.random.default_rng(8)
     f = step_function(256, rng)
+    profiles = [GridFunction(prof)
+                for prof in sweep_profiles(f, np.geomspace(1 / 256, 0.5, 10))]
     for lq in (1.0, 2.0, math.inf):
-        vals = [osc_q(f, r, lq) for r in np.geomspace(1 / 256, 0.5, 10)]
+        vals = [prof.norm_lq(lq) for prof in profiles]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
@@ -270,9 +281,9 @@ def test_osc_composition_bound(tripling, markov, doubling):
         for branch, s in full_branches:
             g, inside, src = pullback(f, branch, n)
             for r in (4 / n, 0.02, 0.06):
-                prof_g = osc_profile(g, r).values
+                prof_g = profile(g, r)
                 inflated = r / s + 2.0 / n
-                prof_f = osc_profile(f, min(inflated, 1.0)).values
+                prof_f = profile(f, min(inflated, 1.0))
                 idx = np.nonzero(inside)[0]
                 keep = (idx >= window_half_width(r, n)) \
                     & (idx < n - window_half_width(r, n))
@@ -292,7 +303,7 @@ def test_sup_bound_on_intervals():
         start = int(rng.integers(0, n - k))
         B = k / n
         cells = slice(start, start + k)
-        prof = osc_profile(f, B).values
+        prof = profile(f, B)
         sup_y = np.max(np.abs(f.values[cells]))
         bound = (np.mean(prof[cells]) + np.mean(np.abs(f.values[cells])))
         assert sup_y <= bound + 1e-12
@@ -311,7 +322,7 @@ def test_lq_bound_on_subintervals():
         j_len = int(rng.integers(1, k + 1))
         j_start = start + int(rng.integers(0, k - j_len + 1))
         for q in (1.5, 2.0, 3.0):
-            prof = osc_profile(f, B).values
+            prof = profile(f, B)
             y = slice(start, start + k)
             j = slice(j_start, j_start + j_len)
             lhs = (np.sum(np.abs(f.values[j]) ** q) / n) ** (1 / q)

@@ -5,7 +5,7 @@ convergence."""
 import numpy as np
 import pytest
 
-from pwexpand import grid, kernels
+from pwexpand import kernels
 
 
 def brute_minmax(values, half):
@@ -74,24 +74,6 @@ def test_sliding_minmax_sweep_reuses_two_buffers():
     assert lo is not hi and not np.shares_memory(lo, values)
     for lo_next, hi_next in sweep:
         assert lo_next is lo and hi_next is hi
-
-
-def test_osc_profile_does_not_return_a_sweep_buffer(monkeypatch):
-    yielded = []
-    sweep = kernels.sliding_minmax_sweep
-
-    def recording(values, halves):
-        for pair in sweep(values, halves):
-            yielded.extend(pair)
-            yield pair
-
-    monkeypatch.setattr(kernels, "sliding_minmax_sweep", recording)
-    f = grid.GridFunction(np.random.default_rng(6).normal(size=50))
-    prof = grid.osc_profile(f, 0.1)
-    assert len(yielded) == 2
-    assert all(not np.shares_memory(prof.values, buf) for buf in yielded)
-    lo, hi = kernels.sliding_minmax(f.values, grid.window_half_width(0.1, 50))
-    assert np.array_equal(prof.values, hi - lo)
 
 
 def test_sliding_minmax_sweep_rejects_bad_halves():

@@ -126,8 +126,8 @@ def test_pieces_are_one_whole_integration(nsteps, first, tmp_path, monkeypatch,
         got = _joined(pieces)
         assert got.xyz.tobytes() == whole[first:].tobytes()
         assert got.t.tobytes() == t[first:].tobytes()
-        serialize._write_atomic(tmp_path / "traj.csv",
-                                serialize.trajectory_rows(pieces))
+        with serialize.written_together() as stage:
+            stage(tmp_path / "traj.csv", serialize.trajectory_rows(pieces))
         # by rows: a failure then names the first wrong row
         assert (tmp_path / "traj.csv").read_text().splitlines() == rows
 

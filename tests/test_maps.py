@@ -13,12 +13,11 @@ import pytest
 
 import pwexpand
 from pwexpand import expr, maps
-from pwexpand.errors import ConfigError, ToolError
+from pwexpand.errors import ConfigError
 from pwexpand.mapconfig import (dump_map_config, load_map, map_from_config,
                                 map_to_config)
-from pwexpand.maps import (INVERSE_TOL, apply_map, branch_inverse,
-                           check_slope_condition, invert_branch_array,
-                           make_map, validate)
+from pwexpand.maps import (INVERSE_TOL, check_slope_condition,
+                           invert_branch_array, make_map, validate)
 
 ROOT = Path(__file__).resolve().parent.parent
 SHIPPED = ["configs/doubling.json", "configs/tripling.json", "configs/tent.json",
@@ -351,11 +350,14 @@ def test_slope_condition_guards(tripling):
 
 # ------------------------------------------------------- branch inversion
 
-def test_branch_inverse_examples(doubling, markov, tripling):
-    assert branch_inverse(doubling.branches[0], 0.5) == pytest.approx(0.25, abs=1e-12)
-    assert branch_inverse(markov.branches[1], 0.0) == pytest.approx(2 / 3, abs=1e-12)
-    with pytest.raises(ToolError, match="^y=1.2 is outside the branch image"):
-        branch_inverse(tripling.branches[0], 1.2)
+def invert_one(branch, y):
+    """The one-point inversion of y by `invert_branch_array`."""
+    return float(invert_branch_array(branch, np.array([y]))[0])
+
+
+def test_branch_inverse_examples(doubling, markov):
+    assert invert_one(doubling.branches[0], 0.5) == pytest.approx(0.25, abs=1e-12)
+    assert invert_one(markov.branches[1], 0.0) == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_branch_inverse_round_trip(markov, nonlinear):
@@ -388,7 +390,7 @@ def test_image_ends_invert_to_the_exact_domain_ends(tent, markov, nonlinear):
             ends = [br.domain.lo, br.domain.hi][::br.monotone_sign]
             ys = [br.image.lo, br.image.hi]
             assert invert_branch_array(br, ys).tolist() == ends
-            assert [branch_inverse(br, y) for y in ys] == ends
+            assert [invert_one(br, y) for y in ys] == ends
 
 
 def test_bin_edge_inversion_iterates_only_the_interior(monkeypatch):
@@ -431,34 +433,13 @@ def test_chunked_inversion_matches_the_one_point_inverse(monkeypatch):
         img = br.image
         ys = img.lo + (img.hi - img.lo) * rng.random(3 * 8 + 5)
         ys[[3, 17]] = img.lo, img.hi
-        want = np.array([branch_inverse(br, y) for y in ys])
+        want = np.array([invert_one(br, y) for y in ys])
         assert invert_branch_array(br, ys).tobytes() == want.tobytes()
 
 
 def test_branch_inverse_decreasing_branch(tent):
     br = tent.branches[1]  # 2 - 2*x on [1/2, 1], decreasing
     assert br.monotone_sign == -1
-    assert branch_inverse(br, 0.5) == pytest.approx(0.75, abs=1e-12)
-    assert branch_inverse(br, 1.0) == pytest.approx(0.5, abs=1e-12)
+    assert invert_one(br, 0.5) == pytest.approx(0.75, abs=1e-12)
+    assert invert_one(br, 1.0) == pytest.approx(0.5, abs=1e-12)
 
-
-# ---------------------------------------------------------------- apply
-
-def test_apply_map_pointwise(tripling, tent):
-    xs = np.array([0.0, 0.2, 1 / 3, 0.5, 0.9, 1.0])
-    expect = np.array([0.0, 0.6, 0.0, 0.5, 0.7, 1.0])
-    got = apply_map(tripling, xs)
-    assert np.allclose(got, expect, atol=1e-12)
-    # scalar form, and the breakpoint goes to the right-hand branch
-    assert apply_map(tent, 0.5) == pytest.approx(1.0)
-    assert apply_map(tent, 1.0) == pytest.approx(0.0)
-
-
-def test_apply_map_matches_branch_eval(nonlinear):
-    rng = np.random.default_rng(11)
-    xs = rng.random(500)
-    got = apply_map(nonlinear, xs)
-    inner = nonlinear.breakpoints[1]
-    for x, y in zip(xs, got):
-        br = nonlinear.branches[0 if x < inner else 1]
-        assert y == pytest.approx(expr.evaluate(br.expression, float(x)), abs=1e-14)

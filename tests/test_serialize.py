@@ -237,14 +237,16 @@ def test_trajectory_csv(n, tmp_path):
     expect = oracle_trajectory(traj)
     assert serialize.trajectory_csv(traj) == expect
     target = tmp_path / "traj.csv"
-    serialize._write_atomic(target, serialize.trajectory_rows([traj]))
+    with serialize.written_together() as stage:
+        stage(target, serialize.trajectory_rows([traj]))
     assert target.read_bytes() == expect.encode("utf-8")
     assert list(tmp_path.iterdir()) == [target]
     # in pieces, an empty one among them: the same bytes, one header
     half = n // 2
     pieces = [SimpleNamespace(t=traj.t[a:b], xyz=traj.xyz[a:b])
               for a, b in ((0, half), (half, half), (half, n))]
-    serialize._write_atomic(target, serialize.trajectory_rows(pieces))
+    with serialize.written_together() as stage:
+        stage(target, serialize.trajectory_rows(pieces))
     assert target.read_bytes() == expect.encode("utf-8")
 
 
@@ -270,7 +272,8 @@ def test_failing_chunks_leave_no_file(tmp_path):
 
     target = tmp_path / "traj.csv"
     with pytest.raises(RuntimeError, match="formatting failed"):
-        serialize._write_atomic(target, chunks())
+        with serialize.written_together() as stage:
+            stage(target, chunks())
     assert list(tmp_path.iterdir()) == []
 
 
@@ -279,7 +282,8 @@ def test_write_trajectory_csv_holds_one_chunk_at_a_time(tmp_path):
     target = tmp_path / "traj.csv"
     tracemalloc.start()
     try:
-        serialize._write_atomic(target, serialize.trajectory_rows([traj]))
+        with serialize.written_together() as stage:
+            stage(target, serialize.trajectory_rows([traj]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
