@@ -24,7 +24,7 @@ from . import expr
 from .errors import ConfigError, ToolError
 from .grid import DEFAULT_A, GridFunction, project, variation
 from .maps import PiecewiseMap, check_slope_condition
-from .transfer import (_ESS_MARGIN, UlamOperator, invariant_density,
+from .transfer import (ESS_MARGIN, UlamOperator, invariant_density,
                        power_iterate, ulam_matrix)
 
 #: correlation values below this are treated as exact zeros
@@ -104,7 +104,7 @@ class CorrelationSeries:
         """A fitted rate within r_ess + 1e-8, where Ulam eigenvalues move
         with the grid (Keller–Liverani)."""
         return (self.fitted_rate is not None
-                and self.fitted_rate <= self.r_ess + _ESS_MARGIN)
+                and self.fitted_rate <= self.r_ess + ESS_MARGIN)
 
 
 def check_ly_ranges(pmap: PiecewiseMap, p: float, t: float, A: float) -> float:
@@ -270,7 +270,7 @@ def ly_verify(pmap: PiecewiseMap, p: float, A: float, trials: int, n: int,
     slacks = np.empty(trials)
     for i, f in enumerate(_test_functions(n, trials, seed)):
         var_f = variation(f, 1.0, p, A).variation
-        l1_f = float(np.mean(np.abs(f.values)))
+        l1_f = f.norm_lq(1.0)
         lhs = variation(GridFunction(op.apply_t(f.values)),
                         1.0, p, A).variation
         rhs = alpha * var_f + beta * l1_f
@@ -389,7 +389,9 @@ def estimate_equicontinuity_L(pmap: PiecewiseMap, p: float, t: float,
     A).bv_norm`), over _L_TRIALS test functions on a _L_GRID-cell grid,
     each iterated _L_ITERATES times by the Ulam operator L there, and
     never below L_FLOOR.  NOT rigorous: a sampled maximum, clearly a lower
-    bound of the true constant; use for exploration only."""
+    bound of the true constant; use for exploration only.  Checks p, t
+    and A first (`check_ly_ranges`)."""
+    check_ly_ranges(pmap, p, t, A)
     op = ulam_matrix(pmap, _L_GRID)
     best = L_FLOOR
     for f in _test_functions(_L_GRID, _L_TRIALS, _L_SEED):

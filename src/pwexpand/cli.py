@@ -65,8 +65,6 @@ def cmd_ly(args) -> int:
     pmap = _load_validated(args.map)
     L = args.L
     if args.auto_L and args.t != 1.0:  # only the t > 1 constants read L
-        # the estimate takes a while; an out-of-range t or A fails first
-        analysis.check_ly_ranges(pmap, args.p, args.t, args.A)
         L = analysis.estimate_equicontinuity_L(pmap, p=args.p, t=args.t,
                                                A=args.A)
     if args.auto_A:
@@ -204,21 +202,19 @@ def cmd_lorenz(args) -> int:
     config = lorenz.LorenzConfig(**{
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(lorenz.LorenzConfig)})
-    lorenz.check_fit_degree(args.fit_degree)
     maxima = lorenz.ZMaxima()
     # the three files appear together, once the fit has succeeded
     with serialize.written_together() as stage:
-        stage(args.out_trajectory, serialize.trajectory_rows(
-            map(maxima.feed, lorenz.integrate(config))))
+        stage(args.out_trajectory, lorenz.trajectory_rows(config, maxima))
         data = lorenz.build_return_map(maxima.result())
         stage(args.out_map, [serialize.return_map_csv(data)])
-        fitted, diag = lorenz.fit_piecewise(data, degree=args.fit_degree)
+        fitted, diag = lorenz.fit_piecewise(data, degree=config.fit_degree)
         stage(args.out_fit, [dump_map_config(fitted)])
     print(f"trajectory ({maxima.samples} samples) -> {args.out_trajectory}")
     print(f"return map ({len(data.pairs)} pairs, cusp at "
           f"{data.cusp_estimate:.6g}) -> {args.out_map}")
     slopes = ", ".join(f"{s:.4g}" for s in diag.min_abs_slope_central)
-    print(f"fitted 2-branch map (degree {args.fit_degree}) -> {args.out_fit}")
+    print(f"fitted 2-branch map (degree {config.fit_degree}) -> {args.out_fit}")
     print(f"central min |slope| per branch: {slopes}; "
           f"residual RMS: {', '.join(f'{r:.3g}' for r in diag.residual_rms)}")
     report = validate(fitted)
@@ -317,12 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("lorenz", help="next-maximum-of-z return map pipeline")
     for field in dataclasses.fields(lorenz.LorenzConfig):
-        # the option keeps the short name --beta for the field beta_param
-        name = "beta" if field.name == "beta_param" else field.name
-        q.add_argument(f"--{name.replace('_', '-')}", type=float,
-                       default=field.default, dest=field.name,
-                       metavar=name.upper())
-    q.add_argument("--fit-degree", type=int, default=3, dest="fit_degree")
+        q.add_argument(f"--{field.name.replace('_', '-')}",
+                       type=type(field.default), default=field.default)
     q.add_argument("--out-trajectory", default="lorenz_trajectory.csv",
                    dest="out_trajectory")
     q.add_argument("--out-map", default="lorenz_return_map.csv",

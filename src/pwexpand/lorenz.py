@@ -3,14 +3,14 @@ the "next maximum of z" return map, and fit a two-branch piecewise model
 over the cusp.
 
 The trajectory is computed once, in pieces of at most `_CHUNK` steps:
-`integrate` yields them, the CLI streams each one to the trajectory CSV
-and through a `ZMaxima` accumulator, and no array as long as the run
-exists.  The RK4 loop runs in a forked child, where the platform has
-`os.fork`, so the next piece is integrated while the caller formats and
-scans this one.  While the caller has not yet asked for the piece, the
-child formats its rows as CSV text, from the last row back; each request
-arrives as one byte on a second pipe.  The piece carries that text to
-`serialize`, which formats only the rows before it.
+`integrate` yields them, `trajectory_rows` streams each one through a
+`ZMaxima` accumulator and to the trajectory CSV, and no array as long as
+the run exists.  The RK4 loop runs in a forked child, where the platform
+has `os.fork`, so the next piece is integrated while the caller formats
+and scans this one.  While the caller has not yet asked for the piece,
+the child formats its rows as CSV text, from the last row back; each
+request arrives as one byte on a second pipe.  `trajectory_rows` formats
+only the rows before that text, then writes the text.
 """
 
 from __future__ import annotations
@@ -19,15 +19,15 @@ import contextlib
 import os
 import signal
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import kernels, serialize
 from .errors import ConfigError, ToolError
 from .maps import make_map
-from .serialize import _CHUNK, _body
 
+_CHUNK = 4096  # RK4 steps per trajectory piece
 _STEP = 256  # rows the RK4 child formats between looks at the requests
 
 
@@ -35,13 +35,14 @@ _STEP = 256  # rows the RK4 child formats between looks at the requests
 class LorenzConfig:
     sigma: float = 10.0
     rho: float = 28.0
-    beta_param: float = 8.0 / 3.0
+    beta: float = 8.0 / 3.0
     x0: float = 1.0
     y0: float = 1.0
     z0: float = 1.0
     dt: float = 0.001
     t_max: float = 2000.0
     transient: float = 50.0
+    fit_degree: int = 3
 
     def __post_init__(self):
         if not (0.0 < self.dt <= 0.01):
@@ -56,6 +57,7 @@ class LorenzConfig:
             raise ConfigError(
                 f"cannot store {steps:g} steps of dt = {self.dt:g}: t = k*dt "
                 "is exact only for step counts k below 2**53")
+        check_fit_degree(self.fit_degree)
 
     @property
     def nsteps(self) -> int:
@@ -66,8 +68,6 @@ class LorenzConfig:
 class Trajectory:
     t: np.ndarray
     xyz: np.ndarray  # shape (len(t), 3)
-    # the CSV rows of the last rows, where the RK4 child formatted them
-    _csv_tail: str = field(default="", init=False, repr=False)
 
     @property
     def z(self) -> np.ndarray:
@@ -120,7 +120,7 @@ def _rk4_blocks(config: LorenzConfig):
         # a step reads only the row before it, so the run continues from
         # the last stored row bit for bit; row 0 of the result is that row
         xyz = kernels.lorenz_rk4(xyz[-1], config.sigma, config.rho,
-                                 config.beta_param, config.dt, steps)[1:]
+                                 config.beta, config.dt, steps)[1:]
         done += steps
         yield xyz
 
@@ -136,7 +136,7 @@ def _times(first: int, m: int, config: LorenzConfig):
 
 def _formatted_blocks(config: LorenzConfig, asked):
     """Yield (xyz, text) for each block of `_rk4_blocks`, where text is
-    the CSV rows (`serialize._body`) of the last rows of the block that
+    the CSV rows (`serialize.rows`) of the last rows of the block that
     lie after the transient: formatted from the end, `_STEP` rows at a
     time, until `asked()` says that the caller wants the block."""
     first = 0
@@ -146,7 +146,8 @@ def _formatted_blocks(config: LorenzConfig, asked):
         # asked() first: it drains the requests, transient blocks included
         while not asked() and end > keep:
             start = max(end - _STEP, keep)
-            parts.append("".join(_body((t[start:end], *xyz[start:end].T))))
+            rows = serialize.rows((t[start:end], *xyz[start:end].T))
+            parts.append("".join(rows))
             end = start
         yield xyz, "".join(reversed(parts))
         first += len(xyz)
@@ -236,17 +237,10 @@ def _in_child(config: LorenzConfig):
             f"the RK4 integration process ended early (exit status {status})")
 
 
-def integrate(config: LorenzConfig):
-    """Yield the fixed-step RK4 trajectory after the transient as
-    `Trajectory` pieces of at most _CHUNK rows, in order.
-
-    Where the platform has `os.fork`, the RK4 loop runs in a child
-    (`_in_child`) while the caller consumes the pieces, and the child
-    formats the last CSV rows of each piece until the caller asks for it
-    (`_formatted_blocks`).
-    Deterministic: identical configs give bitwise-identical output, and
-    the rows depend neither on the piece size nor on the fork.
-    """
+def _pieces(config: LorenzConfig):
+    """Yield the pieces of `integrate`, each with the CSV rows of its last
+    rows that the RK4 child formatted (`_formatted_blocks`), or with ""
+    where the platform has no `os.fork`."""
     dt = config.dt
     if hasattr(os, "fork"):
         blocks = _in_child(config)
@@ -261,10 +255,33 @@ def integrate(config: LorenzConfig):
                 raise ToolError(f"state became non-finite at t = {k * dt:g}")
             t, keep = _times(first, len(xyz), config)
             if keep < len(t):
-                piece = Trajectory(t=t[keep:], xyz=xyz[keep:])
-                object.__setattr__(piece, "_csv_tail", text)
-                yield piece
+                yield Trajectory(t=t[keep:], xyz=xyz[keep:]), text
             first += len(xyz)
+
+
+def integrate(config: LorenzConfig):
+    """Yield the fixed-step RK4 trajectory after the transient as
+    `Trajectory` pieces of at most _CHUNK rows, in order; where the
+    platform has `os.fork`, the RK4 loop runs in a child (`_in_child`).
+    Deterministic: identical configs give bitwise-identical output, and
+    the rows depend neither on the piece size nor on the fork."""
+    with contextlib.closing(_pieces(config)) as pieces:
+        for piece, _ in pieces:
+            yield piece
+
+
+def trajectory_rows(config: LorenzConfig, maxima: ZMaxima):
+    """The trajectory CSV in chunks: the header, then for each piece, once
+    `maxima` has been fed it, the rows before the child's text and that
+    text.  No piece is drawn before the last is written, so neither the
+    text nor the trajectory is ever held whole."""
+    yield "t,x,y,z\n"
+    with contextlib.closing(_pieces(config)) as pieces:
+        for piece, text in pieces:
+            maxima.feed(piece)
+            n = len(piece.t) - text.count("\n")
+            yield from serialize.rows((piece.t[:n], *piece.xyz[:n].T))
+            yield text
 
 
 class ZMaxima:
@@ -280,8 +297,8 @@ class ZMaxima:
         self._tail = np.empty(0)
         self._found = [np.empty(0)]
 
-    def feed(self, piece: Trajectory) -> Trajectory:
-        """Take the maxima of one more piece; returns the piece."""
+    def feed(self, piece: Trajectory) -> None:
+        """Take the maxima of one more piece."""
         z = np.concatenate([self._tail, piece.z])
         self.samples += len(piece.z)
         k = np.flatnonzero((z[:-2] < z[1:-1]) & (z[1:-1] >= z[2:])) + 1
@@ -291,7 +308,6 @@ class ZMaxima:
         with np.errstate(divide="ignore", invalid="ignore"):
             self._found.append(np.where(Q < 0.0, mid - S * S / (8.0 * Q), mid))
         self._tail = z[-2:]
-        return piece
 
     def result(self) -> np.ndarray:
         """The refined maxima found so far, in order; `build_return_map`

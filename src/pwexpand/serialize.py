@@ -16,7 +16,7 @@ from .errors import ToolError
 from .grid import GridFunction
 
 
-#: rows formatted per piece of `_body`; bounds its transient lists
+#: rows formatted per chunk of `rows`; bounds its transient lists
 _CHUNK = 4096
 
 
@@ -34,11 +34,12 @@ def _cell(x) -> str:
     return str(x) if isinstance(x, (int, np.integer)) else fmt(x)
 
 
-def _body(columns):
+def rows(columns):
     """Yield CSV rows _CHUNK at a time, one row per entry of the array
     columns, or one row if all are scalars.  A scalar or None column
     repeats its `_cell`; array cells follow the same policy by dtype.
-    Rows go through one template."""
+    Rows go through one template; `lorenz` formats the trajectory CSV
+    with it too, in the RK4 child and in the main process."""
     fields, arrays = [], []
     for col in columns:
         a = np.asarray(col)
@@ -49,9 +50,9 @@ def _body(columns):
         fields.append("%d" if kind in "iu" else "%s" if kind == "b" else "%.17g")
         arrays.append(np.where(a, "true", "false") if kind == "b" else a)
     template = ",".join(fields) + "\n"
-    rows = min((len(a) for a in arrays), default=1)
-    for start in range(0, rows, _CHUNK):
-        m = min(_CHUNK, rows - start)
+    count = min((len(a) for a in arrays), default=1)
+    for start in range(0, count, _CHUNK):
+        m = min(_CHUNK, count - start)
         cells = [None] * (m * len(arrays))
         for j, a in enumerate(arrays):
             cells[j::len(arrays)] = a[start:start + m].tolist()
@@ -60,9 +61,9 @@ def _body(columns):
 
 def _table(header: str, *columns, comments=()) -> str:
     """The whole CSV text: the "# " comment lines, the header, then the
-    rows of `_body`, in one join."""
+    rows of `rows`, in one join."""
     head = "".join(f"# {c}\n" for c in comments) + header + "\n"
-    return "".join([head, *_body(columns)])
+    return "".join([head, *rows(columns)])
 
 
 @contextlib.contextmanager
@@ -174,21 +175,8 @@ def iterate_series_csv(series) -> str:
                   series.flags, comments=(head,))
 
 
-def trajectory_rows(pieces):
-    """The CSV text of the trajectory pieces, in order, under one header,
-    in chunks: each piece is formatted before the next is drawn, so
-    neither the text nor the whole trajectory is held in memory."""
-    yield "t,x,y,z\n"
-    for traj in pieces:
-        # the last rows of a `lorenz.integrate` piece may come formatted
-        tail = getattr(traj, "_csv_tail", "")
-        n = len(traj.t) - tail.count("\n")
-        yield from _body((traj.t[:n], *np.asarray(traj.xyz)[:n].T))
-        yield tail
-
-
 def trajectory_csv(traj) -> str:
-    return "".join(trajectory_rows([traj]))
+    return _table("t,x,y,z", traj.t, *np.asarray(traj.xyz).T)
 
 
 def return_map_csv(data) -> str:

@@ -136,7 +136,7 @@ class SpectralReport:
     @property
     def outside(self) -> np.ndarray:
         """Per eigenvalue: |λ| > r_ess + 1e-8."""
-        return np.abs(self.eigenvalues) > self.r_ess + _ESS_MARGIN
+        return np.abs(self.eigenvalues) > self.r_ess + ESS_MARGIN
 
     @property
     def resolved(self) -> np.ndarray:
@@ -324,7 +324,7 @@ _RITZ_TOL = 1e-12
 
 _UNIT_TOL = 1e-8
 # a modulus within this of r_ess (rounding noise) counts as inside it
-_ESS_MARGIN = 1e-8
+ESS_MARGIN = 1e-8
 # a growth step that converges no further value outside r_ess and cuts the
 # largest unconverged residual by less than this factor ends the solve
 _STALL_FACTOR = 10.0
@@ -388,7 +388,7 @@ def _krylov_top(op: UlamOperator, k: int):
         top = np.argsort(-np.abs(theta), kind="stable")[:k]
         residual = np.abs(hess[m, m - 1] * vecs[m - 1, top])
         converged = residual <= _RITZ_TOL
-        outside = np.abs(theta[top]) > r_ess + _ESS_MARGIN
+        outside = np.abs(theta[top]) > r_ess + ESS_MARGIN
         last_done, last_worst = done, worst
         done = int(np.sum(converged & outside))
         worst = float(np.max(residual[outside], initial=0.0))
@@ -437,7 +437,7 @@ def spectrum(op: UlamOperator, k: int) -> SpectralReport:
     if unit[0] != 1.0:
         raise ToolError(
             f"leading eigenvalue {eigvals[0]!r} is not on the unit circle")
-    outside = moduli[order] > op.r_ess + _ESS_MARGIN
+    outside = moduli[order] > op.r_ess + ESS_MARGIN
     resolved = converged & outside
     # the gap is over every resolved value but λ = 1, so a resolved -1 or
     # root of unity makes it 0; with none, a lower bound: 1 - r_ess, or 0
@@ -479,6 +479,6 @@ def iterate_norm_series(pmap: PiecewiseMap, f: GridFunction, p: float,
         norms[i] = variation(g, 1.0, p, A).bv_norm
         if i < n_max:
             g = GridFunction(op.apply_t(g.values))
-    l1 = float(np.mean(np.abs(f.values)))
+    l1 = f.norm_lq(1.0)
     # alpha >= 1 at this A gives C = None: the norms without a bound
     return IterateSeries(norms=norms, l1_initial=l1, C=consts.C)

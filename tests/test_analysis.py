@@ -465,6 +465,16 @@ def test_equicontinuity_estimate_is_deterministic(tripling):
     assert a >= 1.0
 
 
+@pytest.mark.parametrize("p, t, message", [
+    (2.0, 3.0, r"^t must lie in \[1, p\], got t=3\.0, p=2\.0$"),
+    (2.0, 0.5, r"^t must lie in \[1, p\], got t=0\.5, p=2\.0$"),
+    (0.5, 1.0, r"^p must be at least 1, got 0\.5$")],
+    ids=["t-above-p", "t-below-one", "p-below-one"])
+def test_equicontinuity_estimate_checks_its_ranges(tripling, p, t, message):
+    with pytest.raises(ConfigError, match=message):
+        analysis.estimate_equicontinuity_L(tripling, p=p, t=t, A=0.125)
+
+
 def test_equicontinuity_estimate_rises_above_its_floor_only_when_sampled(
         tripling, absorbing):
     # no sampled iterate of the tripling map's test functions outgrows its

@@ -9,7 +9,9 @@ no subcommand loads), and a formula whose numpy warnings would reach a
 user's stderr.
 """
 
+import argparse
 import contextlib
+import dataclasses
 import errno
 import gc
 import io
@@ -331,10 +333,11 @@ def test_ly_auto_A_at_t_above_one_exits_before_estimating(
 
 def test_ly_auto_L_with_t_above_p_exits_before_estimating(
         tmp_path, capsys, monkeypatch):
-    def no_estimate(*args, **kwargs):
+    def no_operator(*args, **kwargs):
         raise AssertionError("L was estimated")
 
-    monkeypatch.setattr(analysis, "estimate_equicontinuity_L", no_estimate)
+    # the estimate's first costly step
+    monkeypatch.setattr(analysis, "ulam_matrix", no_operator)
     out = tmp_path / "ly.csv"
     argv = ["ly", TRIPLING, "--p", "1", "--t", "1.5", "--out", str(out)]
     assert main(argv) == 1
@@ -868,6 +871,38 @@ def test_iterates_without_constants_emits_norms_only(tmp_path, capsys):
     assert all(ln.endswith(",,") for ln in lines[2:])
 
 
+def test_iterates_takes_the_l1_norm_without_overflow(tmp_path, capsys):
+    # ||f||_1 = 5e306 while the sum of |f| over the cells overflows a double
+    out = tmp_path / "iter.csv"
+    assert main(["iterates", TRIPLING, "--f", "1e307*x", "--p", "1",
+                 "--A", "0.125", "--n", "5", "--grid", "300",
+                 "--out", str(out)]) == 0
+    head = out.read_text().splitlines()[0]
+    l1 = float(re.search(r" l1_initial=(\S+) ", head).group(1))
+    assert l1 == pytest.approx(5e306, rel=1e-12)
+    C = float(re.search(r"^# C=(\S+) ", head).group(1))
+    assert f" bound={serialize.fmt(C * l1)} " in head
+    assert capsys.readouterr().out.startswith(
+        f"bound C*||f||_1 = {serialize.fmt(C * l1)} holds from n0 = ")
+
+
+def test_lorenz_options_are_the_config_fields(monkeypatch):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices["lorenz"]._actions} - {"help"}
+    fields = {f.name for f in dataclasses.fields(lorenz.LorenzConfig)}
+    assert dests == fields | {"out_trajectory", "out_map", "out_fit"}
+    seen = []
+
+    def stop(config, maxima):
+        seen.append(config)
+        raise pwexpand.ToolError("stopped before integrating")
+
+    monkeypatch.setattr(lorenz, "trajectory_rows", stop)
+    assert main(["lorenz", "--beta", "3", "--fit-degree", "2"]) == 1
+    assert seen == [lorenz.LorenzConfig(beta=3.0, fit_degree=2)]
+
+
 def test_lorenz_pipeline_writes_all_three_files(tmp_path, capsys):
     traj = tmp_path / "traj.csv"
     rmap = tmp_path / "rmap.csv"
@@ -1010,13 +1045,14 @@ def test_lorenz_blow_up_after_the_first_piece_leaves_no_file(
 
 
 def _fail_in_child(module, name, tmp_path, capfd, monkeypatch):
-    """Run `lorenz` with module.name patched to raise on its third call,
-    which happens in the forked child, and check that it exits 1 cleanly."""
-    real, calls = getattr(module, name), []
+    """Run `lorenz` with module.name patched to raise on its third call in
+    the forked child, and check that it exits 1 cleanly; returns the calls
+    made in this process, which pass through."""
+    real, parent, calls = getattr(module, name), os.getpid(), []
 
     def failing(*args):
-        calls.append(args)
-        if len(calls) == 3:
+        calls.append(args)  # the child appends to its own copy
+        if os.getpid() != parent and len(calls) == 3:
             raise RuntimeError("injected failure")
         return real(*args)
 
@@ -1030,22 +1066,25 @@ def _fail_in_child(module, name, tmp_path, capfd, monkeypatch):
     assert captured.out == ""
     assert captured.err == ("error: the RK4 integration process ended early "
                             "(exit status 1)\n")
-    assert calls == []  # every call was made in the child
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    return calls
 
 
 def test_lorenz_failing_child_exits_one(tmp_path, capfd, monkeypatch):
     # the forked child inherits the patch; its third RK4 piece raises
-    _fail_in_child(kernels, "lorenz_rk4", tmp_path, capfd, monkeypatch)
+    calls = _fail_in_child(kernels, "lorenz_rk4", tmp_path, capfd, monkeypatch)
+    assert calls == []  # every call was made in the child
 
 
 def test_lorenz_failing_formatting_in_the_child_exits_one(
         tmp_path, capfd, monkeypatch, child_steps):
-    # the child formats one step of each piece; its third formatting raises
+    # the child formats one step of each piece; its third formatting raises,
+    # while this process formats the rows before the child's with the same
+    # function
     child_steps(1)
-    _fail_in_child(lorenz, "_body", tmp_path, capfd, monkeypatch)
+    assert _fail_in_child(serialize, "rows", tmp_path, capfd, monkeypatch)
 
 
 @pytest.mark.parametrize("call, err", [

@@ -46,6 +46,14 @@ def test_config_rejects_transient_swallowing_the_run():
         lorenz.LorenzConfig(t_max=40.0, transient=50.0)
 
 
+@pytest.mark.parametrize("degree", [0, 7])
+def test_config_rejects_a_fit_degree_that_fit_piecewise_cannot_fit(degree):
+    assert lorenz.LorenzConfig(fit_degree=6).fit_degree == 6
+    with pytest.raises(ConfigError,
+                       match=rf"^degree must lie in \[1, 6\], got {degree}$"):
+        lorenz.LorenzConfig(fit_degree=degree)
+
+
 def test_config_rejects_step_counts_where_times_stop_being_exact():
     # t = k * dt needs k below 2**53; checked before any step is taken
     dt = 2.0 ** -60
@@ -119,29 +127,33 @@ def test_pieces_are_one_whole_integration(nsteps, first, tmp_path, monkeypatch,
             monkeypatch.delattr(os, "fork")
         else:
             child_steps(steps)
-        pieces = list(lorenz.integrate(cfg))
+        pieces, texts = zip(*lorenz._pieces(cfg))
         assert all(0 < len(p.t) == len(p.xyz) <= lorenz._CHUNK for p in pieces)
-        assert [p._csv_tail.count("\n") for p in pieces] == [
+        assert [text.count("\n") for text in texts] == [
             tail(len(p.t)) for p in pieces]
         got = _joined(pieces)
         assert got.xyz.tobytes() == whole[first:].tobytes()
         assert got.t.tobytes() == t[first:].tobytes()
+        maxima = lorenz.ZMaxima()
         with serialize.written_together() as stage:
-            stage(tmp_path / "traj.csv", serialize.trajectory_rows(pieces))
+            stage(tmp_path / "traj.csv", lorenz.trajectory_rows(cfg, maxima))
         # by rows: a failure then names the first wrong row
         assert (tmp_path / "traj.csv").read_text().splitlines() == rows
+        assert maxima.samples == len(got.t)
+        assert (maxima.result().tobytes()
+                == lorenz.extract_z_maxima(got).tobytes())
 
 
 def test_a_slow_caller_gets_later_pieces_formatted_by_the_child():
     pieces = []
-    for piece in lorenz.integrate(
+    for piece, text in lorenz._pieces(
             lorenz.LorenzConfig(dt=0.01, t_max=100.0, transient=-1.0)):
-        pieces.append(piece)
+        pieces.append((len(piece.t), text.count("\n")))
         time.sleep(0.2)  # far longer than the child's RK4 and formatting
     # the caller asks for the first piece at once, and for each later one
     # only after the child has had the time to format all of it
-    assert [len(p.t) for p in pieces] == [1, 4096, 4096, 1808]
-    assert [p._csv_tail.count("\n") for p in pieces[1:]] == [4096, 4096, 1808]
+    assert [rows for rows, _ in pieces] == [1, 4096, 4096, 1808]
+    assert [formatted for _, formatted in pieces[1:]] == [4096, 4096, 1808]
 
 
 def _on_alarm(signum, frame):
@@ -233,7 +245,7 @@ def _fed(z, cuts):
     for part in np.split(z, cuts):
         piece = lorenz.Trajectory(t=np.arange(len(part)),
                                   xyz=np.column_stack([part, part, part]))
-        assert acc.feed(piece) is piece
+        acc.feed(piece)
     return acc
 
 

@@ -8,6 +8,7 @@ chunks plus one row.
 """
 
 import functools
+import itertools
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -236,18 +237,16 @@ def test_trajectory_csv(n, tmp_path):
     traj = _trajectory(n)
     expect = oracle_trajectory(traj)
     assert serialize.trajectory_csv(traj) == expect
+    # streamed in pieces, an empty one among them, as `lorenz` writes it:
+    # the same bytes under one header
     target = tmp_path / "traj.csv"
+    half = n // 2
     with serialize.written_together() as stage:
-        stage(target, serialize.trajectory_rows([traj]))
+        stage(target, itertools.chain(["t,x,y,z\n"], *(
+            serialize.rows((traj.t[a:b], *traj.xyz[a:b].T))
+            for a, b in ((0, half), (half, half), (half, n)))))
     assert target.read_bytes() == expect.encode("utf-8")
     assert list(tmp_path.iterdir()) == [target]
-    # in pieces, an empty one among them: the same bytes, one header
-    half = n // 2
-    pieces = [SimpleNamespace(t=traj.t[a:b], xyz=traj.xyz[a:b])
-              for a, b in ((0, half), (half, half), (half, n))]
-    with serialize.written_together() as stage:
-        stage(target, serialize.trajectory_rows(pieces))
-    assert target.read_bytes() == expect.encode("utf-8")
 
 
 @pytest.mark.parametrize("n", ROWS)
@@ -283,7 +282,7 @@ def test_write_trajectory_csv_holds_one_chunk_at_a_time(tmp_path):
     tracemalloc.start()
     try:
         with serialize.written_together() as stage:
-            stage(target, serialize.trajectory_rows([traj]))
+            stage(target, serialize.rows((traj.t, *traj.xyz.T)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
