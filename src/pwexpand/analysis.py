@@ -313,15 +313,12 @@ def _correlation(kind: str, pmap: PiecewiseMap, f, g, N_max: int,
     op = ulam_matrix(pmap, n)
     h = _unique_invariant_density(op).values
     fv, gv = project(f, n).values, project(g, n).values
-    C = np.empty(N_max + 1)
     # an overflow gives inf or nan, which the check below reports
     with np.errstate(over="ignore", invalid="ignore"):
-        cur = fv * h if kind == "invariant" else fv
+        F = fv * h if kind == "invariant" else fv
         gv = gv - float(np.mean(gv * h))
-        for N in range(N_max + 1):
-            C[N] = abs(float(np.mean(cur * gv)))
-            if N < N_max:
-                cur = op.apply_t(cur)
+        C = np.array([abs(float(np.mean(cur * gv)))
+                      for cur in op.orbit(F, N_max)])
     bad = np.flatnonzero(~np.isfinite(C))
     if bad.size:
         raise ToolError(
@@ -394,14 +391,10 @@ def estimate_equicontinuity_L(pmap: PiecewiseMap, p: float, t: float,
     check_ly_ranges(pmap, p, t, A)
     op = ulam_matrix(pmap, _L_GRID)
     best = L_FLOOR
+    # the _L_SEED test functions are fixed and none is zero, so denom > 0
     for f in _test_functions(_L_GRID, _L_TRIALS, _L_SEED):
-        denom = variation(f, t, p, A).bv_norm
-        if denom <= 0:
-            continue
-        g = f
-        for _ in range(_L_ITERATES):
-            g = GridFunction(op.apply_t(g.values))
-            ratio = variation(g, t, p, A).bv_norm / denom
-            if ratio > best:
-                best = ratio
+        denom, *norms = (variation(GridFunction(g), t, p, A).bv_norm
+                         for g in op.orbit(f.values, _L_ITERATES))
+        # best first: max keeps it against a nan ratio
+        best = max(best, *(norm / denom for norm in norms))
     return best

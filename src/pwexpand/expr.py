@@ -86,11 +86,6 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Pi:
-    pass
-
-
-@dataclass(frozen=True)
 class Neg:
     arg: object
 
@@ -117,8 +112,6 @@ def _walk(e, x, dx):
         return e.value, None
     if kind is Var:
         return x, dx
-    if kind is Pi:
-        return math.pi, None
     if kind is Neg:
         a, da = _walk(e.arg, x, dx)
         return -a, None if da is None else -da
@@ -287,7 +280,7 @@ class _Parser:
             if text == "x":
                 return Var(), 1
             if text == "pi":
-                return Pi(), 1
+                return Num(math.pi), 1
             if text in FUNCTIONS:
                 kind2, text2, pos2 = self._next()
                 if kind2 != "(":

@@ -2,7 +2,8 @@
 invariant densities, and leading eigenvalues.
 
 Every step of P on a grid function is one ``apply_t`` of the Ulam operator
-L = Pᵀ, assembled from exact interval preimages of the bin edges, so its
+L = Pᵀ, and `UlamOperator.orbit` yields the iterates Lⁿh one step at a time;
+L is assembled from exact interval preimages of the bin edges, so its
 rows are stochastic to rounding error, not to Monte-Carlo error.
 `spectrum` returns eigenvalues only; the density comes from
 `invariant_density`.
@@ -81,6 +82,17 @@ class UlamOperator:
         bit for bit."""
         return np.bincount(self.cols, weights=self.vals * h[self.rows],
                            minlength=self.n)
+
+    def orbit(self, h: np.ndarray, steps: int):
+        """Yield h, Pᵀh, …, (Pᵀ)^steps h, one `apply_t` per step, holding
+        only the current vector.  `power_iterate` does not use it, as it
+        renormalizes every step and that division is part of the density;
+        nor does `_krylov_top`, which builds a basis, or `ly_verify`, which
+        applies Pᵀ once."""
+        yield h
+        for _ in range(steps):
+            h = self.apply_t(h)
+            yield h
 
     def dense_t(self) -> np.ndarray:
         """Pᵀ as a dense n × n array: the transposed view of P, scattered
@@ -473,12 +485,8 @@ def iterate_norm_series(pmap: PiecewiseMap, f: GridFunction, p: float,
 
     consts = analysis.ly_constants(pmap, p=p, t=1.0, A=A)
     op = ulam_matrix(pmap, f.n)
-    norms = np.empty(n_max + 1)
-    g = f
-    for i in range(n_max + 1):
-        norms[i] = variation(g, 1.0, p, A).bv_norm
-        if i < n_max:
-            g = GridFunction(op.apply_t(g.values))
+    norms = np.array([variation(GridFunction(g), 1.0, p, A).bv_norm
+                      for g in op.orbit(f.values, n_max)])
     l1 = f.norm_lq(1.0)
     # alpha >= 1 at this A gives C = None: the norms without a bound
     return IterateSeries(norms=norms, l1_initial=l1, C=consts.C)

@@ -948,7 +948,13 @@ def test_lorenz_cubic_fit_declares_max_second_derivative(tmp_path):
     analysis.check_ly_ranges(load_map(fit), p=1, t=1, A=0.125)
 
 
-def test_lorenz_bad_fit_degree_exits_before_integrating(tmp_path, capsys):
+def test_lorenz_bad_fit_degree_exits_before_integrating(
+        tmp_path, capsys, monkeypatch):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("the trajectory was integrated")
+
+    # the CLI's first integrating call
+    monkeypatch.setattr(lorenz, "trajectory_rows", no_integration)
     outs = [tmp_path / name for name in ("traj.csv", "rmap.csv", "fit.json")]
     assert main(["lorenz", "--t-max", "300", "--fit-degree", "9",
                  "--out-trajectory", str(outs[0]), "--out-map", str(outs[1]),

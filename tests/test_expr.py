@@ -34,7 +34,7 @@ def test_parse_nested_pow():
     assert isinstance(e.left, expr.Call) and e.left.func == "sin"
     inner = e.left.arg
     assert isinstance(inner, expr.BinOp) and inner.op == "*"
-    assert isinstance(inner.left, expr.Pi)
+    assert inner.left == expr.Num(math.pi)
 
 
 def test_parse_errors_carry_position():

@@ -382,6 +382,16 @@ def test_ulam_transpose_actions_match_the_reference_csr(path, n):
         assert op.dense_t().tobytes() == want.toarray().T.tobytes()
 
 
+def test_orbit_steps_apply_t_from_h(markov):
+    op = transfer.ulam_matrix(markov, 300)
+    h = np.cos(np.arange(300.0))
+    orbit = list(op.orbit(h, 3))
+    assert len(orbit) == 4 and orbit[0] is h
+    for prev, cur in zip(orbit, orbit[1:]):
+        assert cur.tobytes() == op.apply_t(prev).tobytes()
+    assert list(op.orbit(h, 0)) == [h]
+
+
 @pytest.mark.parametrize("path, n", [
     (str(ROOT / "configs" / "markov.json"), 300),
     (str(ROOT / "pipebench" / "maps" / "nonlinear.json"), 500)],
