@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from . import analysis, lorenz, plotting, serialize, transfer
@@ -202,6 +203,10 @@ def cmd_lorenz(args) -> int:
     config = lorenz.LorenzConfig(**{
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(lorenz.LorenzConfig)})
+    outs = (args.out_trajectory, args.out_map, args.out_fit)
+    if len({os.path.realpath(path) for path in outs}) < len(outs):
+        raise ToolError("--out-trajectory, --out-map and --out-fit must name "
+                        "three different files")
     maxima = lorenz.ZMaxima()
     # the three files appear together, once the fit has succeeded
     with serialize.written_together() as stage:

@@ -15,9 +15,10 @@ One recursive walk computes the value and, by the chain rule, the first
 derivative in the same pass (never finite differences); each domain rule
 is checked in one place.  ``abs`` has derivative 0 at the kink by
 convention, and ``sqrt`` and ``x^p`` (0 < p < 1) have derivative ``inf``
-at 0.  A power that overflows on plain floats is an evaluation error.
-The walk runs with numpy's floating-point warnings off: an overflow or a
-0/0 gives inf or nan, and ``GridFunction`` and ``make_map`` reject it.
+at 0.  ``x`` is always a float64 array (a scalar is a 0-d one), and the
+walk runs with numpy's floating-point warnings off: an overflow or a 0/0
+gives inf or nan, which ``GridFunction`` and ``make_map`` reject.  A
+power of two constants that overflows, such as ``10^400``, raises instead.
 """
 
 from __future__ import annotations
@@ -49,12 +50,9 @@ def _check(ok, message: str) -> None:
 
 
 def _pow(a, b):
-    """``a ** b``.  Where two Python floats raise, 0.0 ** b (b < 0) is IEEE's
-    inf, and an overflow is an evaluation error."""
+    """``a ** b``; a power of two constants that overflows raises."""
     try:
         return a ** b
-    except ZeroDivisionError:  # only the slope of x^p at 0, 0 < p < 1, gets here
-        return math.inf
     except OverflowError:
         raise EvalError("power overflows") from None
 
@@ -163,7 +161,7 @@ def _power(a, da, b, db):
     if da is None:
         return _pow(a, b), None if db is None else np.zeros(np.shape(db))
     if np.all(np.equal(b, 0.0)):  # x^0 is 1 with slope 0, even at x = 0
-        return np.ones(np.shape(a)) if np.ndim(a) else 1.0, np.zeros(np.shape(a))
+        return np.ones(np.shape(a)), np.zeros(np.shape(a))
     return _pow(a, b), b * _pow(a, b - 1.0) * da
 
 
@@ -310,28 +308,23 @@ def parse(text: str):
 
 
 def _fill(v, x):
-    """``v`` broadcast to the shape of an array ``x`` if it came out constant."""
-    if isinstance(x, np.ndarray) and np.ndim(v) == 0:
+    """``v`` broadcast to the shape of ``x`` if it came out constant."""
+    if np.ndim(v) == 0:
         return np.full(x.shape, float(v))
     return v
 
 
 def evaluate(e, x):
-    """Evaluate ``e`` at ``x`` (float or ndarray, IEEE double precision)."""
+    """``e`` at ``x`` as a float64 array of x's shape (0-d for a scalar)."""
+    x = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
         return _fill(_walk(e, x, None)[0], x)
 
 
 def eval_with_derivative(e, x):
-    """Return ``(value, derivative)`` of ``e`` at ``x`` by the chain rule."""
-    scalar = not isinstance(x, np.ndarray)
-    # a NumPy seed keeps the slope arithmetic IEEE on scalars too: a
-    # quotient whose b*b underflows gives inf, not ZeroDivisionError
-    x, dx = ((float(x), np.float64(1.0)) if scalar
-             else (x.astype(float, copy=False), np.ones(x.shape)))
+    """``(value, derivative)`` of ``e`` at ``x`` by the chain rule, each
+    as `evaluate` returns it."""
+    x = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
-        val, der = _walk(e, x, dx)
-    if scalar:
-        return float(val), 0.0 if der is None else float(der)
+        val, der = _walk(e, x, np.ones(x.shape))
     return _fill(val, x), _fill(0.0 if der is None else der, x)
-

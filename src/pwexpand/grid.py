@@ -96,9 +96,8 @@ def project(e, n: int) -> GridFunction:
         raise ConfigError(f"grid needs at least 2 cells, got {n}")
     mids = (np.arange(n) + 0.5) / n
     delta = math.sqrt(0.6) / (2.0 * n)
-    left = expr.evaluate(e, mids - delta)
-    center = expr.evaluate(e, mids)
-    right = expr.evaluate(e, mids + delta)
+    left, center, right = expr.evaluate(
+        e, np.stack((mids - delta, mids, mids + delta)))
     # a sum that overflows gives inf, which GridFunction rejects
     with np.errstate(over="ignore", invalid="ignore"):
         values = (5.0 * left + 8.0 * center + 5.0 * right) / 18.0

@@ -13,7 +13,8 @@ Schema (version 1)::
     }
 
 `min_slope` and `holder_constant` are optional; when absent they are
-estimated by sampling at construction time.  This module checks the
+estimated by sampling at construction time.  A branch may have no other
+key: a misspelled one is rejected, not ignored.  This module checks the
 document (`v`, `epsilon`, a non-empty `branches` list); `make_map` checks
 each branch.
 """

@@ -30,6 +30,9 @@ _INVERSE_CHUNK = 4096
 #: geometric snap tolerance for breakpoints and images
 _EDGE_TOL = 1e-9
 
+#: the keys a branch spec may have
+_BRANCH_KEYS = ("lo", "hi", "formula", "min_slope", "holder_constant")
+
 #: points at which make_map samples τ' on each branch
 BRANCH_SAMPLES = 512
 
@@ -123,9 +126,9 @@ def make_map(branch_specs, epsilon: float) -> PiecewiseMap:
     """Build a PiecewiseMap from branch specs.
 
     Each spec is a dict with keys ``lo``, ``hi``, ``formula`` and optional
-    ``min_slope`` and ``holder_constant``.  Branches must tile [0,1] in
-    order.  A malformed spec raises ConfigError; the expansion and
-    monotonicity of the samples are judged by `validate`.
+    ``min_slope`` and ``holder_constant``, and no other.  Branches must
+    tile [0,1] in order.  A malformed spec raises ConfigError; the
+    expansion and monotonicity of the samples are judged by `validate`.
     """
     if not branch_specs:
         raise ConfigError("map needs at least one branch")
@@ -141,6 +144,12 @@ def make_map(branch_specs, epsilon: float) -> PiecewiseMap:
         for key in ("lo", "hi", "formula"):
             if key not in spec:
                 raise ConfigError(f"branch {k} is missing {key!r}")
+        unknown = next((key for key in spec if key not in _BRANCH_KEYS), None)
+        if unknown is not None:
+            raise ConfigError(f"branch {k} has unknown key {unknown!r}")
+        if not isinstance(spec["formula"], str):
+            raise ConfigError(
+                f"branch {k} 'formula' must be a string, got {spec['formula']!r}")
         lo = _config_number(spec["lo"], f"branch {k} 'lo'")
         hi = _config_number(spec["hi"], f"branch {k} 'hi'")
         if abs(lo - edges[-1]) > _EDGE_TOL:
@@ -166,17 +175,15 @@ def make_map(branch_specs, epsilon: float) -> PiecewiseMap:
             if decl_holder < 0.0:
                 raise ConfigError(
                     f"branch {k} 'holder_constant' must be at least 0, got {decl_holder}")
-        xs = np.linspace(lo, hi, BRANCH_SAMPLES)
+        xs = np.linspace(lo, hi, BRANCH_SAMPLES)  # exactly lo to exactly hi
         try:
             vals, ders = expr.eval_with_derivative(tree, xs)
-            v_lo = expr.evaluate(tree, lo)
-            v_hi = expr.evaluate(tree, hi)
+            if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(ders))):
+                raise ConfigError(f"branch {k} ({formula!r}) is non-finite on its domain")
             holder = (decl_holder if decl_holder is not None
                       else _holder_from_samples(tree, lo, hi, epsilon))
         except expr.EvalError as err:
             raise ConfigError(f"branch {k} ({formula!r}) fails to evaluate: {err}") from err
-        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(ders))):
-            raise ConfigError(f"branch {k} ({formula!r}) is non-finite on its domain")
 
         # the sign of at least half the samples; np.median would give the
         # same, but its first call imports numpy.ma (~14 ms of a map load)
@@ -187,7 +194,7 @@ def make_map(branch_specs, epsilon: float) -> PiecewiseMap:
             declared = _config_number(declared, f"branch {k} 'min_slope'")
         min_slope = declared if declared is not None else 0.999 * sampled_min
 
-        a, b = _snap(float(v_lo)), _snap(float(v_hi))
+        a, b = _snap(float(vals[0])), _snap(float(vals[-1]))
         image = Interval(min(a, b), max(a, b))
         branches.append(Branch(
             domain=Interval(lo, hi), formula=formula, expression=tree,
@@ -235,7 +242,8 @@ def _holder_from_samples(tree, lo: float, hi: float, epsilon: float) -> float:
     grid = np.linspace(lo, hi, _HOLDER_CELLS + 1)
     _, dg = expr.eval_with_derivative(tree, grid)
     i, j = np.triu_indices(grid.size, 1)
-    return float(np.max(np.abs(dg[j] - dg[i]) / (grid[j] - grid[i]) ** epsilon))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(dg[j] - dg[i]) / (grid[j] - grid[i]) ** epsilon))
 
 
 def check_slope_condition(pmap: PiecewiseMap, p: float):

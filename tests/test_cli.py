@@ -965,6 +965,27 @@ def test_lorenz_bad_fit_degree_exits_before_integrating(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("names", [
+    ("same.out", "same.out", "same.out"), ("a.csv", "b.csv", "./a.csv"),
+    ("a.csv", "b.csv", "sub/../b.csv")])
+def test_lorenz_outputs_sharing_a_file_exit_before_integrating(
+        tmp_path, capsys, monkeypatch, names):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("the trajectory was integrated")
+
+    monkeypatch.setattr(lorenz, "trajectory_rows", no_integration)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert main(["lorenz", "--t-max", "300", "--out-trajectory", names[0],
+                 "--out-map", names[1], "--out-fit", names[2]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --out-trajectory, --out-map and --out-fit "
+                            "must name three different files\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+    assert list((tmp_path / "sub").iterdir()) == []
+
+
 @pytest.mark.parametrize("args, count", [
     (["--rho", "0.5", "--t-max", "2"], 0), (["--t-max", "1"], 1),
     (["--t-max", "1.4"], 2)])

@@ -16,6 +16,10 @@ from test_cli_fuzz import HOSTILE_FORMULAS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 _DOCS = {p.name: json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))}
+# the shipped configs declare every constant; this one declares none, so a
+# hostile formula reaches the sampled estimates
+_HALF_HOLDER = Path(__file__).resolve().parent / "half_holder.json"
+_HOSTILE_DOCS = {**_DOCS, _HALF_HOLDER.name: json.loads(_HALF_HOLDER.read_text())}
 
 _BRANCH_KEYS = ("lo", "hi", "formula", "min_slope", "holder_constant")
 _NUMBER_FIELDS = {"v", "epsilon", "lo", "hi", "min_slope", "holder_constant"}
@@ -72,9 +76,9 @@ def test_bad_config_field_never_escapes(mutated):
 
 
 @settings(max_examples=100, deadline=None)
-@given(name=st.sampled_from(sorted(_DOCS)), branch=st.integers(0, 1),
+@given(name=st.sampled_from(sorted(_HOSTILE_DOCS)), branch=st.integers(0, 1),
        formula=st.sampled_from(HOSTILE_FORMULAS))
 def test_hostile_branch_formula_never_escapes(name, branch, formula):
-    doc = json.loads(json.dumps(_DOCS[name]))
+    doc = json.loads(json.dumps(_HOSTILE_DOCS[name]))
     doc["branches"][branch]["formula"] = formula
     _check_exits_cleanly(doc)

@@ -96,11 +96,26 @@ def test_eval_examples():
 
 
 def test_eval_array_matches_scalar():
+    # a point given alone takes the array's path: the same bits, slope too
     e = parse("sin(2*pi*x) + x^2/3 - abs(x - 0.5)")
     xs = np.linspace(0.0, 1.0, 17)
     vec = evaluate(e, xs)
     scal = np.array([evaluate(e, float(x)) for x in xs])
-    assert np.array_equal(vec, scal)
+    assert vec.tobytes() == scal.tobytes()
+    vals, ders = eval_with_derivative(e, xs)
+    assert vals.tobytes() == vec.tobytes()
+    for k, x in enumerate(xs):
+        val, der = eval_with_derivative(e, float(x))
+        assert np.shape(val) == np.shape(der) == ()
+        assert val.tobytes() == vals[k].tobytes()
+        assert der.tobytes() == ders[k].tobytes()
+
+
+def test_overflow_is_inf_unless_both_operands_are_constants():
+    assert evaluate(parse("x^400"), 10.0) == math.inf
+    assert eval_with_derivative(parse("x^400"), 10.0) == (math.inf, math.inf)
+    with pytest.raises(EvalError, match="^power overflows$"):
+        evaluate(parse("10^400 + x"), 0.5)
 
 
 def test_eval_constant_broadcasts():

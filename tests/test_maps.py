@@ -102,6 +102,12 @@ def test_make_map_rejections():
     ({"lo": 0.5, "hi": 1.0}, "branch 1 is missing 'formula'"),
     ({"lo": 0.5, "hi": 1.0, "formula": "2*x - 1", "holder_constant": -50},
      "branch 1 'holder_constant' must be at least 0, got -50.0"),
+    ({"lo": 0.5, "hi": 1.0, "formula": "2*x - 1", "min_slop": 2.0},
+     "branch 1 has unknown key 'min_slop'"),
+    ({"lo": 0.5, "hi": 1.0, "formula": 2}, "branch 1 'formula' must be a string, got 2"),
+    # the power overflows at every sample, end points included
+    ({"lo": 0.5, "hi": 1.0, "formula": "2*x + (x+1)^2000"},
+     "branch 1 ('2*x + (x+1)^2000') is non-finite on its domain"),
 ])
 def test_make_map_rejects_malformed_branch(branch, message):
     first = {"lo": 0.0, "hi": 0.5, "formula": "2*x"}
