@@ -25,7 +25,7 @@ from .lorenz import (
     fit_piecewise,
     integrate,
 )
-from .mapconfig import dump_map_config, load_map, map_from_config, map_to_config
+from .mapconfig import dump_map_config, load_map
 from .maps import (
     Branch,
     Interval,
@@ -81,8 +81,6 @@ __all__ = [
     "ly_constants_best_A",
     "ly_verify",
     "make_map",
-    "map_from_config",
-    "map_to_config",
     "parse",
     "project",
     "spectrum",

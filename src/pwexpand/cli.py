@@ -172,7 +172,8 @@ def cmd_correlate(args) -> int:
                                                 N_max=args.N, n=args.grid)
     serialize.write_text_atomic(args.out, serialize.correlation_csv(series))
     if series.fitted_rate is None:
-        print(f"series at the noise floor (no rate) -> {args.out}")
+        print("no rate: fewer than 4 consecutive values above the noise "
+              f"floor 1e-14 -> {args.out}")
     else:
         print(f"fitted rate {serialize.fmt(series.fitted_rate)} "
               f"(R^2 = {serialize.fmt(series.fit_quality)}) -> {args.out}")

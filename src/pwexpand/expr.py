@@ -70,7 +70,6 @@ _FUNCS = {
     # abs: derivative 0 at the kink (sign(0) = 0)
     "abs": (np.abs, lambda a, v, d: np.sign(a) * d, None),
 }
-FUNCTIONS = tuple(_FUNCS)
 
 
 @dataclass(frozen=True)
@@ -279,7 +278,7 @@ class _Parser:
                 return Var(), 1
             if text == "pi":
                 return Num(math.pi), 1
-            if text in FUNCTIONS:
+            if text in _FUNCS:
                 kind2, text2, pos2 = self._next()
                 if kind2 != "(":
                     raise ParseError(f"expected '(' after {text!r}", pos2)

@@ -96,8 +96,9 @@ def project(e, n: int) -> GridFunction:
         raise ConfigError(f"grid needs at least 2 cells, got {n}")
     mids = (np.arange(n) + 0.5) / n
     delta = math.sqrt(0.6) / (2.0 * n)
-    left, center, right = expr.evaluate(
-        e, np.stack((mids - delta, mids, mids + delta)))
+    # one walk per node set: a walk's temporaries are n cells, not 3n
+    left, center, right = (expr.evaluate(e, mids + d)
+                           for d in (-delta, 0.0, delta))
     # a sum that overflows gives inf, which GridFunction rejects
     with np.errstate(over="ignore", invalid="ignore"):
         values = (5.0 * left + 8.0 * center + 5.0 * right) / 18.0

@@ -8,12 +8,15 @@ numpy; no scipy module is loaded for an oscillation profile.
 it stays only because ``pipebench/probes.py`` patches it, until the
 benchmark's probes drop it.  ``lorenz_rk4`` is plain Python; each
 step performs a fixed IEEE operation sequence, so a given input always
-yields the same trajectory bit for bit.
+yields the same trajectory bit for bit.  Bad half-widths raise
+``ToolError``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ToolError
 
 #: kept for run provenance; there is no jitted path
 NUMBA_ENABLED = False
@@ -37,10 +40,10 @@ def sliding_minmax_sweep(values: np.ndarray, halves):
     if not halves:
         return
     if halves[0] < 0:
-        raise ValueError(f"half-widths must be nonnegative, got {halves[0]}")
+        raise ToolError(f"half-widths must be nonnegative, got {halves[0]}")
     for a, b in zip(halves, halves[1:]):
         if b < a:
-            raise ValueError(f"half-widths must be nondecreasing, got {b} after {a}")
+            raise ToolError(f"half-widths must be nondecreasing, got {b} after {a}")
     n = values.size
     # a half-width of n-1 already reaches every cell from every cell
     pad = min(halves[-1], max(n - 1, 0))

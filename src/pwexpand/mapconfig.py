@@ -46,25 +46,6 @@ def map_from_config(doc) -> PiecewiseMap:
     return make_map(branches, epsilon=doc["epsilon"])
 
 
-def map_to_config(pmap: PiecewiseMap) -> dict:
-    """Config document reproducing the map exactly, with the effective
-    slope and Hölder constants pinned so a reload does not re-estimate."""
-    return {
-        "v": SCHEMA_VERSION,
-        "epsilon": pmap.holder_exponent,
-        "branches": [
-            {
-                "lo": br.domain.lo,
-                "hi": br.domain.hi,
-                "formula": br.formula,
-                "min_slope": br.min_slope,
-                "holder_constant": br.holder_constant,
-            }
-            for br in pmap.branches
-        ],
-    }
-
-
 def load_map(path) -> PiecewiseMap:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -81,4 +62,20 @@ def load_map(path) -> PiecewiseMap:
 
 
 def dump_map_config(pmap: PiecewiseMap) -> str:
-    return json.dumps(map_to_config(pmap), indent=2) + "\n"
+    """Config document reproducing the map exactly, as JSON text, with the
+    effective slope and Hölder constants pinned so a reload does not
+    re-estimate."""
+    return json.dumps({
+        "v": SCHEMA_VERSION,
+        "epsilon": pmap.holder_exponent,
+        "branches": [
+            {
+                "lo": br.domain.lo,
+                "hi": br.domain.hi,
+                "formula": br.formula,
+                "min_slope": br.min_slope,
+                "holder_constant": br.holder_constant,
+            }
+            for br in pmap.branches
+        ],
+    }, indent=2) + "\n"

@@ -73,7 +73,6 @@ class Branch:
 
 @dataclass(frozen=True)
 class PiecewiseMap:
-    breakpoints: tuple
     branches: tuple
     holder_exponent: float
 
@@ -127,8 +126,10 @@ def make_map(branch_specs, epsilon: float) -> PiecewiseMap:
 
     Each spec is a dict with keys ``lo``, ``hi``, ``formula`` and optional
     ``min_slope`` and ``holder_constant``, and no other.  Branches must
-    tile [0,1] in order.  A malformed spec raises ConfigError; the
-    expansion and monotonicity of the samples are judged by `validate`.
+    tile [0,1] in order.  A malformed spec raises ConfigError, and so does
+    a branch whose samples, or whose estimated Hölder constant M_i, are
+    not finite; the expansion and monotonicity of the samples are judged
+    by `validate`.
     """
     if not branch_specs:
         raise ConfigError("map needs at least one branch")
@@ -176,12 +177,16 @@ def make_map(branch_specs, epsilon: float) -> PiecewiseMap:
                 raise ConfigError(
                     f"branch {k} 'holder_constant' must be at least 0, got {decl_holder}")
         xs = np.linspace(lo, hi, BRANCH_SAMPLES)  # exactly lo to exactly hi
+        nonfinite = f"branch {k} ({formula!r}) is non-finite on its domain"
         try:
             vals, ders = expr.eval_with_derivative(tree, xs)
             if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(ders))):
-                raise ConfigError(f"branch {k} ({formula!r}) is non-finite on its domain")
+                raise ConfigError(nonfinite)
             holder = (decl_holder if decl_holder is not None
                       else _holder_from_samples(tree, lo, hi, epsilon))
+            # τ' can be nan at a Hölder grid point that the samples miss
+            if not math.isfinite(holder):
+                raise ConfigError(nonfinite)
         except expr.EvalError as err:
             raise ConfigError(f"branch {k} ({formula!r}) fails to evaluate: {err}") from err
 
@@ -202,8 +207,7 @@ def make_map(branch_specs, epsilon: float) -> PiecewiseMap:
             sign_consistent=bool(np.all(np.sign(ders) == sign)),
             min_slope=min_slope, holder_constant=holder, image=image,
             min_slope_declared=declared is not None))
-    return PiecewiseMap(breakpoints=tuple(edges), branches=tuple(branches),
-                        holder_exponent=float(epsilon))
+    return PiecewiseMap(branches=tuple(branches), holder_exponent=float(epsilon))
 
 
 def validate(pmap: PiecewiseMap) -> ValidationReport:

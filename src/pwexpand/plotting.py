@@ -61,7 +61,8 @@ def correlation_plot(series, path) -> None:
     if series.fitted_rate is not None:
         ax.set_title(f"correlation decay, rate ≈ {series.fitted_rate:.4g}")
     else:
-        ax.set_title("correlation decay (at noise floor)")
+        ax.set_title("correlation decay (no rate: fewer than 4 consecutive "
+                     "values above 1e-14)")
     ax.set_xlabel("N")
     ax.set_ylabel("C(N)")
     _save_atomic(fig, path)

@@ -158,7 +158,8 @@ def variation_csv(rep) -> str:
 
 def correlation_csv(series) -> str:
     if series.fitted_rate is None:
-        fit = "fitted_rate=none (series at or below the noise floor)"
+        fit = ("fitted_rate=none (fewer than 4 consecutive values above the"
+               " noise floor 1e-14)")
     else:
         fit = (f"fitted_rate={fmt(series.fitted_rate)}"
                f" fit_quality={fmt(series.fit_quality)}")

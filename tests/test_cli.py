@@ -795,7 +795,17 @@ def test_correlate_does_not_label_a_rate_outside_the_essential_spectrum(
     assert main(["correlate", TRIPLING, "--f", "1", "--g", "x", "--N", "20",
                  "--grid", "243", "--no-plot", "--out", str(out)]) == 0
     assert capsys.readouterr().out == (
-        f"series at the noise floor (no rate) -> {out}\n")
+        "no rate: fewer than 4 consecutive values above the noise floor "
+        f"1e-14 -> {out}\n")
+    # a series well above the floor but only 3 values long has none either
+    assert main(["correlate", TRIPLING, "--f", "x", "--g", "x", "--N", "2",
+                 "--grid", "243", "--no-plot", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "no rate: fewer than 4 consecutive values above the noise floor "
+        f"1e-14 -> {out}\n")
+    assert out.read_text().splitlines()[1] == (
+        "# fitted_rate=none (fewer than 4 consecutive values above the noise "
+        "floor 1e-14)")
 
 
 def _block_swap_config(tmp_path):

@@ -5,13 +5,14 @@ An oscillation profile here comes from `kernels.sliding_minmax_sweep` at
 `window_half_width`, the sweep that `variation` runs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pwexpand import kernels
 from pwexpand.errors import ConfigError
-from pwexpand.expr import parse
+from pwexpand.expr import EvalError, parse
 from pwexpand.grid import (GridFunction, project, radius_grid, variation,
                            window_half_width)
 from pwexpand.maps import invert_branch_array
@@ -80,6 +81,27 @@ def test_project_guards():
         project(parse("x"), 1)
     with pytest.raises(Exception):
         project(parse("log(x - 2)"), 4)  # evaluation error inside a cell
+
+
+def test_project_walks_one_node_set_at_a_time():
+    # each walk's temporaries hold n cells; walking the three stacked node
+    # sets at once took 10 doubles per cell
+    e = parse("sin(2*pi*x)")
+    n = 1 << 16
+    project(e, n)
+    tracemalloc.start()
+    try:
+        project(e, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 8 * n
+
+
+def test_project_names_the_rule_broken_on_the_first_node_set():
+    # the left nodes break sqrt's rule, the right ones log's
+    with pytest.raises(EvalError, match="^sqrt of negative argument$"):
+        project(parse("log(0.9 - x) + sqrt(x - 0.1)"), 2)
 
 
 def test_grid_function_validation():

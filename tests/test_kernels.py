@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pwexpand import kernels
+from pwexpand.errors import ToolError
 
 
 def brute_minmax(values, half):
@@ -78,9 +79,9 @@ def test_sliding_minmax_sweep_reuses_two_buffers():
 
 def test_sliding_minmax_sweep_rejects_bad_halves():
     values = np.arange(8.0)
-    with pytest.raises(ValueError, match="nondecreasing"):
+    with pytest.raises(ToolError, match="nondecreasing"):
         list(kernels.sliding_minmax_sweep(values, [1, 3, 2]))
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ToolError, match="nonnegative"):
         list(kernels.sliding_minmax_sweep(values, [-1, 2]))
     assert list(kernels.sliding_minmax_sweep(values, [])) == []
 

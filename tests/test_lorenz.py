@@ -375,7 +375,7 @@ def test_fit_recovers_a_tent_from_noisy_samples():
     assert diag.min_abs_slope_central[0] == pytest.approx(2.0, abs=1e-4)
     assert diag.min_abs_slope_central[1] == pytest.approx(2.0, abs=1e-4)
     assert max(diag.residual_rms) < 1e-4
-    assert pmap.breakpoints[1] == data.cusp_estimate
+    assert pmap.branches[0].domain.hi == pmap.branches[1].domain.lo == data.cusp_estimate
     # linear branches: tau' is constant, so epsilon = 1 holds with M_i = 0
     assert pmap.holder_exponent == 1.0
     assert [br.holder_constant for br in pmap.branches] == [0.0, 0.0]

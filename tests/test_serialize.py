@@ -94,7 +94,8 @@ def oracle_correlation(s):
         lines.append(f"# fitted_rate={fmt(s.fitted_rate)}"
                      f" fit_quality={fmt(s.fit_quality)}")
     else:
-        lines.append("# fitted_rate=none (series at or below the noise floor)")
+        lines.append("# fitted_rate=none (fewer than 4 consecutive values"
+                     " above the noise floor 1e-14)")
     lines.append("N,C")
     lines += [f"{int(N)},{fmt(C)}" for N, C in zip(s.N_values, s.C_values)]
     return _text(lines)

@@ -6,6 +6,7 @@ so several oracles here hold to rounding error rather than O(1/n).
 """
 
 import dataclasses
+import mmap
 import os
 import random
 import re
@@ -402,6 +403,16 @@ def test_dense_eigenvalues_match_the_csr_oracle_bit_for_bit(path, n):
     op = transfer.ulam_matrix(load_map(path), n)
     got = np.linalg.eigvals(op.dense_t())
     assert got.tobytes() == np.linalg.eigvals(op.matrix.toarray().T).tobytes()
+
+
+def test_dense_t_without_mmap_private_gives_the_same_spectrum(markov, monkeypatch):
+    # where mmap has no MAP_PRIVATE (Windows), dense_t scatters into
+    # np.zeros; the matrix and its eigenvalues keep every bit
+    op = transfer.ulam_matrix(markov, 300)
+    mapped, mapped_eigs = op.dense_t(), transfer.spectrum(op, 300).eigenvalues
+    monkeypatch.delattr(mmap, "MAP_PRIVATE")
+    assert op.dense_t().tobytes() == mapped.tobytes()
+    assert transfer.spectrum(op, 300).eigenvalues.tobytes() == mapped_eigs.tobytes()
 
 
 _DENSE_RSS = """
