@@ -4,14 +4,11 @@ Lorenz next-maximum return-map pipeline."""
 
 from .analysis import (
     CorrelationSeries,
-    LYConstants,
     LYVerification,
     correlation_invariant,
     correlation_lebesgue,
     estimate_equicontinuity_L,
     fit_decay_rate,
-    ly_constants,
-    ly_constants_best_A,
     ly_verify,
 )
 from .errors import ConfigError, ToolError
@@ -29,8 +26,11 @@ from .mapconfig import dump_map_config, load_map
 from .maps import (
     Branch,
     Interval,
+    LYConstants,
     PiecewiseMap,
     check_slope_condition,
+    ly_constants,
+    ly_constants_best_A,
     make_map,
     validate,
 )

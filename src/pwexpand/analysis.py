@@ -1,12 +1,6 @@
-"""Explicit contraction constants for the transfer operator, empirical
-verification of the variation inequality, and correlation-decay
-measurement.
-
-All constants are evaluated exactly from (M, s, q, p, t, A); nothing here
-is fitted.  At t = 1 the radius cap A that makes C = 2 + beta/(1 - alpha)
-smallest is found in closed form, from the real roots of a quartic in
-D = M*A^(1/p)/s^(1+1/p).  Every step of P here is one step of the Ulam
-operator L = Pᵀ on the grid, built once per call: the inequality
+"""Checks and samples of the constants that `maps.ly_constants` computes,
+and correlation-decay measurement.  Every step of P here is one step of
+the Ulam operator L = Pᵀ on the grid, built once per call: the inequality
 var(Lf) <= alpha*var(f) + beta*||f||_1 is checked on random test
 functions, and correlation series decay to rounding at the mixing rate
 of that finite Markov chain.
@@ -22,13 +16,16 @@ import numpy as np
 
 from . import expr
 from .errors import ConfigError, ToolError
-from .grid import DEFAULT_A, GridFunction, project, variation
-from .maps import PiecewiseMap, check_slope_condition
+from .grid import GridFunction, project, variation
+from .maps import PiecewiseMap, check_ly_ranges, ly_constants
 from .transfer import (ESS_MARGIN, UlamOperator, invariant_density,
                        power_iterate, ulam_matrix)
 
 #: correlation values below this are treated as exact zeros
 NOISE_FLOOR = 1e-14
+
+#: fewest consecutive values above NOISE_FLOOR that give a fitted rate
+MIN_RUN = 4
 
 #: highest degree of a random trigonometric test function, and most jumps
 #: of a random step function
@@ -41,33 +38,6 @@ _L_TRIALS, _L_ITERATES, _L_GRID, _L_SEED = 12, 20, 1024, 7
 #: estimate_equicontinuity_L's starting value, which it returns when no
 #: sampled iterate's norm exceeds the norm of its start
 L_FLOOR = 1.0
-
-
-@dataclass(frozen=True)
-class LYConstants:
-    p: float
-    t: float
-    A: float
-    D: float
-    alpha: float
-    beta: float
-    K: object  # float, or None when the equicontinuity constant is missing
-    slope_condition_value: float
-
-    @property
-    def B(self) -> float:  # the constants take B = A
-        return self.A
-
-    @property
-    def admissible(self) -> bool:
-        return self.alpha < 1.0
-
-    @property
-    def C(self):
-        """1 + K/(1 - alpha), or None when alpha >= 1 or K is missing."""
-        if not self.admissible or self.K is None:
-            return None
-        return 1.0 + self.K / (1.0 - self.alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,102 +76,13 @@ class CorrelationSeries:
         return (self.fitted_rate is not None
                 and self.fitted_rate <= self.r_ess + ESS_MARGIN)
 
-
-def check_ly_ranges(pmap: PiecewiseMap, p: float, t: float, A: float) -> float:
-    """ConfigError unless p >= 1, s > 1, p >= 1/epsilon, 1 <= t <= p and
-    0 < A <= 1, the ranges `ly_constants` needs before it reads L; returns
-    the slope condition's value 1/s^(1/p) + 1/s.
-
-    The constants read M, the epsilon-Hölder constant of tau', as the
-    constant of |tau'(x) - tau'(y)| <= M|x - y|^(1/p).  On [0,1] the
-    first bounds the second only when 1/p <= epsilon."""
-    slope_value, _ = check_slope_condition(pmap, p)
-    eps = pmap.holder_exponent
-    if p < 1.0 / eps:
-        raise ConfigError(
-            f"p must be at least 1/epsilon = {1.0 / eps:g} for the map's "
-            f"epsilon = {eps:g}, got p={p}")
-    if not (1.0 <= t <= p):
-        raise ConfigError(f"t must lie in [1, p], got t={t}, p={p}")
-    if not (0.0 < A <= 1.0):
-        raise ConfigError(f"A must lie in (0,1], got {A}")
-    return slope_value
-
-
-def ly_constants(pmap: PiecewiseMap, p: float, t: float = 1.0,
-                 A: float = DEFAULT_A, L=None) -> LYConstants:
-    """Contraction constants for the variation inequality at radius cap A.
-
-    For t=1 these are the one-norm constants; for 1 < t <= p the branch
-    count enters and K additionally needs the equicontinuity constant L
-    (supplied by the caller, typically from estimate_equicontinuity_L —
-    an empirical, non-rigorous stand-in).
-    """
-    slope_value = check_ly_ranges(pmap, p, t, A)
-    if L is not None and not math.isfinite(L):
-        raise ConfigError(f"L must be a finite number, got {L}")
-    s = pmap.min_slope_global
-    M = pmap.holder_max
-    q = len(pmap.branches)
-    B = A
-    D = M * A ** (1.0 / p) / s ** (1.0 + 1.0 / p)
-    if t == 1.0:
-        alpha = (2.0 ** (1.0 / p) * D * (1.0 + D) / s ** (1.0 / p)
-                 + (1.0 + D) / s ** (1.0 / p)
-                 + (1.0 + D) / s)
-        beta = (2.0 ** (1.0 / p) * M * (1.0 + D) / s ** (1.0 + 1.0 / p)
-                + ((1.0 + D) / s) * A ** (1.0 - 1.0 / p) / B)
-        K = 1.0 - alpha + beta
-    else:
-        expo = 1.0 + 1.0 / p - 1.0 / t
-        alpha = (2.0 ** (1.0 / p) * q * D * (1.0 + D) / s ** expo
-                 + 2.0 * q * (1.0 + D) / s ** expo
-                 + 2.0 * q * (1.0 + D) / s)
-        beta = (2.0 ** (1.0 / p) * q * M * (1.0 + D) / s ** (1.0 + expo)
-                + 2.0 * q * (1.0 + D) / (s * B ** (1.0 / p)))
-        K = 1.0 - alpha + beta + L if L is not None else None
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise ToolError(
-            f"alpha = {alpha:g}, beta = {beta:g} at A={A:g}, p={p:g}, "
-            f"t={t:g}: the constants overflow a double")
-    return LYConstants(p=p, t=t, A=A, D=D, alpha=alpha, beta=beta, K=K,
-                       slope_condition_value=slope_value)
-
-
-def ly_constants_best_A(pmap: PiecewiseMap, p: float) -> LYConstants:
-    """The t = 1 constants at the radius cap 0 < A <= DEFAULT_A that
-    minimises beta/(1 - alpha), and so C = 2 + beta/(1 - alpha).
-
-    With u = 1/p, c = M/s^(1+u), v the slope-condition value and
-    D = c*A^u, the constants factor as alpha = (1+D)(v + (2/s)^u D) and
-    beta = c(1+D)(2^u + 1/(sD)), so beta/(1 - alpha) = c*N(D)/Q(D) with
-    N = (1+D)(2^u sD + 1) and Q = sD(1 - alpha), neither of which reads M.
-    The best D is a real root of the quartic N'Q - NQ' in (0, c*DEFAULT_A^u]
-    where Q > 0, or that end point; A = (D/c)^p."""
-    s = pmap.min_slope_global
-    slope_value = check_ly_ranges(pmap, p, 1.0, DEFAULT_A)
-    if not slope_value < 1.0:
-        raise ToolError(
-            f"slope condition fails: 1/s^(1/p) + 1/s = {slope_value:.6g} >= 1 "
-            f"at s={s:.6g}, p={p}; no radius cap can give alpha < 1")
-    u = 1.0 / p
-    c = pmap.holder_max / s ** (1.0 + u)
-    top = c * DEFAULT_A ** u
-    if top == 0.0:  # beta = A^-u/s falls with A
-        return ly_constants(pmap, p=p, t=1.0, A=DEFAULT_A)
-    P = np.polynomial.Polynomial
-    N = P([1.0, 1.0]) * P([1.0, 2.0 ** u * s])
-    Q = P([0.0, s]) * (1.0 - P([1.0, 1.0]) * P([slope_value, (2.0 / s) ** u]))
-    roots = (N.deriv() * Q - N * Q.deriv()).roots().real
-    with np.errstate(over="ignore"):  # Q(top) for a huge declared M
-        D = min((D for D in (top, *roots) if 0.0 < D <= top and Q(D) > 0.0),
-                key=lambda D: N(D) / Q(D))
-    A = DEFAULT_A if D == top else float((D / c) ** p)
-    if A == 0.0:
-        raise ToolError(
-            f"the best radius cap (D/c)^p = ({D:.6g}/{c:.6g})^{p:g} underflows "
-            f"to 0 (s={s:.6g}, M={pmap.holder_max:.6g}, p={p})")
-    return ly_constants(pmap, p=p, t=1.0, A=A)
+    @property
+    def no_rate_reason(self):
+        """Why `fit_decay_rate` gave no rate, or None when it gave one."""
+        if self.fitted_rate is not None:
+            return None
+        return (f"fewer than {MIN_RUN} consecutive values above the noise "
+                f"floor {NOISE_FLOOR:g}")
 
 
 def _normal(draw) -> float:
@@ -353,8 +234,8 @@ def fit_decay_rate(C_values):
     """Exponential rate of the series C(N), N = 0, 1, ..., from the longest
     contiguous run of above-floor values: least-squares slope of log C(N)
     against N, rate = exp(slope).  Returns (rate, R^2), or (None, None)
-    when fewer than 4 contiguous values lie above NOISE_FLOOR (an exactly
-    zero series is a legitimate outcome)."""
+    when fewer than MIN_RUN contiguous values lie above NOISE_FLOOR (an
+    exactly zero series is a legitimate outcome)."""
     C = np.asarray(C_values, dtype=float)
     above = C > NOISE_FLOOR
     best_start, best_len = 0, 0
@@ -367,7 +248,7 @@ def fit_decay_rate(C_values):
             if length >= best_len:  # prefer the later run on ties
                 best_start, best_len = start, length
             start = None
-    if best_len < 4:
+    if best_len < MIN_RUN:
         return None, None
     N = np.arange(best_start, best_start + best_len, dtype=float)
     y = np.log(C[best_start:best_start + best_len])

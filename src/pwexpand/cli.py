@@ -18,7 +18,8 @@ from .errors import ToolError
 from .expr import parse as parse_expr
 from .grid import DEFAULT_A, project, variation
 from .mapconfig import dump_map_config, load_map
-from .maps import check_slope_condition, validate
+from .maps import (check_slope_condition, ly_constants, ly_constants_best_A,
+                   validate)
 
 
 def _load_validated(path):
@@ -43,7 +44,7 @@ def _plot(args, draw, data) -> None:
         return
     out = args.out
     svg = (out[: -len(".csv")] if out.endswith(".csv") else out) + ".svg"
-    if not plotting.HAVE_MPL:
+    if not plotting.load_pyplot():
         print(f"warning: matplotlib unavailable, skipped plot {svg}",
               file=sys.stderr)
         return
@@ -69,10 +70,9 @@ def cmd_ly(args) -> int:
         L = analysis.estimate_equicontinuity_L(pmap, p=args.p, t=args.t,
                                                A=args.A)
     if args.auto_A:
-        consts = analysis.ly_constants_best_A(pmap, p=args.p)
+        consts = ly_constants_best_A(pmap, p=args.p)
     else:
-        consts = analysis.ly_constants(pmap, p=args.p, t=args.t,
-                                       A=args.A, L=L)
+        consts = ly_constants(pmap, p=args.p, t=args.t, A=args.A, L=L)
     serialize.write_text_atomic(args.out, serialize.ly_constants_csv(consts))
     if args.t == 1.0 and (args.auto_L or args.L is not None):
         print("L is not used at t = 1")
@@ -171,9 +171,8 @@ def cmd_correlate(args) -> int:
         series = analysis.correlation_invariant(pmap, args.f, args.g,
                                                 N_max=args.N, n=args.grid)
     serialize.write_text_atomic(args.out, serialize.correlation_csv(series))
-    if series.fitted_rate is None:
-        print("no rate: fewer than 4 consecutive values above the noise "
-              f"floor 1e-14 -> {args.out}")
+    if series.no_rate_reason is not None:
+        print(f"no rate: {series.no_rate_reason} -> {args.out}")
     else:
         print(f"fitted rate {serialize.fmt(series.fitted_rate)} "
               f"(R^2 = {serialize.fmt(series.fit_quality)}) -> {args.out}")

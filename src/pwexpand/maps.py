@@ -6,6 +6,12 @@ closed-form expression with Hölder-continuous derivative bounded away from
 branch's derivative once; it accepts anything that evaluates.  `validate`
 judges those samples (expansion, monotonicity) and the images, and must
 pass before the map is used elsewhere.
+
+The slope condition 1/s^(1/p) + 1/s < 1 and the Lasota–Yorke constants
+of var(Pf) <= alpha*var(f) + beta*||f||_1 live here too, evaluated exactly
+from (M, s, q, p, t, A); nothing here is fitted.  At t = 1 the radius cap
+A that makes C = 2 + beta/(1 - alpha) smallest is found in closed form,
+from the real roots of a quartic in D = M*A^(1/p)/s^(1+1/p).
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import numpy as np
 
 from . import expr
 from .errors import ConfigError, ToolError
+from .grid import DEFAULT_A
 
 #: residual |τ_i(x) - y| at which branch inversion stops
 INVERSE_TOL = 1e-12
@@ -265,6 +272,130 @@ def check_slope_condition(pmap: PiecewiseMap, p: float):
         raise ConfigError(f"minimum slope {s} is not greater than 1")
     value = 1.0 / s ** (1.0 / p) + 1.0 / s
     return value, bool(value < 1.0)
+
+
+@dataclass(frozen=True)
+class LYConstants:
+    p: float
+    t: float
+    A: float
+    D: float
+    alpha: float
+    beta: float
+    K: object  # float, or None when the equicontinuity constant is missing
+    slope_condition_value: float
+
+    @property
+    def B(self) -> float:  # the constants take B = A
+        return self.A
+
+    @property
+    def admissible(self) -> bool:
+        return self.alpha < 1.0
+
+    @property
+    def C(self):
+        """1 + K/(1 - alpha), or None when alpha >= 1 or K is missing."""
+        if not self.admissible or self.K is None:
+            return None
+        return 1.0 + self.K / (1.0 - self.alpha)
+
+
+def check_ly_ranges(pmap: PiecewiseMap, p: float, t: float, A: float) -> float:
+    """ConfigError unless p >= 1, s > 1, p >= 1/epsilon, 1 <= t <= p and
+    0 < A <= 1, the ranges `ly_constants` needs before it reads L; returns
+    the slope condition's value 1/s^(1/p) + 1/s.
+
+    The constants read M, the epsilon-Hölder constant of tau', as the
+    constant of |tau'(x) - tau'(y)| <= M|x - y|^(1/p).  On [0,1] the
+    first bounds the second only when 1/p <= epsilon."""
+    slope_value, _ = check_slope_condition(pmap, p)
+    eps = pmap.holder_exponent
+    if p < 1.0 / eps:
+        raise ConfigError(
+            f"p must be at least 1/epsilon = {1.0 / eps:g} for the map's "
+            f"epsilon = {eps:g}, got p={p}")
+    if not (1.0 <= t <= p):
+        raise ConfigError(f"t must lie in [1, p], got t={t}, p={p}")
+    if not (0.0 < A <= 1.0):
+        raise ConfigError(f"A must lie in (0,1], got {A}")
+    return slope_value
+
+
+def ly_constants(pmap: PiecewiseMap, p: float, t: float = 1.0,
+                 A: float = DEFAULT_A, L=None) -> LYConstants:
+    """Contraction constants for the variation inequality at radius cap A.
+
+    For t=1 these are the one-norm constants; for 1 < t <= p the branch
+    count enters and K additionally needs the equicontinuity constant L
+    (supplied by the caller, typically from estimate_equicontinuity_L —
+    an empirical, non-rigorous stand-in).
+    """
+    slope_value = check_ly_ranges(pmap, p, t, A)
+    if L is not None and not math.isfinite(L):
+        raise ConfigError(f"L must be a finite number, got {L}")
+    s = pmap.min_slope_global
+    M = pmap.holder_max
+    q = len(pmap.branches)
+    B = A
+    D = M * A ** (1.0 / p) / s ** (1.0 + 1.0 / p)
+    if t == 1.0:
+        alpha = (2.0 ** (1.0 / p) * D * (1.0 + D) / s ** (1.0 / p)
+                 + (1.0 + D) / s ** (1.0 / p)
+                 + (1.0 + D) / s)
+        beta = (2.0 ** (1.0 / p) * M * (1.0 + D) / s ** (1.0 + 1.0 / p)
+                + ((1.0 + D) / s) * A ** (1.0 - 1.0 / p) / B)
+        K = 1.0 - alpha + beta
+    else:
+        expo = 1.0 + 1.0 / p - 1.0 / t
+        alpha = (2.0 ** (1.0 / p) * q * D * (1.0 + D) / s ** expo
+                 + 2.0 * q * (1.0 + D) / s ** expo
+                 + 2.0 * q * (1.0 + D) / s)
+        beta = (2.0 ** (1.0 / p) * q * M * (1.0 + D) / s ** (1.0 + expo)
+                + 2.0 * q * (1.0 + D) / (s * B ** (1.0 / p)))
+        K = 1.0 - alpha + beta + L if L is not None else None
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ToolError(
+            f"alpha = {alpha:g}, beta = {beta:g} at A={A:g}, p={p:g}, "
+            f"t={t:g}: the constants overflow a double")
+    return LYConstants(p=p, t=t, A=A, D=D, alpha=alpha, beta=beta, K=K,
+                       slope_condition_value=slope_value)
+
+
+def ly_constants_best_A(pmap: PiecewiseMap, p: float) -> LYConstants:
+    """The t = 1 constants at the radius cap 0 < A <= DEFAULT_A that
+    minimises beta/(1 - alpha), and so C = 2 + beta/(1 - alpha).
+
+    With u = 1/p, c = M/s^(1+u), v the slope-condition value and
+    D = c*A^u, the constants factor as alpha = (1+D)(v + (2/s)^u D) and
+    beta = c(1+D)(2^u + 1/(sD)), so beta/(1 - alpha) = c*N(D)/Q(D) with
+    N = (1+D)(2^u sD + 1) and Q = sD(1 - alpha), neither of which reads M.
+    The best D is a real root of the quartic N'Q - NQ' in (0, c*DEFAULT_A^u]
+    where Q > 0, or that end point; A = (D/c)^p."""
+    s = pmap.min_slope_global
+    slope_value = check_ly_ranges(pmap, p, 1.0, DEFAULT_A)
+    if not slope_value < 1.0:
+        raise ToolError(
+            f"slope condition fails: 1/s^(1/p) + 1/s = {slope_value:.6g} >= 1 "
+            f"at s={s:.6g}, p={p}; no radius cap can give alpha < 1")
+    u = 1.0 / p
+    c = pmap.holder_max / s ** (1.0 + u)
+    top = c * DEFAULT_A ** u
+    if top == 0.0:  # beta = A^-u/s falls with A
+        return ly_constants(pmap, p=p, t=1.0, A=DEFAULT_A)
+    P = np.polynomial.Polynomial
+    N = P([1.0, 1.0]) * P([1.0, 2.0 ** u * s])
+    Q = P([0.0, s]) * (1.0 - P([1.0, 1.0]) * P([slope_value, (2.0 / s) ** u]))
+    roots = (N.deriv() * Q - N * Q.deriv()).roots().real
+    with np.errstate(over="ignore"):  # Q(top) for a huge declared M
+        D = min((D for D in (top, *roots) if 0.0 < D <= top and Q(D) > 0.0),
+                key=lambda D: N(D) / Q(D))
+    A = DEFAULT_A if D == top else float((D / c) ** p)
+    if A == 0.0:
+        raise ToolError(
+            f"the best radius cap (D/c)^p = ({D:.6g}/{c:.6g})^{p:g} underflows "
+            f"to 0 (s={s:.6g}, M={pmap.holder_max:.6g}, p={p})")
+    return ly_constants(pmap, p=p, t=1.0, A=A)
 
 
 def invert_branch_array(branch: Branch, ys) -> np.ndarray:

@@ -1,24 +1,38 @@
 """SVG plot emission.  matplotlib is optional, since every figure
-duplicates data already in a CSV: without it `HAVE_MPL` is False and the
-CLI warns instead of calling a draw function."""
+duplicates data already in a CSV.  `HAVE_MPL` says whether it is
+installed, found without importing it, and `load_pyplot` imports pyplot
+on the first draw; when that fails the CLI warns instead of drawing, so a
+run that draws nothing never imports matplotlib."""
 
 from __future__ import annotations
 
+import importlib.util
 import io
 
 import numpy as np
 
 from .serialize import write_text_atomic
 
-try:
-    import matplotlib
+HAVE_MPL = importlib.util.find_spec("matplotlib") is not None
 
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
+#: matplotlib.pyplot once `load_pyplot` has imported it
+plt = None
 
-    HAVE_MPL = True
-except ImportError:
-    HAVE_MPL = False
+
+def load_pyplot() -> bool:
+    """Import pyplot with the Agg backend unless it is loaded; False when
+    matplotlib is missing or its import fails, in whatever way."""
+    global plt
+    if plt is None and HAVE_MPL:
+        try:
+            import matplotlib
+
+            matplotlib.use("Agg")
+            import matplotlib.pyplot as pyplot
+        except Exception:  # an optional package that cannot load draws nothing
+            return False
+        plt = pyplot
+    return plt is not None
 
 
 def _save_atomic(fig, path) -> None:
@@ -58,11 +72,10 @@ def correlation_plot(series, path) -> None:
     fig, ax = plt.subplots(figsize=(7, 4))
     C = np.maximum(series.C_values, 1e-17)
     ax.semilogy(series.N_values, C, marker="o", ms=3, lw=1.0)
-    if series.fitted_rate is not None:
+    if series.no_rate_reason is None:
         ax.set_title(f"correlation decay, rate ≈ {series.fitted_rate:.4g}")
     else:
-        ax.set_title("correlation decay (no rate: fewer than 4 consecutive "
-                     "values above 1e-14)")
+        ax.set_title(f"correlation decay (no rate: {series.no_rate_reason})")
     ax.set_xlabel("N")
     ax.set_ylabel("C(N)")
     _save_atomic(fig, path)

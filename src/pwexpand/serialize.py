@@ -157,9 +157,8 @@ def variation_csv(rep) -> str:
 
 
 def correlation_csv(series) -> str:
-    if series.fitted_rate is None:
-        fit = ("fitted_rate=none (fewer than 4 consecutive values above the"
-               " noise floor 1e-14)")
+    if series.no_rate_reason is not None:
+        fit = f"fitted_rate=none ({series.no_rate_reason})"
     else:
         fit = (f"fitted_rate={fmt(series.fitted_rate)}"
                f" fit_quality={fmt(series.fit_quality)}")

@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import ConfigError, ToolError
 from .grid import GridFunction, variation
-from .maps import PiecewiseMap, invert_branch_array
+from .maps import PiecewiseMap, invert_branch_array, ly_constants
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,9 +481,7 @@ def iterate_norm_series(pmap: PiecewiseMap, f: GridFunction, p: float,
     """BV norms of Lⁿ f for n = 0..n_max, L = Pᵀ the Ulam operator on f's
     grid, compared against the a-priori bound C * ||f||_1 that holds for
     all large n."""
-    from . import analysis  # local import: analysis builds on this module
-
-    consts = analysis.ly_constants(pmap, p=p, t=1.0, A=A)
+    consts = ly_constants(pmap, p=p, t=1.0, A=A)
     op = ulam_matrix(pmap, f.n)
     norms = np.array([variation(GridFunction(g), 1.0, p, A).bv_norm
                       for g in op.orbit(f.values, n_max)])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pwexpand
-from pwexpand import analysis, transfer
+from pwexpand import analysis, maps, transfer
 from pwexpand.errors import ConfigError, ToolError
 from pwexpand.grid import project
 from pwexpand.mapconfig import load_map
@@ -132,7 +132,7 @@ HALF_HOLDER = Path(__file__).resolve().parent / "half_holder.json"
 
 
 def test_best_A_keeps_tripling_at_the_default_cap(tripling):
-    c = analysis.ly_constants_best_A(tripling, p=1.0)
+    c = maps.ly_constants_best_A(tripling, p=1.0)
     assert c.A == 0.125
     assert abs(c.alpha - 2 / 3) <= 1e-15
 
@@ -155,7 +155,7 @@ def test_best_A_is_the_minimum_of_a_log_scan(name, p):
         c = analysis.ly_constants(pmap, p=p, t=1.0, A=A)
         if c.alpha < 1.0:
             ratios.append(c.beta / (1.0 - c.alpha))
-    best = analysis.ly_constants_best_A(pmap, p=p)
+    best = maps.ly_constants_best_A(pmap, p=p)
     assert best.alpha < 1.0
     assert best.beta / (1.0 - best.alpha) <= (1.0 + 1e-6) * min(ratios)
     rep = analysis.ly_verify(pmap, p=p, A=best.A, trials=40, n=4096)
@@ -164,7 +164,7 @@ def test_best_A_is_the_minimum_of_a_log_scan(name, p):
 
 def test_best_A_rejects_doubling(doubling):
     with pytest.raises(ToolError, match="^slope condition fails: "):
-        analysis.ly_constants_best_A(doubling, p=1.0)
+        maps.ly_constants_best_A(doubling, p=1.0)
 
 
 # ----------------------------------------------------------------- ly_verify

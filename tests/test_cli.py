@@ -1619,6 +1619,56 @@ def test_spectrum_plot_titles_the_gap_by_its_kind(monkeypatch, kind, gap,
     assert ax.titles == [title]
 
 
+@pytest.mark.parametrize("rate, title", [
+    (0.3288, "correlation decay, rate ≈ 0.3288"),
+    (None, "correlation decay (no rate: fewer than 4 consecutive values "
+           "above the noise floor 1e-14)")])
+def test_correlation_plot_titles_the_rate_or_why_there_is_none(
+        monkeypatch, rate, title):
+    ax = _StubAxes()
+    stub = SimpleNamespace(subplots=lambda **kwargs: (None, ax))
+    monkeypatch.setattr(plotting, "plt", stub, raising=False)
+    monkeypatch.setattr(plotting, "_save_atomic", lambda fig, path: None)
+    series = analysis.CorrelationSeries(
+        kind="lebesgue", C_values=np.array([0.25, 0.125, 0.0]),
+        fitted_rate=rate, fit_quality=None if rate is None else 1.0,
+        r_ess=0.5)
+    plotting.correlation_plot(series, "unused.svg")
+    assert ax.titles == [title]
+
+
+def test_a_matplotlib_that_cannot_load_is_imported_only_to_draw(tmp_path):
+    # a stub package first on the path marks its import, then fails
+    mark = tmp_path / "imported"
+    stub = tmp_path / "stub" / "matplotlib"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text(
+        f"open({str(mark)!r}, 'w').close()\n"
+        "raise RuntimeError('this matplotlib cannot load')\n")
+    src = Path(pwexpand.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(stub.parent),
+                                                       str(src)]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "pwexpand.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True)
+
+    check = run("check-slope", TRIPLING, "--p", "1")
+    assert (check.returncode, check.stderr) == (0, "")
+    assert check.stdout == "0.66666666666666663 < 1: admissible\n"
+    quiet = run("density", MARKOV, "--bins", "64", "--no-plot")
+    assert (quiet.returncode, quiet.stderr) == (0, "")
+    assert not mark.exists()
+    drawn = run("density", MARKOV, "--bins", "64")
+    assert drawn.returncode == 0
+    assert drawn.stderr == ("warning: matplotlib unavailable, skipped plot "
+                            "density.svg\n")
+    assert mark.exists()
+    assert (tmp_path / "density.csv").exists()
+    assert not (tmp_path / "density.svg").exists()
+
+
 _BAD_VALUES = ["abc", "", [1], {"a": 1}]
 
 

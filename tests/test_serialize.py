@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from pwexpand import serialize
+from pwexpand.analysis import CorrelationSeries
 from pwexpand.errors import ToolError
 from pwexpand.grid import GridFunction
 from pwexpand.serialize import _CHUNK, fmt
@@ -210,9 +211,10 @@ def test_variation_csv(lq):
 @pytest.mark.parametrize("n", ROWS)
 @pytest.mark.parametrize("rate", [None, 0.3288])
 def test_correlation_csv(n, rate):
-    s = SimpleNamespace(kind="invariant", N_values=np.arange(n),
-                        C_values=_values(n, 8), fitted_rate=rate,
-                        fit_quality=None if rate is None else 0.99982)
+    s = CorrelationSeries(kind="invariant", C_values=_values(n, 8),
+                          fitted_rate=rate,
+                          fit_quality=None if rate is None else 0.99982,
+                          r_ess=0.5)
     assert serialize.correlation_csv(s) == oracle_correlation(s)
 
 
