@@ -36,14 +36,12 @@ not mix) makes it 0; `SpectralReport` keeps those values as
 map's period from them.  Its ``gap_kind`` says whether the gap is
 measured, the bound, or unresolved (nan).
 
-`ulam_matrix` returns the Ulam matrix as numpy (row, col, value) triplets.
-It assembles them branch by branch, in (row, col) order whenever the
-branches increase and are listed in domain order; only a decreasing branch
-or a source bin that two branches share makes it sort, which one pass over
-the entries detects.  Its peak is about twice the triplets' bytes.
-`UlamOperator.apply_t` applies Pᵀ with one ``np.bincount``, and the dense
-eigensolve scatters the triplets into an n × n array of which only the
-pages holding a nonzero are resident (`UlamOperator.dense_t`), so neither
+`ulam_matrix` returns the Ulam matrix as per-branch gather slots (see
+`UlamOperator`), assembled branch by branch; its peak is about twice the
+slots' bytes.  `UlamOperator.apply_t` applies Pᵀ by one gather, scale and
+add per slot into a slice of the output, and the dense eigensolve
+scatters the nonzero weights into an n × n array of which only the pages
+holding a nonzero are resident (`UlamOperator.dense_t`), so neither
 `invariant_density` nor `spectrum` loads scipy.  ``scipy.sparse`` is
 imported only by `UlamOperator.matrix`, a CSR view for callers that want
 one.
@@ -66,22 +64,37 @@ from .maps import PiecewiseMap, invert_branch_array, ly_constants
 
 @dataclass(frozen=True, eq=False)
 class UlamOperator:
-    """Ulam matrix P on n bins as triplets sorted by (row, col), one per
-    nonzero entry: P[i, j] = m(B_i ∩ τ⁻¹B_j)/m(B_i), and the essential
-    spectral radius bound r_ess = 1/s_min of the map's operator."""
+    """Ulam matrix P on n bins, P[i, j] = m(B_i ∩ τ⁻¹B_j)/m(B_i), as gather
+    slots, and the essential spectral radius bound r_ess = 1/s_min of the
+    map's operator.
+
+    ``slots`` holds one ``(start, src, w)`` per branch, in domain order,
+    over the target bins j = start, …, start + len(src) - 1 that the
+    branch's image meets: ``w[k, j - start]`` is P[src + k, j] for the
+    branch's piece of source bin src + k, and 0 where that piece misses
+    bin j.  K = ``len(w)`` is 1 + the largest number of source bins past
+    the first that one preimage meets.  A pair (i, j) that two branches
+    share (a breakpoint strictly inside bin i) is stored in the earlier
+    branch's slot, so each nonzero of P is one slot weight."""
 
     n: int
-    rows: np.ndarray  # int64, source bin i
-    cols: np.ndarray  # int64, target bin j
-    vals: np.ndarray  # float64
+    slots: tuple  # (start, src int64 (m,), w float64 (K, m)) per branch
     r_ess: float
 
     def apply_t(self, h: np.ndarray) -> np.ndarray:
         """Pᵀh.  Each entry adds its terms to 0.0 in ascending row order,
-        as scipy's CSR matvec on ``P.T.tocsr()`` does, so the two agree
-        bit for bit."""
-        return np.bincount(self.cols, weights=self.vals * h[self.rows],
-                           minlength=self.n)
+        branch by branch and then slot by slot (a zero weight adds ±0), as
+        scipy's CSR matvec on ``P.T.tocsr()`` does, so the two agree bit
+        for bit."""
+        out = np.zeros(self.n)
+        for start, src, w in self.slots:
+            part = out[start:start + src.size]
+            for k, wk in enumerate(w):
+                term = h[k:].take(src)
+                term *= wk
+                part += term
+                del term  # freed before the next gather
+        return out
 
     def orbit(self, h: np.ndarray, steps: int):
         """Yield h, Pᵀh, …, (Pᵀ)^steps h, one `apply_t` per step, holding
@@ -94,10 +107,19 @@ class UlamOperator:
             h = self.apply_t(h)
             yield h
 
+    def _entries(self):
+        """(rows, cols, vals) of each branch's nonzero slot weights, one
+        triple per branch and slot."""
+        for start, src, w in self.slots:
+            for k, wk in enumerate(w):
+                j = np.flatnonzero(wk)
+                yield src[j] + k, j + start, wk[j]
+
     def dense_t(self) -> np.ndarray:
-        """Pᵀ as a dense n × n array: the transposed view of P, scattered
-        into a private anonymous mapping, so only the 4 KiB pages that hold
-        a nonzero are backed (about one per source bin).  ``np.zeros``
+        """Pᵀ as a dense n × n array: the transposed view of P, its nonzero
+        slot weights scattered into a private anonymous mapping, so only
+        the 4 KiB pages that hold a nonzero are backed (about one per
+        source bin; a written zero would back its page too).  ``np.zeros``
         advises huge pages for a large array, and the scatter then backs
         the whole of it.  The view's C-order bytes are those of Pᵀ, so
         ``eigvals`` copies the same values into its LAPACK buffer.  Where
@@ -120,17 +142,19 @@ class UlamOperator:
             p = np.frombuffer(buf).reshape(n, n)
         else:
             p = np.zeros((n, n))
-        p[self.rows, self.cols] = self.vals
+        for rows, cols, vals in self._entries():
+            p[rows, cols] = vals
         return p.T
 
     @cached_property
     def matrix(self):
-        """P as a ``scipy.sparse.csr_matrix`` built from the triplets on
-        first read, which is also when ``scipy.sparse`` is imported."""
+        """P as a ``scipy.sparse.csr_matrix`` built from the nonzero slot
+        weights on first read, which is also when ``scipy.sparse`` is
+        imported."""
         import scipy.sparse as sp
 
-        return sp.csr_matrix((self.vals, (self.rows, self.cols)),
-                             shape=(self.n, self.n))
+        rows, cols, vals = map(np.concatenate, zip(*self._entries()))
+        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,37 +228,53 @@ def apply_fp(pmap: PiecewiseMap, f: GridFunction) -> GridFunction:
     return GridFunction(ulam_matrix(pmap, f.n).apply_t(f.values))
 
 
-def _branch_entries(br, edges: np.ndarray, n: int):
-    """(rows, cols, vals) of one branch's Ulam entries P[i, j] > 0, in
-    (j, i) order: target bin j ascending, then the source bins i that its
-    preimage meets, ascending."""
+def _branch_slots(br, edges: np.ndarray, n: int):
+    """(start, src, w) of one branch: its gather slots over the target bins
+    its image meets (see `UlamOperator`), or None when it meets none."""
     # clipped edges invert to exact domain ends, so row sums telescope
     xs = invert_branch_array(br, np.clip(edges, br.image.lo, br.image.hi))
     # preimage [xa, xb] of target bin j, then the source bins ia..ib it meets
     xa, xb = (xs[:-1], xs[1:]) if br.monotone_sign > 0 else (xs[1:], xs[:-1])
-    j = np.flatnonzero(xb > xa)
-    xa, xb = xa[j], xb[j]
-    del xs
+    met = np.flatnonzero(xb > xa)
+    if not met.size:
+        return None
+    start, stop = int(met[0]), int(met[-1]) + 1
+    del met
+    xa, xb = xa[start:stop], xb[start:stop]
     ia = np.clip(np.floor(xa * n), 0, n - 1).astype(np.int64)
-    counts = np.clip(np.floor(xb * n), 0, n - 1).astype(np.int64) - ia + 1
-    # entry k of target bin j has source bin ia[j] + k - (j's first k)
-    i = np.arange(int(counts.sum()))
-    i -= np.repeat(np.cumsum(counts) - counts - ia, counts)
-    del ia
-    # overlap of [xa, xb] with source bin i = [i/n, (i+1)/n], times n;
-    # edges[i] is i/n to the bit, as edges[i + 1] is (i+1)/n
-    w = np.repeat(xb, counts)
-    np.minimum(w, edges[1:][i], out=w)
-    lo = np.repeat(xa, counts)
-    np.maximum(lo, edges[i], out=lo)
-    w -= lo
-    del lo
-    w *= n
-    cols = np.repeat(j, counts)
-    keep = w > 0.0
-    if keep.all():
-        return i, cols, w
-    return i[keep], cols[keep], w[keep]
+    ib = np.clip(np.floor(xb * n), 0, n - 1).astype(np.int64)
+    width = int((ib - ia).max()) + 1  # K, the slots per target bin
+    # slot k gathers source bin src + k, which stays below n
+    src = np.minimum(ia, n - width)
+    ia -= src  # ia..ib now count slots from src
+    ib -= src
+    w = np.empty((width, src.size))
+    for k, wk in enumerate(w):
+        # overlap of [xa, xb] with source bin i = [i/n, (i+1)/n], times n;
+        # edges[i] is i/n to the bit, as edges[i + 1] is (i+1)/n
+        np.minimum(xb, edges[k + 1:].take(src), out=wk)
+        wk -= np.maximum(xa, edges[k:].take(src))
+        wk *= n
+        wk[(wk <= 0.0) | (ia > k) | (ib < k)] = 0.0
+    return start, src, w
+
+
+def _fold_shared(slots, start, src, w, top) -> None:
+    """Move each weight of a new branch that sits on an (i, j) pair of an
+    earlier branch into that branch's slot: the earlier weight plus this
+    one, the order in which a stable sort of all branches' entries by
+    (i, j) adds them.  Only a source bin i <= top, the highest that the
+    earlier slots gather, can be shared: a few pairs per breakpoint."""
+    for k, wk in enumerate(w):
+        for p in np.flatnonzero((src <= top - k) & (wk > 0.0)):
+            i, j = src[p] + k, start + p
+            for e_start, e_src, e_w in slots:
+                q = j - e_start
+                if (0 <= q < e_src.size and 0 <= i - e_src[q] < len(e_w)
+                        and e_w[i - e_src[q], q] > 0.0):
+                    e_w[i - e_src[q], q] += wk[p]
+                    wk[p] = 0.0
+                    break
 
 
 def ulam_matrix(pmap: PiecewiseMap, n: int) -> UlamOperator:
@@ -243,29 +283,19 @@ def ulam_matrix(pmap: PiecewiseMap, n: int) -> UlamOperator:
     if n < 2:
         raise ConfigError(f"need at least 2 bins, got {n}")
     edges = np.arange(n + 1) / n
-    rows, cols, vals = zip(*(_branch_entries(br, edges, n)
-                             for br in pmap.branches))
-    # each rebinding frees one array's parts before the next is copied
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    # increasing branches in domain order already give (row, col) order; a
-    # decreasing branch, or a source bin two branches share, needs the sort
-    if (np.any(rows[1:] < rows[:-1])
-            or np.any((rows[1:] == rows[:-1]) & (cols[1:] < cols[:-1]))):
-        order = np.lexsort((cols, rows))  # stable: ties stay in branch order
-        rows = rows[order]
-        cols = cols[order]
-        vals = vals[order]
-        del order
-    # a source bin that meets two branches can repeat an (i, j) pair; the
-    # bincount adds each run from 0.0 in order, as scipy's sum_duplicates
-    new = np.ones(rows.size, dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    if not new.all():
-        vals = np.bincount(np.cumsum(new) - 1, weights=vals)
-        rows, cols = rows[new], cols[new]
-    row_sums = np.bincount(rows, weights=vals, minlength=n)
+    slots, top = [], -1
+    for br in pmap.branches:
+        branch = _branch_slots(br, edges, n)
+        if branch is None:
+            continue
+        _fold_shared(slots, *branch, top)
+        slots.append(branch)
+        start, src, w = branch
+        top = max(top, int(src.max()) + len(w) - 1)
+    row_sums = np.zeros(n)
+    for _, src, w in slots:
+        for k, wk in enumerate(w):
+            row_sums[k:] += np.bincount(src, weights=wk, minlength=n - k)
     worst = float(np.max(np.abs(row_sums - 1.0)))
     # a row telescopes to the bin width ((i+1)/n - i/n)·n, on which the
     # rounded edges alone put up to ~n·eps (1.2e-12 at n = 10⁴)
@@ -275,7 +305,7 @@ def ulam_matrix(pmap: PiecewiseMap, n: int) -> UlamOperator:
             f"row {bad} sums to {float(row_sums[bad])!r} (off by {worst:g}); "
             "branch images may not cover the bin")
     s = pmap.min_slope_global
-    return UlamOperator(n=n, rows=rows, cols=cols, vals=vals,
+    return UlamOperator(n=n, slots=tuple(slots),
                         r_ess=1.0 / s if s > 0 else math.inf)
 
 

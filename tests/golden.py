@@ -53,6 +53,7 @@ _TENT = "{ROOT}/configs/tent.json"
 _NONLINEAR = "{ROOT}/pipebench/maps/nonlinear.json"
 _HOLDER = "{ROOT}/tests/half_holder.json"
 _SWAP = "{ROOT}/tests/swap.json"
+_IDENTITY = "{ROOT}/tests/identity.json"
 
 #: (case name, argv); every case takes at most ~0.3 s
 CASES = (
@@ -76,6 +77,12 @@ CASES = (
                            "--no-plot"]),
     ("density_half_holder", ["density", _HOLDER, "--bins", "512",
                              "--no-plot"]),
+    # 1/2 lies inside bin 150 of 301, and both tent branches map into the
+    # top bins; markov's branch 2 covers two thirds of 1000 bins, and 2/3
+    # lies inside a bin
+    ("density_tent_301", ["density", _TENT, "--bins", "301", "--no-plot"]),
+    ("density_markov_1000", ["density", _MARKOV, "--bins", "1000",
+                             "--no-plot"]),
     ("spectrum_markov", ["spectrum", _MARKOV, "--bins", "300", "--top", "2",
                          "--no-plot"]),
     ("spectrum_nonlinear", ["spectrum", _NONLINEAR, "--bins", "400", "--top",
@@ -84,6 +91,8 @@ CASES = (
                                    "--top", "2", "--no-plot"]),
     ("spectrum_tent_krylov_stalls", ["spectrum", _TENT, "--bins", "4500",
                                      "--top", "4", "--no-plot"]),
+    ("spectrum_tent_301", ["spectrum", _TENT, "--bins", "301", "--top", "2",
+                           "--no-plot"]),
     ("spectrum_swap", ["spectrum", _SWAP, "--bins", "512", "--top", "2",
                        "--no-plot"]),
     ("var_sine", ["var", "--f", "sin(2*pi*x)", "--q", "1", "--p", "2",
@@ -95,6 +104,9 @@ CASES = (
     ("correlate_markov_invariant", ["correlate", _MARKOV, "--f", "x", "--g",
                                     "x^2", "--N", "30", "--grid", "1024",
                                     "--wrt", "invariant", "--no-plot"]),
+    ("correlate_tent_invariant_301", ["correlate", _TENT, "--f", "x", "--g",
+                                      "x^2", "--N", "10", "--grid", "301",
+                                      "--wrt", "invariant", "--no-plot"]),
     ("correlate_doubling_no_rate", ["correlate", _DOUBLING, "--f", "x",
                                     "--g", "1", "--N", "20", "--grid",
                                     "1024", "--no-plot"]),
@@ -103,6 +115,10 @@ CASES = (
     ("iterates_doubling_no_bound", ["iterates", _DOUBLING, "--f",
                                     "sin(2*pi*x)", "--p", "1", "--A", "0.125",
                                     "--n", "10", "--grid", "1024"]),
+    # f's L¹ norm overflows a plain mean; the iterates stay finite
+    ("iterates_tripling_large_f", ["iterates", _TRIPLING, "--f", "1e307*x",
+                                   "--p", "1", "--A", "0.125", "--n", "5",
+                                   "--grid", "300"]),
     ("lorenz", ["lorenz", "--rho", "1500", "--t-max", "60", "--transient",
                 "50"]),
     # exit 1, with messages the unit tests pin
@@ -118,6 +134,8 @@ CASES = (
                                  "--top", "8", "--no-plot"]),
     ("lorenz_too_few_maxima", ["lorenz", "--t-max", "1", "--transient", "0",
                                "--dt", "0.01"]),
+    ("density_identity_fails_validation", ["density", _IDENTITY, "--bins",
+                                           "64", "--no-plot"]),
     ("density_missing_map", ["density", "{ROOT}/configs/missing.json",
                              "--bins", "64", "--no-plot"]),
     # exit 2: argparse's usage error

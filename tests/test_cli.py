@@ -1154,24 +1154,30 @@ def test_lorenz_that_cannot_start_its_child_exits_one(
 
 
 def _lorenz_traced_peak(tmp_path, t_max):
-    """tracemalloc peak of one `lorenz` run above what was live before."""
+    """Least tracemalloc peak of three `lorenz` runs above what was live
+    before each.  How many pieces the forked child has formatted while the
+    main process holds one depends on scheduling, so a single run's peak
+    can be a piece's text or two above the least."""
     argv = ["lorenz", "--rho", "100", "--dt", "0.01", "--t-max", str(t_max),
             "--transient", "0", "--fit-degree", "1",
             "--out-trajectory", str(tmp_path / "traj.csv"),
             "--out-map", str(tmp_path / "rmap.csv"),
             "--out-fit", str(tmp_path / "fit.json")]
+    peaks = []
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0  # loads what the pipeline imports lazily
-        # garbage left by earlier code, freed at a collection inside the
-        # traced run, would move its peak by tens of kB
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            assert main(argv) == 0
-            return tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        for _ in range(3):
+            # garbage left by earlier code, freed at a collection inside
+            # the traced run, would move its peak by tens of kB
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+    return min(peaks)
 
 
 def test_lorenz_memory_does_not_grow_with_the_run(tmp_path, monkeypatch):
@@ -1383,11 +1389,8 @@ def test_out_of_memory_prints_one_error_line(tmp_path):
 # so only the start vector is allocated before them
 _KRYLOV_5M = """
 import sys
-import numpy as np
 from pwexpand import cli, transfer
-none = np.zeros(0, dtype=np.int64)
-transfer.ulam_matrix = lambda pmap, n: transfer.UlamOperator(
-    n, none, none, np.zeros(0), 0.5)
+transfer.ulam_matrix = lambda pmap, n: transfer.UlamOperator(n, (), 0.5)
 sys.exit(cli.main(["spectrum", sys.argv[1], "--bins", "5000000",
                    "--no-plot"]))
 """
@@ -1417,11 +1420,9 @@ def test_the_krylov_basis_takes_only_the_rows_it_uses(tmp_path):
 # the dense Pᵀ on 20000 bins: 8·20000² bytes = 2.98 GiB, above the cap
 _DENSE_20000 = """
 import sys
-import numpy as np
 from pwexpand import cli, transfer
 if sys.argv[1] == "dense_t":
-    none = np.zeros(0, dtype=np.int64)
-    op = transfer.UlamOperator(20000, none, none, np.zeros(0), 0.5)
+    op = transfer.UlamOperator(20000, (), 0.5)
     try:
         op.dense_t()
     except MemoryError as err:

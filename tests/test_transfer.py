@@ -157,6 +157,20 @@ def _named_map(name, request):
                             "half_holder": "tests/half_holder.json"}[name])
 
 
+def _nonzeros_in_apply_order(op):
+    """(rows, cols) of every nonzero slot weight, sorted by column and then
+    in the order in which `apply_t` adds it into that column."""
+    rows, cols = [], []
+    for start, src, w in op.slots:
+        for k, wk in enumerate(w):
+            j = np.flatnonzero(wk)
+            rows.append(src[j] + k)
+            cols.append(j + start)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.argsort(cols, kind="stable")
+    return rows[order], cols[order]
+
+
 @pytest.mark.parametrize("name, n", [
     ("nonlinear", 1023), ("nonlinear", 1024), ("tent", 1023), ("tent", 1024),
     ("tiny", 7), ("tiny", 16), ("tent", 301), ("markov", 3073),
@@ -164,14 +178,19 @@ def _named_map(name, request):
 def test_apply_fp_matches_an_independent_ulam_operator(name, n, request):
     # tent's falling branch, and a source bin that two branches share
     # (tent's at 1/2 for odd n, markov's at 2/3, the other maps' inner
-    # breakpoints), make the assembly sort its entries; tent's shared bin
-    # also repeats (i, j) pairs, which must come out summed
+    # breakpoints); tent's shared bin also repeats (i, j) pairs, which must
+    # come out summed into the earlier branch's slot
     pmap = _named_map(name, request)
     if name == "tiny":
         mids = (np.arange(n) + 0.5) / n
         assert not np.any((mids >= 0.3) & (mids <= 0.302))
     op = transfer.ulam_matrix(pmap, n)
-    assert np.all(np.diff(op.rows * n + op.cols) > 0)
+    for start, src, w in op.slots:
+        assert 0 <= start and start + src.size <= n
+        assert src.min() >= 0 and src.max() + len(w) <= n
+    rows, cols = _nonzeros_in_apply_order(op)
+    same = cols[1:] == cols[:-1]
+    assert np.all(rows[1:][same] > rows[:-1][same])
     # (Pᵀf)_j = n·Σ_i f_i·|τ⁻¹(B_j) ∩ B_i|, bin by bin, with bisection
     # preimages of the bin edges under each closed-form branch
     f = np.random.default_rng(11).normal(size=n)
@@ -247,9 +266,9 @@ def test_ulam_rows_stochastic(tripling, doubling, tent, markov, nonlinear,
             assert dense.max() <= 1.0 + 1e-15
 
 
-def test_ulam_assembly_holds_about_twice_its_triplets():
-    # per branch only that branch's entries and one chunk of branch
-    # inversion are alive; entries that come out sorted are not copied
+def test_ulam_assembly_holds_about_twice_its_slots():
+    # per branch only that branch's slots, the earlier branches' and one
+    # chunk of branch inversion are alive
     pmap = load_map(ROOT / "pipebench/maps/nonlinear.json")
     transfer.ulam_matrix(pmap, 64)
     tracemalloc.start()
@@ -258,7 +277,23 @@ def test_ulam_assembly_holds_about_twice_its_triplets():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * (op.rows.nbytes + op.cols.nbytes + op.vals.nbytes)
+    assert peak <= 2.5 * sum(src.nbytes + w.nbytes for _, src, w in op.slots)
+
+
+def test_apply_t_holds_the_output_and_one_gathered_slot():
+    # both branches' images cover [0, 1], so each gathers n doubles per
+    # slot; a gather of all 3n entries at once would take 3n alone
+    n = 1 << 16
+    op = transfer.ulam_matrix(load_map(ROOT / "pipebench/maps/nonlinear.json"),
+                              n)
+    h = np.random.default_rng(0).random(n)
+    tracemalloc.start()
+    try:
+        op.apply_t(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * n
 
 
 @pytest.mark.parametrize("n", [10_000, 100_000])
